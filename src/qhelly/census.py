@@ -23,8 +23,11 @@ with necessary conditions only, so no valid completion is ever cut:
     budget overruns prune.
 
 Translation is fixed by a_0 = 0, the shear by a_h in [0, h-1].  Leaves
-are validated and deduplicated through the canonical form; every class
-that survives is re-checked against the exact lattice-core census.
+are validated and deduplicated through the canonical form; the interior
+count the row arithmetic gives every leaf is re-checked against Pick's
+formula (shoelace area and edge gcds), and the same O(v) counts validate
+every class loaded from the cache.  The box-scan census of the lattice
+core stays the independent oracle the tests compare them against.
 
 Width-1 polygons (trapezoids between two adjacent lattice lines) are
 excluded from the stored census: there are infinitely many per nonvertex
@@ -34,6 +37,7 @@ profile code adds back analytically.
 
 from __future__ import annotations
 
+import itertools
 import os
 import re
 from concurrent.futures import ProcessPoolExecutor
@@ -55,11 +59,11 @@ from .extint import ExtInt
 from .lattice import (
     LatticePolytope,
     Z_LATTICE,
+    _facets_from_cycle_2d,
     _hull_cycle_2d,
     _xgcd,
     canonical_form_2d,
     census,
-    convex_hull,
     lattice_points_in,
     primitive,
 )
@@ -108,22 +112,26 @@ class CensusClass:
 
 
 def lattice_width_2d(poly: LatticePolytope) -> int:
-    """Minimal extent of a primitive linear functional over the polygon."""
+    """Minimal extent of a primitive linear functional over the polygon.
+
+    A direction u = (p, q) of width at most best has |u . d| <= best for
+    every difference d of two vertices.  Cramer's rule on any two
+    independent differences d1, d2 turns this into
+    |p| <= best * (|d1y| + |d2y|) / |det| and
+    |q| <= best * (|d1x| + |d2x|) / |det|, so any spanning pair bounds
+    the search.  The pair with the largest |det| is the best conditioned
+    and keeps that box small.
+    """
     verts = poly.vertices
     if poly.affine_dim < 2:
         return 0
-    v0 = verts[0]
-    d1 = None
-    d2 = None
-    for v in verts[1:]:
-        d = (v[0] - v0[0], v[1] - v0[1])
-        if d1 is None:
-            d1 = d
-        elif d1[0] * d[1] - d1[1] * d[0] != 0:
-            d2 = d
-            break
-    assert d1 is not None and d2 is not None
-    det = abs(d1[0] * d2[1] - d1[1] * d2[0])
+    x0, y0 = verts[0]
+    diffs = [(x - x0, y - y0) for x, y in verts[1:]]
+    det, d1, d2 = max(
+        (abs(d1[0] * d2[1] - d1[1] * d2[0]), d1, d2)
+        for d1, d2 in itertools.combinations(diffs, 2)
+    )
+    assert det > 0
 
     def width(u: tuple) -> int:
         vals = [u[0] * x + u[1] * y for x, y in verts]
@@ -305,26 +313,50 @@ def _enumerate_rows(i_max: int, h: int, b0: int, window: int, out: list) -> None
     extend(0, 0)
 
 
+def _polygon(cycle: tuple) -> LatticePolytope:
+    """The polygon of a checked counterclockwise lattice vertex cycle."""
+    return LatticePolytope(cycle, _facets_from_cycle_2d(cycle), 2, 2)
+
+
+def _pick_counts(cycle: Sequence[tuple]) -> tuple[int, int]:
+    """Interior and non-vertex boundary lattice point counts of a
+    counterclockwise lattice vertex cycle, by Pick's formula.
+
+    2A is the shoelace sum and the boundary holds B = sum of gcd(dx, dy)
+    over the edges, so I = (2A - B + 2) / 2 exactly.
+    """
+    twice_area = 0
+    b = 0
+    px, py = cycle[-1]
+    for x, y in cycle:
+        twice_area += px * y - x * py
+        b += gcd(x - px, y - py)
+        px, py = x, y
+    return (twice_area - b + 2) // 2, b - len(cycle)
+
+
 def _leaf_to_class(rows: Sequence[tuple], interior: int) -> Optional[CensusClass]:
-    """Validate one raw leaf against the exact lattice core."""
+    """Validate one raw leaf: hull, lattice width, and the row arithmetic's
+    interior count against Pick's formula."""
     pts = set()
     for m, (a, b) in enumerate(rows):
         pts.add((a, m))
         pts.add((b, m))
-    poly = convex_hull(pts)
-    if poly.affine_dim < 2:
+    cycle = _hull_cycle_2d(pts)
+    if len(cycle) < 3:
         return None
+    poly = _polygon(cycle)
     width = lattice_width_2d(poly)
     if width < 2:
         return None
-    cen = census(poly, Z_LATTICE)
-    assert cen.interior == interior, "row arithmetic disagrees with the lattice core"
+    pick_interior, boundary = _pick_counts(cycle)
+    assert pick_interior == interior, "row arithmetic disagrees with Pick's formula"
     canon = canonical_form_2d(poly)
     return CensusClass(
         vertices=canon,
         vertex_count=len(canon),
-        interior=cen.interior,
-        boundary=cen.boundary,
+        interior=interior,
+        boundary=boundary,
         lattice_width=width,
     )
 
@@ -428,13 +460,26 @@ _HEADER_RE = re.compile(
 )
 
 
-def parse_census_file(text: str, *, validate: bool = True) -> CensusFile:
-    """Inverse of CensusFile.render; every class is revalidated by default.
+def _parse_header(line: str) -> tuple[int, int, bool]:
+    """(interior, box, complete) from a census header line."""
+    m = _HEADER_RE.match(line)
+    if m is None:
+        raise CacheCorruptError(f"malformed census header: {line!r}")
+    if f"polygon-census {m.group('version')}" != _CACHE_VERSION:
+        raise CacheCorruptError(
+            f"census format version {m.group('version')!r} is not supported"
+        )
+    return int(m.group("interior")), int(m.group("box")), m.group("complete") == "1"
 
-    Validation rebuilds each polygon from its stored vertices and checks
-    the canonical fixed point, the lattice width, the interior count
-    against the header, and the sort order, so a loaded cache carries the
-    same guarantees as a freshly enumerated one.
+
+def parse_census_file(text: str) -> CensusFile:
+    """Inverse of CensusFile.render; every class is revalidated.
+
+    Validation checks that each stored cycle is its own convex hull, is a
+    canonical fixed point and has lattice width >= 2, that Pick's formula
+    over its edges gives the header's interior count, and that the
+    classes are sorted and distinct, so a loaded cache carries the same
+    guarantees as a freshly enumerated one.
     """
     lines = text.split("\n")
     if not lines or lines[-1] != "":
@@ -442,16 +487,7 @@ def parse_census_file(text: str, *, validate: bool = True) -> CensusFile:
     lines.pop()
     if not lines:
         raise CacheCorruptError("census file is empty")
-    m = _HEADER_RE.match(lines[0])
-    if m is None:
-        raise CacheCorruptError(f"malformed census header: {lines[0]!r}")
-    if f"polygon-census {m.group('version')}" != _CACHE_VERSION:
-        raise CacheCorruptError(
-            f"census format version {m.group('version')!r} is not supported"
-        )
-    interior = int(m.group("interior"))
-    box = int(m.group("box"))
-    complete = m.group("complete") == "1"
+    interior, box, complete = _parse_header(lines[0])
     if not lines[-1].startswith("count="):
         raise CacheCorruptError("census file has no count trailer")
     trailer = lines[-1]
@@ -472,20 +508,8 @@ def parse_census_file(text: str, *, validate: bool = True) -> CensusFile:
             raise CacheCorruptError(f"malformed census line: {line!r}") from None
         if not nums or len(nums) != 1 + 2 * nums[0] or nums[0] < 3:
             raise CacheCorruptError(f"malformed census line: {line!r}")
-        v = nums[0]
-        verts = tuple((nums[1 + 2 * j], nums[2 + 2 * j]) for j in range(v))
-        if validate:
-            classes.append(_class_from_vertices(verts, interior))
-        else:
-            classes.append(
-                CensusClass(
-                    vertices=verts,
-                    vertex_count=v,
-                    interior=interior,
-                    boundary=0,
-                    lattice_width=2,
-                )
-            )
+        verts = tuple((nums[1 + 2 * j], nums[2 + 2 * j]) for j in range(nums[0]))
+        classes.append(_class_from_vertices(verts, interior))
     keys = [cls.key() for cls in classes]
     if keys != sorted(set(keys)):
         raise CacheCorruptError("census classes are not sorted and distinct")
@@ -493,24 +517,24 @@ def parse_census_file(text: str, *, validate: bool = True) -> CensusFile:
 
 
 def _class_from_vertices(verts: tuple, interior: int) -> CensusClass:
-    poly = convex_hull(verts)
-    if poly.affine_dim != 2 or poly.vertices != verts:
+    if len(verts) < 3 or _hull_cycle_2d(verts) != verts:
         raise CacheCorruptError(f"stored vertices are not a polygon hull: {verts}")
+    poly = _polygon(verts)
     if canonical_form_2d(poly) != verts:
         raise CacheCorruptError(f"stored vertices are not in canonical form: {verts}")
     width = lattice_width_2d(poly)
     if width < 2:
         raise CacheCorruptError(f"stored polygon has lattice width {width}: {verts}")
-    cen = census(poly, Z_LATTICE)
-    if cen.interior != interior:
+    pick_interior, boundary = _pick_counts(verts)
+    if pick_interior != interior:
         raise CacheCorruptError(
-            f"stored polygon has {cen.interior} interior points, header says {interior}"
+            f"stored polygon has {pick_interior} interior points, header says {interior}"
         )
     return CensusClass(
         vertices=verts,
         vertex_count=len(verts),
-        interior=cen.interior,
-        boundary=cen.boundary,
+        interior=interior,
+        boundary=boundary,
         lattice_width=width,
     )
 
@@ -543,13 +567,13 @@ class CensusStore:
         os.replace(tmp, target)
         return target
 
-    def load(self, i: int, *, validate: bool = True) -> CensusFile:
+    def load(self, i: int) -> CensusFile:
         path = self.path(i)
         try:
             text = path.read_text(encoding="ascii")
         except FileNotFoundError:
             raise CacheMissingError(f"no census file for interior count {i}: {path}") from None
-        file = parse_census_file(text, validate=validate)
+        file = parse_census_file(text)
         if file.interior != i:
             raise CacheCorruptError(
                 f"{path} holds interior count {file.interior}, expected {i}"
@@ -557,12 +581,21 @@ class CensusStore:
         return file
 
     def is_complete(self, i: int) -> bool:
-        """True when a usable, certified-complete file exists for i."""
+        """True when a certified-complete file exists for i.
+
+        Reads only the header line; the body is validated when the file
+        is loaded.
+        """
+        path = self.path(i)
         try:
-            file = self.load(i, validate=False)
-        except CacheMissingError:
+            with path.open(encoding="ascii") as fh:
+                header = fh.readline()
+        except FileNotFoundError:
             return False
-        return file.complete and file.box >= certified_box_bound(i)
+        interior, box, complete = _parse_header(header.removesuffix("\n"))
+        if interior != i:
+            raise CacheCorruptError(f"{path} holds interior count {interior}, expected {i}")
+        return complete and box >= certified_box_bound(i)
 
     def missing(self, k_max: int) -> tuple:
         return tuple(i for i in range(k_max + 1) if not self.is_complete(i))

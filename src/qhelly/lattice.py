@@ -13,6 +13,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import mul
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import (
@@ -363,12 +364,12 @@ def _hull_cycle_2d(points: Sequence[Point]) -> tuple:
 
 def _facets_from_cycle_2d(cycle: Sequence[Point]) -> tuple:
     facets = []
-    m = len(cycle)
-    for i in range(m):
-        v, w = cycle[i], cycle[(i + 1) % m]
-        e = _sub(w, v)
-        normal = primitive((e[1], -e[0]))
-        facets.append((normal, _dot(normal, v)))
+    vx, vy = cycle[-1]
+    for wx, wy in cycle:
+        g = gcd(wx - vx, wy - vy)
+        nx, ny = (wy - vy) // g, (vx - wx) // g
+        facets.append(((nx, ny), nx * vx + ny * vy))
+        vx, vy = wx, wy
     return tuple(sorted(facets))
 
 
@@ -562,18 +563,36 @@ def convex_hull(points: Iterable[Point]) -> LatticePolytope:
 _NUMPY_LIMIT = 1 << 62
 
 
-def _box_points_exact(box: Sequence[tuple[int, int]], polytope: LatticePolytope) -> list:
+def _box_points_exact(
+    box: Sequence[tuple[int, int]], polytope: LatticePolytope
+) -> tuple[list, int]:
+    """Box points inside the polytope, and how many of them lie strictly
+    inside every facet; each facet value is computed once per point."""
     out = []
+    strict = 0
+    facets = polytope.facets
     for p in itertools.product(*(range(lo, hi + 1) for lo, hi in box)):
-        if all(_dot(n, p) <= c for n, c in polytope.facets):
+        on_facet = False
+        for n, c in facets:
+            value = sum(map(mul, n, p))
+            if value > c:
+                break
+            if value == c:
+                on_facet = True
+        else:
             out.append(p)
-    return out
+            if not on_facet:
+                strict += 1
+    return out, strict
 
 
-def _box_points_numpy(box: Sequence[tuple[int, int]], polytope: LatticePolytope) -> Optional[list]:
+def _box_points_numpy(
+    box: Sequence[tuple[int, int]], polytope: LatticePolytope
+) -> Optional[tuple[list, int]]:
     """Vectorized facet filter over a coordinate box; None if unsafe.
 
-    int64 overflow is excluded by bounding |normal . x| before running.
+    Same result as _box_points_exact.  int64 overflow is excluded by
+    bounding |normal . x| before running.
     """
     try:
         import numpy as np
@@ -590,9 +609,26 @@ def _box_points_numpy(box: Sequence[tuple[int, int]], polytope: LatticePolytope)
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.reshape(-1) for m in mesh], axis=1)
     mask = np.ones(len(pts), dtype=bool)
+    strict = np.ones(len(pts), dtype=bool)
     for nrm, off in polytope.facets:
-        mask &= pts @ np.array(nrm, dtype=np.int64) <= off
-    return [tuple(int(x) for x in row) for row in pts[mask]]
+        values = pts @ np.array(nrm, dtype=np.int64)
+        mask &= values <= off
+        strict &= values < off
+    return [tuple(int(x) for x in row) for row in pts[mask]], int(strict.sum())
+
+
+def _full_dim_points(polytope: LatticePolytope) -> tuple[list, int]:
+    """Lattice points of a full-dimensional polytope by a scan of its
+    bounding box, and the number of them strictly inside every facet."""
+    box = polytope.bounding_box()
+    cells = 1
+    for lo, hi in box:
+        cells *= hi - lo + 1
+    if cells >= 200_000:
+        fast = _box_points_numpy(box, polytope)
+        if fast is not None:
+            return fast
+    return _box_points_exact(box, polytope)
 
 
 def lattice_points_in(polytope: LatticePolytope, site: Site) -> tuple:
@@ -603,15 +639,7 @@ def lattice_points_in(polytope: LatticePolytope, site: Site) -> tuple:
         return tuple(p for p in site.points if polytope.contains(p))
 
     if polytope.is_full_dimensional:
-        box = polytope.bounding_box()
-        cells = 1
-        for lo, hi in box:
-            cells *= hi - lo + 1
-        if cells >= 200_000:
-            fast = _box_points_numpy(box, polytope)
-            if fast is not None:
-                return tuple(fast)
-        return tuple(_box_points_exact(box, polytope))
+        return tuple(_full_dim_points(polytope)[0])
 
     # Degenerate in the ambient lattice: enumerate in affine coordinates.
     verts = polytope.vertices
@@ -656,13 +684,18 @@ def census(polytope: LatticePolytope, site: Site, *, relative: bool = False) -> 
     polytope is not full-dimensional); relative=True switches to the
     relative interior.
     """
-    pts = lattice_points_in(polytope, site)
     vset = polytope.vertex_set
-    vertex = sum(1 for p in pts if p in vset)
-    if relative:
-        interior = sum(1 for p in pts if p not in vset and polytope.relatively_contains(p))
+    if polytope.is_full_dimensional and not isinstance(site, FiniteSite):
+        # vertices lie on facets, so the strict count holds no vertex; for a
+        # full-dimensional polytope the relative interior is the interior
+        pts, interior = _full_dim_points(polytope)
     else:
-        interior = sum(1 for p in pts if p not in vset and polytope.strictly_contains(p))
+        pts = lattice_points_in(polytope, site)
+        if relative:
+            interior = sum(1 for p in pts if p not in vset and polytope.relatively_contains(p))
+        else:
+            interior = sum(1 for p in pts if p not in vset and polytope.strictly_contains(p))
+    vertex = sum(1 for p in pts if p in vset)
     total = len(pts)
     nonvertex = total - vertex
     return PointCensus(
@@ -699,28 +732,31 @@ def canonical_form_2d(polytope: LatticePolytope) -> tuple:
     """
     if polytope.ambient_dim != 2 or polytope.affine_dim != 2:
         raise DegenerateInputError("canonical form needs a full-dimensional polygon in Z^2")
-    cycle = list(polytope.vertices)
+    cycle = polytope.vertices
     m = len(cycle)
     best: Optional[tuple] = None
     for reverse in (False, True):
         seq_base = cycle[::-1] if reverse else cycle
         for start in range(m):
             seq = seq_base[start:] + seq_base[:start]
-            anchor = seq[0]
-            rel = [_sub(v, anchor) for v in seq]
-            ex, ey = rel[1]
-            g, a, b = _xgcd(ex, ey)
-            px, py = ex // g, ey // g
+            (ox, oy), (nx, ny) = seq[0], seq[1]
+            g, a, b = _xgcd(nx - ox, ny - oy)
+            px, py = (nx - ox) // g, (ny - oy) // g
             # rows (a, b) and (-py, px) form a det-1 map sending the edge
             # direction to (1, 0); a reversed traversal is clockwise, so
             # reflect across the x-axis to restore counterclockwise order.
-            pts = [(a * x + b * y, -(-py * x + px * y) if reverse else (-py * x + px * y))
-                   for x, y in rel]
-            ymax = max(p[1] for p in pts)
-            assert ymax > 0 and all(p[1] >= 0 for p in pts)
-            vstar = next(p for p in pts if p[1] == ymax)
-            shear = -(vstar[0] // ymax)
-            sheared = [(x + shear * y, y) for x, y in pts]
+            c, d = (py, -px) if reverse else (-py, px)
+            t = c * ox + d * oy
+            ys = [c * x + d * y - t for x, y in seq]
+            ymax = max(ys)
+            assert ymax > 0 and min(ys) >= 0
+            # shear the first vertex at height ymax into [0, ymax)
+            vx, vy = seq[ys.index(ymax)]
+            shear = -((a * (vx - ox) + b * (vy - oy)) // ymax)
+            a += shear * c
+            b += shear * d
+            t = a * ox + b * oy
+            sheared = [(a * x + b * y - t, yy) for (x, y), yy in zip(seq, ys)]
             # rotate so the cycle starts at its lex-min vertex, making the
             # stored form a hull-canonical cycle as well
             lead = sheared.index(min(sheared))

@@ -4,14 +4,19 @@ from __future__ import annotations
 
 import os
 import random
+from math import gcd
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qhelly.census import (
     CensusClass,
     CensusFile,
     CensusStore,
     CACHE_ENV_VAR,
+    _pick_counts,
     c_z2_profile,
     certified_box_bound,
     enumerate_polygon_classes,
@@ -31,9 +36,11 @@ from qhelly.errors import (
     CacheMissingError,
     DegenerateInputError,
 )
-from qhelly.lattice import Z_LATTICE, canonical_form_2d, census, convex_hull
+from qhelly.lattice import Z_LATTICE, _hull_cycle_2d, canonical_form_2d, census, convex_hull
 
 HEXAGON = ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1))
+DEVCACHE = Path(__file__).resolve().parent.parent / ".devcache"
+PUBLISHED_CLASS_COUNTS = (1, 16, 45, 120, 211, 403, 714, 1023, 1830, 2700, 3659)
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +224,117 @@ def test_store_directory_resolution(tmp_path, monkeypatch):
     monkeypatch.delenv(CACHE_ENV_VAR)
     with pytest.raises(ValueError):
         CensusStore()
+
+
+def test_is_complete_reads_only_the_header(tmp_path):
+    store = CensusStore(tmp_path)
+    store.ensure(1)
+    path = store.path(1)
+    text = path.read_text()
+    header, body = text.split("\n", 1)
+    # a corrupt body is left to the validated load
+    path.write_text(header + "\n" + body.replace("count=16", "count=17"))
+    assert store.is_complete(1)
+    with pytest.raises(CacheCorruptError):
+        store.load(1)
+    for bad in (
+        header.replace("complete=1", "complete=yes"),
+        header.replace("polygon-census v1", "polygon-census v9"),
+        header.replace("interior=1", "interior=2"),
+    ):
+        path.write_text(bad + "\n" + body)
+        with pytest.raises(CacheCorruptError):
+            store.is_complete(1)
+
+
+# ---------------------------------------------------------------------------
+# O(v) validation of census classes
+
+
+def _one_class_file(interior: int, verts) -> str:
+    coords = " ".join(f"{x} {y}" for x, y in verts)
+    return (
+        f"polygon-census v1 interior={interior} box={certified_box_bound(interior)} "
+        f"complete=1\n{len(verts)} {coords}\ncount=1\n"
+    )
+
+
+def test_single_class_file_passes_validation():
+    (cls,) = parse_census_file(_one_class_file(0, ((0, 0), (2, 0), (0, 2)))).classes
+    assert (cls.interior, cls.boundary, cls.lattice_width) == (0, 3, 2)
+
+
+@pytest.mark.parametrize(
+    "verts",
+    [
+        ((0, 0), (0, 2), (2, 0)),  # clockwise
+        ((2, 0), (0, 2), (0, 0)),  # not started at the lex-min vertex
+        ((0, 0), (2, 0), (1, 1), (2, 2), (0, 2)),  # reflex vertex (1, 1)
+        ((0, 0), (1, 0), (2, 0), (0, 2)),  # collinear vertex (1, 0)
+        ((0, 0), (1, 1), (2, 2)),  # segment
+    ],
+)
+def test_validation_rejects_non_hull_cycles(verts):
+    with pytest.raises(CacheCorruptError, match="not a polygon hull"):
+        parse_census_file(_one_class_file(0, verts))
+
+
+def test_validation_rejects_non_canonical_hulls():
+    # the interior-0 class, translated and sheared
+    with pytest.raises(CacheCorruptError, match="not in canonical form"):
+        parse_census_file(_one_class_file(0, ((1, 0), (3, 0), (3, 2))))
+
+
+def test_validation_rejects_width_one_polygons():
+    canon = canonical_form_2d(convex_hull([(0, 0), (3, 0), (1, 1), (0, 1)]))
+    with pytest.raises(CacheCorruptError, match="lattice width 1"):
+        parse_census_file(_one_class_file(0, canon))
+
+
+def test_validation_rejects_wrong_interior_header():
+    # the hexagon's class has one interior point
+    canon = canonical_form_2d(convex_hull(HEXAGON))
+    assert parse_census_file(_one_class_file(1, canon)).classes[0].interior == 1
+    for wrong in (0, 2):
+        with pytest.raises(CacheCorruptError, match="1 interior points"):
+            parse_census_file(_one_class_file(wrong, canon))
+
+
+def _brute_force_width(cycle) -> int:
+    # coordinates lie in [0, 4]: the optimal direction has width <= 4, and
+    # any two independent vertex differences (entries at most 4 in size,
+    # integer determinant at least 1) then confine it to |p|, |q| <= 32
+    best = None
+    for p in range(-32, 33):
+        for q in range(0, 33):
+            if gcd(p, q) != 1 or (q == 0 and p < 0):
+                continue
+            values = [p * x + q * y for x, y in cycle]
+            width = max(values) - min(values)
+            best = width if best is None else min(best, width)
+    return best
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), min_size=3, max_size=9))
+def test_pick_counts_and_width_match_brute_force(points):
+    cycle = _hull_cycle_2d(points)
+    assume(len(cycle) >= 3)
+    poly = convex_hull(points)
+    counts = census(poly, Z_LATTICE)
+    assert _pick_counts(cycle) == (counts.interior, counts.boundary)
+    assert lattice_width_2d(poly) == _brute_force_width(cycle)
+
+
+def test_golden_cache_validates_and_matches_the_box_scan():
+    store = CensusStore(DEVCACHE)
+    for i, expected in enumerate(PUBLISHED_CLASS_COUNTS):
+        file = store.load(i)
+        assert len(file.classes) == expected
+        assert file.render() == store.path(i).read_text(encoding="ascii")
+        for cls in file.classes:
+            counts = census(convex_hull(cls.vertices), Z_LATTICE)
+            assert (cls.interior, cls.boundary) == (counts.interior, counts.boundary)
 
 
 # ---------------------------------------------------------------------------

@@ -17,13 +17,13 @@ from qhelly import (
     FiniteSite,
     Z_LATTICE,
     canonical_form_2d,
-    census,
     closure,
     convex_hull,
     lattice_points_in,
 )
 from qhelly.errors import DegenerateInputError, SiteMembershipError, UnsupportedDimensionError
 from qhelly.lattice import (
+    census,
     integer_kernel_basis,
     primitive,
     rational_rank,
