@@ -9,6 +9,15 @@ Two quantities are computed for a finite site S and each k:
            the configuration's nonvertex positions (equivalently, the
            quantitative Helly-type constant of S at level k).
 
+Both come from one enumeration of the closed subsets C = S intersect
+conv C.  The site is indexed once and a subset is an int bitmask (bit i
+is site.points[i]); the enumeration keeps a dict from each closed set to
+the mask of its hull's vertices, so totals and vertex counts are
+popcounts.  Closing V(C) + p is one hull and an AND of memoized
+halfspace masks of the site, one per facet (two per affine-hull equation
+when the hull is degenerate).  Only the winning witnesses are hulled
+again.
+
 c is produced twice on independent routes: once by the stepwise recursion
 from the g profile and once by direct maximization over enumerated
 configurations.  Tests hold the two routes equal; the engine never blends
@@ -19,11 +28,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import BudgetExceededError
 from .extint import NEG_INF, ExtInt, ext_max, is_finite
-from .lattice import FiniteSite, census, closure, convex_hull
+from .lattice import FiniteSite, convex_hull, site_mask
 
 _DEFAULT_STATE_BUDGET = 2_000_000
 _SITE_SIZE_LIMIT = 30
@@ -31,41 +40,50 @@ _SITE_SIZE_LIMIT = 30
 
 def enumerate_convex_subsets(
     site: FiniteSite, *, max_states: int = _DEFAULT_STATE_BUDGET
-) -> tuple:
+) -> dict:
     """All nonempty closed subsets of the site (C = S intersect conv C).
 
-    Growth rule: a closed set is extended only by points lexicographically
-    above its maximum, then closed again.  Every closed set is reachable
-    this way (remove the lexicographic maximum, which is always a vertex;
-    the closure of the remainder plus that point restores the set), so the
-    enumeration is complete without revisiting permutations.
+    Subsets are bitmasks over the site (bit i is site.points[i]).  The
+    result maps each closed set to the mask of its hull's vertices, in
+    (size, sorted point tuple) order.
+
+    Growth rule: a closed set C is extended only by a point p
+    lexicographically above its maximum, and S intersect conv(V(C) + p)
+    is the new closed set, where V(C) is the vertex set of C; it equals
+    the closure of C + p, because V(C) + p and C + p have the same hull.
+    Every closed set is reachable this way (remove the lexicographic
+    maximum, which is always a vertex; the closure of the remainder plus
+    that point restores the set), so the enumeration is complete without
+    revisiting permutations.  Each closed set gets exactly one hull, the
+    one that first reaches it, and the closure is the AND of the site's
+    halfspace masks of that hull.
     """
     if len(site) > _SITE_SIZE_LIMIT:
         raise BudgetExceededError(
             f"site has {len(site)} points; closed subsets can approach "
             f"2^{len(site)}, refuse beyond {_SITE_SIZE_LIMIT}"
         )
-    seen: set = set()
-    queue: deque = deque()
-    for p in site.points:
-        state = (p,)
-        seen.add(state)
-        queue.append(state)
+    points, index = site.points, site.index
+    found = {1 << i: 1 << i for i in range(len(points))}
+    queue = deque(found)
     while queue:
         cur = queue.popleft()
-        top = cur[-1]
-        for p in site.points:
-            if p <= top:
-                continue
-            new = closure(cur + (p,), site)
-            if new not in seen:
-                seen.add(new)
-                if len(seen) > max_states:
+        verts = site.points_of(found[cur])
+        for j in range(cur.bit_length(), len(points)):
+            poly = convex_hull(verts + (points[j],))
+            new = site_mask(poly, site)
+            if new not in found:
+                vmask = 0
+                for v in poly.vertices:
+                    vmask |= 1 << index[v]
+                found[new] = vmask
+                if len(found) > max_states:
                     raise BudgetExceededError(
                         f"more than {max_states} closed subsets; raise max_states"
                     )
                 queue.append(new)
-    return tuple(sorted(seen, key=lambda s: (len(s), s)))
+    order = sorted(found, key=lambda m: (m.bit_count(), site.points_of(m)))
+    return {m: found[m] for m in order}
 
 
 @dataclass(frozen=True)
@@ -109,15 +127,6 @@ def c_from_g(g: Sequence[ExtInt], site_size: int, k_max: int) -> tuple:
     return tuple(out)
 
 
-def _configurations(site: FiniteSite, max_states: int):
-    """Census data (point count, vertex count, vertices) per closed subset."""
-    for sub in enumerate_convex_subsets(site, max_states=max_states):
-        poly = convex_hull(sub)
-        cen = census(poly, site)
-        assert cen.total == len(sub)
-        yield len(sub), cen.vertex, poly.vertices
-
-
 def g_profile(
     site: FiniteSite,
     k_max: Optional[int] = None,
@@ -125,18 +134,30 @@ def g_profile(
     label: Optional[str] = None,
     max_states: int = _DEFAULT_STATE_BUDGET,
 ) -> SiteProfile:
-    """Profile of g (and c via the stepwise route) for k = 0..k_max."""
+    """Profile of g (and c via the stepwise route) for k = 0..k_max.
+
+    The witness of g[k] is the first closed set in enumeration order with
+    the largest vertex count; only the k_max + 1 witnesses are hulled
+    again, to give their vertices in polytope order.
+    """
     if k_max is None:
         k_max = len(site)
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
     g: list[ExtInt] = [NEG_INF] * (k_max + 1)
-    wit: list = [None] * (k_max + 1)
-    for total, nvert, vertices in _configurations(site, max_states):
-        k = total - nvert
+    best: list = [None] * (k_max + 1)
+    for closed, verts in enumerate_convex_subsets(site, max_states=max_states).items():
+        nvert = verts.bit_count()
+        k = closed.bit_count() - nvert
         if k <= k_max and g[k] < nvert:
             g[k] = nvert
-            wit[k] = vertices
+            best[k] = closed
+    wit: list = [None] * (k_max + 1)
+    for k, closed in enumerate(best):
+        if closed is not None:
+            poly = convex_hull(site.points_of(closed))
+            assert site_mask(poly, site) == closed and len(poly.vertices) == g[k]
+            wit[k] = poly.vertices
     return SiteProfile(
         label=label or site.describe(),
         ambient_dim=site.dim,
@@ -162,8 +183,9 @@ def c_direct(
     if k_max is None:
         k_max = len(site)
     out: list[ExtInt] = [NEG_INF] * (k_max + 1)
-    for total, nvert, _vertices in _configurations(site, max_states):
-        lo = total - nvert
+    for closed, verts in enumerate_convex_subsets(site, max_states=max_states).items():
+        total = closed.bit_count()
+        lo = total - verts.bit_count()
         for k in range(lo, min(total, k_max) + 1):
             if out[k] < total - k:
                 out[k] = total - k

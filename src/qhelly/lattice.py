@@ -1,16 +1,19 @@
 """Exact lattice geometry: hulls, closures, point censuses, canonical forms.
 
 All arithmetic is exact (int / Fraction).  Convex hulls are supported for
-affine dimension up to 5: dimensions 0-2 directly, 3-5 by double
-description on the polar dual.  Inputs of lower affine dimension than
-their ambient space are projected onto a saturated basis of their affine
-lattice, hulled there, and lifted back, so facet data is always integral.
+affine dimension up to 5: dimensions 0-2 directly, 3-5 by a fraction-free
+double description on the polar dual.  Inputs of lower affine dimension
+than their ambient space are projected onto a saturated basis of their
+affine lattice, hulled there, and lifted back, so facet data is always
+integral.  Membership in a finite site is one path: site_mask ANDs the
+site's memoized halfspace masks over the facets and affine-hull equations.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from math import gcd
 from operator import mul
@@ -69,30 +72,34 @@ def _sub(u: Sequence, v: Sequence) -> tuple:
     return tuple(a - b for a, b in zip(u, v))
 
 
-def rational_rank(rows: Sequence[Sequence]) -> int:
-    """Rank over Q of a small matrix given as rows."""
-    mat = [[Fraction(x) for x in row] for row in rows]
-    rank = 0
+def rational_rank(rows: Sequence[Sequence[int]]) -> int:
+    """Rank over Q of a small integer matrix given as rows.
+
+    Fraction-free (Bareiss) elimination: every entry stays an integer
+    minor of the input, and each division by the previous pivot is exact.
+    """
+    mat = [list(row) for row in rows]
     ncols = len(mat[0]) if mat else 0
-    col = 0
-    while rank < len(mat) and col < ncols:
+    rank = 0
+    prev = 1
+    for col in range(ncols):
         pivot = None
         for r in range(rank, len(mat)):
             if mat[r][col]:
                 pivot = r
                 break
         if pivot is None:
-            col += 1
             continue
         mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = 1 / mat[rank][col]
-        mat[rank] = [x * inv for x in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col]:
-                f = mat[r][col]
-                mat[r] = [x - f * y for x, y in zip(mat[r], mat[rank])]
+        top = mat[rank]
+        p = top[col]
+        for r in range(rank + 1, len(mat)):
+            f = mat[r][col]
+            mat[r] = [(p * x - f * y) // prev for x, y in zip(mat[r], top)]
+        prev = p
         rank += 1
-        col += 1
+        if rank == len(mat):
+            break
     return rank
 
 
@@ -187,10 +194,22 @@ def saturated_direction_basis(points: Sequence[Point]) -> list[tuple[int, ...]]:
 
 @dataclass(frozen=True)
 class FiniteSite:
-    """A finite set of lattice points, stored sorted and deduplicated."""
+    """A finite set of lattice points, stored sorted and deduplicated.
+
+    A subset of the site is also an int bitmask: bit i stands for
+    points[i].  index maps each point to its bit; both it and the memo
+    of halfspace masks are built once per site and take no part in
+    comparison or repr.
+    """
 
     points: tuple
     dim: int
+    index: dict = field(init=False, repr=False, compare=False)
+    _halfspaces: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "index", {p: i for i, p in enumerate(self.points)})
+        object.__setattr__(self, "_halfspaces", {})
 
     @classmethod
     def of(cls, points: Iterable[Point]) -> "FiniteSite":
@@ -216,7 +235,22 @@ class FiniteSite:
         return iter(self.points)
 
     def __contains__(self, p: object) -> bool:
-        return p in set(self.points)
+        return p in self.index
+
+    def points_of(self, mask: int) -> tuple:
+        """The site points of a bitmask, lexicographically sorted."""
+        return tuple(self.points[i] for i in range(mask.bit_length()) if mask >> i & 1)
+
+    def halfspace_mask(self, normal: tuple, offset: int) -> int:
+        """Bitmask of the site points with normal . x <= offset, memoized."""
+        mask = self._halfspaces.get((normal, offset))
+        if mask is None:
+            mask = 0
+            for i, p in enumerate(self.points):
+                if sum(map(mul, normal, p)) <= offset:
+                    mask |= 1 << i
+            self._halfspaces[(normal, offset)] = mask
+        return mask
 
     def describe(self) -> str:
         return f"finite site, {len(self.points)} points in Z^{self.dim}"
@@ -301,11 +335,28 @@ class LatticePolytope:
     def facet_count(self) -> int:
         return len(self.facets)
 
+    @cached_property
+    def equalities(self) -> tuple:
+        """(normal, offset) pairs whose equations cut out the affine hull.
+
+        Empty when full-dimensional; otherwise the normals are a basis of
+        the integer kernel of the vertex differences, computed once.
+        """
+        if self.is_full_dimensional:
+            return ()
+        v0 = self.vertices[0]
+        diffs = [_sub(v, v0) for v in self.vertices[1:]]
+        return tuple(
+            (normal, _dot(normal, v0))
+            for normal in integer_kernel_basis(diffs, self.ambient_dim)
+        )
+
+    def _in_affine_hull(self, p: Point) -> bool:
+        return all(_dot(n, p) == c for n, c in self.equalities)
+
     def contains(self, p: Point) -> bool:
         """Exact membership; for degenerate polytopes the affine hull counts."""
-        if not self.is_full_dimensional and not self._in_affine_hull(p):
-            return False
-        return all(_dot(n, p) <= c for n, c in self.facets)
+        return self._in_affine_hull(p) and all(_dot(n, p) <= c for n, c in self.facets)
 
     def strictly_contains(self, p: Point) -> bool:
         """Ambient-interior membership (always False when degenerate)."""
@@ -315,18 +366,7 @@ class LatticePolytope:
 
     def relatively_contains(self, p: Point) -> bool:
         """Relative-interior membership (strict within the affine hull)."""
-        if self.affine_dim == 0:
-            return tuple(p) == self.vertices[0]
-        if not self.is_full_dimensional and not self._in_affine_hull(p):
-            return False
-        return all(_dot(n, p) < c for n, c in self.facets)
-
-    def _in_affine_hull(self, p: Point) -> bool:
-        basis = saturated_direction_basis(self.vertices)
-        if not basis:
-            return tuple(p) == self.vertices[0]
-        rows = [[basis[j][i] for j in range(len(basis))] for i in range(self.ambient_dim)]
-        return solve_rational(rows, _sub(p, self.vertices[0])) is not None
+        return self._in_affine_hull(p) and all(_dot(n, p) < c for n, c in self.facets)
 
     def bounding_box(self) -> tuple[tuple[int, int], ...]:
         lo = tuple(min(v[i] for v in self.vertices) for i in range(self.ambient_dim))
@@ -396,7 +436,18 @@ def _affinely_independent_subset(points: Sequence[Point], d: int) -> list[Point]
 
 
 def _dd_hull(points: Sequence[Point], d: int) -> tuple[tuple, tuple]:
-    """Full-dimensional hull in Z^d, d in {3,4,5}, by polar double description."""
+    """Full-dimensional hull in Z^d, d in {3,4,5}, by polar double description.
+
+    The dual polytope {y : (p - c) . y <= 1 for every input p}, with c the
+    centroid of an affinely independent base, is cut out one constraint
+    at a time from a certified bounding cube (Fukuda & Prodon, "Double
+    description method revisited", 1996).  The arithmetic is fraction
+    free: each dual vertex is a primitive integer vector (Y, w) with
+    w > 0 standing for y = Y / w.  A new vertex on the edge from an inner
+    vertex i to an outer vertex o is vals[o] (Y_i, w_i) - vals[i] (Y_o, w_o)
+    over its gcd, and its tight set is (t_i & t_o) | {new}: a constraint
+    tight strictly inside the edge is tight at both of its ends.
+    """
     pts = sorted(set(points))
     base = _affinely_independent_subset(pts, d)
     assert len(base) == d + 1, "caller guarantees full affine dimension"
@@ -410,72 +461,57 @@ def _dd_hull(points: Sequence[Point], d: int) -> tuple[tuple, tuple]:
     m_entry = max(q, max(abs(x) for w in omegas for x in w))
     bound = d ** d * m_entry ** d + 1
 
-    # Start from the bounding cube; box constraint ids are negative.
-    def box_normal(idx: int) -> tuple:
-        j, sign = divmod(-idx - 1, 2)
-        v = [0] * d
-        v[j] = 1 if sign == 0 else -1
-        return tuple(v)
-
-    constraints: dict[int, tuple[tuple, int]] = {}
+    # Start from the bounding cube; box constraint ids are negative.  The
+    # normals are kept for the algebraic adjacency test.
+    normals: dict[int, tuple] = {}
     for j in range(d):
         for sign in range(2):
-            idx = -(2 * j + sign + 1)
-            constraints[idx] = (box_normal(idx), bound)
+            v = [0] * d
+            v[j] = 1 if sign == 0 else -1
+            normals[-(2 * j + sign + 1)] = tuple(v)
 
-    verts: list[tuple[tuple, frozenset]] = []
+    verts: list[tuple[tuple, int, frozenset]] = []
     for corner in itertools.product((-bound, bound), repeat=d):
         tight = frozenset(
             -(2 * j + (0 if corner[j] > 0 else 1) + 1) for j in range(d)
         )
-        verts.append((tuple(Fraction(x) for x in corner), tight))
-
-    def tight_set(y: tuple) -> frozenset:
-        return frozenset(
-            idx for idx, (nrm, off) in constraints.items() if _dot(nrm, y) == off
-        )
+        verts.append((corner, 1, tight))
 
     for new_idx, omega in enumerate(omegas):
-        vals = [_dot(omega, y) - q for y, _ in verts]
-        if all(v <= 0 for v in vals):
-            constraints[new_idx] = (omega, q)
-            verts = [
-                (y, tight | ({new_idx} if vals[i] == 0 else frozenset()))
-                for i, (y, tight) in enumerate(verts)
-            ]
-            continue
+        normals[new_idx] = omega
+        vals = [sum(map(mul, omega, y)) - q * w for y, w, _ in verts]
         ins = [i for i, v in enumerate(vals) if v < 0]
         outs = [i for i, v in enumerate(vals) if v > 0]
         ons = [i for i, v in enumerate(vals) if v == 0]
-        new_pts: set[tuple] = set()
+        new_verts: dict[tuple, frozenset] = {}
         for i in ins:
-            yi, ti = verts[i]
+            yi, wi, ti = verts[i]
+            vi = vals[i]
             for o in outs:
-                yo, to = verts[o]
+                yo, wo, to = verts[o]
                 common = ti & to
                 if len(common) < d - 1:
                     continue
-                if rational_rank([constraints[c][0] for c in common]) != d - 1:
+                if rational_rank([normals[c] for c in common]) != d - 1:
                     continue
-                t = Fraction(-vals[i], vals[o] - vals[i])
-                new_pts.add(tuple(a + t * (b - a) for a, b in zip(yi, yo)))
-        constraints[new_idx] = (omega, q)
-        kept = [(verts[i][0], verts[i][1]) for i in ins]
-        kept += [(verts[i][0], verts[i][1] | {new_idx}) for i in ons]
-        kept += [(y, tight_set(y)) for y in sorted(new_pts)]
-        verts = sorted(kept)
+                vo = vals[o]
+                y = [vo * a - vi * b for a, b in zip(yi, yo)]
+                w = vo * wi - vi * wo
+                g = gcd(w, *y)
+                new_verts[(tuple(x // g for x in y), w // g)] = common | {new_idx}
+        kept = [verts[i] for i in ins]
+        kept += [(y, w, tight | {new_idx}) for y, w, tight in (verts[i] for i in ons)]
+        kept += [(y, w, tight) for (y, w), tight in new_verts.items()]
+        verts = kept
 
-    for y, tight in verts:
+    for _y, _w, tight in verts:
         assert all(idx >= 0 for idx in tight), "dual polytope touched the start box"
 
-    # Each dual vertex is a primal facet: y . (x - c) <= 1.
+    # Each dual vertex is a primal facet: Y . (q x - q c) <= q w.
     facets = set()
-    for y, _ in verts:
-        denom = 1
-        for coord in y:
-            denom = denom * coord.denominator // gcd(denom, coord.denominator)
-        n_raw = tuple(int(coord * denom) * q for coord in y)
-        off = _dot(tuple(int(coord * denom) for coord in y), centroid_q) + denom * q
+    for y, w, _ in verts:
+        n_raw = tuple(q * coord for coord in y)
+        off = _dot(y, centroid_q) + q * w
         g = _vec_gcd(n_raw)
         assert g and off % g == 0, "facet hyperplane must be integral"
         facets.add((tuple(x // g for x in n_raw), off // g))
@@ -631,12 +667,27 @@ def _full_dim_points(polytope: LatticePolytope) -> tuple[list, int]:
     return _box_points_exact(box, polytope)
 
 
+def site_mask(polytope: LatticePolytope, site: FiniteSite) -> int:
+    """Bitmask of the site points inside the polytope.
+
+    The AND of the site's halfspace mask of every facet and, for a
+    degenerate polytope, of both halfspaces of every affine-hull equation.
+    """
+    if site.dim != polytope.ambient_dim:
+        raise ValueError("site and polytope dimensions differ")
+    mask = (1 << len(site.points)) - 1
+    for normal, offset in polytope.facets:
+        mask &= site.halfspace_mask(normal, offset)
+    for normal, offset in polytope.equalities:
+        mask &= site.halfspace_mask(normal, offset)
+        mask &= site.halfspace_mask(tuple(-x for x in normal), -offset)
+    return mask
+
+
 def lattice_points_in(polytope: LatticePolytope, site: Site) -> tuple:
     """All site points inside the polytope, lexicographically sorted."""
     if isinstance(site, FiniteSite):
-        if site.dim != polytope.ambient_dim:
-            raise ValueError("site and polytope dimensions differ")
-        return tuple(p for p in site.points if polytope.contains(p))
+        return site.points_of(site_mask(polytope, site))
 
     if polytope.is_full_dimensional:
         return tuple(_full_dim_points(polytope)[0])
@@ -671,7 +722,7 @@ def closure(points: Iterable[Point], site: Site) -> tuple:
     if not pts:
         raise ValueError("closure of an empty set")
     if isinstance(site, FiniteSite):
-        missing = [p for p in pts if p not in set(site.points)]
+        missing = [p for p in pts if p not in site]
         if missing:
             raise SiteMembershipError(f"points outside the site: {missing[:3]}")
     return lattice_points_in(convex_hull(pts), site)

@@ -12,6 +12,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qhelly import NEG_INF
 from qhelly.engine import (
@@ -27,7 +29,7 @@ from qhelly.engine import (
 )
 from qhelly.errors import BudgetExceededError
 from qhelly.extint import ext_max, is_finite
-from qhelly.lattice import FiniteSite, closure
+from qhelly.lattice import FiniteSite, closure, convex_hull
 
 
 def brute_closed_subsets(site: FiniteSite) -> set:
@@ -41,6 +43,19 @@ def brute_closed_subsets(site: FiniteSite) -> set:
     return out
 
 
+def closed_tuples(site: FiniteSite) -> list:
+    """The enumerated closed sets as point tuples, in enumeration order.
+
+    Also checks each vertex mask against the hull of its closed set.
+    """
+    out = []
+    for closed, verts in enumerate_convex_subsets(site).items():
+        sub = site.points_of(closed)
+        assert site.points_of(verts) == tuple(sorted(convex_hull(sub).vertices))
+        out.append(sub)
+    return out
+
+
 @pytest.mark.parametrize(
     "site",
     [
@@ -51,20 +66,48 @@ def brute_closed_subsets(site: FiniteSite) -> set:
     ],
 )
 def test_enumeration_matches_power_set_oracle(site):
-    assert set(enumerate_convex_subsets(site)) == brute_closed_subsets(site)
+    assert set(closed_tuples(site)) == brute_closed_subsets(site)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=9),
+    st.booleans(),
+)
+def test_enumeration_matches_power_set_oracle_on_random_sites_in_z2(coords, flat):
+    # flat: the same points on the lattice plane z = x + 2y - 1 of Z^3
+    points = [(a, b, a + 2 * b - 1) for a, b in coords] if flat else coords
+    site = FiniteSite.of(points)
+    assert set(closed_tuples(site)) == brute_closed_subsets(site)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.tuples(*[st.integers(-1, 1)] * 3), min_size=1, max_size=9))
+def test_enumeration_matches_power_set_oracle_on_random_sites_in_z3(points):
+    site = FiniteSite.of(points)
+    assert set(closed_tuples(site)) == brute_closed_subsets(site)
 
 
 def test_enumeration_is_sorted_and_deterministic():
     site = FiniteSite.grid(3, 2)
-    subs = enumerate_convex_subsets(site)
+    subs = closed_tuples(site)
     assert list(subs) == sorted(subs, key=lambda s: (len(s), s))
-    assert subs == enumerate_convex_subsets(site)
+    assert subs == closed_tuples(site)
+    assert enumerate_convex_subsets(site) == enumerate_convex_subsets(site)
 
 
 def test_budget_guard():
     big = FiniteSite.grid(6, 6)  # 36 points
     with pytest.raises(BudgetExceededError):
         enumerate_convex_subsets(big)
+
+
+def test_state_budget_guard():
+    # 3x3 has 9 singletons and many more closed sets than 10
+    with pytest.raises(BudgetExceededError):
+        enumerate_convex_subsets(FiniteSite.grid(3, 3), max_states=10)
+    with pytest.raises(BudgetExceededError):
+        g_profile(FiniteSite.grid(3, 3), max_states=10)
 
 
 def test_grid_3x3_profile():
@@ -88,6 +131,49 @@ def test_cube_profile():
     assert prof.g[0] == 8
     assert all(prof.g[k] is NEG_INF for k in range(1, 9))
     assert prof.c == tuple(8 - k for k in range(9))
+
+
+def test_grid_3x2x2_profile_regression():
+    # frozen from the enumeration before closed sets became bitmasks
+    prof = g_profile(FiniteSite.grid(3, 2, 2))
+    assert prof.g == (8, 8, 8, 8, 8) + (NEG_INF,) * 8
+    assert prof.c == (8, 8, 8, 8, 8, 7, 6, 5, 4, 3, 2, 1, 0)
+    low = ((0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1))
+    assert prof.witnesses == (
+        low + ((1, 0, 0), (1, 0, 1), (1, 1, 0), (1, 1, 1)),
+        low + ((1, 0, 1), (1, 1, 0), (1, 1, 1), (2, 0, 0)),
+        low + ((1, 1, 0), (1, 1, 1), (2, 0, 0), (2, 0, 1)),
+        low + ((1, 1, 1), (2, 0, 0), (2, 0, 1), (2, 1, 0)),
+        low + ((2, 0, 0), (2, 0, 1), (2, 1, 0), (2, 1, 1)),
+    ) + (None,) * 8
+
+
+@pytest.mark.parametrize(
+    "site",
+    [
+        FiniteSite.grid(3, 3),
+        FiniteSite.grid(2, 2, 2),
+        FiniteSite.of([(0, 0), (3, 0), (1, 1), (2, 1), (0, 2), (3, 2), (1, 3)]),
+        FiniteSite.of([(0, 0, 0), (2, 0, 0), (0, 2, 0), (1, 1, 0), (0, 0, 2), (1, 1, 1)]),
+    ],
+)
+def test_witness_is_least_closed_set_attaining_g(site):
+    # oracle: the power-set closed sets in (size, point tuple) order; the
+    # witness of g[k] is the first one with k nonvertex points and the
+    # largest vertex count
+    prof = g_profile(site)
+    first: dict = {}
+    for sub in sorted(brute_closed_subsets(site), key=lambda s: (len(s), s)):
+        vertices = convex_hull(sub).vertices
+        k = len(sub) - len(vertices)
+        if k not in first or len(vertices) > len(first[k]):
+            first[k] = vertices
+    for k in range(prof.k_max + 1):
+        if k in first:
+            assert prof.g[k] == len(first[k])
+            assert prof.witnesses[k] == first[k]
+        else:
+            assert prof.g[k] is NEG_INF and prof.witnesses[k] is None
 
 
 def test_grid_4x3_profile_regression():

@@ -12,6 +12,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qhelly import (
     FiniteSite,
@@ -63,6 +65,57 @@ def brute_vertices(points, dim):
     return {p for p in points if not caratheodory_member(p, points, dim)}
 
 
+def leibniz_det(m):
+    """Determinant by the permutation expansion."""
+    total = 0
+    for perm in itertools.permutations(range(len(m))):
+        inversions = sum(1 for i, j in itertools.combinations(perm, 2) if i > j)
+        term = -1 if inversions % 2 else 1
+        for row, col in enumerate(perm):
+            term *= m[row][col]
+        total += term
+    return total
+
+
+def brute_rank(rows):
+    """Largest r such that some r x r minor is nonzero."""
+    if not rows:
+        return 0
+    ncols = len(rows[0])
+    for r in range(min(len(rows), ncols), 0, -1):
+        for rs in itertools.combinations(range(len(rows)), r):
+            for cs in itertools.combinations(range(ncols), r):
+                if leibniz_det([[rows[i][j] for j in cs] for i in rs]):
+                    return r
+    return 0
+
+
+def brute_facets(points, dim):
+    """Facets as supporting hyperplanes through d affinely independent points.
+
+    The normal of the hyperplane through a d-subset is the generalized
+    cross product of its difference vectors; a supporting one meets the
+    hull in dimension d - 1, hence in a facet, and every facet arises so.
+    """
+    out = set()
+    for sub in itertools.combinations(points, dim):
+        diffs = [tuple(a - b for a, b in zip(q, sub[0])) for q in sub[1:]]
+        normal = [
+            (-1) ** i * leibniz_det([row[:i] + row[i + 1:] for row in diffs])
+            for i in range(dim)
+        ]
+        if not any(normal):
+            continue
+        normal = primitive(normal)
+        offset = sum(a * b for a, b in zip(normal, sub[0]))
+        values = [sum(a * b for a, b in zip(normal, p)) for p in points]
+        if all(v <= offset for v in values):
+            out.add((normal, offset))
+        elif all(v >= offset for v in values):
+            out.add((tuple(-x for x in normal), -offset))
+    return out
+
+
 # --- linear algebra helpers -------------------------------------------------
 
 
@@ -71,6 +124,20 @@ def test_primitive_and_rank():
     assert primitive((0, 0, 5)) == (0, 0, 1)
     assert rational_rank([(1, 2), (2, 4)]) == 1
     assert rational_rank([(1, 0, 0), (0, 1, 0), (1, 1, 0)]) == 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda ncols: st.lists(
+            st.lists(st.integers(-3, 3), min_size=ncols, max_size=ncols),
+            min_size=1,
+            max_size=5,
+        )
+    )
+)
+def test_rational_rank_is_largest_nonzero_minor(rows):
+    assert rational_rank(rows) == brute_rank(rows)
 
 
 def test_integer_kernel_is_saturated():
@@ -170,8 +237,24 @@ def test_dd_hull_matches_brute_vertices():
             continue
         P = convex_hull(pts)
         assert set(P.vertices) == brute_vertices(pts, dim)
+        assert set(P.facets) == brute_facets(pts, dim)
         for p in pts:
             assert P.contains(p)
+
+
+def test_dd_hull_matches_brute_vertices_in_5d():
+    rng = random.Random(20261018)
+    checked = 0
+    while checked < 6:
+        pts = sorted(
+            {tuple(rng.randint(-2, 2) for _ in range(5)) for _ in range(rng.randint(7, 9))}
+        )
+        if rational_rank([tuple(a - b for a, b in zip(p, pts[0])) for p in pts[1:]]) < 5:
+            continue
+        P = convex_hull(pts)
+        assert set(P.vertices) == brute_vertices(pts, 5)
+        assert set(P.facets) == brute_facets(pts, 5)
+        checked += 1
 
 
 def test_hull_dimension_limit():
