@@ -26,8 +26,8 @@ Translation is fixed by a_0 = 0, the shear by a_h in [0, h-1].  Leaves
 are validated and deduplicated through the canonical form; the interior
 count the row arithmetic gives every leaf is re-checked against Pick's
 formula (shoelace area and edge gcds), and the same O(v) counts validate
-every class loaded from the cache.  The box-scan census of the lattice
-core stays the independent oracle the tests compare them against.
+every class loaded from the cache.  The lattice core's row-interval
+census is the independent route the tests compare them against.
 
 Width-1 polygons (trapezoids between two adjacent lattice lines) are
 excluded from the stored census: there are infinitely many per nonvertex
@@ -795,7 +795,7 @@ def _edge_relint_lattice_point(A: tuple, B: tuple):
 
 
 def _strict_interior_lattice_points(cycle: Sequence[tuple]) -> tuple:
-    """Lattice points strictly inside a ccw rational vertex cycle."""
+    """Lattice points strictly inside a convex ccw rational cycle, by columns."""
     xs = [p[0] for p in cycle]
     ys = [p[1] for p in cycle]
     x_lo, x_hi = floor(min(xs)) + 1, ceil(max(xs)) - 1
@@ -807,15 +807,19 @@ def _strict_interior_lattice_points(cycle: Sequence[tuple]) -> tuple:
         raise BudgetExceededError(
             f"lattice scan over {cells} cells exceeds the budget {_SCAN_BUDGET}"
         )
-    edges = [(cycle[i], cycle[(i + 1) % len(cycle)]) for i in range(len(cycle))]
+    # strictly left of edge A -> B: dx (y - ay) > dy (x - ax), a lower bound
+    # on y if dx > 0, an upper one if dx < 0; a vertical edge lies at the
+    # least or greatest x, which the column range already leaves out
+    below, above = [], []
+    for i, (ax, ay) in enumerate(cycle):
+        bx, by = cycle[(i + 1) % len(cycle)]
+        if bx != ax:
+            (below if bx > ax else above).append((ax, ay, Fraction(by - ay) / (bx - ax)))
     out = []
     for x in range(x_lo, x_hi + 1):
-        for y in range(y_lo, y_hi + 1):
-            if all(
-                (bx - ax) * (y - ay) - (by - ay) * (x - ax) > 0
-                for (ax, ay), (bx, by) in edges
-            ):
-                out.append((x, y))
+        lo = max([y_lo] + [floor(ay + slope * (x - ax)) + 1 for ax, ay, slope in below])
+        hi = min([y_hi] + [ceil(ay + slope * (x - ax)) - 1 for ax, ay, slope in above])
+        out.extend((x, y) for y in range(lo, hi + 1))
     return tuple(out)
 
 

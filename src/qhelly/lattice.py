@@ -7,6 +7,8 @@ than their ambient space are projected onto a saturated basis of their
 affine lattice, hulled there, and lifted back, so facet data is always
 integral.  Membership in a finite site is one path: site_mask ANDs the
 site's memoized halfspace masks over the facets and affine-hull equations.
+Over the integer lattice, points are counted and listed by exact row
+intervals of the last coordinate, one per point of the box of the others.
 """
 
 from __future__ import annotations
@@ -596,75 +598,54 @@ def convex_hull(points: Iterable[Point]) -> LatticePolytope:
 # ---------------------------------------------------------------------------
 # point enumeration, closure, census
 
-_NUMPY_LIMIT = 1 << 62
 
+def _row_intervals(polytope: LatticePolytope) -> Iterator[tuple]:
+    """Rows of a full-dimensional polytope in Z^n, n >= 1, as exact intervals.
 
-def _box_points_exact(
-    box: Sequence[tuple[int, int]], polytope: LatticePolytope
-) -> tuple[list, int]:
-    """Box points inside the polytope, and how many of them lie strictly
-    inside every facet; each facet value is computed once per point."""
-    out = []
-    strict = 0
-    facets = polytope.facets
-    for p in itertools.product(*(range(lo, hi + 1) for lo, hi in box)):
-        on_facet = False
-        for n, c in facets:
-            value = sum(map(mul, n, p))
-            if value > c:
-                break
-            if value == c:
-                on_facet = True
-        else:
-            out.append(p)
-            if not on_facet:
-                strict += 1
-    return out, strict
-
-
-def _box_points_numpy(
-    box: Sequence[tuple[int, int]], polytope: LatticePolytope
-) -> Optional[tuple[list, int]]:
-    """Vectorized facet filter over a coordinate box; None if unsafe.
-
-    Same result as _box_points_exact.  int64 overflow is excluded by
-    bounding |normal . x| before running.
+    Yields (x', lo, hi, slo, shi) for each point x' of the bounding box over
+    the first n - 1 coordinates whose row meets the polytope, in
+    lexicographic order: the row holds x' + (z,) for lo <= z <= hi, strictly
+    inside every facet for slo <= z <= shi.  A facet h . x' + a z <= c bounds
+    z by the floor or ceiling of (c - h . x') / a, or for a = 0 drops the
+    row or puts all of it on the facet.
     """
-    try:
-        import numpy as np
-    except ImportError:  # pragma: no cover - numpy is a declared dependency
-        return None
-    n = len(box)
-    max_abs = max(max(abs(lo), abs(hi)) for lo, hi in box)
-    worst = 0
-    for nrm, off in polytope.facets:
-        worst = max(worst, sum(abs(x) for x in nrm) * max_abs + abs(off))
-    if worst >= _NUMPY_LIMIT:
-        return None
-    axes = [np.arange(lo, hi + 1, dtype=np.int64) for lo, hi in box]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.reshape(-1) for m in mesh], axis=1)
-    mask = np.ones(len(pts), dtype=bool)
-    strict = np.ones(len(pts), dtype=bool)
-    for nrm, off in polytope.facets:
-        values = pts @ np.array(nrm, dtype=np.int64)
-        mask &= values <= off
-        strict &= values < off
-    return [tuple(int(x) for x in row) for row in pts[mask]], int(strict.sum())
+    *prefix_box, (z_lo, z_hi) = polytope.bounding_box()
+    facets = [(normal[:-1], normal[-1], offset) for normal, offset in polytope.facets]
+    for prefix in itertools.product(*(range(lo, hi + 1) for lo, hi in prefix_box)):
+        lo, hi = slo, shi = z_lo, z_hi
+        for h, a, c in facets:
+            r = c - sum(map(mul, h, prefix))
+            if a > 0:
+                hi = min(hi, r // a)
+                shi = min(shi, (r - 1) // a)
+            elif a < 0:
+                lo = max(lo, -(r // -a))
+                slo = max(slo, -((r - 1) // -a))
+            elif r < 0:
+                break
+            elif r == 0:
+                shi = slo - 1
+        else:
+            if lo <= hi:
+                yield prefix, lo, hi, slo, shi
 
 
-def _full_dim_points(polytope: LatticePolytope) -> tuple[list, int]:
-    """Lattice points of a full-dimensional polytope by a scan of its
-    bounding box, and the number of them strictly inside every facet."""
-    box = polytope.bounding_box()
-    cells = 1
-    for lo, hi in box:
-        cells *= hi - lo + 1
-    if cells >= 200_000:
-        fast = _box_points_numpy(box, polytope)
-        if fast is not None:
-            return fast
-    return _box_points_exact(box, polytope)
+def _affine_chart(polytope: LatticePolytope) -> tuple:
+    """(p0, matrix, inner) for a polytope of affine dimension d >= 1.
+
+    The columns of the n x d matrix (a list of rows) are a saturated basis
+    of the directions, so x = p0 + matrix u maps the lattice points u of
+    the full-dimensional hull inner in Z^d one to one onto those of the
+    polytope, vertices onto vertices.
+    """
+    p0 = polytope.vertices[0]
+    matrix = list(zip(*saturated_direction_basis(polytope.vertices)))
+    coords = []
+    for v in polytope.vertices:
+        sol = solve_rational(matrix, _sub(v, p0))
+        assert sol is not None and all(x.denominator == 1 for x in sol)
+        coords.append(tuple(int(x) for x in sol))
+    return p0, matrix, convex_hull(coords)
 
 
 def site_mask(polytope: LatticePolytope, site: FiniteSite) -> int:
@@ -688,29 +669,21 @@ def lattice_points_in(polytope: LatticePolytope, site: Site) -> tuple:
     """All site points inside the polytope, lexicographically sorted."""
     if isinstance(site, FiniteSite):
         return site.points_of(site_mask(polytope, site))
-
+    if polytope.affine_dim == 0:
+        return (polytope.vertices[0],)
     if polytope.is_full_dimensional:
-        return tuple(_full_dim_points(polytope)[0])
+        return tuple(
+            prefix + (z,)
+            for prefix, lo, hi, _, _ in _row_intervals(polytope)
+            for z in range(lo, hi + 1)
+        )
 
     # Degenerate in the ambient lattice: enumerate in affine coordinates.
-    verts = polytope.vertices
-    if polytope.affine_dim == 0:
-        return (verts[0],)
-    basis = saturated_direction_basis(verts)
-    p0 = verts[0]
-    rows = [[basis[j][i] for j in range(len(basis))] for i in range(polytope.ambient_dim)]
-    coords = []
-    for v in verts:
-        sol = solve_rational(rows, _sub(v, p0))
-        assert sol is not None and all(x.denominator == 1 for x in sol)
-        coords.append(tuple(int(x) for x in sol))
-    inner = convex_hull(coords)
-    pts = []
-    for u in lattice_points_in(inner, Z_LATTICE):
-        p = tuple(p0[i] + sum(u[j] * basis[j][i] for j in range(len(basis)))
-                  for i in range(polytope.ambient_dim))
-        pts.append(p)
-    return tuple(sorted(pts))
+    p0, matrix, inner = _affine_chart(polytope)
+    return tuple(sorted(
+        tuple(x + sum(map(mul, row, u)) for x, row in zip(p0, matrix))
+        for u in lattice_points_in(inner, Z_LATTICE)
+    ))
 
 
 def closure(points: Iterable[Point], site: Site) -> tuple:
@@ -733,21 +706,36 @@ def census(polytope: LatticePolytope, site: Site, *, relative: bool = False) -> 
 
     interior counts ambient-interior points by default (zero whenever the
     polytope is not full-dimensional); relative=True switches to the
-    relative interior.
+    relative interior.  Over the integer lattice the points are counted
+    by row intervals, and vertex counts the hull vertices found inside
+    their rows' intervals.
     """
-    vset = polytope.vertex_set
-    if polytope.is_full_dimensional and not isinstance(site, FiniteSite):
-        # vertices lie on facets, so the strict count holds no vertex; for a
-        # full-dimensional polytope the relative interior is the interior
-        pts, interior = _full_dim_points(polytope)
-    else:
+    if isinstance(site, FiniteSite):
         pts = lattice_points_in(polytope, site)
-        if relative:
-            interior = sum(1 for p in pts if p not in vset and polytope.relatively_contains(p))
-        else:
-            interior = sum(1 for p in pts if p not in vset and polytope.strictly_contains(p))
-    vertex = sum(1 for p in pts if p in vset)
-    total = len(pts)
+        vset = polytope.vertex_set
+        inside = polytope.relatively_contains if relative else polytope.strictly_contains
+        total = len(pts)
+        vertex = sum(1 for p in pts if p in vset)
+        interior = sum(1 for p in pts if p not in vset and inside(p))
+    elif polytope.affine_dim == 0:
+        total = vertex = 1
+        interior = 0
+    elif not polytope.is_full_dimensional:
+        # the chart maps vertices to vertices and its interior onto the
+        # relative interior; the ambient interior is empty
+        chart = census(_affine_chart(polytope)[2], Z_LATTICE)
+        total, vertex = chart.total, chart.vertex
+        interior = chart.interior if relative else 0
+    else:
+        by_row: dict = {}
+        for v in polytope.vertices:
+            by_row.setdefault(v[:-1], []).append(v[-1])
+        total = vertex = interior = 0
+        # vertices lie on facets, so the strict intervals hold no vertex
+        for prefix, lo, hi, slo, shi in _row_intervals(polytope):
+            total += hi - lo + 1
+            interior += max(0, shi - slo + 1)
+            vertex += sum(1 for z in by_row.get(prefix, ()) if lo <= z <= hi)
     nonvertex = total - vertex
     return PointCensus(
         total=total,

@@ -52,7 +52,8 @@ __all__ = [
 
 # Realisations are only attempted when the bounding box of the target
 # polytope holds at most this many lattice points; beyond that only the
-# closed-form invariants are checked.
+# closed-form invariants are checked.  The recount's cost grows with the
+# grid columns, not the box, so the budget only fixes which k realise.
 _REALIZE_BOX_BUDGET = 10**7
 
 _TIGHT_KINDS = ("cube", "fused_cubes", "prism_spike", "double_spike")
@@ -521,11 +522,12 @@ def verify_witness(
     """Recount a witness's census from scratch and report every discrepancy.
 
     The recount never trusts the sheet formulas or recipe arithmetic: the
-    hull is rebuilt, every lattice point of the bounding box is
-    classified, and the resulting counts are compared against the
-    witness's claims.  Pass a polytope to audit it against the witness's
-    expectations instead of rebuilding; mismatches come back as report
-    findings, not exceptions, so corrupted witnesses can be inspected.
+    hull is rebuilt, its lattice points are counted row by row from the
+    facet inequalities, a hull vertex counts only if found in its row, and
+    the resulting counts are compared against the witness's claims.  Pass
+    a polytope to audit it against the witness's expectations instead of
+    rebuilding; mismatches come back as report findings, not exceptions,
+    so corrupted witnesses can be inspected.
     """
     if isinstance(witness, ConstructionRecipe):
         return _verify_recipe(witness, polytope)

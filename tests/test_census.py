@@ -17,6 +17,7 @@ from qhelly.census import (
     CensusStore,
     CACHE_ENV_VAR,
     _pick_counts,
+    _strict_interior_lattice_points,
     c_z2_profile,
     certified_box_bound,
     enumerate_polygon_classes,
@@ -37,6 +38,7 @@ from qhelly.errors import (
     DegenerateInputError,
 )
 from qhelly.lattice import Z_LATTICE, _hull_cycle_2d, canonical_form_2d, census, convex_hull
+from scan_oracles import box_census, strict_interior_cell_scan
 
 HEXAGON = ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1))
 DEVCACHE = Path(__file__).resolve().parent.parent / ".devcache"
@@ -333,8 +335,8 @@ def test_golden_cache_validates_and_matches_the_box_scan():
         assert len(file.classes) == expected
         assert file.render() == store.path(i).read_text(encoding="ascii")
         for cls in file.classes:
-            counts = census(convex_hull(cls.vertices), Z_LATTICE)
-            assert (cls.interior, cls.boundary) == (counts.interior, counts.boundary)
+            counts = box_census(convex_hull(cls.vertices))
+            assert (cls.interior, cls.boundary) == counts[3:]
 
 
 # ---------------------------------------------------------------------------
@@ -411,6 +413,17 @@ def test_membership_scan_budget():
     big = [(0, 0), (3000, 0), (3000, 3000), (0, 3000)]
     with pytest.raises(BudgetExceededError):
         maximal_membership(big, 1)
+
+
+_RATIONAL = st.fractions(-8, 8, max_denominator=7)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(_RATIONAL, _RATIONAL), min_size=3, max_size=8))
+def test_strict_interior_points_match_cell_scan(points):
+    cycle = _hull_cycle_2d(points)
+    assume(len(cycle) >= 3)
+    assert _strict_interior_lattice_points(cycle) == strict_interior_cell_scan(cycle)
 
 
 # ---------------------------------------------------------------------------

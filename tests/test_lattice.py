@@ -3,6 +3,7 @@
 Expected values were fixed by hand computation or by the independent
 brute-force oracles defined at the top of this file (Caratheodory
 membership, supporting-hyperplane vertex detection) before being frozen.
+Point counts are also checked against the box scan of scan_oracles.py.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qhelly import (
@@ -32,6 +33,7 @@ from qhelly.lattice import (
     saturated_direction_basis,
     solve_rational,
 )
+from scan_oracles import box_census, box_points
 
 
 # --- independent oracles ----------------------------------------------------
@@ -285,15 +287,49 @@ def test_lattice_points_sorted_and_exact():
     assert len(pts) == 10
 
 
-def test_numpy_box_path_agrees_with_exact():
-    from qhelly.lattice import _box_points_exact, _box_points_numpy
+def _assert_matches_box_scan(P):
+    assert lattice_points_in(P, Z_LATTICE) == tuple(box_points(P)[0])
+    for relative in (False, True):
+        assert census(P, Z_LATTICE, relative=relative).as_tuple() == box_census(
+            P, relative=relative
+        )
 
-    P = convex_hull([(0, 0), (17, 3), (5, 19), (-4, 7)])
-    box = P.bounding_box()
-    exact = _box_points_exact(box, P)
-    fast = _box_points_numpy(box, P)
-    assert fast is not None
-    assert exact == fast
+
+def test_row_intervals_agree_with_box_scan():
+    _assert_matches_box_scan(convex_hull([(0, 0), (17, 3), (5, 19), (-4, 7)]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda d: st.lists(
+            st.tuples(*[st.integers(-4 if d < 4 else -2, 4 if d < 4 else 2)] * d),
+            min_size=d + 1,
+            max_size=d + 5,
+        )
+    )
+)
+def test_full_dimensional_counts_match_box_scan(points):
+    P = convex_hull(points)
+    assume(P.is_full_dimensional)
+    _assert_matches_box_scan(P)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.tuples(*[st.integers(-4, 4)] * 3),
+    st.lists(st.tuples(*[st.integers(-2, 2)] * 3), min_size=1, max_size=2),
+    st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)), min_size=2, max_size=6),
+)
+def test_lattice_planes_and_lines_in_z3_match_box_scan(base, directions, weights):
+    # integer combinations of one or two directions: a line or a plane
+    points = [
+        tuple(b + sum(w * d[i] for w, d in zip(ws, directions)) for i, b in enumerate(base))
+        for ws in weights
+    ]
+    P = convex_hull(points)
+    assume(1 <= P.affine_dim < 3)
+    _assert_matches_box_scan(P)
 
 
 def test_closure_on_finite_site():

@@ -177,6 +177,18 @@ def test_parabolic_realizations_match_formulas_sampled():
         assert report.actual_nonvertex == w.k_prime
 
 
+@pytest.mark.parametrize("n, k", [(2, 171_500), (2, 10**6), (3, 169_500)])
+def test_large_parabolic_witnesses_realize_and_verify(n, k):
+    # boxes of 2 * 10^5 to 1.2 * 10^6 cells, inside the realisation budget
+    w = lower_bound_witness(n, k)
+    assert w.verified and w.realized is not None
+    assert len(w.realized.vertices) == w.predicted_vertices == 2 * w.t ** (n - 1)
+    report = verify_witness(w)
+    assert report.ok, report.findings
+    assert report.actual_vertices == w.predicted_vertices
+    assert report.actual_nonvertex == w.k_prime
+
+
 def test_width_one_columns_realize_too():
     # 4 <= k < 32 keeps t = 1: a single column, realised as a segment
     w = lower_bound_witness(2, 20)
