@@ -29,15 +29,25 @@ formula (shoelace area and edge gcds), and the same O(v) counts validate
 every class loaded from the cache.  The lattice core's row-interval
 census is the independent route the tests compare them against.
 
+Lattice width needs no search.  A polygon with an interior lattice point
+has width >= 2: width 1 would put it in a strip a <= u.x <= a + 1, whose
+open inside holds no lattice point.  Without interior points the only
+class of width >= 2 is 2 Delta = conv{(0,0), (2,0), (0,2)} (Arkinstall
+1980; Rabinowitz 1989).  So a polygon has width >= 2 exactly when it has
+an interior point or its canonical form is 2 Delta.
+
 Width-1 polygons (trapezoids between two adjacent lattice lines) are
 excluded from the stored census: there are infinitely many per nonvertex
 count but they contribute vertex count 4 for every k >= 0, which
 profile code adds back analytically.
+
+The store builds every missing interior count in one enumeration pass up
+to the largest of them, then saves each count's file atomically in
+increasing order.
 """
 
 from __future__ import annotations
 
-import itertools
 import os
 import re
 from concurrent.futures import ProcessPoolExecutor
@@ -97,7 +107,6 @@ class CensusClass:
     vertex_count: int
     interior: int
     boundary: int
-    lattice_width: int
 
     @property
     def nonvertex(self) -> int:
@@ -111,53 +120,14 @@ class CensusClass:
         return (self.vertex_count, self.vertices)
 
 
-def lattice_width_2d(poly: LatticePolytope) -> int:
-    """Minimal extent of a primitive linear functional over the polygon.
+# canonical form of 2 Delta, the only width->=2 class without interior points
+_DOUBLED_TRIANGLE = ((0, 0), (2, 0), (0, 2))
 
-    A direction u = (p, q) of width at most best has |u . d| <= best for
-    every difference d of two vertices.  Cramer's rule on any two
-    independent differences d1, d2 turns this into
-    |p| <= best * (|d1y| + |d2y|) / |det| and
-    |q| <= best * (|d1x| + |d2x|) / |det|, so any spanning pair bounds
-    the search.  The pair with the largest |det| is the best conditioned
-    and keeps that box small.
-    """
-    verts = poly.vertices
-    if poly.affine_dim < 2:
-        return 0
-    x0, y0 = verts[0]
-    diffs = [(x - x0, y - y0) for x, y in verts[1:]]
-    det, d1, d2 = max(
-        (abs(d1[0] * d2[1] - d1[1] * d2[0]), d1, d2)
-        for d1, d2 in itertools.combinations(diffs, 2)
-    )
-    assert det > 0
 
-    def width(u: tuple) -> int:
-        vals = [u[0] * x + u[1] * y for x, y in verts]
-        return max(vals) - min(vals)
-
-    best = min(width((1, 0)), width((0, 1)))
-    # any direction beating the current best satisfies |u . d1| <= best
-    # and |u . d2| <= best, which confines (p, q) to a finite box
-    while True:
-        improved = False
-        pb = (best * (abs(d1[1]) + abs(d2[1]))) // det + 1
-        qb = (best * (abs(d1[0]) + abs(d2[0]))) // det + 1
-        for q in range(0, qb + 1):
-            for p in range(-pb, pb + 1):
-                if q == 0 and p <= 0:
-                    continue
-                if gcd(abs(p), q) != 1:
-                    continue
-                if abs(p * d1[0] + q * d1[1]) > best or abs(p * d2[0] + q * d2[1]) > best:
-                    continue
-                w = width((p, q))
-                if w < best:
-                    best = w
-                    improved = True
-        if not improved:
-            return best
+def _has_width_two(interior: int, canon: tuple) -> bool:
+    """Lattice width >= 2 of a polygon, from its interior count and
+    canonical form (see the module docstring)."""
+    return interior >= 1 or canon == _DOUBLED_TRIANGLE
 
 
 # ---------------------------------------------------------------------------
@@ -336,8 +306,8 @@ def _pick_counts(cycle: Sequence[tuple]) -> tuple[int, int]:
 
 
 def _leaf_to_class(rows: Sequence[tuple], interior: int) -> Optional[CensusClass]:
-    """Validate one raw leaf: hull, lattice width, and the row arithmetic's
-    interior count against Pick's formula."""
+    """Validate one raw leaf: hull, the row arithmetic's interior count
+    against Pick's formula, and lattice width >= 2."""
     pts = set()
     for m, (a, b) in enumerate(rows):
         pts.add((a, m))
@@ -345,19 +315,16 @@ def _leaf_to_class(rows: Sequence[tuple], interior: int) -> Optional[CensusClass
     cycle = _hull_cycle_2d(pts)
     if len(cycle) < 3:
         return None
-    poly = _polygon(cycle)
-    width = lattice_width_2d(poly)
-    if width < 2:
-        return None
     pick_interior, boundary = _pick_counts(cycle)
     assert pick_interior == interior, "row arithmetic disagrees with Pick's formula"
-    canon = canonical_form_2d(poly)
+    canon = canonical_form_2d(_polygon(cycle))
+    if not _has_width_two(interior, canon):
+        return None
     return CensusClass(
         vertices=canon,
         vertex_count=len(canon),
         interior=interior,
         boundary=boundary,
-        lattice_width=width,
     )
 
 
@@ -423,14 +390,6 @@ def enumerate_polygon_classes(
     }
 
 
-def enumerate_polygons_interior(
-    i: int, box_bound: Optional[int] = None, *, threads: int = 1, progress=None
-) -> tuple:
-    """Classes with exactly i interior points and lattice width >= 2."""
-    buckets = enumerate_polygon_classes(i, box_bound, threads=threads, progress=progress)
-    return buckets[i]
-
-
 # ---------------------------------------------------------------------------
 # persistent cache
 
@@ -475,11 +434,12 @@ def _parse_header(line: str) -> tuple[int, int, bool]:
 def parse_census_file(text: str) -> CensusFile:
     """Inverse of CensusFile.render; every class is revalidated.
 
-    Validation checks that each stored cycle is its own convex hull, is a
-    canonical fixed point and has lattice width >= 2, that Pick's formula
-    over its edges gives the header's interior count, and that the
-    classes are sorted and distinct, so a loaded cache carries the same
-    guarantees as a freshly enumerated one.
+    Validation checks that each stored cycle is its own convex hull and a
+    canonical fixed point, that Pick's formula over its edges gives the
+    header's interior count, that it has lattice width >= 2 (an interior
+    point, or the class 2 Delta), and that the classes are sorted and
+    distinct, so a loaded cache carries the same guarantees as a freshly
+    enumerated one.
     """
     lines = text.split("\n")
     if not lines or lines[-1] != "":
@@ -519,23 +479,21 @@ def parse_census_file(text: str) -> CensusFile:
 def _class_from_vertices(verts: tuple, interior: int) -> CensusClass:
     if len(verts) < 3 or _hull_cycle_2d(verts) != verts:
         raise CacheCorruptError(f"stored vertices are not a polygon hull: {verts}")
-    poly = _polygon(verts)
-    if canonical_form_2d(poly) != verts:
+    if canonical_form_2d(_polygon(verts)) != verts:
         raise CacheCorruptError(f"stored vertices are not in canonical form: {verts}")
-    width = lattice_width_2d(poly)
-    if width < 2:
-        raise CacheCorruptError(f"stored polygon has lattice width {width}: {verts}")
     pick_interior, boundary = _pick_counts(verts)
     if pick_interior != interior:
         raise CacheCorruptError(
             f"stored polygon has {pick_interior} interior points, header says {interior}"
         )
+    # a hull with no interior point other than 2 Delta has width exactly 1
+    if not _has_width_two(interior, verts):
+        raise CacheCorruptError(f"stored polygon has lattice width 1: {verts}")
     return CensusClass(
         vertices=verts,
         vertex_count=len(verts),
         interior=interior,
         boundary=boundary,
-        lattice_width=width,
     )
 
 
@@ -603,22 +561,26 @@ class CensusStore:
     def ensure(self, k_max: int, *, threads: int = 1, progress=None) -> tuple:
         """Enumerate and persist every missing interior count up to k_max.
 
-        Runs one interior count at a time, each saved on completion, so
-        an interrupted long run resumes where it stopped.
+        One enumeration pass up to the largest missing count yields every
+        missing count; each is then saved atomically, in increasing order.
+        Counts already complete are neither rebuilt nor rewritten, so a
+        run killed during the pass or between saves resumes from the
+        files already saved.
         """
-        built = []
-        for i in self.missing(k_max):
-            classes = enumerate_polygons_interior(i, threads=threads, progress=progress)
+        missing = self.missing(k_max)
+        if not missing:
+            return ()
+        buckets = enumerate_polygon_classes(max(missing), threads=threads, progress=progress)
+        for i in missing:
             self.save(
                 CensusFile(
                     interior=i,
                     box=certified_box_bound(i),
                     complete=True,
-                    classes=classes,
+                    classes=buckets[i],
                 )
             )
-            built.append(i)
-        return tuple(built)
+        return missing
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,16 @@
-"""Cell-by-cell scans that the tests use as oracles for exact point counts.
+"""Scans that the tests use as oracles for exact point counts and for
+lattice width.
 
-Each scan tests every lattice point of a bounding box against every
-inequality, with no interval arithmetic, so it is slow but plainly right.
+Each point scan tests every lattice point of a bounding box against
+every inequality, with no interval arithmetic, so it is slow but plainly
+right.  The width search tries every primitive direction in a box that
+Cramer's rule proves large enough.
 """
 
 from __future__ import annotations
 
 import itertools
-from math import ceil, floor
+from math import ceil, floor, gcd
 
 
 def box_points(polytope) -> tuple[list, list]:
@@ -64,3 +67,52 @@ def strict_interior_cell_scan(cycle) -> tuple:
             ):
                 out.append((x, y))
     return tuple(out)
+
+
+def lattice_width_2d(poly) -> int:
+    """Minimal extent of a primitive linear functional over the polygon.
+
+    A direction u = (p, q) of width at most best has |u . d| <= best for
+    every difference d of two vertices.  Cramer's rule on any two
+    independent differences d1, d2 turns this into
+    |p| <= best * (|d1y| + |d2y|) / |det| and
+    |q| <= best * (|d1x| + |d2x|) / |det|, so any spanning pair bounds
+    the search.  The pair with the largest |det| is the best conditioned
+    and keeps that box small.
+    """
+    verts = poly.vertices
+    if poly.affine_dim < 2:
+        return 0
+    x0, y0 = verts[0]
+    diffs = [(x - x0, y - y0) for x, y in verts[1:]]
+    det, d1, d2 = max(
+        (abs(d1[0] * d2[1] - d1[1] * d2[0]), d1, d2)
+        for d1, d2 in itertools.combinations(diffs, 2)
+    )
+    assert det > 0
+
+    def width(u: tuple) -> int:
+        vals = [u[0] * x + u[1] * y for x, y in verts]
+        return max(vals) - min(vals)
+
+    best = min(width((1, 0)), width((0, 1)))
+    # any direction beating the current best satisfies |u . d1| <= best
+    # and |u . d2| <= best, which confines (p, q) to a finite box
+    while True:
+        improved = False
+        pb = (best * (abs(d1[1]) + abs(d2[1]))) // det + 1
+        qb = (best * (abs(d1[0]) + abs(d2[0]))) // det + 1
+        for q in range(0, qb + 1):
+            for p in range(-pb, pb + 1):
+                if q == 0 and p <= 0:
+                    continue
+                if gcd(abs(p), q) != 1:
+                    continue
+                if abs(p * d1[0] + q * d1[1]) > best or abs(p * d2[0] + q * d2[1]) > best:
+                    continue
+                w = width((p, q))
+                if w < best:
+                    best = w
+                    improved = True
+        if not improved:
+            return best

@@ -8,23 +8,23 @@ from math import gcd
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from qhelly import census as census_module
 from qhelly.census import (
     CensusClass,
     CensusFile,
     CensusStore,
     CACHE_ENV_VAR,
+    _has_width_two,
     _pick_counts,
     _strict_interior_lattice_points,
     c_z2_profile,
     certified_box_bound,
     enumerate_polygon_classes,
-    enumerate_polygons_interior,
     expand_to_maximal,
     g_z2,
-    lattice_width_2d,
     max_height,
     maximal_membership,
     parse_census_file,
@@ -38,10 +38,10 @@ from qhelly.errors import (
     DegenerateInputError,
 )
 from qhelly.lattice import Z_LATTICE, _hull_cycle_2d, canonical_form_2d, census, convex_hull
-from scan_oracles import box_census, strict_interior_cell_scan
+from scan_oracles import box_census, lattice_width_2d, strict_interior_cell_scan
 
 HEXAGON = ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1))
-DEVCACHE = Path(__file__).resolve().parent.parent / ".devcache"
+DEVCACHE = Path(__file__).resolve().parent / "golden"
 PUBLISHED_CLASS_COUNTS = (1, 16, 45, 120, 211, 403, 714, 1023, 1830, 2700, 3659)
 
 
@@ -51,14 +51,14 @@ PUBLISHED_CLASS_COUNTS = (1, 16, 45, 120, 211, 403, 714, 1023, 1830, 2700, 3659)
 
 def test_known_class_counts_small_interior():
     # equivalence classes of lattice polygons with <= 2 interior points
-    assert len(enumerate_polygons_interior(0)) == 1
-    assert len(enumerate_polygons_interior(1)) == 16
-    assert len(enumerate_polygons_interior(2)) == 45
+    assert len(enumerate_polygon_classes(0)[0]) == 1
+    assert len(enumerate_polygon_classes(1)[1]) == 16
+    assert len(enumerate_polygon_classes(2)[2]) == 45
 
 
 def test_known_class_counts_interior_three_and_four():
-    assert len(enumerate_polygons_interior(3)) == 120
-    assert len(enumerate_polygons_interior(4)) == 211
+    assert len(enumerate_polygon_classes(3)[3]) == 120
+    assert len(enumerate_polygon_classes(4)[4]) == 211
 
 
 def test_every_class_reports_its_own_interior_count(small_cache):
@@ -67,21 +67,21 @@ def test_every_class_reports_its_own_interior_count(small_cache):
             assert cls.interior == i
             assert cls.vertex_count == len(cls.vertices)
             assert cls.nonvertex == cls.interior + cls.boundary
-            assert cls.lattice_width >= 2
+            assert lattice_width_2d(convex_hull(cls.vertices)) >= 2
 
 
 def test_hexagon_class_is_enumerated():
     canonical = canonical_form_2d(convex_hull(HEXAGON))
-    classes = enumerate_polygons_interior(1)
+    classes = enumerate_polygon_classes(1)[1]
     assert any(cls.vertices == canonical for cls in classes)
     assert max(cls.vertex_count for cls in classes) == 6
 
 
 def test_interior_zero_is_the_doubled_triangle():
     # width-1 shapes are excluded, leaving only conv{(0,0),(2,0),(0,2)}
-    (cls,) = enumerate_polygons_interior(0)
+    (cls,) = enumerate_polygon_classes(0)[0]
     assert cls.vertex_count == 3 and cls.interior == 0
-    assert cls.lattice_width == 2
+    assert lattice_width_2d(convex_hull(cls.vertices)) == 2
     counts = census(convex_hull(cls.vertices), Z_LATTICE)
     assert counts.as_tuple() == (6, 3, 3, 0, 3)
 
@@ -92,8 +92,8 @@ def test_enumeration_refuses_narrow_boxes():
 
 
 def test_enumeration_is_stable_under_window_growth():
-    base = enumerate_polygons_interior(2)
-    wide = enumerate_polygons_interior(2, box_bound=certified_box_bound(2) + 8)
+    base = enumerate_polygon_classes(2)[2]
+    wide = enumerate_polygon_classes(2, box_bound=certified_box_bound(2) + 8)[2]
     assert base == wide
 
 
@@ -219,6 +219,47 @@ def test_ensure_resumes_after_deletion(tmp_path):
     assert store.missing(2) == ()
 
 
+def _golden_bytes(store: CensusStore, i: int) -> bytes:
+    return (DEVCACHE / store.path(i).name).read_bytes()
+
+
+def _count_enumerations(monkeypatch) -> list:
+    calls = []
+    original = census_module.enumerate_polygon_classes
+
+    def counted(i_max, *args, **kwargs):
+        calls.append(i_max)
+        return original(i_max, *args, **kwargs)
+
+    monkeypatch.setattr(census_module, "enumerate_polygon_classes", counted)
+    return calls
+
+
+def test_ensure_builds_every_count_in_one_pass(tmp_path, monkeypatch):
+    calls = _count_enumerations(monkeypatch)
+    store = CensusStore(tmp_path)
+    assert store.ensure(4) == (0, 1, 2, 3, 4)
+    assert calls == [4]
+    for i in range(5):
+        assert store.path(i).read_bytes() == _golden_bytes(store, i)
+    assert store.ensure(4) == ()
+    assert calls == [4]
+
+
+def test_ensure_builds_only_the_missing_counts(tmp_path, monkeypatch):
+    store = CensusStore(tmp_path)
+    for i in (0, 1, 3):
+        store.path(i).write_bytes(_golden_bytes(store, i))
+    # a saved file is replaced by a new one, so an untouched file keeps its inode
+    inodes = {i: store.path(i).stat().st_ino for i in (0, 1, 3)}
+    calls = _count_enumerations(monkeypatch)
+    assert store.ensure(4) == (2, 4)
+    assert calls == [4]
+    assert {i: store.path(i).stat().st_ino for i in (0, 1, 3)} == inodes
+    for i in range(5):
+        assert store.path(i).read_bytes() == _golden_bytes(store, i)
+
+
 def test_store_directory_resolution(tmp_path, monkeypatch):
     monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path))
     store = CensusStore()
@@ -263,7 +304,8 @@ def _one_class_file(interior: int, verts) -> str:
 
 def test_single_class_file_passes_validation():
     (cls,) = parse_census_file(_one_class_file(0, ((0, 0), (2, 0), (0, 2)))).classes
-    assert (cls.interior, cls.boundary, cls.lattice_width) == (0, 3, 2)
+    assert (cls.interior, cls.boundary) == (0, 3)
+    assert lattice_width_2d(convex_hull(cls.vertices)) == 2
 
 
 @pytest.mark.parametrize(
@@ -326,6 +368,24 @@ def test_pick_counts_and_width_match_brute_force(points):
     counts = census(poly, Z_LATTICE)
     assert _pick_counts(cycle) == (counts.interior, counts.boundary)
     assert lattice_width_2d(poly) == _brute_force_width(cycle)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), min_size=3, max_size=10))
+@example([(1, 1), (3, 1), (3, 3)])  # 2 Delta, sheared and translated
+@example([(0, 0), (3, 0), (0, 1)])  # width 1, no interior point, 3 vertices
+def test_width_rule_matches_the_width_search(points):
+    # width >= 2 exactly when there is an interior point or the class is 2 Delta
+    cycle = _hull_cycle_2d(points)
+    assume(len(cycle) >= 3)
+    poly = convex_hull(points)
+    interior, _ = _pick_counts(cycle)
+    width = lattice_width_2d(poly)
+    if interior >= 1:
+        assert width >= 2
+    elif width >= 2:
+        assert canonical_form_2d(poly) == ((0, 0), (2, 0), (0, 2))
+    assert _has_width_two(interior, canonical_form_2d(poly)) == (width >= 2)
 
 
 def test_golden_cache_validates_and_matches_the_box_scan():
