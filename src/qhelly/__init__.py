@@ -1,121 +1,11 @@
 """Exact quantitative Helly-type numbers over lattices and finite sites.
 
-Public surface: lattice geometry primitives (hulls, closures, censuses,
-canonical forms), profile computation for finite sites, the planar
-integer-lattice census with maximality tooling, witness constructions,
-and certified constant audits.  See the README for the command line.
+The layers are modules: `qhelly.lattice` (hulls, closures, censuses,
+canonical forms), `qhelly.engine` (profiles of finite sites),
+`qhelly.census` (the planar lattice-polygon census and maximal
+polygons), `qhelly.witnesses` (witness constructions) and
+`qhelly.constants` (certified constant audits).  The package root
+exports only the version; see the README for the command line.
 """
 
-from .census import (
-    CensusClass,
-    CensusFile,
-    CensusStore,
-    LatticeProfile,
-    MembershipReport,
-    c_z2_profile,
-    enumerate_polygon_classes,
-    expand_to_maximal,
-    g_z2,
-    maximal_membership,
-    parse_census_file,
-    width1_trapezoid,
-)
-from .constants import (
-    AndrewsReport,
-    Enclosure,
-    andrews_constants,
-    andrews_empirical,
-    certify_constant_estimates,
-    certify_growth_chain,
-    gamma_half,
-    machin_pi,
-)
-from .engine import (
-    SiteProfile,
-    audit_bounds,
-    c_direct,
-    c_from_g,
-    consistency_findings,
-    g_profile,
-    helly_series,
-    tverberg_bound,
-    unrolled_c,
-)
-from .extint import NEG_INF, ExtInt, ext_max, is_finite
-from .lattice import (
-    FiniteSite,
-    IntegerLattice,
-    LatticePolytope,
-    PointCensus,
-    Z_LATTICE,
-    canonical_form_2d,
-    closure,
-    convex_hull,
-    lattice_points_in,
-)
-from .witnesses import (
-    ConstructionRecipe,
-    LowerBoundWitness,
-    WitnessReport,
-    lower_bound_witness,
-    tight_recipe,
-    tight_recipes,
-    tight_witness,
-    verify_witness,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "NEG_INF",
-    "ExtInt",
-    "ext_max",
-    "is_finite",
-    "FiniteSite",
-    "IntegerLattice",
-    "LatticePolytope",
-    "PointCensus",
-    "Z_LATTICE",
-    "canonical_form_2d",
-    "closure",
-    "convex_hull",
-    "lattice_points_in",
-    "SiteProfile",
-    "audit_bounds",
-    "c_direct",
-    "c_from_g",
-    "consistency_findings",
-    "g_profile",
-    "helly_series",
-    "tverberg_bound",
-    "unrolled_c",
-    "CensusClass",
-    "CensusFile",
-    "CensusStore",
-    "LatticeProfile",
-    "MembershipReport",
-    "c_z2_profile",
-    "enumerate_polygon_classes",
-    "expand_to_maximal",
-    "g_z2",
-    "maximal_membership",
-    "parse_census_file",
-    "width1_trapezoid",
-    "ConstructionRecipe",
-    "LowerBoundWitness",
-    "WitnessReport",
-    "lower_bound_witness",
-    "tight_recipe",
-    "tight_recipes",
-    "tight_witness",
-    "verify_witness",
-    "AndrewsReport",
-    "Enclosure",
-    "andrews_constants",
-    "andrews_empirical",
-    "certify_constant_estimates",
-    "certify_growth_chain",
-    "gamma_half",
-    "machin_pi",
-    "__version__",
-]

@@ -50,7 +50,6 @@ from __future__ import annotations
 
 import os
 import re
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, gcd, isqrt, lcm
@@ -65,7 +64,7 @@ from .errors import (
     DegenerateInputError,
     GuardRadiusError,
 )
-from .extint import ExtInt
+from .engine import c_from_g
 from .lattice import (
     LatticePolytope,
     Z_LATTICE,
@@ -104,9 +103,12 @@ class CensusClass:
     """One equivalence class of lattice polygons, canonically embedded."""
 
     vertices: tuple
-    vertex_count: int
     interior: int
     boundary: int
+
+    @property
+    def vertex_count(self) -> int:
+        return len(self.vertices)
 
     @property
     def nonvertex(self) -> int:
@@ -320,12 +322,7 @@ def _leaf_to_class(rows: Sequence[tuple], interior: int) -> Optional[CensusClass
     canon = canonical_form_2d(_polygon(cycle))
     if not _has_width_two(interior, canon):
         return None
-    return CensusClass(
-        vertices=canon,
-        vertex_count=len(canon),
-        interior=interior,
-        boundary=boundary,
-    )
+    return CensusClass(vertices=canon, interior=interior, boundary=boundary)
 
 
 def _shard_worker(args: tuple) -> list:
@@ -369,6 +366,8 @@ def enumerate_polygon_classes(
             shards.append((i_max, h, b0, box_bound))
     results: dict[tuple, CensusClass] = {}
     if threads > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=threads) as pool:
             for part in pool.map(_shard_worker, shards, chunksize=4):
                 for cls in part:
@@ -385,7 +384,7 @@ def enumerate_polygon_classes(
     for cls in results.values():
         buckets[cls.interior].append(cls)
     return {
-        i: tuple(sorted(bucket, key=lambda c: (c.vertex_count, c.vertices)))
+        i: tuple(sorted(bucket, key=CensusClass.key))
         for i, bucket in buckets.items()
     }
 
@@ -489,12 +488,7 @@ def _class_from_vertices(verts: tuple, interior: int) -> CensusClass:
     # a hull with no interior point other than 2 Delta has width exactly 1
     if not _has_width_two(interior, verts):
         raise CacheCorruptError(f"stored polygon has lattice width 1: {verts}")
-    return CensusClass(
-        vertices=verts,
-        vertex_count=len(verts),
-        interior=interior,
-        boundary=boundary,
-    )
+    return CensusClass(vertices=verts, interior=interior, boundary=boundary)
 
 
 class CensusStore:
@@ -614,18 +608,6 @@ def width1_trapezoid(k: int) -> Width1Witness:
     return Width1Witness(nonvertex=k, vertices=verts)
 
 
-def _best_class(classes: Sequence[CensusClass], k: int):
-    """Max vertex count over width->=2 classes with k non-vertex points,
-    against the closed-form width-1 family."""
-    best = None
-    for cls in classes:
-        if cls.nonvertex == k and (best is None or cls.vertex_count > best.vertex_count):
-            best = cls
-    if best is not None and best.vertex_count >= 4:
-        return best.vertex_count, best
-    return 4, width1_trapezoid(k)
-
-
 def _require_complete(store: CensusStore, k_max: int) -> None:
     missing = store.missing(k_max)
     if missing:
@@ -633,23 +615,6 @@ def _require_complete(store: CensusStore, k_max: int) -> None:
             "census cache is incomplete for interior counts "
             + ", ".join(str(i) for i in missing)
         )
-
-
-def g_z2(k: int, store: CensusStore) -> tuple:
-    """Largest vertex count of a lattice polygon with k non-vertex points.
-
-    Returns (value, witness); the witness is a cached CensusClass or a
-    Width1Witness.  A polygon with k non-vertex points has at most k
-    interior points, so caches 0..k decide the value exactly.
-    """
-    if k < 0:
-        raise ValueError("non-vertex count must be nonnegative")
-    _require_complete(store, k)
-    classes = []
-    for i in range(k + 1):
-        classes.extend(store.load(i).classes)
-    classes.sort(key=lambda c: c.key())
-    return _best_class(classes, k)
 
 
 @dataclass(frozen=True)
@@ -668,29 +633,38 @@ class LatticeProfile:
 def c_z2_profile(k_max: int, store: CensusStore) -> LatticeProfile:
     """Counting profile of the planar lattice through k_max.
 
-    c follows the one-step recursion from g; over an infinite site the
-    recursion applies at every k.  Any k with c[k] != g[k] would separate
-    the two quantities, which no known example does, so it is reported as
-    a finding instead of being silently accepted; the same goes for a g
-    step dropping by more than 1, which would indicate an incomplete
-    census.
+    g[k] is the largest vertex count among the classes with k non-vertex
+    points, and its witness the first class in key order that attains it;
+    the width-1 family stands in when no class reaches 4 vertices.  A polygon
+    with k non-vertex points has at most k interior points, so the files
+    0..k_max decide every value, and one pass over them fills the table.
+    c follows the stepwise recursion of engine.c_from_g; no k exceeds the
+    size of the infinite site Z^2, so k_max serves as the size bound.
+
+    Any k with c[k] != g[k] would separate the two quantities, which no
+    known example does, so it is reported as a finding instead of being
+    silently accepted; the same goes for a g step dropping by more than
+    1, which would indicate an incomplete census.
     """
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
     _require_complete(store, k_max)
-    classes = []
+    best: list = [None] * (k_max + 1)
     for i in range(k_max + 1):
-        classes.extend(store.load(i).classes)
-    classes.sort(key=lambda c: c.key())
-    g_vals = []
-    witnesses = []
-    for k in range(k_max + 1):
-        value, witness = _best_class(classes, k)
-        g_vals.append(value)
-        witnesses.append(witness)
-    c_vals = [g_vals[0]]
-    for k in range(1, k_max + 1):
-        c_vals.append(max(c_vals[k - 1] - 1, g_vals[k]))
+        for cls in store.load(i).classes:
+            k = cls.nonvertex
+            # most vertices first, then the least vertex tuple
+            if k <= k_max and (
+                best[k] is None
+                or (-cls.vertex_count, cls.vertices) < (-best[k].vertex_count, best[k].vertices)
+            ):
+                best[k] = cls
+    witnesses = tuple(
+        cls if cls is not None and cls.vertex_count >= 4 else width1_trapezoid(k)
+        for k, cls in enumerate(best)
+    )
+    g_vals = tuple(w.vertex_count for w in witnesses)
+    c_vals = c_from_g(g_vals, k_max, k_max)
     findings = []
     for k in range(1, k_max + 1):
         if c_vals[k] != g_vals[k]:
@@ -707,10 +681,10 @@ def c_z2_profile(k_max: int, store: CensusStore) -> LatticeProfile:
     return LatticeProfile(
         label="Z^2",
         k_max=k_max,
-        g=tuple(g_vals),
-        c=tuple(c_vals),
+        g=g_vals,
+        c=c_vals,
         drops=drops,
-        witnesses=tuple(witnesses),
+        witnesses=witnesses,
         findings=tuple(findings),
     )
 

@@ -25,24 +25,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gcd
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
-from .errors import DegenerateInputError
-from .lattice import polygon_area_2d
 from .witnesses import integer_root
-
-if TYPE_CHECKING:
-    from .census import CensusStore
 
 __all__ = [
     "AndrewsReport",
     "ChainLinkReport",
     "ConstantsCertificate",
-    "EmpiricalReport",
     "Enclosure",
     "GrowthChainCertificate",
     "andrews_constants",
-    "andrews_empirical",
     "certify_constant_estimates",
     "certify_growth_chain",
     "gamma_half",
@@ -533,66 +526,4 @@ def certify_growth_chain(
         ok=not failures and not undecided,
         failures=tuple(failures),
         undecided=tuple(undecided),
-    )
-
-
-# ---------------------------------------------------------------------------
-# empirical sweep of the vertex bound over the polygon census
-
-
-@dataclass(frozen=True)
-class EmpiricalReport:
-    """Result of sweeping the planar vertex bound over cached census classes.
-
-    The bound vert^3 <= alpha(2)^3 * area is checked with exact
-    shoelace areas; cubing both sides avoids any root extraction.
-    ratio_peak is the largest vert^3/area encountered, a measure of how
-    loose the bound runs in the plane.
-    """
-
-    interior_max: int
-    classes_checked: int
-    ok: bool
-    ratio_peak: Fraction
-    peak_class: tuple
-    violations: tuple
-
-    @property
-    def budget(self) -> int:
-        """The cubed planar vertex constant alpha(2)^3 = 6^24."""
-        return 6**24
-
-
-def andrews_empirical(store: "CensusStore", interior_max: int) -> EmpiricalReport:
-    """Check vert(P)^3 <= (6^8)^3 * area(P) over every cached polygon class.
-
-    The census cache must cover interior counts 0..interior_max.  The
-    comparison is exact: areas come from the rational shoelace formula
-    and both sides stay integers after clearing denominators.
-    """
-    if interior_max < 0:
-        raise DegenerateInputError("interior_max must be nonnegative")
-    alpha_cubed = (3 * 2) ** (4 * 2 * 3)
-    checked = 0
-    ratio_peak = Fraction(0)
-    peak_class: tuple = ()
-    violations = []
-    for i in range(interior_max + 1):
-        for cls in store.load(i).classes:
-            area = polygon_area_2d(cls.vertices)
-            cubed = cls.vertex_count**3
-            if cubed > alpha_cubed * area:
-                violations.append(cls.vertices)
-            ratio = cubed / area
-            if ratio > ratio_peak:
-                ratio_peak = ratio
-                peak_class = cls.vertices
-            checked += 1
-    return EmpiricalReport(
-        interior_max=interior_max,
-        classes_checked=checked,
-        ok=not violations,
-        ratio_peak=ratio_peak,
-        peak_class=peak_class,
-        violations=tuple(violations),
     )

@@ -192,71 +192,6 @@ def c_direct(
     return tuple(out)
 
 
-def unrolled_c(g: Sequence[ExtInt], site_size: int, k_max: int) -> tuple:
-    """Closed form of the stepwise recursion: c[k] = max_{l<=k} (g[l] + l - k).
-
-    Kept separate so tests can pin the recursion against its unrolling.
-    """
-    out: list[ExtInt] = []
-    for k in range(k_max + 1):
-        if k > site_size:
-            out.append(NEG_INF)
-            continue
-        cands = [g[line] + line - k for line in range(min(k, len(g) - 1) + 1)
-                 if is_finite(g[line])]
-        out.append(ext_max(cands))
-    return tuple(out)
-
-
-# ---------------------------------------------------------------------------
-# derived series
-
-
-def helly_series(profile: SiteProfile) -> tuple:
-    """Values H(j) = max of c over k < j, for j = 1..k_max+1.
-
-    The same maximum over g must agree; a discrepancy is reported by
-    consistency_findings rather than raised here.
-    """
-    out = []
-    for j in range(1, profile.k_max + 2):
-        out.append(ext_max(profile.c[:j]))
-    return tuple(out)
-
-
-def consistency_findings(profile: SiteProfile) -> list[str]:
-    """Structural identities that should hold for every profile."""
-    findings = []
-    for j in range(1, profile.k_max + 2):
-        if ext_max(profile.c[:j]) != ext_max(profile.g[:j]):
-            findings.append(
-                f"running maxima of c and g diverge at prefix length {j}"
-            )
-    for k in range(profile.k_max + 1):
-        ck, gk = profile.c[k], profile.g[k]
-        if is_finite(gk) and gk > ck:
-            findings.append(f"g exceeds c at k={k}")
-        if is_finite(ck) and ck > ext_max(profile.g[: k + 1]):
-            findings.append(f"c exceeds the running max of g at k={k}")
-    return findings
-
-
-def tverberg_bound(profile: SiteProfile, m: int, k: int) -> ExtInt:
-    """Upper bound for the k-interior Tverberg-type number with m parts.
-
-    H(k) * (m - 1) * k * n + k, with H the running maximum of c below k.
-    m = 1 collapses to k (a single part needs only the points themselves).
-    """
-    if m < 1 or k < 1:
-        raise ValueError("need m >= 1 and k >= 1")
-    if k - 1 > profile.k_max:
-        raise ValueError(f"profile only covers k_max={profile.k_max}")
-    h = ext_max(profile.c[:k])
-    if not is_finite(h):
-        return NEG_INF
-    return h * (m - 1) * k * profile.ambient_dim + k
-
-
 # ---------------------------------------------------------------------------
 # bound audit
 

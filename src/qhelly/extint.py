@@ -93,21 +93,6 @@ def to_json(value: ExtInt):
     return value if isinstance(value, int) else None
 
 
-def from_json(value) -> ExtInt:
-    if value is None:
-        return NEG_INF
-    if isinstance(value, int):
-        return value
-    raise ValueError(f"not an extended integer: {value!r}")
-
-
 def to_csv(value: ExtInt) -> str:
     """CSV carrier: the literal token -inf encodes NEG_INF."""
     return str(value) if isinstance(value, int) else "-inf"
-
-
-def from_csv(token: str) -> ExtInt:
-    token = token.strip()
-    if token == "-inf":
-        return NEG_INF
-    return int(token)

@@ -750,17 +750,6 @@ def census(polytope: LatticePolytope, site: Site, *, relative: bool = False) -> 
 # canonical form in the plane
 
 
-def polygon_area_2d(cycle: Sequence[Point]) -> Fraction:
-    """Area of a polygon given as a vertex cycle, by the shoelace formula."""
-    twice = 0
-    n = len(cycle)
-    for i in range(n):
-        x1, y1 = cycle[i]
-        x2, y2 = cycle[(i + 1) % n]
-        twice += x1 * y2 - x2 * y1
-    return abs(Fraction(twice, 2))
-
-
 def canonical_form_2d(polytope: LatticePolytope) -> tuple:
     """Canonical vertex cycle under unimodular (det +-1) maps and translations.
 

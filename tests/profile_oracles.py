@@ -1,0 +1,42 @@
+"""Oracles for g/c profiles that the tests hold the library against.
+
+unrolled_c is the closed form of the stepwise c-recursion, a second c
+route beside engine.c_from_g; consistency_findings lists the identities
+every profile must satisfy.
+"""
+
+from __future__ import annotations
+
+from typing import Sequence
+
+from qhelly.extint import NEG_INF, ExtInt, ext_max, is_finite
+
+
+def unrolled_c(g: Sequence[ExtInt], site_size: int, k_max: int) -> tuple:
+    """Closed form of the stepwise recursion: c[k] = max_{l<=k} (g[l] + l - k)."""
+    out: list[ExtInt] = []
+    for k in range(k_max + 1):
+        if k > site_size:
+            out.append(NEG_INF)
+            continue
+        cands = [g[line] + line - k for line in range(min(k, len(g) - 1) + 1)
+                 if is_finite(g[line])]
+        out.append(ext_max(cands))
+    return tuple(out)
+
+
+def consistency_findings(profile) -> list[str]:
+    """Structural identities that should hold for every profile."""
+    findings = []
+    for j in range(1, profile.k_max + 2):
+        if ext_max(profile.c[:j]) != ext_max(profile.g[:j]):
+            findings.append(
+                f"running maxima of c and g diverge at prefix length {j}"
+            )
+    for k in range(profile.k_max + 1):
+        ck, gk = profile.c[k], profile.g[k]
+        if is_finite(gk) and gk > ck:
+            findings.append(f"g exceeds c at k={k}")
+        if is_finite(ck) and ck > ext_max(profile.g[: k + 1]):
+            findings.append(f"c exceeds the running max of g at k={k}")
+    return findings

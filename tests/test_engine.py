@@ -1,9 +1,8 @@
-"""Engine: closed-subset enumeration, g/c profiles, derived series, bounds.
+"""Engine: closed-subset enumeration, g/c profiles, bounds.
 
-The 3x3 grid values (g, c, the hexagonal witness) and the Tverberg
-example were verified by hand before freezing.  The 4x3 values were
-derived here, cross-checked by the two independent routes, and then
-frozen as regressions.
+The 3x3 grid values (g, c, the hexagonal witness) were verified by hand
+before freezing.  The 4x3 values were derived here, cross-checked by
+the two independent routes, and then frozen as regressions.
 """
 
 from __future__ import annotations
@@ -15,21 +14,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qhelly import NEG_INF
 from qhelly.engine import (
     audit_bounds,
     c_direct,
     c_from_g,
-    consistency_findings,
     enumerate_convex_subsets,
     g_profile,
-    helly_series,
-    tverberg_bound,
-    unrolled_c,
 )
 from qhelly.errors import BudgetExceededError
-from qhelly.extint import ext_max, is_finite
+from qhelly.extint import NEG_INF, ext_max, is_finite
 from qhelly.lattice import FiniteSite, closure, convex_hull
+from profile_oracles import consistency_findings, unrolled_c
 
 
 def brute_closed_subsets(site: FiniteSite) -> set:
@@ -219,17 +214,6 @@ def test_c_is_neg_inf_exactly_beyond_site_size():
 def test_c_from_g_handles_neg_inf_runs():
     g = (4, NEG_INF, 5, NEG_INF)
     assert c_from_g(g, 10, 3) == (4, 3, 5, 4)
-
-
-def test_helly_series_and_tverberg():
-    prof = g_profile(FiniteSite.grid(3, 3), 5)
-    assert helly_series(prof) == (4, 6, 6, 6, 6, 6)
-    assert tverberg_bound(prof, 2, 3) == 39
-    assert tverberg_bound(prof, 1, 3) == 3
-    with pytest.raises(ValueError):
-        tverberg_bound(prof, 0, 3)
-    with pytest.raises(ValueError):
-        tverberg_bound(prof, 2, 99)
 
 
 def test_audit_bounds_grid():

@@ -16,18 +16,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qhelly import (
+from qhelly.errors import DegenerateInputError, SiteMembershipError, UnsupportedDimensionError
+from qhelly.lattice import (
     FiniteSite,
     Z_LATTICE,
     canonical_form_2d,
+    census,
     closure,
     convex_hull,
-    lattice_points_in,
-)
-from qhelly.errors import DegenerateInputError, SiteMembershipError, UnsupportedDimensionError
-from qhelly.lattice import (
-    census,
     integer_kernel_basis,
+    lattice_points_in,
     primitive,
     rational_rank,
     saturated_direction_basis,
