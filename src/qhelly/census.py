@@ -27,7 +27,9 @@ are validated and deduplicated through the canonical form; the interior
 count the row arithmetic gives every leaf is re-checked against Pick's
 formula (shoelace area and edge gcds), and the same O(v) counts validate
 every class loaded from the cache.  The lattice core's row-interval
-census is the independent route the tests compare them against.
+census is the independent route the tests compare them against.  A
+loaded class is not re-canonicalized: its stored cycle is checked to be
+no larger than any of its 2v anchored images and equal to one of them.
 
 Lattice width needs no search.  A polygon with an interior lattice point
 has width >= 2: width 1 would put it in a strip a <= u.x <= a + 1, whose
@@ -59,6 +61,7 @@ from typing import Iterable, Optional, Sequence
 from .errors import (
     BudgetExceededError,
     CacheCorruptError,
+    CacheError,
     CacheIncompleteError,
     CacheMissingError,
     DegenerateInputError,
@@ -73,6 +76,7 @@ from .lattice import (
     _xgcd,
     canonical_form_2d,
     census,
+    is_canonical_cycle_2d,
     lattice_points_in,
     primitive,
 )
@@ -412,10 +416,13 @@ class CensusFile:
         return "\n".join(lines) + "\n"
 
 
+# counts are written as render writes them: decimal, no sign, no leading zero
+_DECIMAL = r"(?:0|[1-9][0-9]*)"
 _HEADER_RE = re.compile(
-    r"\Apolygon-census (?P<version>\S+) interior=(?P<interior>\d+) "
-    r"box=(?P<box>\d+) complete=(?P<complete>[01])\Z"
+    rf"\Apolygon-census (?P<version>\S+) interior=(?P<interior>{_DECIMAL}) "
+    rf"box=(?P<box>{_DECIMAL}) complete=(?P<complete>[01])\Z"
 )
+_TRAILER_RE = re.compile(rf"\Acount=(?P<count>{_DECIMAL})\Z")
 
 
 def _parse_header(line: str) -> tuple[int, int, bool]:
@@ -433,8 +440,9 @@ def _parse_header(line: str) -> tuple[int, int, bool]:
 def parse_census_file(text: str) -> CensusFile:
     """Inverse of CensusFile.render; every class is revalidated.
 
-    Validation checks that each stored cycle is its own convex hull and a
-    canonical fixed point, that Pick's formula over its edges gives the
+    Validation checks that each stored cycle is its own convex hull and
+    its own canonical form (checked against its anchored images, not
+    recomputed), that Pick's formula over its edges gives the
     header's interior count, that it has lattice width >= 2 (an interior
     point, or the class 2 Delta), and that the classes are sorted and
     distinct, so a loaded cache carries the same guarantees as a freshly
@@ -449,11 +457,10 @@ def parse_census_file(text: str) -> CensusFile:
     interior, box, complete = _parse_header(lines[0])
     if not lines[-1].startswith("count="):
         raise CacheCorruptError("census file has no count trailer")
-    trailer = lines[-1]
-    try:
-        count = int(trailer[len("count="):])
-    except ValueError:
-        raise CacheCorruptError(f"malformed count trailer: {trailer!r}") from None
+    trailer = _TRAILER_RE.match(lines[-1])
+    if trailer is None:
+        raise CacheCorruptError(f"malformed count trailer: {lines[-1]!r}")
+    count = int(trailer.group("count"))
     body = lines[1:-1]
     if count != len(body):
         raise CacheCorruptError(
@@ -478,7 +485,7 @@ def parse_census_file(text: str) -> CensusFile:
 def _class_from_vertices(verts: tuple, interior: int) -> CensusClass:
     if len(verts) < 3 or _hull_cycle_2d(verts) != verts:
         raise CacheCorruptError(f"stored vertices are not a polygon hull: {verts}")
-    if canonical_form_2d(_polygon(verts)) != verts:
+    if not is_canonical_cycle_2d(verts):
         raise CacheCorruptError(f"stored vertices are not in canonical form: {verts}")
     pick_interior, boundary = _pick_counts(verts)
     if pick_interior != interior:
@@ -489,6 +496,11 @@ def _class_from_vertices(verts: tuple, interior: int) -> CensusClass:
     if not _has_width_two(interior, verts):
         raise CacheCorruptError(f"stored polygon has lattice width 1: {verts}")
     return CensusClass(vertices=verts, interior=interior, boundary=boundary)
+
+
+def _path_error(path: Path, exc: OSError) -> CacheError:
+    """The cache error for an OS failure on a cache path other than absence."""
+    return CacheError(f"census cache path {path} is unusable: {exc.strerror or exc}")
 
 
 class CensusStore:
@@ -512,20 +524,29 @@ class CensusStore:
         return self.directory / f"interior_{i:02d}.census"
 
     def save(self, file: CensusFile) -> Path:
-        self.directory.mkdir(parents=True, exist_ok=True)
         target = self.path(file.interior)
         tmp = target.with_name(target.name + f".tmp{os.getpid()}")
-        tmp.write_text(file.render(), encoding="ascii")
-        os.replace(tmp, target)
+        try:
+            self.directory.mkdir(parents=True, exist_ok=True)
+            tmp.write_text(file.render(), encoding="ascii")
+            os.replace(tmp, target)
+        except OSError as exc:
+            raise _path_error(target, exc) from exc
         return target
 
     def load(self, i: int) -> CensusFile:
         path = self.path(i)
         try:
-            text = path.read_text(encoding="ascii")
+            # a non-ASCII byte decodes to U+FFFD, which no census line accepts
+            text = path.read_text(encoding="ascii", errors="replace")
         except FileNotFoundError:
             raise CacheMissingError(f"no census file for interior count {i}: {path}") from None
-        file = parse_census_file(text)
+        except OSError as exc:
+            raise _path_error(path, exc) from exc
+        try:
+            file = parse_census_file(text)
+        except CacheCorruptError as exc:
+            raise CacheCorruptError(f"{path}: {exc}") from exc
         if file.interior != i:
             raise CacheCorruptError(
                 f"{path} holds interior count {file.interior}, expected {i}"
@@ -540,11 +561,16 @@ class CensusStore:
         """
         path = self.path(i)
         try:
-            with path.open(encoding="ascii") as fh:
+            with path.open(encoding="ascii", errors="replace") as fh:
                 header = fh.readline()
         except FileNotFoundError:
             return False
-        interior, box, complete = _parse_header(header.removesuffix("\n"))
+        except OSError as exc:
+            raise _path_error(path, exc) from exc
+        try:
+            interior, box, complete = _parse_header(header.removesuffix("\n"))
+        except CacheCorruptError as exc:
+            raise CacheCorruptError(f"{path}: {exc}") from exc
         if interior != i:
             raise CacheCorruptError(f"{path} holds interior count {interior}, expected {i}")
         return complete and box >= certified_box_bound(i)

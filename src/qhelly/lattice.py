@@ -750,19 +750,16 @@ def census(polytope: LatticePolytope, site: Site, *, relative: bool = False) -> 
 # canonical form in the plane
 
 
-def canonical_form_2d(polytope: LatticePolytope) -> tuple:
-    """Canonical vertex cycle under unimodular (det +-1) maps and translations.
+def _anchored_images(cycle: Sequence[Point]) -> Iterator[tuple[list, list]]:
+    """The 2v normalized images of a counterclockwise vertex cycle.
 
-    Two polygons are equivalent iff their canonical cycles are equal.
-    Minimizes, over every anchored directed edge and both orientations,
-    the vertex tuple after mapping the edge onto the positive x-axis and
-    shear-normalizing; the lexicographic minimum is canonical.
+    For every anchored directed edge, in both orientations, yields the x
+    and the y coordinates of the image vertices in cycle order from the
+    anchor: a det-1 map sends the edge onto the positive x-axis, a
+    reversed traversal is reflected across it, and a shear puts the first
+    vertex of greatest height h at an x in [0, h).
     """
-    if polytope.ambient_dim != 2 or polytope.affine_dim != 2:
-        raise DegenerateInputError("canonical form needs a full-dimensional polygon in Z^2")
-    cycle = polytope.vertices
     m = len(cycle)
-    best: Optional[tuple] = None
     for reverse in (False, True):
         seq_base = cycle[::-1] if reverse else cycle
         for start in range(m):
@@ -784,12 +781,66 @@ def canonical_form_2d(polytope: LatticePolytope) -> tuple:
             a += shear * c
             b += shear * d
             t = a * ox + b * oy
-            sheared = [(a * x + b * y - t, yy) for (x, y), yy in zip(seq, ys)]
-            # rotate so the cycle starts at its lex-min vertex, making the
-            # stored form a hull-canonical cycle as well
-            lead = sheared.index(min(sheared))
-            cand = tuple(sheared[lead:] + sheared[:lead])
-            if best is None or cand < best:
-                best = cand
+            yield [a * x + b * y - t for x, y in seq], ys
+
+
+def canonical_form_2d(polytope: LatticePolytope) -> tuple:
+    """Canonical vertex cycle under unimodular (det +-1) maps and translations.
+
+    Two polygons are equivalent iff their canonical cycles are equal.
+    Minimizes, over every anchored directed edge and both orientations,
+    the vertex tuple after mapping the edge onto the positive x-axis and
+    shear-normalizing; the lexicographic minimum is canonical.
+    """
+    if polytope.ambient_dim != 2 or polytope.affine_dim != 2:
+        raise DegenerateInputError("canonical form needs a full-dimensional polygon in Z^2")
+    best: Optional[tuple] = None
+    for xs, ys in _anchored_images(polytope.vertices):
+        # an image whose least x exceeds that of best is larger than best
+        if best is not None and min(xs) > best[0][0]:
+            continue
+        sheared = list(zip(xs, ys))
+        # rotate so the cycle starts at its lex-min vertex, making the
+        # stored form a hull-canonical cycle as well
+        lead = sheared.index(min(sheared))
+        cand = tuple(sheared[lead:] + sheared[:lead])
+        if best is None or cand < best:
+            best = cand
     assert best is not None
     return best
+
+
+def is_canonical_cycle_2d(cycle: tuple) -> bool:
+    """Whether a hull cycle is its own canonical form.
+
+    cycle must be a counterclockwise polygon cycle from its lex-min
+    vertex, as _hull_cycle_2d returns it; the answer is that of
+    canonical_form_2d(convex_hull(cycle)) == cycle.  No image is built
+    in full: one whose least x exceeds cycle[0][0] is larger, one whose
+    least x is below it is smaller, and only a tie compares coordinates
+    from the image's lead (lex-min) vertex on, up to the first difference.
+    """
+    m = len(cycle)
+    x0 = cycle[0][0]
+    found = False
+    for xs, ys in _anchored_images(cycle):
+        low = min(xs)
+        if low > x0:
+            continue
+        if low < x0:
+            return False
+        # strict convexity leaves at most one more vertex on x = low, the
+        # next one counterclockwise, and it is the lower of the two
+        k = xs.index(low)
+        if k + 1 < m and xs[k + 1] == low:
+            k += 1
+        for sx, sy in cycle:
+            x, y = xs[k], ys[k]
+            if x != sx or y != sy:
+                if x < sx or (x == sx and y < sy):
+                    return False
+                break
+            k = k + 1 if k + 1 < m else 0
+        else:
+            found = True
+    return found

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 from math import gcd
 from pathlib import Path
 
@@ -30,11 +31,20 @@ from qhelly.census import (
 from qhelly.errors import (
     BudgetExceededError,
     CacheCorruptError,
+    CacheError,
     CacheIncompleteError,
     CacheMissingError,
     DegenerateInputError,
 )
-from qhelly.lattice import Z_LATTICE, _hull_cycle_2d, canonical_form_2d, census, convex_hull
+from qhelly.lattice import (
+    Z_LATTICE,
+    _anchored_images,
+    _hull_cycle_2d,
+    canonical_form_2d,
+    census,
+    convex_hull,
+    is_canonical_cycle_2d,
+)
 from profile_oracles import unrolled_c
 from scan_oracles import box_census, lattice_width_2d, strict_interior_cell_scan
 
@@ -289,6 +299,45 @@ def test_is_complete_reads_only_the_header(tmp_path):
             store.is_complete(1)
 
 
+def test_load_names_the_file_of_a_parse_failure(tmp_path):
+    store = CensusStore(tmp_path)
+    path = store.path(1)
+    text = _golden_bytes(store, 1).decode("ascii")
+    path.write_text(text.replace("count=16", "count=17"))
+    with pytest.raises(CacheCorruptError, match="count trailer says 17") as excinfo:
+        store.load(1)
+    assert str(excinfo.value).startswith(f"{path}: ")
+    path.write_text(text.replace("interior=1", "interior=01"))
+    with pytest.raises(CacheCorruptError, match="malformed census header") as excinfo:
+        store.is_complete(1)
+    assert str(excinfo.value).startswith(f"{path}: ")
+
+
+def test_cache_rejects_non_ascii_bytes(tmp_path):
+    store = CensusStore(tmp_path)
+    path = store.path(1)
+    text = _golden_bytes(store, 1)
+    for broken in (text.replace(b"count=", b"count=\xff"), b"\xc3\xa9" + text):
+        path.write_bytes(broken)
+        with pytest.raises(CacheCorruptError, match=re.escape(str(path))):
+            store.load(1)
+    with pytest.raises(CacheCorruptError, match="malformed census header"):
+        store.is_complete(1)
+
+
+def test_store_maps_os_errors_to_cache_errors(tmp_path):
+    # a plain file where the cache directory should be
+    plain = tmp_path / "plain"
+    plain.write_text("not a directory\n")
+    store = CensusStore(plain)
+    file = parse_census_file(_golden_bytes(store, 0).decode("ascii"))
+    for attempt in (lambda: store.is_complete(0), lambda: store.load(0), lambda: store.save(file)):
+        with pytest.raises(CacheError, match=re.escape(str(store.path(0)))) as excinfo:
+            attempt()
+        assert excinfo.type is CacheError
+    assert plain.read_text() == "not a directory\n"
+
+
 # ---------------------------------------------------------------------------
 # O(v) validation of census classes
 
@@ -326,6 +375,50 @@ def test_validation_rejects_non_canonical_hulls():
     # the interior-0 class, translated and sheared
     with pytest.raises(CacheCorruptError, match="not in canonical form"):
         parse_census_file(_one_class_file(0, ((1, 0), (3, 0), (3, 2))))
+
+
+def test_validation_rejects_a_cycle_below_every_image():
+    # the interior-0 class translated left is smaller than all its images,
+    # so none of them is larger and none equals it
+    with pytest.raises(CacheCorruptError, match="not in canonical form"):
+        parse_census_file(_one_class_file(0, ((-1, 0), (1, 0), (-1, 2))))
+
+
+def test_validation_compares_past_the_lead_vertex():
+    # a unimodular image of a golden class that agrees with it on the first
+    # four vertices, stored in place of the class
+    canon = ((-1, 1), (0, 0), (1, 0), (2, 1), (0, 2))
+    image = ((-1, 1), (0, 0), (1, 0), (2, 1), (1, 2))
+    assert canonical_form_2d(convex_hull(image)) == canon
+    text = (DEVCACHE / "interior_02.census").read_text()
+    canon_line = "\n5 -1 1 0 0 1 0 2 1 0 2\n"
+    assert text.count(canon_line) == 1
+    with pytest.raises(CacheCorruptError, match="not in canonical form"):
+        parse_census_file(text.replace(canon_line, "\n5 -1 1 0 0 1 0 2 1 1 2\n"))
+
+
+def _anchored_cycles(cycle: tuple) -> set:
+    """The 2v anchored images of a hull cycle, each from its lex-min vertex."""
+    cycles = set()
+    for xs, ys in _anchored_images(cycle):
+        image = list(zip(xs, ys))
+        lead = image.index(min(image))
+        cycles.add(tuple(image[lead:] + image[:lead]))
+    return cycles
+
+
+def test_canonical_check_accepts_exactly_the_canonical_image():
+    # every anchored image of every golden class, stored as a cycle
+    for i in range(len(PUBLISHED_CLASS_COUNTS)):
+        text = (DEVCACHE / f"interior_{i:02d}.census").read_text()
+        for cls in parse_census_file(text).classes:
+            images = _anchored_cycles(cls.vertices)
+            assert cls.vertices in images
+            for image in images:
+                assert _hull_cycle_2d(image) == image
+                verdict = is_canonical_cycle_2d(image)
+                assert verdict == (image == cls.vertices)
+                assert verdict == (canonical_form_2d(convex_hull(image)) == image)
 
 
 def test_validation_rejects_width_one_polygons():
@@ -385,6 +478,49 @@ def test_width_rule_matches_the_width_search(points):
     elif width >= 2:
         assert canonical_form_2d(poly) == ((0, 0), (2, 0), (0, 2))
     assert _has_width_two(interior, canonical_form_2d(poly)) == (width >= 2)
+
+
+_FUZZ_FILES = ("interior_02.census", "interior_03.census")
+_HEADER_VALUES_RE = re.compile(r"polygon-census v1 interior=\d+ box=(\d+) complete=(\d)\n")
+
+
+def _mutate(text: str, kind: str, where: int, digit: int) -> tuple[str, bool]:
+    """(mutated text, whether the mutation flipped the box= or complete= value)."""
+    if kind == "cut":
+        return text[: where % len(text)], False
+    if kind == "duplicate":
+        lines = text.splitlines(keepends=True)
+        j = where % len(lines)
+        return "".join(lines[: j + 1] + lines[j:]), False
+    positions = [j for j, ch in enumerate(text) if ch.isdigit()]
+    j = positions[where % len(positions)]
+    new = str(digit) if str(digit) != text[j] else str((digit + 1) % 10)
+    header = _HEADER_VALUES_RE.match(text)
+    in_value = header.start(1) <= j < header.end(1) or j == header.start(2)
+    return text[:j] + new + text[j + 1:], in_value
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(_FUZZ_FILES),
+    st.sampled_from(("cut", "flip", "duplicate")),
+    st.integers(0, 10**6),
+    st.integers(0, 9),
+)
+@example("interior_02.census", "flip", 2, 0)  # box=26 -> box=06
+@example("interior_02.census", "flip", 4, 0)  # complete=1 -> complete=0
+@example("interior_03.census", "cut", 0, 0)  # the empty file
+def test_mutated_golden_files_are_rejected(name, kind, where, digit):
+    # a complete file already holds every valid class, so a class line
+    # that still validates after a flip repeats another and fails the
+    # distinctness check
+    mutated, in_header_value = _mutate((DEVCACHE / name).read_text(), kind, where, digit)
+    try:
+        file = parse_census_file(mutated)
+    except CacheCorruptError:
+        return
+    assert in_header_value, "a mutated census file parsed"
+    assert file.render() == mutated
 
 
 def test_golden_cache_validates_and_matches_the_box_scan():

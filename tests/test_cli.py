@@ -269,6 +269,18 @@ def test_json_error_channel(capsys):
     assert payload["exit"] == 2 and "junk" in payload["error"]
 
 
+def test_cache_path_that_is_a_file_exits_one(tmp_path, capsys):
+    plain = tmp_path / "plain"
+    plain.write_text("")
+    code, out, err = run_cli(
+        capsys, ["census", "--k", "3", "--cache", str(plain), "--format", "json"]
+    )
+    assert code == 1
+    assert out == ""
+    payload = json.loads(err)
+    assert payload["exit"] == 1 and str(plain) in payload["error"]
+
+
 def test_corrupt_cache_exits_one(small_cache, tmp_path, capsys):
     # clone the census files, tamper with one, and point the CLI at the clone
     broken = tmp_path / "broken-cache"
