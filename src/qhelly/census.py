@@ -311,6 +311,34 @@ def _pick_counts(cycle: Sequence[tuple]) -> tuple[int, int]:
     return (twice_area - b + 2) // 2, b - len(cycle)
 
 
+def _is_hull_cycle(cycle: Sequence[tuple]) -> bool:
+    """Whether a vertex cycle is the one _hull_cycle_2d gives for its points.
+
+    One pass checks that the cycle starts at its lex-min vertex, that
+    every turn is strictly left and that the edge directions wind exactly
+    once; a closed path with these turns and one winding is a strictly
+    convex polygon traversed counterclockwise.  A strict left turn is
+    less than a half turn, so the direction enters the upper half-plane
+    (dy > 0, or dy = 0 < dx) from the lower one once per winding.
+    """
+    if len(cycle) < 3 or min(cycle) != cycle[0]:
+        return False
+    (px, py), (qx, qy) = cycle[-2], cycle[-1]
+    dx, dy = qx - px, qy - py
+    lower = dy < 0 or (dy == 0 and dx < 0)
+    windings = 0
+    for x, y in cycle:
+        ex, ey = x - qx, y - qy
+        if dx * ey - dy * ex <= 0:
+            return False
+        below = ey < 0 or (ey == 0 and ex < 0)
+        if lower and not below:
+            windings += 1
+        dx, dy, lower = ex, ey, below
+        qx, qy = x, y
+    return windings == 1
+
+
 def _leaf_to_class(rows: Sequence[tuple], interior: int) -> Optional[CensusClass]:
     """Validate one raw leaf: hull, the row arithmetic's interior count
     against Pick's formula, and lattice width >= 2."""
@@ -472,7 +500,10 @@ def parse_census_file(text: str) -> CensusFile:
             nums = [int(tok) for tok in line.split(" ")]
         except ValueError:
             raise CacheCorruptError(f"malformed census line: {line!r}") from None
-        if not nums or len(nums) != 1 + 2 * nums[0] or nums[0] < 3:
+        # int() also takes "+5", "05", "0_5" and a trailing "\r"; the line
+        # must be spelled exactly as render spells its numbers
+        spelled = " ".join(map(str, nums)) == line
+        if not spelled or len(nums) != 1 + 2 * nums[0] or nums[0] < 3:
             raise CacheCorruptError(f"malformed census line: {line!r}")
         verts = tuple((nums[1 + 2 * j], nums[2 + 2 * j]) for j in range(nums[0]))
         classes.append(_class_from_vertices(verts, interior))
@@ -483,7 +514,7 @@ def parse_census_file(text: str) -> CensusFile:
 
 
 def _class_from_vertices(verts: tuple, interior: int) -> CensusClass:
-    if len(verts) < 3 or _hull_cycle_2d(verts) != verts:
+    if not _is_hull_cycle(verts):
         raise CacheCorruptError(f"stored vertices are not a polygon hull: {verts}")
     if not is_canonical_cycle_2d(verts):
         raise CacheCorruptError(f"stored vertices are not in canonical form: {verts}")

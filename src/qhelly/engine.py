@@ -13,10 +13,13 @@ Both come from one enumeration of the closed subsets C = S intersect
 conv C.  The site is indexed once and a subset is an int bitmask (bit i
 is site.points[i]); the enumeration keeps a dict from each closed set to
 the mask of its hull's vertices, so totals and vertex counts are
-popcounts.  Closing V(C) + p is one hull and an AND of memoized
-halfspace masks of the site, one per facet (two per affine-hull equation
-when the hull is degenerate).  Only the winning witnesses are hulled
-again.
+popcounts.  Closing V(C) + p is an AND of memoized halfspace masks of
+the site, one per facet of its hull (two per affine-hull equation when
+the hull is degenerate).  In a planar site whose V(C) spans the plane,
+p lies strictly outside the polygon of C, so that hull is C's vertex
+cycle with the chain of edges visible from p spliced out
+(beneath-beyond); other closed sets and sites outside Z^2 hull V(C) + p
+anew.  Only the winning witnesses are hulled again.
 
 c is produced twice on independent routes: once by the stepwise recursion
 from the g profile and once by direct maximization over enumerated
@@ -32,7 +35,14 @@ from typing import Optional, Sequence
 
 from .errors import BudgetExceededError
 from .extint import NEG_INF, ExtInt, ext_max, is_finite
-from .lattice import FiniteSite, convex_hull, site_mask
+from .lattice import (
+    FiniteSite,
+    _facets_from_cycle_2d,
+    _hull_cycle_2d,
+    _splice_cycle_2d,
+    convex_hull,
+    site_mask,
+)
 
 _DEFAULT_STATE_BUDGET = 2_000_000
 _SITE_SIZE_LIMIT = 30
@@ -54,9 +64,13 @@ def enumerate_convex_subsets(
     Every closed set is reachable this way (remove the lexicographic
     maximum, which is always a vertex; the closure of the remainder plus
     that point restores the set), so the enumeration is complete without
-    revisiting permutations.  Each closed set gets exactly one hull, the
-    one that first reaches it, and the closure is the AND of the site's
-    halfspace masks of that hull.
+    revisiting permutations.  The closure is the AND of the site's
+    halfspace masks of the hull of V(C) + p.  In a planar site, C's
+    vertex cycle is computed once, and when it spans the plane each hull
+    is that cycle with p spliced in (p is not in the closed set C, so it
+    lies strictly outside its polygon); a point, a segment and every
+    site outside Z^2 take a new convex_hull per point.  The vertex mask
+    of a new closed set comes from the hull that first reaches it.
     """
     if len(site) > _SITE_SIZE_LIMIT:
         raise BudgetExceededError(
@@ -69,12 +83,20 @@ def enumerate_convex_subsets(
     while queue:
         cur = queue.popleft()
         verts = site.points_of(found[cur])
+        cycle = _hull_cycle_2d(verts) if site.dim == 2 else ()
         for j in range(cur.bit_length(), len(points)):
-            poly = convex_hull(verts + (points[j],))
-            new = site_mask(poly, site)
+            if len(cycle) >= 3:
+                # points[j] is outside the closed set, so strictly outside
+                # its polygon: splice it into the cycle, no new hull
+                hull = _splice_cycle_2d(cycle, points[j])
+                new = site.cut_mask(_facets_from_cycle_2d(hull))
+            else:
+                poly = convex_hull(verts + (points[j],))
+                hull = poly.vertices
+                new = site_mask(poly, site)
             if new not in found:
                 vmask = 0
-                for v in poly.vertices:
+                for v in hull:
                     vmask |= 1 << index[v]
                 found[new] = vmask
                 if len(found) > max_states:

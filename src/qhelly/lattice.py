@@ -2,11 +2,14 @@
 
 All arithmetic is exact (int / Fraction).  Convex hulls are supported for
 affine dimension up to 5: dimensions 0-2 directly, 3-5 by a fraction-free
-double description on the polar dual.  Inputs of lower affine dimension
-than their ambient space are projected onto a saturated basis of their
-affine lattice, hulled there, and lifted back, so facet data is always
-integral.  Membership in a finite site is one path: site_mask ANDs the
-site's memoized halfspace masks over the facets and affine-hull equations.
+double description on the polar dual.  Full-dimensional inputs are hulled
+as they are; inputs of lower affine dimension than their ambient space
+are projected onto a saturated basis of their affine lattice, hulled
+there, and lifted back, so facet data is always integral.  A planar hull
+cycle grows by a point outside it in O(v) by beneath-beyond
+(_splice_cycle_2d), without a new hull.  Membership in a finite site is
+one path: FiniteSite.cut_mask ANDs the site's memoized halfspace masks,
+over the facets and affine-hull equations of a polytope in site_mask.
 Over the integer lattice, points are counted and listed by exact row
 intervals of the last coordinate, one per point of the box of the others.
 """
@@ -254,6 +257,13 @@ class FiniteSite:
             self._halfspaces[(normal, offset)] = mask
         return mask
 
+    def cut_mask(self, halfspaces: Iterable[tuple]) -> int:
+        """Bitmask of the site points in every (normal, offset) halfspace."""
+        mask = (1 << len(self.points)) - 1
+        for normal, offset in halfspaces:
+            mask &= self.halfspace_mask(normal, offset)
+        return mask
+
     def describe(self) -> str:
         return f"finite site, {len(self.points)} points in Z^{self.dim}"
 
@@ -415,6 +425,38 @@ def _facets_from_cycle_2d(cycle: Sequence[Point]) -> tuple:
     return tuple(sorted(facets))
 
 
+def _splice_cycle_2d(cycle: Sequence[Point], p: Point) -> tuple:
+    """Hull cycle of cycle + p, for p strictly outside the polygon.
+
+    Beneath-beyond (Preparata & Hong 1977): cycle is a counterclockwise
+    hull cycle of at least three vertices.  An edge sees p when p lies
+    on or right of its line (cross <= 0); the edges that see p form one
+    chain, its inner vertices are dropped and p takes their place.  A
+    vertex that ends up on the segment from p to its neighbour sees p
+    along both of its edges, so it is dropped as _hull_cycle_2d drops
+    it.  The result starts at its lexicographic minimum.
+    """
+    px, py = p
+    sees = []
+    vx, vy = cycle[-1]
+    for wx, wy in cycle:
+        sees.append((wx - vx) * (py - vy) - (wy - vy) * (px - vx) <= 0)
+        vx, vy = wx, wy
+    # sees[i] is the edge into cycle[i]; sees[i + 1 - m] the edge out of it
+    m = len(cycle)
+    out = []
+    for i, v in enumerate(cycle):
+        leaves = sees[i + 1 - m]
+        if not sees[i]:
+            out.append(v)
+            if leaves:
+                out.append(p)
+        elif not leaves:
+            out.append(v)
+    lead = out.index(min(out))
+    return tuple(out[lead:] + out[:lead])
+
+
 def _hull_1d(points: Sequence[Point]) -> tuple[tuple, tuple]:
     direction = primitive(_sub(max(points), min(points)))
     keyed = sorted(points, key=lambda p: _dot(direction, p))
@@ -552,18 +594,19 @@ def convex_hull(points: Iterable[Point]) -> LatticePolytope:
     if any(len(p) != n for p in pts):
         raise ValueError("mixed point dimensions")
 
+    # Full-dimensional input needs no lattice basis: hull it directly.
+    if len(_affinely_independent_subset(pts, n)) == n + 1:
+        vertices, facets = _hull_full_dim(pts, n)
+        if n == 2:
+            return LatticePolytope(vertices, facets, n, n)
+        return LatticePolytope(tuple(sorted(vertices)), facets, n, n)
+
     basis = saturated_direction_basis(pts)
     d = len(basis)
     if d > _HULL_DIM_LIMIT:
         raise UnsupportedDimensionError(
             f"exact hulls support affine dimension <= {_HULL_DIM_LIMIT}, got {d}"
         )
-
-    if d == n:
-        vertices, facets = _hull_full_dim(pts, d)
-        if n == 2:
-            return LatticePolytope(vertices, facets, n, d)
-        return LatticePolytope(tuple(sorted(vertices)), facets, n, d)
 
     # Degenerate: hull in saturated affine coordinates, lift facets back.
     p0 = pts[0]
@@ -656,13 +699,10 @@ def site_mask(polytope: LatticePolytope, site: FiniteSite) -> int:
     """
     if site.dim != polytope.ambient_dim:
         raise ValueError("site and polytope dimensions differ")
-    mask = (1 << len(site.points)) - 1
-    for normal, offset in polytope.facets:
-        mask &= site.halfspace_mask(normal, offset)
+    halfspaces = list(polytope.facets)
     for normal, offset in polytope.equalities:
-        mask &= site.halfspace_mask(normal, offset)
-        mask &= site.halfspace_mask(tuple(-x for x in normal), -offset)
-    return mask
+        halfspaces += [(normal, offset), (tuple(-x for x in normal), -offset)]
+    return site.cut_mask(halfspaces)
 
 
 def lattice_points_in(polytope: LatticePolytope, site: Site) -> tuple:

@@ -17,6 +17,7 @@ from qhelly.census import (
     CensusStore,
     CACHE_ENV_VAR,
     _has_width_two,
+    _is_hull_cycle,
     _pick_counts,
     _strict_interior_lattice_points,
     c_z2_profile,
@@ -364,11 +365,43 @@ def test_single_class_file_passes_validation():
         ((0, 0), (2, 0), (1, 1), (2, 2), (0, 2)),  # reflex vertex (1, 1)
         ((0, 0), (1, 0), (2, 0), (0, 2)),  # collinear vertex (1, 0)
         ((0, 0), (1, 1), (2, 2)),  # segment
+        ((-1, 2), (3, 2), (1, 3), (0, 0), (2, 0)),  # clockwise pentagon
+        ((0, 0), (2, 0), (3, 2), (1, 3), (-1, 2)),  # pentagon, not started at (-1, 2)
+        ((-1, 2), (0, 0), (1, 0), (2, 0), (3, 2), (1, 3)),  # collinear middle vertex (1, 0)
     ],
 )
 def test_validation_rejects_non_hull_cycles(verts):
     with pytest.raises(CacheCorruptError, match="not a polygon hull"):
         parse_census_file(_one_class_file(0, verts))
+
+
+def test_validation_rejects_a_pentagram():
+    # the pentagon (-1, 2), (0, 0), (2, 0), (3, 2), (1, 3) visited at every
+    # second vertex: every turn is strictly left, but the edges wind twice
+    star = ((-1, 2), (2, 0), (1, 3), (0, 0), (3, 2))
+    turns = [
+        (b[0] - a[0]) * (c[1] - b[1]) - (b[1] - a[1]) * (c[0] - b[0])
+        for a, b, c in zip(star[-2:] + star[:-2], star[-1:] + star[:-1], star)
+    ]
+    assert min(star) == star[0] and min(turns) > 0
+    with pytest.raises(CacheCorruptError, match="not a polygon hull"):
+        parse_census_file(_one_class_file(2, star))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), min_size=3, max_size=9),
+    st.integers(0, 8),
+    st.integers(1, 3),
+    st.booleans(),
+)
+def test_hull_cycle_check_matches_the_monotone_chain(points, start, step, reverse):
+    # a hull cycle visited from any start, at any stride, in either direction
+    hull = _hull_cycle_2d(points)
+    assume(len(hull) >= 3)
+    order = [hull[(start + step * j) % len(hull)] for j in range(len(hull))]
+    for seq in (tuple(points), tuple(order[::-1] if reverse else order)):
+        assert _is_hull_cycle(seq) == (len(seq) >= 3 and _hull_cycle_2d(seq) == seq)
 
 
 def test_validation_rejects_non_canonical_hulls():
@@ -484,8 +517,18 @@ _FUZZ_FILES = ("interior_02.census", "interior_03.census")
 _HEADER_VALUES_RE = re.compile(r"polygon-census v1 interior=\d+ box=(\d+) complete=(\d)\n")
 
 
+# spellings of a class-line number that int() reads and render never writes
+_SPELLINGS = ("+{}", "0_{}", "0{}", "{}\r")
+_CLASS_NUMBER_RE = re.compile(r"(?<![^ \n])-?[0-9]+(?![^ \n])")
+
+
 def _mutate(text: str, kind: str, where: int, digit: int) -> tuple[str, bool]:
     """(mutated text, whether the mutation flipped the box= or complete= value)."""
+    if kind == "respell":
+        numbers = list(_CLASS_NUMBER_RE.finditer(text))
+        m = numbers[where % len(numbers)]
+        spelled = _SPELLINGS[digit % len(_SPELLINGS)].format(m.group())
+        return text[: m.start()] + spelled + text[m.end():], False
     if kind == "cut":
         return text[: where % len(text)], False
     if kind == "duplicate":
@@ -500,16 +543,20 @@ def _mutate(text: str, kind: str, where: int, digit: int) -> tuple[str, bool]:
     return text[:j] + new + text[j + 1:], in_value
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=400, deadline=None)
 @given(
     st.sampled_from(_FUZZ_FILES),
-    st.sampled_from(("cut", "flip", "duplicate")),
+    st.sampled_from(("cut", "flip", "duplicate", "respell")),
     st.integers(0, 10**6),
     st.integers(0, 9),
 )
 @example("interior_02.census", "flip", 2, 0)  # box=26 -> box=06
 @example("interior_02.census", "flip", 4, 0)  # complete=1 -> complete=0
 @example("interior_03.census", "cut", 0, 0)  # the empty file
+@example("interior_02.census", "respell", 6, 0)  # 3 0 0 1 0 2 +5
+@example("interior_02.census", "respell", 6, 1)  # 3 0 0 1 0 2 0_5
+@example("interior_02.census", "respell", 6, 2)  # 3 0 0 1 0 2 05
+@example("interior_02.census", "respell", 6, 3)  # 3 0 0 1 0 2 5\r
 def test_mutated_golden_files_are_rejected(name, kind, where, digit):
     # a complete file already holds every valid class, so a class line
     # that still validates after a flip repeats another and fails the
@@ -521,6 +568,15 @@ def test_mutated_golden_files_are_rejected(name, kind, where, digit):
         return
     assert in_header_value, "a mutated census file parsed"
     assert file.render() == mutated
+
+
+@pytest.mark.parametrize("spelling", _SPELLINGS)
+def test_class_lines_are_spelled_as_render_writes_them(spelling):
+    text = (DEVCACHE / "interior_02.census").read_text()
+    assert text.count("\n3 0 0 1 0 2 5\n") == 1
+    line = "3 0 0 1 0 2 " + spelling.format(5)
+    with pytest.raises(CacheCorruptError, match=re.escape(f"malformed census line: {line!r}")):
+        parse_census_file(text.replace("\n3 0 0 1 0 2 5\n", f"\n{line}\n"))
 
 
 def test_golden_cache_validates_and_matches_the_box_scan():

@@ -143,6 +143,32 @@ def test_grid_3x2x2_profile_regression():
     ) + (None,) * 8
 
 
+def test_grid_5x4_profile_regression():
+    # frozen from the enumeration that hulled every (closed set, point) pair
+    prof = g_profile(FiniteSite.grid(5, 4), 20)
+    assert prof.g == (4, 6, 6, 6, 8, 7, 8, 8, 8, 7, 7, 6, 6, 5, 5, NEG_INF, 4) + (NEG_INF,) * 4
+    assert prof.c == (4, 6, 6, 6, 8, 7, 8, 8, 8, 7, 7, 6, 6, 5, 5, 4, 4, 3, 2, 1, 0)
+    assert prof.witnesses == (
+        ((0, 0), (1, 0), (1, 1), (0, 1)),
+        ((0, 0), (1, 0), (2, 1), (2, 2), (1, 2), (0, 1)),
+        ((0, 0), (1, 0), (2, 1), (2, 2), (1, 3), (0, 1)),
+        ((0, 0), (1, 0), (2, 1), (2, 2), (1, 3), (0, 2)),
+        ((0, 0), (1, 0), (3, 1), (4, 2), (4, 3), (3, 3), (1, 2), (0, 1)),
+        ((0, 0), (1, 0), (3, 1), (3, 2), (2, 3), (1, 3), (0, 2)),
+        ((0, 1), (1, 0), (2, 0), (4, 1), (4, 2), (2, 3), (1, 3), (0, 2)),
+        ((0, 1), (1, 0), (3, 0), (4, 1), (4, 2), (2, 3), (1, 3), (0, 2)),
+        ((0, 1), (1, 0), (3, 0), (4, 1), (4, 2), (3, 3), (1, 3), (0, 2)),
+        ((0, 0), (3, 0), (4, 1), (4, 2), (2, 3), (1, 3), (0, 2)),
+        ((0, 0), (3, 0), (4, 1), (4, 2), (3, 3), (1, 3), (0, 2)),
+        ((0, 0), (3, 0), (4, 1), (4, 2), (2, 3), (0, 3)),
+        ((0, 0), (3, 0), (4, 1), (4, 2), (3, 3), (0, 3)),
+        ((0, 0), (4, 0), (4, 1), (3, 3), (0, 3)),
+        ((0, 0), (4, 0), (4, 2), (3, 3), (0, 3)),
+        None,
+        ((0, 0), (4, 0), (4, 3), (0, 3)),
+    ) + (None,) * 4
+
+
 @pytest.mark.parametrize(
     "site",
     [

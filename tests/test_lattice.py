@@ -13,13 +13,15 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qhelly.errors import DegenerateInputError, SiteMembershipError, UnsupportedDimensionError
 from qhelly.lattice import (
     FiniteSite,
     Z_LATTICE,
+    _facets_from_cycle_2d,
+    _splice_cycle_2d,
     canonical_form_2d,
     census,
     closure,
@@ -192,6 +194,29 @@ def test_collinear_points_are_not_vertices():
     assert P.vertices == ((0, 0), (2, 0), (2, 2), (0, 2))
 
 
+_KITE = ((0, 0), (6, 0), (4, 1), (2, 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), min_size=3, max_size=12),
+    st.tuples(st.integers(-3, 9), st.integers(-3, 9)),
+)
+@example([(0, 0), (2, 0), (2, 2), (0, 2)], (3, 0))  # on an edge's line, past its end
+@example([(0, 0), (2, 0), (2, 2), (0, 2)], (-1, 0))  # on an edge's line, before its start
+@example([(0, 0), (4, 0), (3, 1), (1, 1)], (2, 2))  # on the lines of two edges
+@example([(0, 0), (2, 0), (2, 2), (0, 2)], (1, -1))  # sees one edge
+@example(list(_KITE), (3, 3))  # sees every edge but (0, 0) -> (6, 0)
+@example(list(_KITE), (-2, 4))  # sees every edge but one, and becomes the lex-min vertex
+def test_splice_is_the_hull_of_cycle_plus_point(points, p):
+    cycle = convex_hull(points).vertices
+    assume(len(cycle) >= 3 and not convex_hull(cycle).contains(p))
+    hull = convex_hull(cycle + (p,))
+    spliced = _splice_cycle_2d(cycle, p)
+    assert spliced == hull.vertices
+    assert _facets_from_cycle_2d(spliced) == hull.facets
+
+
 # --- higher dimensions ------------------------------------------------------
 
 
@@ -254,6 +279,28 @@ def test_dd_hull_matches_brute_vertices_in_5d():
         P = convex_hull(pts)
         assert set(P.vertices) == brute_vertices(pts, 5)
         assert set(P.facets) == brute_facets(pts, 5)
+        checked += 1
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_full_dimensional_hull_matches_the_basis_route(n):
+    # the same points on the lattice hyperplane x_{n+1} = 0 of Z^{n+1} are
+    # hulled in the coordinates of a saturated basis and lifted back
+    rng = random.Random(20261018 + n)
+    checked = 0
+    while checked < 5:
+        pts = sorted(
+            {tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(rng.randint(n + 1, n + 4))}
+        )
+        if len(saturated_direction_basis(pts)) < n:
+            continue
+        P = convex_hull(pts)
+        flat = convex_hull([p + (0,) for p in pts])
+        assert (P.ambient_dim, P.affine_dim, flat.affine_dim) == (n, n, n)
+        assert sorted(P.vertices) == [v[:-1] for v in flat.vertices]
+        assert all(normal[-1] == 0 for normal, _ in flat.facets)
+        assert P.facets == tuple(sorted((normal[:-1], c) for normal, c in flat.facets))
+        assert P.equalities == ()
         checked += 1
 
 
