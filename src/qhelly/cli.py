@@ -27,6 +27,8 @@ from . import __version__
 from .census import CensusStore, c_z2_profile, expand_to_maximal
 from .constants import (
     DEFAULT_PRECISION,
+    MAX_PRECISION,
+    MIN_PRECISION,
     certify_constant_estimates,
     certify_growth_chain,
 )
@@ -68,6 +70,10 @@ class RunConfig:
             raise UsageError(f"format must be one of {', '.join(_FORMATS)}")
         if self.threads < 1:
             raise UsageError("thread count must be positive")
+        if not MIN_PRECISION <= self.precision <= MAX_PRECISION:
+            raise UsageError(
+                f"precision must be between {MIN_PRECISION} and {MAX_PRECISION} bits"
+            )
 
 
 def _parse_dims(spec: str) -> tuple[int, ...]:

@@ -15,9 +15,11 @@ is site.points[i]); the enumeration keeps a dict from each closed set to
 the mask of its hull's vertices, so totals and vertex counts are
 popcounts.  Closing V(C) + p is an AND of memoized halfspace masks of
 the site, one per facet of its hull (two per affine-hull equation when
-the hull is degenerate).  In a planar site whose V(C) spans the plane,
-p lies strictly outside the polygon of C, so that hull is C's vertex
-cycle with the chain of edges visible from p spliced out
+the hull is degenerate).  The work queue carries each new closed set
+with the hull vertices of the step that first reached it, so the hull
+of a closed set is never rebuilt.  In a planar site whose V(C) spans the plane, p
+lies strictly outside the polygon of C, so the hull of V(C) + p is C's
+vertex cycle with the chain of edges visible from p spliced out
 (beneath-beyond); other closed sets and sites outside Z^2 hull V(C) + p
 anew.  Only the winning witnesses are hulled again.
 
@@ -38,7 +40,6 @@ from .extint import NEG_INF, ExtInt, ext_max, is_finite
 from .lattice import (
     FiniteSite,
     _facets_from_cycle_2d,
-    _hull_cycle_2d,
     _splice_cycle_2d,
     convex_hull,
     site_mask,
@@ -65,12 +66,13 @@ def enumerate_convex_subsets(
     maximum, which is always a vertex; the closure of the remainder plus
     that point restores the set), so the enumeration is complete without
     revisiting permutations.  The closure is the AND of the site's
-    halfspace masks of the hull of V(C) + p.  In a planar site, C's
-    vertex cycle is computed once, and when it spans the plane each hull
-    is that cycle with p spliced in (p is not in the closed set C, so it
+    halfspace masks of the hull of V(C) + p.  The hull that first
+    reaches a closed set gives its vertex mask, and its vertices travel
+    with the set in the queue.  In a planar site they are the
+    counterclockwise cycle of C, and when it spans the plane each hull is
+    that cycle with p spliced in (p is not in the closed set C, so it
     lies strictly outside its polygon); a point, a segment and every
-    site outside Z^2 take a new convex_hull per point.  The vertex mask
-    of a new closed set comes from the hull that first reaches it.
+    site outside Z^2 take a new convex_hull per point.
     """
     if len(site) > _SITE_SIZE_LIMIT:
         raise BudgetExceededError(
@@ -78,17 +80,16 @@ def enumerate_convex_subsets(
             f"2^{len(site)}, refuse beyond {_SITE_SIZE_LIMIT}"
         )
     points, index = site.points, site.index
+    planar = site.dim == 2
     found = {1 << i: 1 << i for i in range(len(points))}
-    queue = deque(found)
+    queue = deque((1 << i, (p,)) for i, p in enumerate(points))
     while queue:
-        cur = queue.popleft()
-        verts = site.points_of(found[cur])
-        cycle = _hull_cycle_2d(verts) if site.dim == 2 else ()
+        cur, verts = queue.popleft()
         for j in range(cur.bit_length(), len(points)):
-            if len(cycle) >= 3:
+            if planar and len(verts) >= 3:
                 # points[j] is outside the closed set, so strictly outside
                 # its polygon: splice it into the cycle, no new hull
-                hull = _splice_cycle_2d(cycle, points[j])
+                hull = _splice_cycle_2d(verts, points[j])
                 new = site.cut_mask(_facets_from_cycle_2d(hull))
             else:
                 poly = convex_hull(verts + (points[j],))
@@ -103,7 +104,7 @@ def enumerate_convex_subsets(
                     raise BudgetExceededError(
                         f"more than {max_states} closed subsets; raise max_states"
                     )
-                queue.append(new)
+                queue.append((new, hull))
     order = sorted(found, key=lambda m: (m.bit_count(), site.points_of(m)))
     return {m: found[m] for m in order}
 

@@ -2,16 +2,19 @@
 
 All arithmetic is exact (int / Fraction).  Convex hulls are supported for
 affine dimension up to 5: dimensions 0-2 directly, 3-5 by a fraction-free
-double description on the polar dual.  Full-dimensional inputs are hulled
-as they are; inputs of lower affine dimension than their ambient space
-are projected onto a saturated basis of their affine lattice, hulled
-there, and lifted back, so facet data is always integral.  A planar hull
-cycle grows by a point outside it in O(v) by beneath-beyond
-(_splice_cycle_2d), without a new hull.  Membership in a finite site is
-one path: FiniteSite.cut_mask ANDs the site's memoized halfspace masks,
-over the facets and affine-hull equations of a polytope in site_mask.
-Over the integer lattice, points are counted and listed by exact row
-intervals of the last coordinate, one per point of the box of the others.
+double description on the polar dual, started from the dual simplex of
+an affinely independent base.  Full-dimensional inputs are hulled as
+they are; an input of lower affine dimension d is projected onto d
+coordinates on which its affine hull is one to one, hulled there, and
+its facets are lifted by zeros in the dropped coordinates, so facet data
+is always integral.  A planar hull cycle grows by a point outside it in
+O(v) by beneath-beyond (_splice_cycle_2d), without a new hull.
+Membership in a finite site is one path: FiniteSite.cut_mask ANDs the
+site's memoized halfspace masks, over the facets and affine-hull
+equations of a polytope in site_mask.  Over the integer lattice, points
+are counted and listed by exact row intervals of the last coordinate,
+one per point of the box of the others; a degenerate polytope is counted
+in the chart of a saturated basis of its affine lattice (_affine_chart).
 """
 
 from __future__ import annotations
@@ -112,7 +115,7 @@ def solve_rational(rows: Sequence[Sequence], rhs: Sequence) -> Optional[list[Fra
     """One exact solution of rows * x = rhs, or None if inconsistent.
 
     Free variables are set to zero.  Intended for the tiny systems that
-    appear in affine projections and facet lifts.
+    write the vertices of a degenerate polytope in its affine chart.
     """
     m = len(rows)
     n = len(rows[0]) if m else 0
@@ -340,10 +343,6 @@ class LatticePolytope:
     def is_full_dimensional(self) -> bool:
         return self.affine_dim == self.ambient_dim
 
-    @property
-    def vertex_set(self) -> frozenset:
-        return frozenset(self.vertices)
-
     def facet_count(self) -> int:
         return len(self.facets)
 
@@ -363,22 +362,11 @@ class LatticePolytope:
             for normal in integer_kernel_basis(diffs, self.ambient_dim)
         )
 
-    def _in_affine_hull(self, p: Point) -> bool:
-        return all(_dot(n, p) == c for n, c in self.equalities)
-
     def contains(self, p: Point) -> bool:
         """Exact membership; for degenerate polytopes the affine hull counts."""
-        return self._in_affine_hull(p) and all(_dot(n, p) <= c for n, c in self.facets)
-
-    def strictly_contains(self, p: Point) -> bool:
-        """Ambient-interior membership (always False when degenerate)."""
-        if not self.is_full_dimensional:
-            return False
-        return all(_dot(n, p) < c for n, c in self.facets)
-
-    def relatively_contains(self, p: Point) -> bool:
-        """Relative-interior membership (strict within the affine hull)."""
-        return self._in_affine_hull(p) and all(_dot(n, p) < c for n, c in self.facets)
+        return all(_dot(n, p) == c for n, c in self.equalities) and all(
+            _dot(n, p) <= c for n, c in self.facets
+        )
 
     def bounding_box(self) -> tuple[tuple[int, int], ...]:
         lo = tuple(min(v[i] for v in self.vertices) for i in range(self.ambient_dim))
@@ -484,13 +472,15 @@ def _dd_hull(points: Sequence[Point], d: int) -> tuple[tuple, tuple]:
 
     The dual polytope {y : (p - c) . y <= 1 for every input p}, with c the
     centroid of an affinely independent base, is cut out one constraint
-    at a time from a certified bounding cube (Fukuda & Prodon, "Double
-    description method revisited", 1996).  The arithmetic is fraction
-    free: each dual vertex is a primitive integer vector (Y, w) with
-    w > 0 standing for y = Y / w.  A new vertex on the edge from an inner
-    vertex i to an outer vertex o is vals[o] (Y_i, w_i) - vals[i] (Y_o, w_o)
-    over its gcd, and its tight set is (t_i & t_o) | {new}: a constraint
-    tight strictly inside the edge is tight at both of its ends.
+    at a time (Fukuda & Prodon, "Double description method revisited",
+    1996), starting from the dual of the base simplex: its vertex opposite
+    base point j is tight at the d other base constraints.  The arithmetic
+    is fraction free: each dual vertex is a primitive integer vector
+    (Y, w) with w > 0 standing for y = Y / w.  A new vertex on the edge
+    from an inner vertex i to an outer vertex o is vals[o] (Y_i, w_i) -
+    vals[i] (Y_o, w_o) over its gcd, and its tight set is
+    (t_i & t_o) | {new}: a constraint tight strictly inside the edge is
+    tight at both of its ends.
     """
     pts = sorted(set(points))
     base = _affinely_independent_subset(pts, d)
@@ -501,28 +491,20 @@ def _dd_hull(points: Sequence[Point], d: int) -> tuple[tuple, tuple]:
     # Dual halfspaces: (p - c) . y <= 1, scaled integral: omega . y <= q.
     omegas = [tuple(q * p[i] - centroid_q[i] for i in range(d)) for p in pts]
 
-    # Certified bound on dual vertex coordinates via Hadamard + Cramer.
-    m_entry = max(q, max(abs(x) for w in omegas for x in w))
-    bound = d ** d * m_entry ** d + 1
-
-    # Start from the bounding cube; box constraint ids are negative.  The
-    # normals are kept for the algebraic adjacency test.
-    normals: dict[int, tuple] = {}
-    for j in range(d):
-        for sign in range(2):
-            v = [0] * d
-            v[j] = 1 if sign == 0 else -1
-            normals[-(2 * j + sign + 1)] = tuple(v)
-
+    # The vertex opposite base point j spans the kernel of the rows
+    # (omega_i, -q), i != j; any d base omegas are independent, so w != 0.
+    base_ids = [pts.index(p) for p in base]
     verts: list[tuple[tuple, int, frozenset]] = []
-    for corner in itertools.product((-bound, bound), repeat=d):
-        tight = frozenset(
-            -(2 * j + (0 if corner[j] > 0 else 1) + 1) for j in range(d)
-        )
-        verts.append((corner, 1, tight))
+    for j in base_ids:
+        tight = [i for i in base_ids if i != j]
+        (yw,) = integer_kernel_basis([omegas[i] + (-q,) for i in tight], q)
+        if yw[-1] < 0:
+            yw = tuple(-x for x in yw)
+        verts.append((yw[:-1], yw[-1], frozenset(tight)))
 
     for new_idx, omega in enumerate(omegas):
-        normals[new_idx] = omega
+        if new_idx in base_ids:
+            continue
         vals = [sum(map(mul, omega, y)) - q * w for y, w, _ in verts]
         ins = [i for i, v in enumerate(vals) if v < 0]
         outs = [i for i, v in enumerate(vals) if v > 0]
@@ -536,7 +518,7 @@ def _dd_hull(points: Sequence[Point], d: int) -> tuple[tuple, tuple]:
                 common = ti & to
                 if len(common) < d - 1:
                     continue
-                if rational_rank([normals[c] for c in common]) != d - 1:
+                if rational_rank([omegas[c] for c in common]) != d - 1:
                     continue
                 vo = vals[o]
                 y = [vo * a - vi * b for a, b in zip(yi, yo)]
@@ -547,9 +529,6 @@ def _dd_hull(points: Sequence[Point], d: int) -> tuple[tuple, tuple]:
         kept += [(y, w, tight | {new_idx}) for y, w, tight in (verts[i] for i in ons)]
         kept += [(y, w, tight) for (y, w), tight in new_verts.items()]
         verts = kept
-
-    for _y, _w, tight in verts:
-        assert all(idx >= 0 for idx in tight), "dual polytope touched the start box"
 
     # Each dual vertex is a primal facet: Y . (q x - q c) <= q w.
     facets = set()
@@ -594,48 +573,34 @@ def convex_hull(points: Iterable[Point]) -> LatticePolytope:
     if any(len(p) != n for p in pts):
         raise ValueError("mixed point dimensions")
 
-    # Full-dimensional input needs no lattice basis: hull it directly.
-    if len(_affinely_independent_subset(pts, n)) == n + 1:
+    base = _affinely_independent_subset(pts, n)
+    d = len(base) - 1
+    if d == n:
         vertices, facets = _hull_full_dim(pts, n)
         if n == 2:
             return LatticePolytope(vertices, facets, n, n)
         return LatticePolytope(tuple(sorted(vertices)), facets, n, n)
 
-    basis = saturated_direction_basis(pts)
-    d = len(basis)
-    if d > _HULL_DIM_LIMIT:
-        raise UnsupportedDimensionError(
-            f"exact hulls support affine dimension <= {_HULL_DIM_LIMIT}, got {d}"
-        )
-
-    # Degenerate: hull in saturated affine coordinates, lift facets back.
-    p0 = pts[0]
-    rows = [[basis[j][i] for j in range(d)] for i in range(n)]
-    coords = []
-    for p in pts:
-        sol = solve_rational(rows, _sub(p, p0))
-        assert sol is not None, "input point outside its own affine hull"
-        assert all(x.denominator == 1 for x in sol), "saturation guarantees integrality"
-        coords.append(tuple(int(x) for x in sol))
-    coord_map = dict(zip(coords, pts))
-
-    sub_vertices, sub_facets = _hull_full_dim(coords, d)
-    vertices = tuple(sorted(coord_map[u] for u in sub_vertices))
-
-    bt_rows = [[basis[j][i] for i in range(n)] for j in range(d)]  # B^T
+    # Degenerate: keep the first d coordinates on which the directions of
+    # the affine hull have rank d.  Dropping the others maps the affine
+    # hull one to one onto Q^d and its lattice points into Z^d, so the
+    # hull there has the same vertices, and a facet m . x_R <= c of it is
+    # the facet of the input with normal m at the kept positions.
+    diffs = [_sub(p, base[0]) for p in base[1:]]
+    kept: list[int] = []
+    for i in range(n):
+        if rational_rank([[row[j] for j in kept + [i]] for row in diffs]) > len(kept):
+            kept.append(i)
+    lift = {tuple(p[i] for i in kept): p for p in pts}
+    sub_vertices, sub_facets = _hull_full_dim(list(lift), d)
+    vertices = tuple(sorted(lift[u] for u in sub_vertices))
     facets = []
-    for ntilde, ctilde in sub_facets:
-        sol = solve_rational(bt_rows, ntilde)
-        assert sol is not None, "B^T has full row rank"
-        denom = 1
-        for x in sol:
-            denom = denom * x.denominator // gcd(denom, x.denominator)
-        normal = tuple(int(x * denom) for x in sol)
-        offset = _dot(normal, p0) + denom * ctilde
-        g = _vec_gcd(normal)
-        assert g and offset % g == 0
-        facets.append((tuple(x // g for x in normal), offset // g))
-    return LatticePolytope(vertices, tuple(sorted(set(facets))), n, d)
+    for m, c in sub_facets:
+        normal = [0] * n
+        for i, x in zip(kept, m):
+            normal[i] = x
+        facets.append((tuple(normal), c))
+    return LatticePolytope(vertices, tuple(sorted(facets)), n, d)
 
 
 # ---------------------------------------------------------------------------
@@ -742,22 +707,16 @@ def closure(points: Iterable[Point], site: Site) -> tuple:
 
 
 def census(polytope: LatticePolytope, site: Site, *, relative: bool = False) -> PointCensus:
-    """Classify the site points of a polytope.
+    """Classify the lattice points of a polytope; site must be Z_LATTICE.
 
     interior counts ambient-interior points by default (zero whenever the
     polytope is not full-dimensional); relative=True switches to the
-    relative interior.  Over the integer lattice the points are counted
-    by row intervals, and vertex counts the hull vertices found inside
-    their rows' intervals.
+    relative interior.  The points are counted by row intervals, and
+    vertex counts the hull vertices found inside their rows' intervals.
     """
-    if isinstance(site, FiniteSite):
-        pts = lattice_points_in(polytope, site)
-        vset = polytope.vertex_set
-        inside = polytope.relatively_contains if relative else polytope.strictly_contains
-        total = len(pts)
-        vertex = sum(1 for p in pts if p in vset)
-        interior = sum(1 for p in pts if p not in vset and inside(p))
-    elif polytope.affine_dim == 0:
+    if site is not Z_LATTICE:
+        raise ValueError("census counts the points of the integer lattice only")
+    if polytope.affine_dim == 0:
         total = vertex = 1
         interior = 0
     elif not polytope.is_full_dimensional:

@@ -8,6 +8,7 @@ subcommands share one small cache built once per session (conftest).
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -52,6 +53,22 @@ def test_grid_json_matches_schema(capsys):
     # null witness exactly where g is minus infinity
     assert doc["witnesses"][4] is None
     assert all(w is not None for i, w in enumerate(doc["witnesses"]) if i != 4)
+
+
+GOLDEN_GRID = Path(__file__).resolve().parent / "golden" / "grid"
+
+
+@pytest.mark.parametrize(
+    "name", ["5x4_k20.csv", "2x2x2_k8.json", "3x3x1_k9.csv", "3x2x2_k12.csv"]
+)
+def test_grid_output_matches_golden_bytes(capsys, name):
+    stem, fmt = name.split(".")
+    dims, kmax = stem.split("_k")
+    code, out, err = run_cli(
+        capsys, ["grid", "--dims", dims, "--kmax", kmax, "--format", fmt]
+    )
+    assert (code, err) == (0, "")
+    assert out.encode() == (GOLDEN_GRID / name).read_bytes()
 
 
 def test_grid_three_dimensional(capsys):
@@ -245,6 +262,21 @@ def test_usage_errors_exit_two(capsys):
     assert run_cli(capsys, ["maximal", "--k", "0", "--cache", "/tmp"])[0] == 2
     assert run_cli(capsys, ["constants", "--n-range", "5..3"])[0] == 2
     assert run_cli(capsys, ["witness", "--suite", "theorem4"])[0] == 2
+
+
+@pytest.mark.parametrize("precision", ["10", "63", "8193", "100000"])
+def test_constants_precision_out_of_range_exits_two(capsys, precision):
+    code, out, err = run_cli(
+        capsys, ["constants", "--n-range", "2..2", "--precision", precision]
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: precision must be between 64 and 8192 bits\n"
+
+
+def test_constants_precision_lower_end_is_accepted(capsys):
+    code, out, _ = run_cli(capsys, ["constants", "--n-range", "2..2", "--precision", "64"])
+    assert code == 0
+    assert out.startswith("constants n=2:")
 
 
 def test_missing_subcommand_exits_two(capsys):

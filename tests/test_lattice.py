@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 from qhelly.errors import DegenerateInputError, SiteMembershipError, UnsupportedDimensionError
 from qhelly.lattice import (
     FiniteSite,
+    LatticePolytope,
     Z_LATTICE,
     _facets_from_cycle_2d,
     _splice_cycle_2d,
@@ -116,6 +118,37 @@ def brute_facets(points, dim):
         elif all(v >= offset for v in values):
             out.add((tuple(-x for x in normal), -offset))
     return out
+
+
+def basis_route_hull(points):
+    """The hull of lattice points, hulled in saturated affine coordinates.
+
+    The points are written in a saturated basis B of their direction
+    lattice, hulled there in Z^d, and each facet m . u <= c is lifted to
+    the primitive multiple of the solution x of B^T x = m with the free
+    variables at zero.
+    """
+    pts = sorted(set(points))
+    n, p0 = len(pts[0]), pts[0]
+    basis = saturated_direction_basis(pts)
+    rows = [[b[i] for b in basis] for i in range(n)]
+    lift = {}
+    for p in pts:
+        sol = solve_rational(rows, [a - b for a, b in zip(p, p0)])
+        assert all(x.denominator == 1 for x in sol), "saturation gives integer coordinates"
+        lift[tuple(int(x) for x in sol)] = p
+    inner = convex_hull(lift)
+    facets = set()
+    for m, c in inner.facets:
+        sol = solve_rational(basis, m)
+        denom = lcm(*(x.denominator for x in sol))
+        normal = [int(x * denom) for x in sol]
+        offset = sum(a * b for a, b in zip(normal, p0)) + denom * c
+        g = gcd(*normal)
+        assert offset % g == 0, "a facet of a lattice polytope is a lattice hyperplane"
+        facets.add((tuple(x // g for x in normal), offset // g))
+    vertices = tuple(sorted(lift[u] for u in inner.vertices))
+    return LatticePolytope(vertices, tuple(sorted(facets)), n, len(basis))
 
 
 # --- linear algebra helpers -------------------------------------------------
@@ -312,6 +345,90 @@ def test_hull_dimension_limit():
         convex_hull(simplex)
 
 
+@st.composite
+def flat_lattice_points(draw):
+    """Integer combinations of d < n random directions in Z^n, n <= 6."""
+    n = draw(st.integers(1, 6))
+    d = draw(st.integers(0, n - 1))
+    base = draw(st.tuples(*[st.integers(-4, 4)] * n))
+    directions = [draw(st.tuples(*[st.integers(-3, 3)] * n)) for _ in range(d)]
+    weights = draw(
+        st.lists(st.tuples(*[st.integers(-2, 2)] * d), min_size=1, max_size=d + 5)
+    )
+    return [
+        tuple(b + sum(w * v[i] for w, v in zip(ws, directions)) for i, b in enumerate(base))
+        for ws in weights
+    ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(flat_lattice_points())
+@example([(0, 0, 0), (2, 0, 2), (0, 2, 2), (1, 1, 2)])  # a plane off the coordinate axes
+@example([(0, 0, 0), (2, 4, 6), (4, 8, 12)])  # a line through an even sublattice
+@example([(0, 0, 0, 0), (0, 2, 1, 0), (0, 0, 3, 1), (0, 3, 3, 1)])  # x_1 = 0 and more
+def test_degenerate_hull_matches_the_basis_route(points):
+    P = convex_hull(points)
+    Q = basis_route_hull(points)
+    assert P == Q
+    assert P.equalities == Q.equalities
+    assert len(P.equalities) == P.ambient_dim - P.affine_dim
+    assert all(
+        sum(a * b for a, b in zip(normal, p)) == offset
+        for normal, offset in P.equalities
+        for p in points
+    )
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_six_dimensional_hulls_raise_on_both_routes(n):
+    simplex = [(0,) * n] + [tuple(int(i == j) for i in range(n)) for j in range(6)]
+    messages = []
+    for route in (convex_hull, basis_route_hull):
+        with pytest.raises(UnsupportedDimensionError) as raised:
+            route(simplex)
+        messages.append(str(raised.value))
+    assert messages[0] == messages[1] == "exact hulls support affine dimension <= 5, got 6"
+
+
+def _assert_hull_matches_brute(pts, dim):
+    P = convex_hull(pts)
+    assert set(P.vertices) == brute_vertices(pts, dim)
+    assert set(P.facets) == brute_facets(pts, dim)
+
+
+@pytest.mark.parametrize(
+    "values,dim,count",
+    [((0, 1, 2), 3, 25), ((0, 1, 2), 4, 6), ((0, 1), 5, 4)],
+)
+def test_dd_hull_matches_brute_on_grid_subsets(values, dim, count):
+    # many coplanar points: dual vertices with more than d tight constraints
+    rng = random.Random(20261018 + dim)
+    grid = list(itertools.product(values, repeat=dim))
+    checked = 0
+    while checked < count:
+        pts = sorted(rng.sample(grid, rng.randint(dim + 2, dim + 6)))
+        if rational_rank([tuple(a - b for a, b in zip(p, pts[0])) for p in pts[1:]]) < dim:
+            continue
+        _assert_hull_matches_brute(pts, dim)
+        checked += 1
+
+
+@pytest.mark.parametrize(
+    "pts",
+    [
+        # three collinear points (1, 2, t, 0)
+        [(0, 2, 1, 2), (0, 2, 2, 0), (1, 1, 1, 2), (1, 2, 0, 0),
+         (1, 2, 1, 0), (1, 2, 2, 0), (2, 0, 2, 1), (2, 1, 1, 2)],
+        [(0, 0, 1, 0, 0), (0, 0, 1, 0, 1), (0, 1, 1, 1, 0), (0, 1, 1, 1, 1), (1, 0, 1, 0, 0),
+         (1, 0, 1, 1, 1), (1, 1, 0, 0, 1), (1, 1, 0, 1, 0), (1, 1, 1, 0, 1)],
+    ],
+)
+def test_dd_hull_pairs_only_adjacent_dual_vertices(pts):
+    # d - 1 points on a (d - 3)-flat are d - 1 dual constraints of rank
+    # d - 2: two dual vertices tight at all of them need not share an edge
+    _assert_hull_matches_brute(pts, len(pts[0]))
+
+
 def test_degenerate_hull_in_ambient_3d():
     P = convex_hull([(0, 0, 0), (2, 0, 2), (0, 2, 2), (1, 1, 2)])
     assert P.affine_dim == 2
@@ -320,6 +437,12 @@ def test_degenerate_hull_in_ambient_3d():
     # scaled copy gains a relative-interior point
     Q = convex_hull([(0, 0, 0), (3, 0, 3), (0, 3, 3)])
     assert census(Q, Z_LATTICE, relative=True).interior == 1
+
+
+def test_census_counts_the_integer_lattice_only():
+    P = convex_hull([(0, 0), (1, 0), (0, 1)])
+    with pytest.raises(ValueError, match="integer lattice"):
+        census(P, FiniteSite.grid(2, 2))
 
 
 # --- point enumeration and closure ------------------------------------------
