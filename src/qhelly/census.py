@@ -1,35 +1,34 @@
 """Census of planar lattice polygons by interior point count, and the
 derived counting profile of the full planar lattice.
 
-Enumeration idea: every equivalence class (unimodular maps + translations)
-of lattice polygons with lattice width >= 2 has a placement whose vertical
-extent h is small (Scott's inequality b <= 2i + 7 plus Pick gives
-A <= 2i + 5/2 for i >= 1, against A >= 3w^2/8 the width obeys
-w <= sqrt((16i + 20)/3); one extra unit of headroom is kept) and whose
-rows y = 0..h are nonempty integer intervals [a_j, b_j].  The DFS below
-walks rows bottom-up, keeps the exact left/right hull chains, and prunes
-with necessary conditions only, so no valid completion is ever cut:
+Enumeration (Castryck, Moving out the edges of a lattice polygon, 2012):
+classes under unimodular maps and translations are built bucket by
+bucket, bucket i holding the classes with i interior points, each from
+top polygons that contain every class of one family up to equivalence:
 
-  - ceil/floor consistency: each recorded row must remain exactly the
-    lattice slice of the growing hull (left boundaries only move left as
-    rows are added, so a violation is permanent);
-  - convexity steps a' >= 2a - a_prev - 1, b' <= 2b - b_prev + 1;
-  - a_j <= h - 1 and b_j >= 0 (boundary values interpolate the anchored
-    end rows);
-  - middle rows have at most i_max + 2 points, end rows at most
-    2 i_max + 7 (each interior row point besides its endpoints is an
-    interior point of the polygon);
-  - the interior count of the partial hull is monotone, so interior
-    budget overruns prune.
+  - i = 0: 2 Delta alone (see the width rule below);
+  - i = 1: the three maximal polygons with one interior point;
+  - interior points collinear (i >= 2): after a unimodular map they are
+    (1,1)..(i,1), the polygon lies in the strip 0 <= y <= 2, and its
+    hull of rows [a, b] on y = 0, a in {0, 1}, and [0, d] on y = 2 with
+    b + d in {2i+1, 2i+2}, with or without (0,1) and (i+1,1), is a top;
+  - interior hull Q = conv(int P) two-dimensional: Q has exactly i
+    lattice points, so it is a class of a lower bucket with total i or
+    a width-1 trapezoid, and P lies in Q^(-1), the polygon bounded by
+    the edge lines of Q moved out by lattice distance 1 (Koelman).
+    Q^(-1) is the top, when its vertices are lattice points.
 
-Translation is fixed by a_0 = 0, the shear by a_h in [0, h-1].  Leaves
-are validated and deduplicated through the canonical form; the interior
-count the row arithmetic gives every leaf is re-checked against Pick's
-formula (shoelace area and edge gcds), and the same O(v) counts validate
-every class loaded from the cache.  The lattice core's row-interval
-census is the independent route the tests compare them against.  A
-loaded class is not re-canonicalized: its stored cycle is checked to be
-no larger than any of its 2v anchored images and equal to one of them.
+From each top one vertex is dropped at a time (the hull of the
+remaining lattice points) while Pick's formula still gives i, so every
+polygon of the family below the top is reached; classes are
+deduplicated by canonical form and only new ones descended from.
+conv(int P) is a unimodular invariant, so the families share no class
+and their shards run independently.  Pick's formula (shoelace area and
+edge gcds) gives every class its counts, and the same O(v) counts
+validate every class loaded from the cache.  A loaded class is not
+re-canonicalized: its stored cycle is checked to be no larger than any
+of its 2v anchored images and equal to one of them.  The tests hold the
+enumeration against the row search that first wrote the census files.
 
 Lattice width needs no search.  A polygon with an interior lattice point
 has width >= 2: width 1 would put it in a strip a <= u.x <= a + 1, whose
@@ -86,16 +85,31 @@ _CACHE_VERSION = "polygon-census v1"
 
 
 def max_height(i_max: int) -> int:
-    """Largest vertical extent enumerated for interior count <= i_max.
+    """ceil(sqrt((16 i + 20) / 3)) + 1 for i = i_max, exactly.
 
-    ceil(sqrt((16 i + 20) / 3)) + 1, exactly: the width bound from Scott
-    plus Pick against the area lower bound, with one unit of headroom.
+    A class with i interior points has lattice width at most
+    sqrt((16 i + 20) / 3) (Scott's b <= 2i + 7 and Pick give A <= 2i + 5/2,
+    against A >= 3w^2/8); with one unit of headroom this is the height of
+    the row search that first certified the census, and it enters the
+    box= value of the census file header.
     """
     num = 16 * i_max + 20
     s = isqrt(num // 3)
     while 3 * s * s < num:
         s += 1
     return s + 1
+
+
+def certified_box_bound(i_max: int) -> int:
+    """The box= value written in the header of census file i_max.
+
+    It is the horizontal window, 2 i + 2 max_height(i) + 10, within which
+    the row search that first certified the census placed every class.
+    The census files keep it so their bytes stay as they were, and
+    CensusStore.is_complete accepts a file only when its box is at least
+    this value.
+    """
+    return 2 * i_max + 2 * max_height(i_max) + 10
 
 
 # ---------------------------------------------------------------------------
@@ -137,156 +151,7 @@ def _has_width_two(interior: int, canon: tuple) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# row DFS
-
-
-def _chain_eval(chain: Sequence[tuple], m: int) -> tuple[int, int]:
-    """Value of the piecewise-linear chain at height m, as (num, den)."""
-    for idx in range(len(chain) - 1):
-        (m1, x1), (m2, x2) = chain[idx], chain[idx + 1]
-        if m1 <= m <= m2:
-            return (x1 * (m2 - m1) + (x2 - x1) * (m - m1), m2 - m1)
-    m1, x1 = chain[-1]
-    assert m == m1
-    return (x1, 1)
-
-
-def _count_open(lnum: int, lden: int, rnum: int, rden: int) -> int:
-    """Integers z with lnum/lden < z < rnum/rden (positive denominators)."""
-    lo = lnum // lden + 1
-    hi = -((-rnum) // rden) - 1
-    return hi - lo + 1 if hi >= lo else 0
-
-
-def _row_consistent(rows: Sequence[tuple], lchain, rchain, m: int) -> bool:
-    a, b = rows[m]
-    lnum, lden = _chain_eval(lchain, m)
-    if not ((a - 1) * lden < lnum <= a * lden):
-        return False
-    rnum, rden = _chain_eval(rchain, m)
-    return b * rden <= rnum < (b + 1) * rden
-
-
-def _row_interior(rows: Sequence[tuple], lchain, rchain, m: int) -> int:
-    lnum, lden = _chain_eval(lchain, m)
-    rnum, rden = _chain_eval(rchain, m)
-    return _count_open(lnum, lden, rnum, rden)
-
-
-def _push_left(chain: list, m: int, x: int) -> int:
-    """Append (m, x) to the lower-convex chain; return height of the last
-    surviving vertex before the new point (start of the rebuilt span)."""
-    while len(chain) >= 2:
-        (m1, x1), (m2, x2) = chain[-2], chain[-1]
-        # pop the middle vertex when it is not strictly below the chord
-        if (x2 - x1) * (m - m1) >= (x - x1) * (m2 - m1):
-            chain.pop()
-        else:
-            break
-    start = chain[-1][0]
-    chain.append((m, x))
-    return start
-
-
-def _push_right(chain: list, m: int, x: int) -> int:
-    while len(chain) >= 2:
-        (m1, x1), (m2, x2) = chain[-2], chain[-1]
-        # pop when not strictly above the chord
-        if (x2 - x1) * (m - m1) <= (x - x1) * (m2 - m1):
-            chain.pop()
-        else:
-            break
-    start = chain[-1][0]
-    chain.append((m, x))
-    return start
-
-
-def certified_box_bound(i_max: int) -> int:
-    """Smallest horizontal search window the enumeration may use.
-
-    Every class with interior count <= i_max has a normalized placement
-    whose row endpoints satisfy |x| <= this bound: end rows carry at most
-    2 i_max + 6 non-vertex steps, middle rows at most i_max + 1, and the
-    shear normalization keeps the left chain within the vertical extent.
-    """
-    return 2 * i_max + 2 * max_height(i_max) + 10
-
-
-def _enumerate_rows(i_max: int, h: int, b0: int, window: int, out: list) -> None:
-    """DFS over row interval stacks for one (height, bottom width) shard.
-
-    Appends raw leaves (tuples of rows) with exact partial interior count
-    <= i_max to out as (rows, interior) pairs.  All row endpoints are
-    confined to [-window, window].
-    """
-    mid_cap = i_max + 2
-    end_cap = 2 * i_max + 7
-
-    rows = [(0, b0)]
-    lchain = [(0, 0)]
-    rchain = [(0, b0)]
-    contrib = [0]
-
-    def place(j: int, a: int, b: int, total: int) -> None:
-        # j = height of the new row; chains/contrib reflect rows[0..j-1]
-        lsave = list(lchain)
-        rsave = list(rchain)
-        rows.append((a, b))
-        contrib.append(0)
-        lstart = _push_left(lchain, j, a)
-        rstart = _push_right(rchain, j, b)
-        ok = True
-        affected = set(range(lstart + 1, j)) | set(range(rstart + 1, j))
-        affected.add(j - 1)
-        affected.discard(0)
-        for m in affected:
-            if not _row_consistent(rows, lchain, rchain, m):
-                ok = False
-                break
-        csave = {m: contrib[m] for m in affected}
-        if ok:
-            new_total = total
-            for m in affected:
-                c = _row_interior(rows, lchain, rchain, m)
-                new_total += c - contrib[m]
-                contrib[m] = c
-            if new_total <= i_max:
-                if j == h:
-                    out.append((tuple(rows), new_total))
-                else:
-                    extend(j, new_total)
-        rows.pop()
-        contrib.pop()
-        for m, c in csave.items():
-            contrib[m] = c
-        lchain[:] = lsave
-        rchain[:] = rsave
-
-    def extend(j: int, total: int) -> None:
-        a_j, b_j = rows[j]
-        if j >= 1:
-            a_prev, b_prev = rows[j - 1]
-            a_lo = 2 * a_j - a_prev - 1
-            b_hi = 2 * b_j - b_prev + 1
-        else:
-            a_lo = -window
-            b_hi = window
-        nxt = j + 1
-        if nxt == h:
-            a_lo = max(a_lo, 0)
-            a_hi = h - 1
-            cap = end_cap
-        else:
-            a_lo = max(a_lo, -window)
-            a_hi = h - 1
-            cap = mid_cap
-        b_hi_clip = min(b_hi, window)
-        for a in range(a_lo, a_hi + 1):
-            top = min(b_hi_clip, a + cap - 1)
-            for b in range(max(a, 0), top + 1):
-                place(nxt, a, b, total)
-
-    extend(0, 0)
+# enumeration by moving out the edges
 
 
 def _polygon(cycle: tuple) -> LatticePolytope:
@@ -311,114 +176,181 @@ def _pick_counts(cycle: Sequence[tuple]) -> tuple[int, int]:
     return (twice_area - b + 2) // 2, b - len(cycle)
 
 
-def _is_hull_cycle(cycle: Sequence[tuple]) -> bool:
-    """Whether a vertex cycle is the one _hull_cycle_2d gives for its points.
+# the three maximal polygons with one interior point
+_REFLEXIVE_TOPS = (
+    ((-1, -1), (2, -1), (-1, 2)),
+    ((-1, -1), (1, -1), (1, 1), (-1, 1)),
+    ((-1, -1), (3, -1), (-1, 1)),
+)
 
-    One pass checks that the cycle starts at its lex-min vertex, that
-    every turn is strictly left and that the edge directions wind exactly
-    once; a closed path with these turns and one winding is a strictly
-    convex polygon traversed counterclockwise.  A strict left turn is
-    less than a half turn, so the direction enters the upper half-plane
-    (dy > 0, or dy = 0 < dx) from the lower one once per winding.
+
+def _collinear_tops(i: int) -> Sequence:
+    """The tops of the polygons whose i >= 1 interior points are collinear.
+
+    At i = 1 they are the three maximal polygons with one interior point.
+    For i >= 2 they are point sets in the strip 0 <= y <= 2 (see the
+    module docstring); a hull with another interior count is dropped by
+    the Pick check of _descend.
     """
-    if len(cycle) < 3 or min(cycle) != cycle[0]:
-        return False
-    (px, py), (qx, qy) = cycle[-2], cycle[-1]
-    dx, dy = qx - px, qy - py
-    lower = dy < 0 or (dy == 0 and dx < 0)
-    windings = 0
-    for x, y in cycle:
-        ex, ey = x - qx, y - qy
-        if dx * ey - dy * ex <= 0:
-            return False
-        below = ey < 0 or (ey == 0 and ex < 0)
-        if lower and not below:
-            windings += 1
-        dx, dy, lower = ex, ey, below
-        qx, qy = x, y
-    return windings == 1
+    if i == 1:
+        return _REFLEXIVE_TOPS
+    tops = []
+    for a in (0, 1):
+        for s in (2 * i + 1, 2 * i + 2):
+            for b in range(a, s + 1):
+                rows = [(a, 0), (b, 0), (0, 2), (s - b, 2)]
+                for extra in ((), ((0, 1),), ((i + 1, 1),), ((0, 1), (i + 1, 1))):
+                    tops.append(rows + list(extra))
+    return tops
 
 
-def _leaf_to_class(rows: Sequence[tuple], interior: int) -> Optional[CensusClass]:
-    """Validate one raw leaf: hull, the row arithmetic's interior count
-    against Pick's formula, and lattice width >= 2."""
-    pts = set()
-    for m, (a, b) in enumerate(rows):
-        pts.add((a, m))
-        pts.add((b, m))
-    cycle = _hull_cycle_2d(pts)
-    if len(cycle) < 3:
-        return None
-    pick_interior, boundary = _pick_counts(cycle)
-    assert pick_interior == interior, "row arithmetic disagrees with Pick's formula"
-    canon = canonical_form_2d(_polygon(cycle))
-    if not _has_width_two(interior, canon):
-        return None
-    return CensusClass(vertices=canon, interior=interior, boundary=boundary)
+def _moved_out(q: tuple) -> Optional[tuple]:
+    """Q^(-1): the edge lines of the polygon Q, each moved out by lattice
+    distance 1, as a hull cycle, or None when it is no lattice polygon
+    with one edge per edge of Q.
+
+    Every intersection of consecutive moved lines must be integral and
+    satisfy every moved half-plane.
+    """
+    lines = []
+    px, py = q[-1]
+    for x, y in q:
+        g = gcd(x - px, y - py)
+        nx, ny = (py - y) // g, (x - px) // g
+        lines.append((nx, ny, nx * px + ny * py - 1))
+        px, py = x, y
+    points = []
+    (ax, ay, ac) = lines[-1]
+    for bx, by, bc in lines:
+        det = ax * by - ay * bx
+        x, xr = divmod(ac * by - bc * ay, det)
+        y, yr = divmod(ax * bc - bx * ac, det)
+        if xr or yr or any(nx * x + ny * y < c for nx, ny, c in lines):
+            return None
+        points.append((x, y))
+        ax, ay, ac = bx, by, bc
+    return _hull_cycle_2d(points)
 
 
-def _shard_worker(args: tuple) -> list:
-    i_max, h, b0, window = args
-    raw: list = []
-    _enumerate_rows(i_max, h, b0, window, raw)
-    out = []
-    handled: set = set()
-    for rows, interior in raw:
-        cls = _leaf_to_class(rows, interior)
-        if cls is None or cls.vertices in handled:
+def _drop_vertex(cycle: tuple, j: int) -> tuple:
+    """Hull cycle of the lattice points of a polygon other than vertex j.
+
+    They are the other vertices and the lattice points of the triangle
+    that vertex j spans with its two neighbours.
+    """
+    (ux, uy), (vx, vy), (wx, wy) = cycle[j - 1], cycle[j], cycle[(j + 1) % len(cycle)]
+    points = [p for k, p in enumerate(cycle) if k != j]
+    for x in range(min(ux, vx, wx), max(ux, vx, wx) + 1):
+        for y in range(min(uy, vy, wy), max(uy, vy, wy) + 1):
+            if (
+                (vx - ux) * (y - uy) >= (vy - uy) * (x - ux)
+                and (wx - vx) * (y - vy) >= (wy - vy) * (x - vx)
+                and (ux - wx) * (y - wy) >= (uy - wy) * (x - wx)
+                and (x, y) != (vx, vy)
+            ):
+                points.append((x, y))
+    return _hull_cycle_2d(points)
+
+
+def _descend(shard: tuple) -> list:
+    """Every class with i interior points inside one of the top polygons.
+
+    From each top, one vertex is dropped at a time (the hull of the
+    remaining lattice points) while Pick's formula still gives i; classes
+    are deduplicated by canonical form, and only new ones are descended
+    from, since an equivalence maps the descendants of one polygon onto
+    those of the other.
+    """
+    i, tops = shard
+    found: dict = {}
+    stack = [_hull_cycle_2d(top) for top in tops]
+    while stack:
+        cycle = stack.pop()
+        interior, boundary = _pick_counts(cycle)
+        if interior != i:
             continue
-        handled.add(cls.vertices)
-        out.append(cls)
-    return out
+        canon = canonical_form_2d(_polygon(cycle))
+        if canon in found:
+            continue
+        found[canon] = CensusClass(vertices=canon, interior=i, boundary=boundary)
+        stack.extend(_drop_vertex(canon, j) for j in range(len(canon)))
+    return list(found.values())
 
 
-def enumerate_polygon_classes(
-    i_max: int, box_bound: Optional[int] = None, *, threads: int = 1, progress=None
-) -> dict[int, tuple]:
+def _moved_out_shards(i: int, lower: dict) -> list:
+    """The shards of bucket i whose interior points span the plane, one
+    per candidate interior hull Q.
+
+    Q has exactly i lattice points, so it is a stored class of a lower
+    bucket with total i or a width-1 trapezoid.  Every polygon whose
+    interior hull is Q lies in Q^(-1) (Koelman), and Q is kept only when
+    Q^(-1) is a lattice polygon.  conv(int P) is invariant, so shards of
+    inequivalent Qs share no class.
+    """
+    qs = [cls.vertices for bucket in lower.values() for cls in bucket if cls.total == i]
+    if i >= 3:
+        # rows of m and i - m points; at i = 2 they only span a segment
+        qs.extend(
+            _hull_cycle_2d([(0, 0), (m - 1, 0), (0, 1), (i - m - 1, 1)])
+            for m in range(1, i // 2 + 1)
+        )
+    tops = (_moved_out(q) for q in qs)
+    return [(i, [top]) for top in tops if top is not None]
+
+
+def _build(i_max: int, mapper) -> dict[int, tuple]:
+    """Buckets 0..i_max; mapper runs _descend over a list of shards and
+    yields the results in order.
+
+    The collinear shards need no lower bucket, and the moved-out shards
+    of bucket i need only the buckets up to i - 3 (a class with total i
+    has at most i - 3 interior points), so each is mapped as soon as it
+    can be.
+    """
+    buckets = {0: (CensusClass(vertices=_DOUBLED_TRIANGLE, interior=0, boundary=3),)}
+    collinear = mapper(_descend, [(i, _collinear_tops(i)) for i in range(1, i_max + 1)])
+    moved = {
+        i: mapper(_descend, _moved_out_shards(i, buckets)) for i in range(1, min(i_max, 3) + 1)
+    }
+    for i in range(1, i_max + 1):
+        parts = [next(collinear), *moved.pop(i)]
+        buckets[i] = tuple(sorted((cls for part in parts for cls in part), key=CensusClass.key))
+        if i + 3 <= i_max:
+            moved[i + 3] = mapper(_descend, _moved_out_shards(i + 3, buckets))
+    return buckets
+
+
+def _spread_worker() -> None:
+    """Move a new pool worker onto one CPU of its allowed set (chosen by
+    its process id), then free it.
+
+    A forked worker starts on the CPU of the process that forked it.  On a
+    2-vCPU virtual machine whose second CPU had idled, all four workers
+    were seen to share one CPU for about 1.3 s, most of a build up to
+    interior 8; one forced move spreads them from the start, and restoring
+    the allowed set leaves them free to migrate.
+    """
+    if hasattr(os, "sched_setaffinity"):
+        allowed = sorted(os.sched_getaffinity(0))
+        os.sched_setaffinity(0, {allowed[os.getpid() % len(allowed)]})
+        os.sched_setaffinity(0, allowed)
+
+
+def enumerate_polygon_classes(i_max: int, *, threads: int = 1) -> dict[int, tuple]:
     """All width->=2 classes with interior count <= i_max, keyed by count.
 
-    Deterministic: results are merged and sorted identically for any
-    thread count.  box_bound widens the horizontal search window beyond
-    the certified one; a narrower window is refused because completeness
-    could no longer be claimed.
+    Bucket i is built from the buckets below it; with threads > 1 the
+    shards of all buckets run on one process pool kept for the whole
+    build.  The result is the same for any thread count.
     """
     if i_max < 0:
         raise ValueError("interior bound must be nonnegative")
-    certified = certified_box_bound(i_max)
-    if box_bound is None:
-        box_bound = certified
-    elif box_bound < certified:
-        raise ValueError(
-            f"box bound {box_bound} is below the certified bound {certified} "
-            f"for interior count {i_max}"
-        )
-    shards = []
-    for h in range(2, max_height(i_max) + 1):
-        for b0 in range(0, 2 * i_max + 7):
-            shards.append((i_max, h, b0, box_bound))
-    results: dict[tuple, CensusClass] = {}
     if threads > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            for part in pool.map(_shard_worker, shards, chunksize=4):
-                for cls in part:
-                    results.setdefault(cls.vertices, cls)
-                if progress is not None:
-                    progress()
-    else:
-        for shard in shards:
-            for cls in _shard_worker(shard):
-                results.setdefault(cls.vertices, cls)
-            if progress is not None:
-                progress()
-    buckets: dict[int, list] = {i: [] for i in range(i_max + 1)}
-    for cls in results.values():
-        buckets[cls.interior].append(cls)
-    return {
-        i: tuple(sorted(bucket, key=CensusClass.key))
-        for i, bucket in buckets.items()
-    }
+        with ProcessPoolExecutor(max_workers=threads, initializer=_spread_worker) as pool:
+            return _build(i_max, pool.map)
+    return _build(i_max, map)
 
 
 # ---------------------------------------------------------------------------
@@ -511,6 +443,34 @@ def parse_census_file(text: str) -> CensusFile:
     if keys != sorted(set(keys)):
         raise CacheCorruptError("census classes are not sorted and distinct")
     return CensusFile(interior=interior, box=box, complete=complete, classes=tuple(classes))
+
+
+def _is_hull_cycle(cycle: Sequence[tuple]) -> bool:
+    """Whether a vertex cycle is the one _hull_cycle_2d gives for its points.
+
+    One pass checks that the cycle starts at its lex-min vertex, that
+    every turn is strictly left and that the edge directions wind exactly
+    once; a closed path with these turns and one winding is a strictly
+    convex polygon traversed counterclockwise.  A strict left turn is
+    less than a half turn, so the direction enters the upper half-plane
+    (dy > 0, or dy = 0 < dx) from the lower one once per winding.
+    """
+    if len(cycle) < 3 or min(cycle) != cycle[0]:
+        return False
+    (px, py), (qx, qy) = cycle[-2], cycle[-1]
+    dx, dy = qx - px, qy - py
+    lower = dy < 0 or (dy == 0 and dx < 0)
+    windings = 0
+    for x, y in cycle:
+        ex, ey = x - qx, y - qy
+        if dx * ey - dy * ex <= 0:
+            return False
+        below = ey < 0 or (ey == 0 and ex < 0)
+        if lower and not below:
+            windings += 1
+        dx, dy, lower = ex, ey, below
+        qx, qy = x, y
+    return windings == 1
 
 
 def _class_from_vertices(verts: tuple, interior: int) -> CensusClass:
@@ -609,7 +569,7 @@ class CensusStore:
     def missing(self, k_max: int) -> tuple:
         return tuple(i for i in range(k_max + 1) if not self.is_complete(i))
 
-    def ensure(self, k_max: int, *, threads: int = 1, progress=None) -> tuple:
+    def ensure(self, k_max: int, *, threads: int = 1) -> tuple:
         """Enumerate and persist every missing interior count up to k_max.
 
         One enumeration pass up to the largest missing count yields every
@@ -621,7 +581,7 @@ class CensusStore:
         missing = self.missing(k_max)
         if not missing:
             return ()
-        buckets = enumerate_polygon_classes(max(missing), threads=threads, progress=progress)
+        buckets = enumerate_polygon_classes(max(missing), threads=threads)
         for i in missing:
             self.save(
                 CensusFile(

@@ -76,26 +76,9 @@ class Enclosure:
         value = _as_fraction(value)
         return Enclosure(value, value)
 
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
-    @property
-    def is_point(self) -> bool:
-        return self.lo == self.hi
-
-    def relative_width(self) -> Fraction:
-        scale = min(abs(self.lo), abs(self.hi))
-        if scale == 0:
-            return self.width
-        return self.width / scale
-
     def contains(self, value) -> bool:
         value = _as_fraction(value)
         return self.lo <= value <= self.hi
-
-    def encloses(self, other: "Enclosure") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
 
     def __add__(self, other: "Enclosure") -> "Enclosure":
         return Enclosure(self.lo + other.lo, self.hi + other.hi)

@@ -23,10 +23,9 @@ vertex cycle with the chain of edges visible from p spliced out
 (beneath-beyond); other closed sets and sites outside Z^2 hull V(C) + p
 anew.  Only the winning witnesses are hulled again.
 
-c is produced twice on independent routes: once by the stepwise recursion
-from the g profile and once by direct maximization over enumerated
-configurations.  Tests hold the two routes equal; the engine never blends
-them.
+c comes from the stepwise recursion over the g profile (c_from_g).  The
+tests hold it against a second, independent route: direct maximization
+over the enumerated closed sets.
 """
 
 from __future__ import annotations
@@ -190,29 +189,6 @@ def g_profile(
         c=c_from_g(g, len(site), k_max),
         witnesses=tuple(wit),
     )
-
-
-def c_direct(
-    site: FiniteSite,
-    k_max: Optional[int] = None,
-    *,
-    max_states: int = _DEFAULT_STATE_BUDGET,
-) -> tuple:
-    """Direct maximization of |S intersect P| - k over qualifying configurations.
-
-    A configuration with t site points and v vertices qualifies for every
-    k in [t - v, t]; independent of the stepwise route.
-    """
-    if k_max is None:
-        k_max = len(site)
-    out: list[ExtInt] = [NEG_INF] * (k_max + 1)
-    for closed, verts in enumerate_convex_subsets(site, max_states=max_states).items():
-        total = closed.bit_count()
-        lo = total - verts.bit_count()
-        for k in range(lo, min(total, k_max) + 1):
-            if out[k] < total - k:
-                out[k] = total - k
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

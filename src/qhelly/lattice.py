@@ -315,9 +315,6 @@ class PointCensus:
         if self.nonvertex != self.interior + self.boundary:
             raise ValueError("census mismatch: nonvertex != interior + boundary")
 
-    def as_tuple(self) -> tuple[int, int, int, int, int]:
-        return (self.total, self.vertex, self.nonvertex, self.interior, self.boundary)
-
 
 # ---------------------------------------------------------------------------
 # polytope

@@ -1,15 +1,36 @@
 """Oracles for g/c profiles that the tests hold the library against.
 
-unrolled_c is the closed form of the stepwise c-recursion, a second c
-route beside engine.c_from_g; consistency_findings lists the identities
-every profile must satisfy.
+c_direct maximizes |S intersect P| - k over the enumerated closed sets,
+and unrolled_c is the closed form of the stepwise c-recursion: two c
+routes beside engine.c_from_g.  consistency_findings lists the
+identities every profile must satisfy.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Optional, Sequence
 
+from qhelly.engine import enumerate_convex_subsets
 from qhelly.extint import NEG_INF, ExtInt, ext_max, is_finite
+from qhelly.lattice import FiniteSite
+
+
+def c_direct(site: FiniteSite, k_max: Optional[int] = None) -> tuple:
+    """Direct maximization of |S intersect P| - k over qualifying configurations.
+
+    A configuration with t site points and v vertices qualifies for every
+    k in [t - v, t]; independent of the stepwise route.
+    """
+    if k_max is None:
+        k_max = len(site)
+    out: list[ExtInt] = [NEG_INF] * (k_max + 1)
+    for closed, verts in enumerate_convex_subsets(site).items():
+        total = closed.bit_count()
+        lo = total - verts.bit_count()
+        for k in range(lo, min(total, k_max) + 1):
+            if out[k] < total - k:
+                out[k] = total - k
+    return tuple(out)
 
 
 def unrolled_c(g: Sequence[ExtInt], site_size: int, k_max: int) -> tuple:

@@ -52,6 +52,11 @@ def box_census(polytope, *, relative: bool = False) -> tuple[int, int, int, int,
     return (len(pts), vertex, nonvertex, interior, nonvertex - interior)
 
 
+def census_tuple(counts) -> tuple[int, int, int, int, int]:
+    """A lattice.PointCensus as the tuple box_census returns."""
+    return (counts.total, counts.vertex, counts.nonvertex, counts.interior, counts.boundary)
+
+
 def strict_interior_cell_scan(cycle) -> tuple:
     """Lattice points strictly left of every edge of a ccw rational cycle,
     by testing each edge at each cell of the bounding box."""

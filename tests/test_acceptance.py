@@ -30,10 +30,11 @@ from qhelly.census import (
 )
 from qhelly.cli import main
 from qhelly.constants import certify_constant_estimates, certify_growth_chain
-from qhelly.engine import audit_bounds, c_direct, c_from_g, g_profile
+from qhelly.engine import audit_bounds, c_from_g, g_profile
 from qhelly.extint import ext_max, is_finite
 from qhelly.lattice import FiniteSite, convex_hull
 from qhelly.witnesses import lower_bound_witness, tight_recipes, verify_witness
+from profile_oracles import c_direct
 
 _STATE: dict = {}
 

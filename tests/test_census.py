@@ -18,6 +18,7 @@ from qhelly.census import (
     CACHE_ENV_VAR,
     _has_width_two,
     _is_hull_cycle,
+    _moved_out,
     _pick_counts,
     _strict_interior_lattice_points,
     c_z2_profile,
@@ -47,7 +48,13 @@ from qhelly.lattice import (
     is_canonical_cycle_2d,
 )
 from profile_oracles import unrolled_c
-from scan_oracles import box_census, lattice_width_2d, strict_interior_cell_scan
+from row_dfs_oracle import row_dfs_classes
+from scan_oracles import (
+    box_census,
+    census_tuple,
+    lattice_width_2d,
+    strict_interior_cell_scan,
+)
 
 HEXAGON = ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1))
 DEVCACHE = Path(__file__).resolve().parent / "golden"
@@ -93,18 +100,49 @@ def test_interior_zero_is_the_doubled_triangle():
     assert cls.vertex_count == 3 and cls.interior == 0
     assert lattice_width_2d(convex_hull(cls.vertices)) == 2
     counts = census(convex_hull(cls.vertices), Z_LATTICE)
-    assert counts.as_tuple() == (6, 3, 3, 0, 3)
+    assert census_tuple(counts) == (6, 3, 3, 0, 3)
 
 
-def test_enumeration_refuses_narrow_boxes():
-    with pytest.raises(ValueError):
-        enumerate_polygon_classes(1, box_bound=certified_box_bound(1) - 1)
+def test_enumeration_matches_row_dfs_oracle():
+    # the row DFS reaches each class by its rows, a route apart from moving out edges
+    oracle = row_dfs_classes(5)
+    buckets = enumerate_polygon_classes(5)
+    for i in range(6):
+        assert buckets[i] == oracle[i], f"interior {i}"
 
 
-def test_enumeration_is_stable_under_window_growth():
-    base = enumerate_polygon_classes(2)[2]
-    wide = enumerate_polygon_classes(2, box_bound=certified_box_bound(2) + 8)[2]
-    assert base == wide
+def _moved_half_planes(q) -> list:
+    """(n, c) with n primitive and inner: the edge lines of the ccw cycle q
+    moved out by lattice distance 1 are n . z = c."""
+    out = []
+    for (px, py), (x, y) in zip(q[-1:] + q[:-1], q):
+        g = gcd(x - px, y - py)
+        n = ((py - y) // g, (x - px) // g)
+        out.append((n, n[0] * px + n[1] * py - 1))
+    return out
+
+
+def test_moving_out_the_edges():
+    # the unit triangle moves out to 4 Delta, whose interior points it holds
+    assert _moved_out(((0, 0), (1, 0), (0, 1))) == ((-1, -1), (3, -1), (-1, 3))
+    # the edge lines of conv{(0,0),(3,0),(0,1)} meet at (-1, 5/3) once moved
+    assert _moved_out(((0, 0), (3, 0), (0, 1))) is None
+    # here the moved lines meet at lattice points, but the short edge from
+    # (0,0) to (1,0) vanishes: its moved line meets those of its neighbours
+    # at (3,-1) and (2,-1), in reverse order
+    assert _moved_out(((-4, 1), (0, 0), (1, 0), (0, 2), (-1, 2))) is None
+    # Koelman: a polygon lies in the moved-out hull of its interior points
+    spanning = 0
+    for i in range(2, 11):
+        for cls in parse_census_file((DEVCACHE / f"interior_{i:02d}.census").read_text()).classes:
+            q = _hull_cycle_2d(_strict_interior_lattice_points(cls.vertices))
+            if len(q) < 3:
+                continue
+            spanning += 1
+            assert _moved_out(q) is not None
+            for (nx, ny), c in _moved_half_planes(q):
+                assert all(nx * x + ny * y >= c for x, y in cls.vertices), cls.vertices
+    assert spanning > 0
 
 
 def test_enumeration_threads_agree():

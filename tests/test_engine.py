@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from qhelly.engine import (
     audit_bounds,
-    c_direct,
     c_from_g,
     enumerate_convex_subsets,
     g_profile,
@@ -24,7 +23,7 @@ from qhelly.engine import (
 from qhelly.errors import BudgetExceededError
 from qhelly.extint import NEG_INF, ext_max, is_finite
 from qhelly.lattice import FiniteSite, closure, convex_hull
-from profile_oracles import consistency_findings, unrolled_c
+from profile_oracles import c_direct, consistency_findings, unrolled_c
 
 
 def brute_closed_subsets(site: FiniteSite) -> set:
