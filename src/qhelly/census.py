@@ -70,7 +70,6 @@ from .engine import c_from_g
 from .lattice import (
     LatticePolytope,
     Z_LATTICE,
-    _facets_from_cycle_2d,
     _hull_cycle_2d,
     _xgcd,
     canonical_form_2d,
@@ -152,11 +151,6 @@ def _has_width_two(interior: int, canon: tuple) -> bool:
 
 # ---------------------------------------------------------------------------
 # enumeration by moving out the edges
-
-
-def _polygon(cycle: tuple) -> LatticePolytope:
-    """The polygon of a checked counterclockwise lattice vertex cycle."""
-    return LatticePolytope(cycle, _facets_from_cycle_2d(cycle), 2, 2)
 
 
 def _pick_counts(cycle: Sequence[tuple]) -> tuple[int, int]:
@@ -269,7 +263,7 @@ def _descend(shard: tuple) -> list:
         interior, boundary = _pick_counts(cycle)
         if interior != i:
             continue
-        canon = canonical_form_2d(_polygon(cycle))
+        canon = canonical_form_2d(cycle)
         if canon in found:
             continue
         found[canon] = CensusClass(vertices=canon, interior=i, boundary=boundary)

@@ -7,6 +7,12 @@ explicit construction suites, `maximal` expands census witnesses into
 maximal polygons, `constants` certifies the constant chains, and
 `audit` checks every computed profile against the known upper bounds.
 
+Each subparser registers its handler with `set_defaults(handler=...)`,
+and the handler reads its own flags from the argparse namespace.
+Before dispatch, `_check` makes the value checks argparse cannot
+express (the constants range, k >= 0, threads >= 1, precision bounds),
+in that order; the first that fails is the reported usage error.
+
 Profile-emitting commands support csv, json and svg output.  Identical
 configurations give byte-identical csv/json, and svg identical up to
 the version comment.  Negative infinity prints as `-inf` in csv and
@@ -20,11 +26,16 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import __version__
-from .census import CensusStore, c_z2_profile, expand_to_maximal
+from .census import (
+    CACHE_ENV_VAR,
+    CensusStore,
+    LatticeProfile,
+    c_z2_profile,
+    expand_to_maximal,
+)
 from .constants import (
     DEFAULT_PRECISION,
     MAX_PRECISION,
@@ -43,37 +54,6 @@ _FORMATS = ("csv", "json", "svg")
 
 class UsageError(ValueError):
     """Invalid flag combination or malformed value; maps to exit code 2."""
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated invocation: one subcommand plus its effective settings."""
-
-    subcommand: str
-    site_spec: Optional[str] = None
-    k_max: int = 0
-    cache_dir: Optional[str] = None
-    out_format: str = "csv"
-    strict: bool = False
-    threads: int = 1
-    precision: int = DEFAULT_PRECISION
-    suite: Optional[str] = None
-    dimension: Optional[int] = None
-    n_range: tuple[int, int] = (2, 12)
-    out_path: Optional[str] = None
-    svg_path: Optional[str] = None
-
-    def __post_init__(self) -> None:
-        if self.k_max < 0:
-            raise UsageError("k must be nonnegative")
-        if self.out_format not in _FORMATS:
-            raise UsageError(f"format must be one of {', '.join(_FORMATS)}")
-        if self.threads < 1:
-            raise UsageError("thread count must be positive")
-        if not MIN_PRECISION <= self.precision <= MAX_PRECISION:
-            raise UsageError(
-                f"precision must be between {MIN_PRECISION} and {MAX_PRECISION} bits"
-            )
 
 
 def _parse_dims(spec: str) -> tuple[int, ...]:
@@ -97,10 +77,28 @@ def _parse_n_range(spec: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _open_store(config: RunConfig) -> CensusStore:
-    if config.cache_dir is None and not os.environ.get("QHELLY_CACHE_DIR"):
-        raise UsageError("census cache needed: pass --cache DIR or set QHELLY_CACHE_DIR")
-    return CensusStore(config.cache_dir)
+def _check(args: argparse.Namespace) -> None:
+    """The value checks argparse cannot express; the first that fails is
+    reported, so a constants range error wins over a precision error."""
+    if args.command == "constants":
+        _parse_n_range(args.n_range)
+    if min(getattr(args, "k", 0), getattr(args, "kmax", 0)) < 0:
+        raise UsageError("k must be nonnegative")
+    if getattr(args, "threads", 1) < 1:
+        raise UsageError("thread count must be positive")
+    if not MIN_PRECISION <= getattr(args, "precision", MIN_PRECISION) <= MAX_PRECISION:
+        raise UsageError(
+            f"precision must be between {MIN_PRECISION} and {MAX_PRECISION} bits"
+        )
+
+
+def _z2_profile(args: argparse.Namespace, k: int) -> LatticeProfile:
+    """The planar lattice profile up to k, building missing census counts."""
+    if args.cache is None and not os.environ.get(CACHE_ENV_VAR):
+        raise UsageError(f"census cache needed: pass --cache DIR or set {CACHE_ENV_VAR}")
+    store = CensusStore(args.cache)
+    store.ensure(k, threads=args.threads)
+    return c_z2_profile(k, store)
 
 
 # ---------------------------------------------------------------------------
@@ -214,21 +212,18 @@ def _emit(text: str, out_path: Optional[str]) -> None:
 # subcommands
 
 
-def _run_grid(config: RunConfig) -> int:
-    dims = _parse_dims(config.site_spec)
-    site = FiniteSite.grid(*dims)
-    profile = g_profile(site, config.k_max, label=config.site_spec)
-    _emit(_RENDERERS[config.out_format](profile), config.out_path)
+def _run_grid(args: argparse.Namespace) -> int:
+    site = FiniteSite.grid(*_parse_dims(args.dims))
+    profile = g_profile(site, args.kmax, label=args.dims)
+    _emit(_RENDERERS[args.format](profile), args.out)
     return 0
 
 
-def _run_census(config: RunConfig) -> int:
-    store = _open_store(config)
-    store.ensure(config.k_max, threads=config.threads)
-    profile = c_z2_profile(config.k_max, store)
-    _emit(_RENDERERS[config.out_format](profile), config.out_path)
-    if config.svg_path:
-        _emit(render_svg(profile), config.svg_path)
+def _run_census(args: argparse.Namespace) -> int:
+    profile = _z2_profile(args, args.k)
+    _emit(_RENDERERS[args.format](profile), args.out)
+    if args.emit_svg:
+        _emit(render_svg(profile), args.emit_svg)
     if profile.findings:
         for finding in profile.findings:
             print(f"finding: {finding}", file=sys.stderr)
@@ -236,14 +231,13 @@ def _run_census(config: RunConfig) -> int:
     return 0
 
 
-def _run_witness(config: RunConfig) -> int:
+def _run_witness(args: argparse.Namespace) -> int:
     failures = 0
     lines = []
-    if config.suite == "theorem4":
-        n = config.dimension
-        if n is None:
+    if args.suite == "theorem4":
+        if args.n is None:
             raise UsageError("--suite theorem4 needs --n N")
-        for recipe in tight_recipes(n):
+        for recipe in tight_recipes(args.n):
             report = verify_witness(recipe)
             verdict = "ok" if report.ok else "FAIL"
             failures += not report.ok
@@ -253,10 +247,10 @@ def _run_witness(config: RunConfig) -> int:
             )
             for finding in report.findings:
                 lines.append(f"  finding: {finding}")
-    elif config.suite == "lowerbound":
-        if config.dimension is None:
+    else:
+        if args.n is None:
             raise UsageError("--suite lowerbound needs --n N and --k K")
-        witness = lower_bound_witness(config.dimension, config.k_max)
+        witness = lower_bound_witness(args.n, args.k)
         report = verify_witness(witness)
         verdict = "ok" if report.ok else "FAIL"
         failures += not report.ok
@@ -275,21 +269,17 @@ def _run_witness(config: RunConfig) -> int:
             lines.append(f"  recount skipped (beyond realization budget) {verdict}")
         for finding in report.findings:
             lines.append(f"  finding: {finding}")
-    else:
-        raise UsageError("--suite must be theorem4 or lowerbound")
-    _emit("\n".join(lines) + "\n", config.out_path)
+    _emit("\n".join(lines) + "\n", args.out)
     return 1 if failures else 0
 
 
-def _run_maximal(config: RunConfig) -> int:
-    if config.k_max < 1:
+def _run_maximal(args: argparse.Namespace) -> int:
+    if args.k < 1:
         raise UsageError("maximal expansion starts at k = 1")
-    store = _open_store(config)
-    store.ensure(config.k_max, threads=config.threads)
-    profile = c_z2_profile(config.k_max, store)
+    profile = _z2_profile(args, args.k)
     failures = 0
     lines = ["k,helly,facets,rounds,member"]
-    for k in range(1, config.k_max + 1):
+    for k in range(1, args.k + 1):
         witness = profile.witnesses[k]
         result = expand_to_maximal(convex_hull(witness.vertices), k)
         ok = result.report.is_member and result.facet_count == profile.c[k]
@@ -298,54 +288,51 @@ def _run_maximal(config: RunConfig) -> int:
             f"{k},{to_csv(profile.c[k])},{result.facet_count},{result.rounds},"
             f"{'yes' if result.report.is_member else 'NO'}"
         )
-    _emit("\n".join(lines) + "\n", config.out_path)
+    _emit("\n".join(lines) + "\n", args.out)
     return 1 if failures else 0
 
 
-def _run_constants(config: RunConfig) -> int:
-    lo, hi = config.n_range
-    estimates = certify_constant_estimates(
-        range(lo, hi + 1), precision=config.precision
-    )
-    lines = []
-    for report in estimates.reports:
-        verdicts = " ".join(
-            f"{name}={'pass' if flag is True else 'FAIL' if flag is False else 'inconclusive'}"
-            for name, flag in report.verdicts()
-        )
-        lines.append(f"constants n={report.n}: {verdicts}")
-    chain_hi = min(hi, 8)
-    chain = None
-    if lo <= chain_hi:
-        chain = certify_growth_chain(range(lo, chain_hi + 1), precision=config.precision)
-        for report in chain.reports:
-            flags = [report.first_ok, report.second_ok, report.third_ok]
-            verdicts = " ".join(
-                f"link{idx}={'pass' if flag is True else 'FAIL' if flag is False else 'inconclusive'}"
-                for idx, flag in enumerate(flags, start=1)
+def _verdict(flag: Optional[bool]) -> str:
+    return "pass" if flag is True else "FAIL" if flag is False else "inconclusive"
+
+
+def _run_constants(args: argparse.Namespace) -> int:
+    lo, hi = _parse_n_range(args.n_range)
+    estimates = certify_constant_estimates(range(lo, hi + 1), precision=args.precision)
+    lines = [
+        f"constants n={report.n}: "
+        + " ".join(f"{name}={_verdict(flag)}" for name, flag in report.verdicts())
+        for report in estimates.reports
+    ]
+    certificates = [estimates]
+    if lo <= 8:  # the growth chain is certified for n <= 8 only
+        chain = certify_growth_chain(range(lo, min(hi, 8) + 1), precision=args.precision)
+        lines.extend(
+            f"growth chain n={report.n}: "
+            + " ".join(
+                f"link{idx}={_verdict(flag)}"
+                for idx, (_, flag) in enumerate(report.verdicts(), start=1)
             )
-            lines.append(f"growth chain n={report.n}: {verdicts}")
-    _emit("\n".join(lines) + "\n", config.out_path)
-    failed = estimates.failures or (chain and chain.failures)
-    undecided = estimates.undecided or (chain and chain.undecided)
-    if failed:
+            for report in chain.reports
+        )
+        certificates.append(chain)
+    _emit("\n".join(lines) + "\n", args.out)
+    if any(cert.failures for cert in certificates):
         return 1
-    if undecided and config.strict:
+    if args.strict and any(cert.undecided for cert in certificates):
         return 1
     return 0
 
 
-def _run_audit(config: RunConfig) -> int:
-    if config.site_spec == "z2":
-        store = _open_store(config)
-        store.ensure(config.k_max, threads=config.threads)
-        profile = c_z2_profile(config.k_max, store)
-        report = audit_bounds(profile.label, 2, profile.c, lattice_mode=True)
+def _run_audit(args: argparse.Namespace) -> int:
+    if args.site == "z2":
+        profile = _z2_profile(args, args.kmax)
+        dim = 2
     else:
-        dims = _parse_dims(config.site_spec)
-        site = FiniteSite.grid(*dims)
-        profile = g_profile(site, config.k_max, label=config.site_spec)
-        report = audit_bounds(profile.label, site.dim, profile.c, lattice_mode=True)
+        site = FiniteSite.grid(*_parse_dims(args.site))
+        profile = g_profile(site, args.kmax, label=args.site)
+        dim = site.dim
+    report = audit_bounds(profile.label, dim, profile.c)
     lines = [f"audit {profile.label}: h={to_csv(report.h)}"]
     for check in report.checks:
         mark = "=" if check.equality else "<" if check.satisfied else "VIOLATED"
@@ -353,23 +340,8 @@ def _run_audit(config: RunConfig) -> int:
             f"k={check.k} {check.name}: c={to_csv(check.value)} "
             f"bound={check.bound} {mark}"
         )
-    _emit("\n".join(lines) + "\n", config.out_path)
+    _emit("\n".join(lines) + "\n", args.out)
     return 0 if report.all_satisfied else 1
-
-
-_HANDLERS = {
-    "grid": _run_grid,
-    "census": _run_census,
-    "witness": _run_witness,
-    "maximal": _run_maximal,
-    "constants": _run_constants,
-    "audit": _run_audit,
-}
-
-
-def run(config: RunConfig) -> int:
-    """Execute one validated configuration; returns the process exit code."""
-    return _HANDLERS[config.subcommand](config)
 
 
 # ---------------------------------------------------------------------------
@@ -385,12 +357,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     grid = sub.add_parser("grid", help="profile a finite box site")
+    grid.set_defaults(handler=_run_grid)
     grid.add_argument("--dims", required=True, help="grid dimensions, e.g. 3x3 or 2x2x2")
     grid.add_argument("--kmax", type=int, required=True)
     grid.add_argument("--format", default="csv", choices=_FORMATS)
     grid.add_argument("--out", default=None)
 
     census_cmd = sub.add_parser("census", help="g/c table of the planar integer lattice")
+    census_cmd.set_defaults(handler=_run_census)
     census_cmd.add_argument("--k", type=int, required=True)
     census_cmd.add_argument("--cache", default=None, help="census cache directory")
     census_cmd.add_argument("--threads", type=int, default=1)
@@ -399,24 +373,28 @@ def build_parser() -> argparse.ArgumentParser:
     census_cmd.add_argument("--emit-svg", default=None, dest="emit_svg")
 
     witness = sub.add_parser("witness", help="construct and verify witness families")
+    witness.set_defaults(handler=_run_witness)
     witness.add_argument("--suite", required=True, choices=("theorem4", "lowerbound"))
     witness.add_argument("--n", type=int, default=None)
     witness.add_argument("--k", type=int, default=0)
     witness.add_argument("--out", default=None)
 
     maximal = sub.add_parser("maximal", help="expand census witnesses to maximal polygons")
+    maximal.set_defaults(handler=_run_maximal)
     maximal.add_argument("--k", type=int, required=True)
     maximal.add_argument("--cache", default=None)
     maximal.add_argument("--threads", type=int, default=1)
     maximal.add_argument("--out", default=None)
 
     constants = sub.add_parser("constants", help="certify the constant chains")
+    constants.set_defaults(handler=_run_constants)
     constants.add_argument("--n-range", default="2..12", dest="n_range")
     constants.add_argument("--strict", action="store_true")
     constants.add_argument("--precision", type=int, default=DEFAULT_PRECISION)
     constants.add_argument("--out", default=None)
 
     audit = sub.add_parser("audit", help="check profiles against the upper bounds")
+    audit.set_defaults(handler=_run_audit)
     audit.add_argument("--site", required=True, help="grid dims like 3x3, or z2")
     audit.add_argument("--kmax", type=int, required=True)
     audit.add_argument("--cache", default=None)
@@ -424,29 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
     audit.add_argument("--out", default=None)
 
     return parser
-
-
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    common = dict(
-        subcommand=args.command,
-        out_path=getattr(args, "out", None),
-        threads=getattr(args, "threads", 1),
-        out_format=getattr(args, "format", "csv"),
-        cache_dir=getattr(args, "cache", None),
-        strict=getattr(args, "strict", False),
-        precision=getattr(args, "precision", DEFAULT_PRECISION),
-    )
-    if args.command == "grid":
-        return RunConfig(site_spec=args.dims, k_max=args.kmax, **common)
-    if args.command == "census":
-        return RunConfig(k_max=args.k, svg_path=args.emit_svg, **common)
-    if args.command == "witness":
-        return RunConfig(suite=args.suite, dimension=args.n, k_max=args.k, **common)
-    if args.command == "maximal":
-        return RunConfig(k_max=args.k, **common)
-    if args.command == "constants":
-        return RunConfig(n_range=_parse_n_range(args.n_range), **common)
-    return RunConfig(site_spec=args.site, k_max=args.kmax, **common)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -457,8 +412,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     wants_json = getattr(args, "format", "") == "json"
     try:
-        config = config_from_args(args)
-        return run(config)
+        _check(args)
+        return args.handler(args)
     except UsageError as exc:
         _report_error(str(exc), 2, wants_json)
         return 2

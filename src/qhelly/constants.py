@@ -31,10 +31,9 @@ from .witnesses import integer_root
 
 __all__ = [
     "AndrewsReport",
+    "Certificate",
     "ChainLinkReport",
-    "ConstantsCertificate",
     "Enclosure",
-    "GrowthChainCertificate",
     "andrews_constants",
     "certify_constant_estimates",
     "certify_growth_chain",
@@ -235,6 +234,63 @@ def gamma_half(n: int, precision: int = DEFAULT_PRECISION) -> Enclosure:
 
 
 # ---------------------------------------------------------------------------
+# verdicts and certification
+
+
+class _Verdicts:
+    """Verdict views over the Optional[bool] fields a report names in _CHECKS."""
+
+    _CHECKS = ()
+
+    def verdicts(self) -> tuple[tuple[str, Optional[bool]], ...]:
+        return tuple((name, getattr(self, name)) for name in self._CHECKS)
+
+    @property
+    def all_certified(self) -> bool:
+        return all(flag is True for _, flag in self.verdicts())
+
+    @property
+    def inconclusive(self) -> tuple[str, ...]:
+        return tuple(name for name, flag in self.verdicts() if flag is None)
+
+    @property
+    def failed(self) -> tuple[str, ...]:
+        return tuple(name for name, flag in self.verdicts() if flag is False)
+
+
+@dataclass(frozen=True)
+class Certificate:
+    """Aggregated verdicts of one chain over a range of dimensions."""
+
+    reports: tuple
+    ok: bool
+    failures: tuple[tuple[int, str], ...]
+    undecided: tuple[tuple[int, str], ...]
+
+
+def _certify(evaluate, n_values: Iterable[int], precision: int) -> Certificate:
+    """Run evaluate(n, precision) for each n, doubling the working precision
+    up to MAX_PRECISION while a verdict is inconclusive; the last report
+    counts either way, and what is still undecided is never a pass."""
+    reports = []
+    for n in n_values:
+        report = evaluate(n, precision)
+        p = precision
+        while report.inconclusive and p < MAX_PRECISION:
+            p = min(2 * p, MAX_PRECISION)
+            report = evaluate(n, p)
+        reports.append(report)
+    failures = tuple((r.n, name) for r in reports for name in r.failed)
+    undecided = tuple((r.n, name) for r in reports for name in r.inconclusive)
+    return Certificate(
+        reports=tuple(reports),
+        ok=not failures and not undecided,
+        failures=failures,
+        undecided=undecided,
+    )
+
+
+# ---------------------------------------------------------------------------
 # the volume-constant chain
 
 
@@ -312,7 +368,7 @@ def andrews_constants(n: int, precision: int = DEFAULT_PRECISION) -> "AndrewsRep
 
 
 @dataclass(frozen=True)
-class AndrewsReport:
+class AndrewsReport(_Verdicts):
     """Constant-chain enclosures for one dimension, with estimate verdicts.
 
     A verdict of None means the precision used could not separate the
@@ -337,48 +393,12 @@ class AndrewsReport:
 
     _CHECKS = ("xi_bounded", "c1_bounded", "kappa_prime_bounded", "alpha_bounded")
 
-    def verdicts(self) -> tuple[tuple[str, Optional[bool]], ...]:
-        return tuple((name, getattr(self, name)) for name in self._CHECKS)
-
-    @property
-    def all_certified(self) -> bool:
-        return all(getattr(self, name) is True for name in self._CHECKS)
-
-    @property
-    def inconclusive(self) -> tuple[str, ...]:
-        return tuple(name for name in self._CHECKS if getattr(self, name) is None)
-
-    @property
-    def failed(self) -> tuple[str, ...]:
-        return tuple(name for name in self._CHECKS if getattr(self, name) is False)
-
-
-@dataclass(frozen=True)
-class ConstantsCertificate:
-    """Aggregated constant-chain verdicts over a range of dimensions."""
-
-    reports: tuple[AndrewsReport, ...]
-    ok: bool
-    failures: tuple[tuple[int, str], ...]
-    undecided: tuple[tuple[int, str], ...]
-
-
-def _with_refinement(evaluate, precision: int, max_precision: int):
-    # double the working precision until no verdict is inconclusive or
-    # the cap is reached; the last report is returned either way
-    while True:
-        report = evaluate(precision)
-        if not report.inconclusive or precision >= max_precision:
-            return report
-        precision = min(2 * precision, max_precision)
-
 
 def certify_constant_estimates(
     n_values: Optional[Iterable[int]] = None,
     *,
     precision: int = DEFAULT_PRECISION,
-    max_precision: int = MAX_PRECISION,
-) -> ConstantsCertificate:
+) -> Certificate:
     """Certify the four closing estimates of the volume-constant chain.
 
     For each dimension (default 2..12) the checks are: xi(n) <= n^(2n),
@@ -389,22 +409,7 @@ def certify_constant_estimates(
     """
     if n_values is None:
         n_values = range(2, 13)
-    reports = []
-    failures = []
-    undecided = []
-    for n in n_values:
-        report = _with_refinement(
-            lambda p, n=n: andrews_constants(n, p), precision, max_precision
-        )
-        reports.append(report)
-        failures.extend((n, name) for name in report.failed)
-        undecided.extend((n, name) for name in report.inconclusive)
-    return ConstantsCertificate(
-        reports=tuple(reports),
-        ok=not failures and not undecided,
-        failures=tuple(failures),
-        undecided=tuple(undecided),
-    )
+    return _certify(andrews_constants, n_values, precision)
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +417,7 @@ def certify_constant_estimates(
 
 
 @dataclass(frozen=True)
-class ChainLinkReport:
+class ChainLinkReport(_Verdicts):
     """Verdicts for the three links of the growth-budget chain at one n.
 
     The chain bounds (2*phi(n)+1)*(beta(n-1)+2^(n-1)) through the
@@ -433,28 +438,10 @@ class ChainLinkReport:
 
     _CHECKS = ("first_ok", "second_ok", "third_ok")
 
-    @property
-    def all_certified(self) -> bool:
-        return all(getattr(self, name) is True for name in self._CHECKS)
-
-    @property
-    def inconclusive(self) -> tuple[str, ...]:
-        return tuple(name for name in self._CHECKS if getattr(self, name) is None)
-
-    @property
-    def failed(self) -> tuple[str, ...]:
-        return tuple(name for name in self._CHECKS if getattr(self, name) is False)
-
-
-@dataclass(frozen=True)
-class GrowthChainCertificate:
-    reports: tuple[ChainLinkReport, ...]
-    ok: bool
-    failures: tuple[tuple[int, str], ...]
-    undecided: tuple[tuple[int, str], ...]
-
 
 def _chain_links(n: int, precision: int) -> ChainLinkReport:
+    if n < 2:
+        raise ValueError("the growth chain starts at dimension 2")
     phi = Enclosure.point(n).power(5, 2, precision)
     beta_prev = (3 * (n - 1)) ** (5 * (n - 1))
     lhs = (Enclosure.point(2) * phi + Enclosure.point(1)) * Enclosure.point(
@@ -481,8 +468,7 @@ def certify_growth_chain(
     n_values: Optional[Iterable[int]] = None,
     *,
     precision: int = DEFAULT_PRECISION,
-    max_precision: int = MAX_PRECISION,
-) -> GrowthChainCertificate:
+) -> Certificate:
     """Certify the three-link growth chain for each dimension (default 2..8).
 
     The first link absorbs the flatness prefactor 2*phi(n)+1 and the
@@ -492,21 +478,4 @@ def certify_growth_chain(
     """
     if n_values is None:
         n_values = range(2, 9)
-    reports = []
-    failures = []
-    undecided = []
-    for n in n_values:
-        if n < 2:
-            raise ValueError("the growth chain starts at dimension 2")
-        report = _with_refinement(
-            lambda p, n=n: _chain_links(n, p), precision, max_precision
-        )
-        reports.append(report)
-        failures.extend((n, name) for name in report.failed)
-        undecided.extend((n, name) for name in report.inconclusive)
-    return GrowthChainCertificate(
-        reports=tuple(reports),
-        ok=not failures and not undecided,
-        failures=tuple(failures),
-        undecided=tuple(undecided),
-    )
+    return _certify(_chain_links, n_values, precision)

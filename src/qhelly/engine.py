@@ -216,9 +216,6 @@ class BoundReport:
     def all_satisfied(self) -> bool:
         return all(ch.satisfied for ch in self.checks)
 
-    def failures(self) -> list[BoundCheck]:
-        return [ch for ch in self.checks if not ch.satisfied]
-
 
 def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
@@ -228,14 +225,11 @@ def audit_bounds(
     label: str,
     ambient_dim: int,
     c_values: Sequence[ExtInt],
-    *,
-    lattice_mode: bool = False,
 ) -> BoundReport:
     """Check c against the known upper bounds.
 
     paired_step: floor((k+1)/2) * (h-2) + h, valid whenever h >= 2;
     linear:      (k+1) * h;
-    and in lattice mode additionally
     two_thirds:  ceil(2(k+1)/3) * (2^n - 2) + 2,
     power:       (k+2)^n.
     NEG_INF values satisfy everything vacuously.
@@ -249,9 +243,8 @@ def audit_bounds(
             if h >= 2:
                 entries.append(("paired_step", ((k + 1) // 2) * (h - 2) + h))
             entries.append(("linear", (k + 1) * h))
-        if lattice_mode:
-            entries.append(("two_thirds", _ceil_div(2 * (k + 1), 3) * (2 ** n - 2) + 2))
-            entries.append(("power", (k + 2) ** n))
+        entries.append(("two_thirds", _ceil_div(2 * (k + 1), 3) * (2 ** n - 2) + 2))
+        entries.append(("power", (k + 2) ** n))
         for name, bound in entries:
             ok = (not is_finite(val)) or val <= bound
             eq = is_finite(val) and val == bound

@@ -780,18 +780,20 @@ def _anchored_images(cycle: Sequence[Point]) -> Iterator[tuple[list, list]]:
             yield [a * x + b * y - t for x, y in seq], ys
 
 
-def canonical_form_2d(polytope: LatticePolytope) -> tuple:
+def canonical_form_2d(cycle: Sequence[Point]) -> tuple:
     """Canonical vertex cycle under unimodular (det +-1) maps and translations.
 
-    Two polygons are equivalent iff their canonical cycles are equal.
-    Minimizes, over every anchored directed edge and both orientations,
-    the vertex tuple after mapping the edge onto the positive x-axis and
-    shear-normalizing; the lexicographic minimum is canonical.
+    cycle is the counterclockwise vertex cycle of a lattice polygon, such
+    as convex_hull(points).vertices.  Two polygons are equivalent iff
+    their canonical cycles are equal.  Minimizes, over every anchored
+    directed edge and both orientations, the vertex tuple after mapping
+    the edge onto the positive x-axis and shear-normalizing; the
+    lexicographic minimum is canonical.
     """
-    if polytope.ambient_dim != 2 or polytope.affine_dim != 2:
+    if len(cycle) < 3:
         raise DegenerateInputError("canonical form needs a full-dimensional polygon in Z^2")
     best: Optional[tuple] = None
-    for xs, ys in _anchored_images(polytope.vertices):
+    for xs, ys in _anchored_images(cycle):
         # an image whose least x exceeds that of best is larger than best
         if best is not None and min(xs) > best[0][0]:
             continue
@@ -811,10 +813,10 @@ def is_canonical_cycle_2d(cycle: tuple) -> bool:
 
     cycle must be a counterclockwise polygon cycle from its lex-min
     vertex, as _hull_cycle_2d returns it; the answer is that of
-    canonical_form_2d(convex_hull(cycle)) == cycle.  No image is built
-    in full: one whose least x exceeds cycle[0][0] is larger, one whose
-    least x is below it is smaller, and only a tie compares coordinates
-    from the image's lead (lex-min) vertex on, up to the first difference.
+    canonical_form_2d(cycle) == cycle.  No image is built in full: one
+    whose least x exceeds cycle[0][0] is larger, one whose least x is
+    below it is smaller, and only a tie compares coordinates from the
+    image's lead (lex-min) vertex on, up to the first difference.
     """
     m = len(cycle)
     x0 = cycle[0][0]

@@ -35,7 +35,6 @@ from qhelly.census import (
     CensusClass,
     _has_width_two,
     _pick_counts,
-    _polygon,
     certified_box_bound,
     max_height,
 )
@@ -192,7 +191,7 @@ def _leaf_to_class(rows: Sequence[tuple], interior: int) -> Optional[CensusClass
         return None
     pick_interior, boundary = _pick_counts(cycle)
     assert pick_interior == interior, "row arithmetic disagrees with Pick's formula"
-    canon = canonical_form_2d(_polygon(cycle))
+    canon = canonical_form_2d(cycle)
     if not _has_width_two(interior, canon):
         return None
     return CensusClass(vertices=canon, interior=interior, boundary=boundary)

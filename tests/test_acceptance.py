@@ -207,11 +207,11 @@ def test_criterion_07_bound_audit(capsys):
         profiles = [(site, c_direct(site, len(site))) for site in sites]
     ok = True
     for site, c_values in profiles:
-        report = audit_bounds(site.describe(), site.dim, c_values, lattice_mode=True)
+        report = audit_bounds(site.describe(), site.dim, c_values)
         ok = ok and report.all_satisfied
     store = _census_store(10)
     z2 = c_z2_profile(10, store)
-    report = audit_bounds(z2.label, 2, z2.c, lattice_mode=True)
+    report = audit_bounds(z2.label, 2, z2.c)
     ok = ok and report.all_satisfied
     equalities = {
         check.k

@@ -88,7 +88,7 @@ def test_every_class_reports_its_own_interior_count(small_cache):
 
 
 def test_hexagon_class_is_enumerated():
-    canonical = canonical_form_2d(convex_hull(HEXAGON))
+    canonical = canonical_form_2d(convex_hull(HEXAGON).vertices)
     classes = enumerate_polygon_classes(1)[1]
     assert any(cls.vertices == canonical for cls in classes)
     assert max(cls.vertex_count for cls in classes) == 6
@@ -460,7 +460,7 @@ def test_validation_compares_past_the_lead_vertex():
     # four vertices, stored in place of the class
     canon = ((-1, 1), (0, 0), (1, 0), (2, 1), (0, 2))
     image = ((-1, 1), (0, 0), (1, 0), (2, 1), (1, 2))
-    assert canonical_form_2d(convex_hull(image)) == canon
+    assert canonical_form_2d(convex_hull(image).vertices) == canon
     text = (DEVCACHE / "interior_02.census").read_text()
     canon_line = "\n5 -1 1 0 0 1 0 2 1 0 2\n"
     assert text.count(canon_line) == 1
@@ -489,18 +489,18 @@ def test_canonical_check_accepts_exactly_the_canonical_image():
                 assert _hull_cycle_2d(image) == image
                 verdict = is_canonical_cycle_2d(image)
                 assert verdict == (image == cls.vertices)
-                assert verdict == (canonical_form_2d(convex_hull(image)) == image)
+                assert verdict == (canonical_form_2d(convex_hull(image).vertices) == image)
 
 
 def test_validation_rejects_width_one_polygons():
-    canon = canonical_form_2d(convex_hull([(0, 0), (3, 0), (1, 1), (0, 1)]))
+    canon = canonical_form_2d(convex_hull([(0, 0), (3, 0), (1, 1), (0, 1)]).vertices)
     with pytest.raises(CacheCorruptError, match="lattice width 1"):
         parse_census_file(_one_class_file(0, canon))
 
 
 def test_validation_rejects_wrong_interior_header():
     # the hexagon's class has one interior point
-    canon = canonical_form_2d(convex_hull(HEXAGON))
+    canon = canonical_form_2d(convex_hull(HEXAGON).vertices)
     assert parse_census_file(_one_class_file(1, canon)).classes[0].interior == 1
     for wrong in (0, 2):
         with pytest.raises(CacheCorruptError, match="1 interior points"):
@@ -547,8 +547,8 @@ def test_width_rule_matches_the_width_search(points):
     if interior >= 1:
         assert width >= 2
     elif width >= 2:
-        assert canonical_form_2d(poly) == ((0, 0), (2, 0), (0, 2))
-    assert _has_width_two(interior, canonical_form_2d(poly)) == (width >= 2)
+        assert canonical_form_2d(poly.vertices) == ((0, 0), (2, 0), (0, 2))
+    assert _has_width_two(interior, canonical_form_2d(poly.vertices)) == (width >= 2)
 
 
 _FUZZ_FILES = ("interior_02.census", "interior_03.census")
@@ -839,4 +839,4 @@ def test_cached_classes_absorb_unimodular_images(small_cache):
     for _ in range(40):
         cls = rng.choice(classes)
         image = _random_unimodular_image(rng, cls.vertices)
-        assert canonical_form_2d(convex_hull(image)) == cls.vertices
+        assert canonical_form_2d(convex_hull(image).vertices) == cls.vertices

@@ -264,6 +264,22 @@ def test_usage_errors_exit_two(capsys):
     assert run_cli(capsys, ["witness", "--suite", "theorem4"])[0] == 2
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["census", "--k", "2", "--threads", "0"], "thread count must be positive"),
+        (["census", "--k", "-1"], "k must be nonnegative"),
+        (["witness", "--suite", "lowerbound"], "--suite lowerbound needs --n N and --k K"),
+        (["audit", "--site", "3x3", "--kmax", "-1"], "k must be nonnegative"),
+        # the range is checked before the precision
+        (["constants", "--n-range", "5..3", "--precision", "10"], "range must satisfy 2 <= A <= B"),
+    ],
+)
+def test_usage_error_messages(capsys, monkeypatch, argv, message):
+    monkeypatch.delenv("QHELLY_CACHE_DIR", raising=False)
+    assert run_cli(capsys, argv) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("precision", ["10", "63", "8193", "100000"])
 def test_constants_precision_out_of_range_exits_two(capsys, precision):
     code, out, err = run_cli(
@@ -329,6 +345,20 @@ def test_corrupt_cache_exits_one(small_cache, tmp_path, capsys):
     code, _, err = run_cli(capsys, ["census", "--k", "2", "--cache", str(broken)])
     assert code == 1
     assert err != ""
+
+
+GOLDEN_HELP = Path(__file__).resolve().parent / "golden" / "help"
+
+
+@pytest.mark.parametrize(
+    "command", ["qhelly", "grid", "census", "witness", "maximal", "constants", "audit"]
+)
+def test_help_matches_golden_text(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = ["--help"] if command == "qhelly" else [command, "--help"]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN_HELP / f"{command}.txt").read_text()
 
 
 def test_version_flag(capsys):

@@ -5,12 +5,16 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional
 
 import pytest
 
 from qhelly.census import CensusStore
 from qhelly.constants import (
+    MAX_PRECISION,
     Enclosure,
+    _certify,
+    _Verdicts,
     andrews_constants,
     certify_constant_estimates,
     certify_growth_chain,
@@ -187,6 +191,26 @@ def test_growth_chain_certifies_through_dimension_eight():
     two_phi_plus_one = Enclosure.point(2) * planar.phi + Enclosure.point(1)
     assert Fraction("12.313708498984") < two_phi_plus_one.lo
     assert two_phi_plus_one.hi < Fraction("12.313708498985")
+
+
+@dataclass(frozen=True)
+class _StubReport(_Verdicts):
+    n: int
+    precision: int
+    flag: Optional[bool]
+
+    _CHECKS = ("flag",)
+
+
+def test_certify_doubles_precision_up_to_the_cap():
+    # n = 2 is decided from 1024 bits on, n = 3 never
+    def evaluate(n, precision):
+        return _StubReport(n, precision, True if n == 2 and precision >= 1024 else None)
+
+    certificate = _certify(evaluate, [2, 3], 192)
+    assert [r.precision for r in certificate.reports] == [1536, MAX_PRECISION]
+    assert certificate.undecided == ((3, "flag"),)
+    assert not certificate.ok and not certificate.failures
 
 
 def test_precision_and_dimension_validation():

@@ -255,7 +255,7 @@ def test_audit_bounds_lattice_mode_values():
     # known planar lattice values: the two_thirds bound is met with
     # equality at k = 0, 1, 2 and is strict afterwards
     c_vals = (4, 6, 6, 6, 8)
-    report = audit_bounds("planar lattice", 2, c_vals, lattice_mode=True)
+    report = audit_bounds("planar lattice", 2, c_vals)
     assert report.all_satisfied
     for ch in report.checks:
         if ch.name == "two_thirds":

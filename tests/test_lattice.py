@@ -549,24 +549,24 @@ def unimodular_images(pts, rng, count):
 def test_canonical_form_invariance_sample():
     rng = random.Random(4)
     hexagon = [(0, 0), (1, 0), (2, 1), (2, 2), (1, 2), (0, 1)]
-    base = canonical_form_2d(convex_hull(hexagon))
+    base = canonical_form_2d(convex_hull(hexagon).vertices)
     for img in unimodular_images(hexagon, rng, 60):
-        assert canonical_form_2d(convex_hull(img)) == base
+        assert canonical_form_2d(convex_hull(img).vertices) == base
 
 
 def test_canonical_form_separates():
-    a = canonical_form_2d(convex_hull([(0, 0), (1, 0), (0, 1)]))
-    b = canonical_form_2d(convex_hull([(0, 0), (2, 0), (0, 2)]))
-    c = canonical_form_2d(convex_hull([(0, 0), (1, 0), (0, 1), (1, 1)]))
+    a = canonical_form_2d(convex_hull([(0, 0), (1, 0), (0, 1)]).vertices)
+    b = canonical_form_2d(convex_hull([(0, 0), (2, 0), (0, 2)]).vertices)
+    c = canonical_form_2d(convex_hull([(0, 0), (1, 0), (0, 1), (1, 1)]).vertices)
     assert len({a, b, c}) == 3
 
 
 def test_canonical_form_needs_full_dimension():
     with pytest.raises(DegenerateInputError):
-        canonical_form_2d(convex_hull([(0, 0), (4, 0)]))
+        canonical_form_2d(convex_hull([(0, 0), (4, 0)]).vertices)
 
 
 def test_canonical_form_is_a_fixed_point():
     P = convex_hull([(0, 0), (4, 1), (3, 3), (1, 2)])
-    cf = canonical_form_2d(P)
-    assert canonical_form_2d(convex_hull(cf)) == cf
+    cf = canonical_form_2d(P.vertices)
+    assert canonical_form_2d(convex_hull(cf).vertices) == cf

@@ -102,26 +102,26 @@ BASE_POLYGONS = [
 
 def test_canonical_form_unimodular_invariance_thousand_transforms():
     rng = random.Random(313131)
-    canon = [canonical_form_2d(convex_hull(p)) for p in BASE_POLYGONS]
+    canon = [canonical_form_2d(convex_hull(p).vertices) for p in BASE_POLYGONS]
     for trial in range(1000):
         idx = trial % len(BASE_POLYGONS)
         image = _random_unimodular_image(rng, BASE_POLYGONS[idx])
-        assert canonical_form_2d(convex_hull(image)) == canon[idx]
+        assert canonical_form_2d(convex_hull(image).vertices) == canon[idx]
 
 
 def test_canonical_form_is_itself_canonical():
     rng = random.Random(616161)
     for base in BASE_POLYGONS:
-        fixed = canonical_form_2d(convex_hull(base))
-        assert canonical_form_2d(convex_hull(fixed)) == fixed
+        fixed = canonical_form_2d(convex_hull(base).vertices)
+        assert canonical_form_2d(convex_hull(fixed).vertices) == fixed
         image = _random_unimodular_image(rng, fixed)
-        assert canonical_form_2d(convex_hull(image)) == fixed
+        assert canonical_form_2d(convex_hull(image).vertices) == fixed
 
 
 def test_canonical_form_separates_inequivalent_polygons():
     # unit triangle vs doubled triangle differ in lattice point count
-    small = canonical_form_2d(convex_hull([(0, 0), (1, 0), (0, 1)]))
-    doubled = canonical_form_2d(convex_hull([(0, 0), (2, 0), (0, 2)]))
+    small = canonical_form_2d(convex_hull([(0, 0), (1, 0), (0, 1)]).vertices)
+    doubled = canonical_form_2d(convex_hull([(0, 0), (2, 0), (0, 2)]).vertices)
     assert small != doubled
 
 
@@ -146,7 +146,7 @@ def test_cached_classes_recount_exactly(small_cache):
 def test_cached_classes_are_stored_in_canonical_form(small_cache):
     for i in range(4):
         for cls in small_cache.load(i).classes:
-            assert canonical_form_2d(convex_hull(cls.vertices)) == cls.vertices
+            assert canonical_form_2d(convex_hull(cls.vertices).vertices) == cls.vertices
 
 
 def test_cached_classes_are_distinct_and_sorted(small_cache):
