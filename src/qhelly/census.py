@@ -377,6 +377,8 @@ _HEADER_RE = re.compile(
     rf"box=(?P<box>{_DECIMAL}) complete=(?P<complete>[01])\Z"
 )
 _TRAILER_RE = re.compile(rf"\Acount=(?P<count>{_DECIMAL})\Z")
+# a vertex count, then coordinates as str() writes them: no "+", "-0", "05"
+_CLASS_LINE_RE = re.compile(rf"\A{_DECIMAL}(?: (?:0|-?[1-9][0-9]*))*\Z")
 
 
 def _parse_header(line: str) -> tuple[int, int, bool]:
@@ -422,16 +424,14 @@ def parse_census_file(text: str) -> CensusFile:
         )
     classes = []
     for line in body:
-        try:
-            nums = [int(tok) for tok in line.split(" ")]
-        except ValueError:
-            raise CacheCorruptError(f"malformed census line: {line!r}") from None
         # int() also takes "+5", "05", "0_5" and a trailing "\r"; the line
         # must be spelled exactly as render spells its numbers
-        spelled = " ".join(map(str, nums)) == line
-        if not spelled or len(nums) != 1 + 2 * nums[0] or nums[0] < 3:
+        if _CLASS_LINE_RE.match(line) is None:
             raise CacheCorruptError(f"malformed census line: {line!r}")
-        verts = tuple((nums[1 + 2 * j], nums[2 + 2 * j]) for j in range(nums[0]))
+        nums = list(map(int, line.split(" ")))
+        if len(nums) != 1 + 2 * nums[0] or nums[0] < 3:
+            raise CacheCorruptError(f"malformed census line: {line!r}")
+        verts = tuple(zip(nums[1::2], nums[2::2]))
         classes.append(_class_from_vertices(verts, interior))
     keys = [cls.key() for cls in classes]
     if keys != sorted(set(keys)):

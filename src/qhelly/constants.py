@@ -338,12 +338,19 @@ def andrews_constants(n: int, precision: int = DEFAULT_PRECISION) -> "AndrewsRep
     c1 = _c1(n, precision)
     kappa_prime = _kappa_prime(n, xi, precision)
     gamma = Enclosure.point(Fraction(1, n**n)) * c1
-    kappa = (
-        Enclosure.point(Fraction(1, 2 * 3**n))
-        * gamma
-        * kappa_prime.power(n, n - 1, precision)
-    )
-    alpha_required = kappa.power(-(n - 1), n + 1, precision)
+    # at low precision the enclosure of kappa' or of kappa can reach 0,
+    # where the fractional powers below are undefined: kappa and alpha
+    # are then undecided at this precision, and _certify doubles it
+    kappa = alpha_required = alpha_bounded = None
+    if kappa_prime.lo > 0:
+        kappa = (
+            Enclosure.point(Fraction(1, 2 * 3**n))
+            * gamma
+            * kappa_prime.power(n, n - 1, precision)
+        )
+    if kappa is not None and kappa.lo > 0:
+        alpha_required = kappa.power(-(n - 1), n + 1, precision)
+        alpha_bounded = certified_le(alpha_required, Enclosure.point((3 * n) ** (4 * n)))
     phi = Enclosure.point(n).power(5, 2, precision)
 
     return AndrewsReport(
@@ -363,7 +370,7 @@ def andrews_constants(n: int, precision: int = DEFAULT_PRECISION) -> "AndrewsRep
         kappa_prime_bounded=certified_ge(
             kappa_prime, Enclosure.point(Fraction(1, 8 * n ** (3 * n)))
         ),
-        alpha_bounded=certified_le(alpha_required, Enclosure.point((3 * n) ** (4 * n))),
+        alpha_bounded=alpha_bounded,
     )
 
 
@@ -372,7 +379,9 @@ class AndrewsReport(_Verdicts):
     """Constant-chain enclosures for one dimension, with estimate verdicts.
 
     A verdict of None means the precision used could not separate the
-    intervals; it is never silently promoted to a pass.
+    intervals; it is never silently promoted to a pass.  kappa and
+    alpha_required are None when the enclosures they are powers of reach
+    0, and alpha_bounded is None with them.
     """
 
     n: int
@@ -381,8 +390,8 @@ class AndrewsReport(_Verdicts):
     c1: Enclosure
     kappa_prime: Enclosure
     gamma: Enclosure
-    kappa: Enclosure
-    alpha_required: Enclosure
+    kappa: Optional[Enclosure]
+    alpha_required: Optional[Enclosure]
     phi: Enclosure
     beta_n: int
     beta_n_minus_1: int

@@ -15,6 +15,10 @@ equations of a polytope in site_mask.  Over the integer lattice, points
 are counted and listed by exact row intervals of the last coordinate,
 one per point of the box of the others; a degenerate polytope is counted
 in the chart of a saturated basis of its affine lattice (_affine_chart).
+A planar canonical form is the least of the 2v anchored images of a
+vertex cycle; rotating calipers find each image's top vertex, and its
+least x is read off its left chain (_anchored_leads), so an image is
+built, or walked, only when its least x ties.
 """
 
 from __future__ import annotations
@@ -746,38 +750,59 @@ def census(polytope: LatticePolytope, site: Site, *, relative: bool = False) -> 
 # canonical form in the plane
 
 
-def _anchored_images(cycle: Sequence[Point]) -> Iterator[tuple[list, list]]:
-    """The 2v normalized images of a counterclockwise vertex cycle.
+def _anchored_leads(cycle: Sequence[Point]) -> Iterator[tuple]:
+    """The 2v normalized images of a counterclockwise vertex cycle, each
+    given by its least x and its lead (lex-min) vertex, not built.
 
-    For every anchored directed edge, in both orientations, yields the x
-    and the y coordinates of the image vertices in cycle order from the
-    anchor: a det-1 map sends the edge onto the positive x-axis, a
-    reversed traversal is reflected across it, and a shear puts the first
-    vertex of greatest height h at an x in [0, h).
+    Anchored at edge i from o to n, with primitive direction p and
+    lattice length g, a det-1 map sends the edge onto the positive
+    x-axis: it keeps the height h(v) = p x (v - o) and takes x to
+    u(v) = (a, b).(v - o), where a p_x + b p_y = 1.  The reversed
+    traversal, anchored at n and reflected across the edge, has the same
+    height and x = g - u.  A shear then puts the first vertex of greatest
+    height met from the anchor at an x in [0, h).  That top vertex only
+    moves forward as i does (rotating calipers, Toussaint 1983).  At most
+    two vertices are top, j and jr = j + 1, when the top edge is parallel
+    to the anchor edge; the forward image shears j, the reversed one jr.
+
+    The vertices met between the anchor and the top lie right of the
+    chord joining them, at x > 0, so the least x (at most the anchor's
+    0) lies on the left chain: jr..i for the forward image, i+1..j for
+    the reversed one.  Heights fall strictly along a left chain, so the
+    lead is the lower of at most two vertices at the least x.
+
+    Yields (least x, lead, step, A, B, C, D, E, F): vertex k of the image
+    cycle read from its lead is cycle[lead + k * step], mapped to
+    (A x + B y + C, D x + E y + F).
     """
     m = len(cycle)
-    for reverse in (False, True):
-        seq_base = cycle[::-1] if reverse else cycle
-        for start in range(m):
-            seq = seq_base[start:] + seq_base[:start]
-            (ox, oy), (nx, ny) = seq[0], seq[1]
-            g, a, b = _xgcd(nx - ox, ny - oy)
-            px, py = (nx - ox) // g, (ny - oy) // g
-            # rows (a, b) and (-py, px) form a det-1 map sending the edge
-            # direction to (1, 0); a reversed traversal is clockwise, so
-            # reflect across the x-axis to restore counterclockwise order.
-            c, d = (py, -px) if reverse else (-py, px)
-            t = c * ox + d * oy
-            ys = [c * x + d * y - t for x, y in seq]
-            ymax = max(ys)
-            assert ymax > 0 and min(ys) >= 0
-            # shear the first vertex at height ymax into [0, ymax)
-            vx, vy = seq[ys.index(ymax)]
-            shear = -((a * (vx - ox) + b * (vy - oy)) // ymax)
-            a += shear * c
-            b += shear * d
-            t = a * ox + b * oy
-            yield [a * x + b * y - t for x, y in seq], ys
+    cyc = tuple(cycle) * 2
+    j = 1
+    for i in range(m):
+        (ox, oy), (nx, ny) = cyc[i], cyc[i + 1]
+        g, a, b = _xgcd(nx - ox, ny - oy)
+        px, py = (nx - ox) // g, (ny - oy) // g
+        top = px * cyc[j][1] - py * cyc[j][0]
+        while (nxt := px * cyc[j + 1][1] - py * cyc[j + 1][0]) > top:
+            j, top = j + 1, nxt
+        jr = j + 1 if nxt == top else j
+        f = py * ox - px * oy
+        top += f
+        s = -((a * (cyc[j][0] - ox) + b * (cyc[j][1] - oy)) // top)
+        A, B = a - s * py, b + s * px
+        xs = [A * x + B * y for x, y in cyc[jr : i + m + 1]]
+        low = min(xs)
+        k = xs.index(low)
+        if k + 1 < len(xs) and xs[k + 1] == low:
+            k += 1
+        C = -A * ox - B * oy
+        yield low + C, (jr + k) % m, 1, A, B, C, -py, px, f
+        s = -((g - a * (cyc[jr][0] - ox) - b * (cyc[jr][1] - oy)) // top)
+        A, B = -a - s * py, -b + s * px
+        xs = [A * x + B * y for x, y in cyc[i + 1 : j + 1]]
+        low = min(xs)
+        C = g - A * ox - B * oy
+        yield low + C, (i + 1 + xs.index(low)) % m, -1, A, B, C, -py, px, f
 
 
 def canonical_form_2d(cycle: Sequence[Point]) -> tuple:
@@ -785,26 +810,23 @@ def canonical_form_2d(cycle: Sequence[Point]) -> tuple:
 
     cycle is the counterclockwise vertex cycle of a lattice polygon, such
     as convex_hull(points).vertices.  Two polygons are equivalent iff
-    their canonical cycles are equal.  Minimizes, over every anchored
-    directed edge and both orientations, the vertex tuple after mapping
-    the edge onto the positive x-axis and shear-normalizing; the
-    lexicographic minimum is canonical.
+    their canonical cycles are equal.  The canonical cycle is the least,
+    over every anchored directed edge and both orientations, of the
+    shear-normalized image (_anchored_leads) read from its lex-min
+    vertex, so it is a hull cycle as well; only the images at the least
+    x of all are built.
     """
     if len(cycle) < 3:
         raise DegenerateInputError("canonical form needs a full-dimensional polygon in Z^2")
-    best: Optional[tuple] = None
-    for xs, ys in _anchored_images(cycle):
-        # an image whose least x exceeds that of best is larger than best
-        if best is not None and min(xs) > best[0][0]:
-            continue
-        sheared = list(zip(xs, ys))
-        # rotate so the cycle starts at its lex-min vertex, making the
-        # stored form a hull-canonical cycle as well
-        lead = sheared.index(min(sheared))
-        cand = tuple(sheared[lead:] + sheared[:lead])
-        if best is None or cand < best:
-            best = cand
-    assert best is not None
+    images = list(_anchored_leads(cycle))
+    least = min(image[0] for image in images)
+    best = None
+    for low, lead, step, A, B, C, D, E, F in images:
+        if low == least:
+            seq = cycle[lead:] + cycle[:lead] if step > 0 else cycle[lead::-1] + cycle[:lead:-1]
+            cand = tuple((A * x + B * y + C, D * x + E * y + F) for x, y in seq)
+            if best is None or cand < best:
+                best = cand
     return best
 
 
@@ -813,32 +835,27 @@ def is_canonical_cycle_2d(cycle: tuple) -> bool:
 
     cycle must be a counterclockwise polygon cycle from its lex-min
     vertex, as _hull_cycle_2d returns it; the answer is that of
-    canonical_form_2d(cycle) == cycle.  No image is built in full: one
-    whose least x exceeds cycle[0][0] is larger, one whose least x is
-    below it is smaller, and only a tie compares coordinates from the
-    image's lead (lex-min) vertex on, up to the first difference.
+    canonical_form_2d(cycle) == cycle.  No image is built: one whose
+    least x (read off its left chain) exceeds cycle[0][0] is larger, one
+    whose least x is below it is smaller, and only a tie walks the image
+    from its lead vertex on, up to the first difference.
     """
     m = len(cycle)
     x0 = cycle[0][0]
     found = False
-    for xs, ys in _anchored_images(cycle):
-        low = min(xs)
-        if low > x0:
+    for low, k, step, A, B, C, D, E, F in _anchored_leads(cycle):
+        if low != x0:
+            if low < x0:
+                return False
             continue
-        if low < x0:
-            return False
-        # strict convexity leaves at most one more vertex on x = low, the
-        # next one counterclockwise, and it is the lower of the two
-        k = xs.index(low)
-        if k + 1 < m and xs[k + 1] == low:
-            k += 1
         for sx, sy in cycle:
-            x, y = xs[k], ys[k]
+            x, y = cycle[k]
+            x, y = A * x + B * y + C, D * x + E * y + F
             if x != sx or y != sy:
                 if x < sx or (x == sx and y < sy):
                     return False
                 break
-            k = k + 1 if k + 1 < m else 0
+            k = (k + step) % m
         else:
             found = True
     return found

@@ -1,16 +1,21 @@
-"""Scans that the tests use as oracles for exact point counts and for
-lattice width.
+"""Scans that the tests use as oracles for exact point counts, for
+lattice width and for the planar canonical form.
 
 Each point scan tests every lattice point of a bounding box against
 every inequality, with no interval arithmetic, so it is slow but plainly
 right.  The width search tries every primitive direction in a box that
-Cramer's rule proves large enough.
+Cramer's rule proves large enough.  The anchored images are built in
+full, every vertex of every one, without the calipers or the left-chain
+bound of lattice._anchored_leads.
 """
 
 from __future__ import annotations
 
 import itertools
 from math import ceil, floor, gcd
+from typing import Iterator, Sequence
+
+from qhelly.lattice import Point, _xgcd
 
 
 def box_points(polytope) -> tuple[list, list]:
@@ -121,3 +126,37 @@ def lattice_width_2d(poly) -> int:
                     improved = True
         if not improved:
             return best
+
+
+def _anchored_images(cycle: Sequence[Point]) -> Iterator[tuple[list, list]]:
+    """The 2v normalized images of a counterclockwise vertex cycle.
+
+    For every anchored directed edge, in both orientations, yields the x
+    and the y coordinates of the image vertices in cycle order from the
+    anchor: a det-1 map sends the edge onto the positive x-axis, a
+    reversed traversal is reflected across it, and a shear puts the first
+    vertex of greatest height h at an x in [0, h).
+    """
+    m = len(cycle)
+    for reverse in (False, True):
+        seq_base = cycle[::-1] if reverse else cycle
+        for start in range(m):
+            seq = seq_base[start:] + seq_base[:start]
+            (ox, oy), (nx, ny) = seq[0], seq[1]
+            g, a, b = _xgcd(nx - ox, ny - oy)
+            px, py = (nx - ox) // g, (ny - oy) // g
+            # rows (a, b) and (-py, px) form a det-1 map sending the edge
+            # direction to (1, 0); a reversed traversal is clockwise, so
+            # reflect across the x-axis to restore counterclockwise order.
+            c, d = (py, -px) if reverse else (-py, px)
+            t = c * ox + d * oy
+            ys = [c * x + d * y - t for x, y in seq]
+            ymax = max(ys)
+            assert ymax > 0 and min(ys) >= 0
+            # shear the first vertex at height ymax into [0, ymax)
+            vx, vy = seq[ys.index(ymax)]
+            shear = -((a * (vx - ox) + b * (vy - oy)) // ymax)
+            a += shear * c
+            b += shear * d
+            t = a * ox + b * oy
+            yield [a * x + b * y - t for x, y in seq], ys

@@ -40,7 +40,6 @@ from qhelly.errors import (
 )
 from qhelly.lattice import (
     Z_LATTICE,
-    _anchored_images,
     _hull_cycle_2d,
     canonical_form_2d,
     census,
@@ -50,6 +49,7 @@ from qhelly.lattice import (
 from profile_oracles import unrolled_c
 from row_dfs_oracle import row_dfs_classes
 from scan_oracles import (
+    _anchored_images,
     box_census,
     census_tuple,
     lattice_width_2d,
@@ -469,7 +469,8 @@ def test_validation_compares_past_the_lead_vertex():
 
 
 def _anchored_cycles(cycle: tuple) -> set:
-    """The 2v anchored images of a hull cycle, each from its lex-min vertex."""
+    """The 2v anchored images of a hull cycle, each from its lex-min vertex,
+    built in full by the oracle."""
     cycles = set()
     for xs, ys in _anchored_images(cycle):
         image = list(zip(xs, ys))
@@ -479,17 +480,39 @@ def _anchored_cycles(cycle: tuple) -> set:
 
 
 def test_canonical_check_accepts_exactly_the_canonical_image():
-    # every anchored image of every golden class, stored as a cycle
+    # every anchored image of every golden class, stored as a cycle; the
+    # images of an image are those of the class, so their least is the
+    # canonical form of each
     for i in range(len(PUBLISHED_CLASS_COUNTS)):
         text = (DEVCACHE / f"interior_{i:02d}.census").read_text()
         for cls in parse_census_file(text).classes:
             images = _anchored_cycles(cls.vertices)
-            assert cls.vertices in images
+            assert min(images) == cls.vertices
             for image in images:
                 assert _hull_cycle_2d(image) == image
-                verdict = is_canonical_cycle_2d(image)
-                assert verdict == (image == cls.vertices)
-                assert verdict == (canonical_form_2d(convex_hull(image).vertices) == image)
+                assert canonical_form_2d(image) == cls.vertices
+                assert is_canonical_cycle_2d(image) == (image == cls.vertices)
+
+
+_COORD = st.integers(-40, 40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_COORD, _COORD), min_size=3, max_size=16))
+@example([(-3, -2), (5, 1), (0, 4)])  # a triangle
+@example([(0, 0), (4, 0), (3, 2), (1, 2)])  # the top edge parallel to the bottom one
+@example([(0, 0), (2, 0), (5, 3), (1, 3)])  # the same, the top edge reaching past the bottom one
+@example([(0, 0), (6, 0), (1, 3)])  # an anchor edge of lattice length 6
+@example([(-2, 1), (0, 0), (1, 0), (1, 2), (-2, 2)])  # least x on a vertical edge
+@example([(-2, 3), (-1, 1), (0, 0), (1, 0), (2, 1), (2, 2), (1, 4), (0, 5), (-1, 5), (-2, 4)])  # 10-gon
+def test_canonical_form_is_the_least_oracle_image(points):
+    cycle = _hull_cycle_2d(points)
+    assume(len(cycle) >= 3)
+    images = _anchored_cycles(cycle)
+    least = min(images)
+    for image in images | {cycle}:
+        assert canonical_form_2d(image) == least
+        assert is_canonical_cycle_2d(image) == (image == least)
 
 
 def test_validation_rejects_width_one_polygons():

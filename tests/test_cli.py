@@ -8,6 +8,7 @@ subcommands share one small cache built once per session (conftest).
 from __future__ import annotations
 
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -55,7 +56,8 @@ def test_grid_json_matches_schema(capsys):
     assert all(w is not None for i, w in enumerate(doc["witnesses"]) if i != 4)
 
 
-GOLDEN_GRID = Path(__file__).resolve().parent / "golden" / "grid"
+GOLDEN = Path(__file__).resolve().parent / "golden"
+GOLDEN_GRID = GOLDEN / "grid"
 
 
 @pytest.mark.parametrize(
@@ -199,6 +201,24 @@ def test_audit_z2(small_cache, capsys):
         assert f"k={k} two_thirds: c={c} bound={c} =" in out
 
 
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["census", "--k", "10"], "census_k10.csv"),
+        (["census", "--k", "10", "--format", "json"], "census_k10.json"),
+        (["audit", "--site", "z2", "--kmax", "10"], "audit_k10.txt"),
+        (["maximal", "--k", "10"], "maximal_k10.csv"),
+    ],
+)
+def test_warm_z2_output_matches_golden_bytes(tmp_path, capsys, argv, name):
+    # a copy, so that a run that wrote to its cache would not touch the golden files
+    cache = tmp_path / "golden"
+    shutil.copytree(GOLDEN, cache)
+    code, out, err = run_cli(capsys, argv + ["--cache", str(cache)])
+    assert (code, err) == (0, "")
+    assert out.encode() == (GOLDEN / "z2" / name).read_bytes()
+
+
 def test_audit_grid(capsys):
     code, out, _ = run_cli(capsys, ["audit", "--site", "3x3", "--kmax", "5"])
     assert code == 0
@@ -249,6 +269,18 @@ def test_constants_estimates_only_range(capsys):
     code, out, _ = run_cli(capsys, ["constants", "--n-range", "9..12"])
     assert code == 0
     assert "growth chain" not in out  # chain is certified for n <= 8 only
+
+
+def test_constants_low_precision_doubles_to_the_same_verdicts(capsys):
+    # at 64 bits the enclosures of kappa' (n >= 10) and kappa (n = 9)
+    # reach 0; those verdicts are inconclusive and the precision doubles
+    code, out, err = run_cli(
+        capsys, ["constants", "--n-range", "2..12", "--precision", "64", "--strict"]
+    )
+    assert (code, err) == (0, "")
+    assert (code, out, err) == run_cli(
+        capsys, ["constants", "--n-range", "2..12", "--precision", "192", "--strict"]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +379,7 @@ def test_corrupt_cache_exits_one(small_cache, tmp_path, capsys):
     assert err != ""
 
 
-GOLDEN_HELP = Path(__file__).resolve().parent / "golden" / "help"
+GOLDEN_HELP = GOLDEN / "help"
 
 
 @pytest.mark.parametrize(

@@ -213,6 +213,18 @@ def test_certify_doubles_precision_up_to_the_cap():
     assert not certificate.ok and not certificate.failures
 
 
+def test_low_precision_leaves_the_powers_of_a_zero_enclosure_undecided():
+    # at 64 bits kappa' of n = 10 rounds down to 0, and kappa of n = 9
+    report = andrews_constants(10, precision=64)
+    assert report.kappa_prime.lo == 0
+    assert report.kappa is None and report.alpha_required is None
+    assert report.inconclusive == ("kappa_prime_bounded", "alpha_bounded")
+    report = andrews_constants(9, precision=64)
+    assert report.kappa.lo <= 0 and report.alpha_required is None
+    assert report.inconclusive == ("alpha_bounded",)
+    assert certify_constant_estimates([9, 10], precision=64).ok
+
+
 def test_precision_and_dimension_validation():
     with pytest.raises(ValueError):
         andrews_constants(2, precision=32)
