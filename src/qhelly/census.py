@@ -434,7 +434,7 @@ def parse_census_file(text: str) -> CensusFile:
         verts = tuple(zip(nums[1::2], nums[2::2]))
         classes.append(_class_from_vertices(verts, interior))
     keys = [cls.key() for cls in classes]
-    if keys != sorted(set(keys)):
+    if any(a >= b for a, b in zip(keys, keys[1:])):
         raise CacheCorruptError("census classes are not sorted and distinct")
     return CensusFile(interior=interior, box=box, complete=complete, classes=tuple(classes))
 

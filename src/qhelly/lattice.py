@@ -18,7 +18,9 @@ in the chart of a saturated basis of its affine lattice (_affine_chart).
 A planar canonical form is the least of the 2v anchored images of a
 vertex cycle; rotating calipers find each image's top vertex, and its
 least x is read off its left chain (_anchored_leads), so an image is
-built, or walked, only when its least x ties.
+built, or walked, only when its least x ties.  The load-time check
+(is_canonical_cycle_2d) skips, without making a tuple of it, every
+image whose least x exceeds that of the stored cycle.
 """
 
 from __future__ import annotations
@@ -750,7 +752,7 @@ def census(polytope: LatticePolytope, site: Site, *, relative: bool = False) -> 
 # canonical form in the plane
 
 
-def _anchored_leads(cycle: Sequence[Point]) -> Iterator[tuple]:
+def _anchored_leads(cycle: Sequence[Point], bound: Optional[int] = None) -> Iterator[tuple]:
     """The 2v normalized images of a counterclockwise vertex cycle, each
     given by its least x and its lead (lex-min) vertex, not built.
 
@@ -768,41 +770,55 @@ def _anchored_leads(cycle: Sequence[Point]) -> Iterator[tuple]:
     The vertices met between the anchor and the top lie right of the
     chord joining them, at x > 0, so the least x (at most the anchor's
     0) lies on the left chain: jr..i for the forward image, i+1..j for
-    the reversed one.  Heights fall strictly along a left chain, so the
-    lead is the lower of at most two vertices at the least x.
+    the reversed one.  Heights fall strictly along a left chain and its
+    edges turn from pointing left to pointing right, so x falls, stays
+    put on at most one vertical edge, then rises.  The least x is found
+    by walking the chain from the anchor while x falls; of two vertices
+    at the least x the lead is the lower one.
 
     Yields (least x, lead, step, A, B, C, D, E, F): vertex k of the image
     cycle read from its lead is cycle[lead + k * step], mapped to
-    (A x + B y + C, D x + E y + F).
+    (A x + B y + C, D x + E y + F).  An image whose least x exceeds
+    bound is not yielded.
     """
     m = len(cycle)
-    cyc = tuple(cycle) * 2
+    X = [x for x, _ in cycle] * 2
+    Y = [y for _, y in cycle] * 2
     j = 1
     for i in range(m):
-        (ox, oy), (nx, ny) = cyc[i], cyc[i + 1]
-        g, a, b = _xgcd(nx - ox, ny - oy)
-        px, py = (nx - ox) // g, (ny - oy) // g
-        top = px * cyc[j][1] - py * cyc[j][0]
-        while (nxt := px * cyc[j + 1][1] - py * cyc[j + 1][0]) > top:
+        ox, oy = X[i], Y[i]
+        g, a, b = _xgcd(X[i + 1] - ox, Y[i + 1] - oy)
+        px, py = (X[i + 1] - ox) // g, (Y[i + 1] - oy) // g
+        top = px * Y[j] - py * X[j]
+        while (nxt := px * Y[j + 1] - py * X[j + 1]) > top:
             j, top = j + 1, nxt
         jr = j + 1 if nxt == top else j
         f = py * ox - px * oy
         top += f
-        s = -((a * (cyc[j][0] - ox) + b * (cyc[j][1] - oy)) // top)
+        s = -((a * (X[j] - ox) + b * (Y[j] - oy)) // top)
         A, B = a - s * py, b + s * px
-        xs = [A * x + B * y for x, y in cyc[jr : i + m + 1]]
-        low = min(xs)
-        k = xs.index(low)
-        if k + 1 < len(xs) and xs[k + 1] == low:
-            k += 1
         C = -A * ox - B * oy
-        yield low + C, (jr + k) % m, 1, A, B, C, -py, px, f
-        s = -((g - a * (cyc[jr][0] - ox) - b * (cyc[jr][1] - oy)) // top)
+        # back from the anchor o, at x = 0; the lower of a tie is met first
+        low, k = 0, i
+        for v in range(i + m - 1, jr - 1, -1):
+            x = A * X[v] + B * Y[v] + C
+            if x >= low:
+                break
+            low, k = x, v
+        if bound is None or low <= bound:
+            yield low, k % m, 1, A, B, C, -py, px, f
+        s = -((g - a * (X[jr] - ox) - b * (Y[jr] - oy)) // top)
         A, B = -a - s * py, -b + s * px
-        xs = [A * x + B * y for x, y in cyc[i + 1 : j + 1]]
-        low = min(xs)
         C = g - A * ox - B * oy
-        yield low + C, (i + 1 + xs.index(low)) % m, -1, A, B, C, -py, px, f
+        # on from the anchor n, at x = 0; the lower of a tie is met first
+        low, k = 0, i + 1
+        for v in range(i + 2, j + 1):
+            x = A * X[v] + B * Y[v] + C
+            if x >= low:
+                break
+            low, k = x, v
+        if bound is None or low <= bound:
+            yield low, k % m, -1, A, B, C, -py, px, f
 
 
 def canonical_form_2d(cycle: Sequence[Point]) -> tuple:
@@ -836,18 +852,17 @@ def is_canonical_cycle_2d(cycle: tuple) -> bool:
     cycle must be a counterclockwise polygon cycle from its lex-min
     vertex, as _hull_cycle_2d returns it; the answer is that of
     canonical_form_2d(cycle) == cycle.  No image is built: one whose
-    least x (read off its left chain) exceeds cycle[0][0] is larger, one
-    whose least x is below it is smaller, and only a tie walks the image
-    from its lead vertex on, up to the first difference.
+    least x (read off its left chain) exceeds cycle[0][0] is larger, and
+    _anchored_leads drops it under that bound; one whose least x is below
+    it is smaller, and only a tie walks the image from its lead vertex
+    on, up to the first difference.
     """
     m = len(cycle)
     x0 = cycle[0][0]
     found = False
-    for low, k, step, A, B, C, D, E, F in _anchored_leads(cycle):
-        if low != x0:
-            if low < x0:
-                return False
-            continue
+    for low, k, step, A, B, C, D, E, F in _anchored_leads(cycle, x0):
+        if low < x0:
+            return False
         for sx, sy in cycle:
             x, y = cycle[k]
             x, y = A * x + B * y + C, D * x + E * y + F

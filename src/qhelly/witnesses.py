@@ -64,10 +64,14 @@ _TIGHT_KINDS = ("cube", "fused_cubes", "prism_spike", "double_spike")
 
 
 def integer_root(value: int, degree: int) -> int:
-    """Largest r >= 0 with r**degree <= value, by pure integer bisection.
+    """Largest r >= 0 with r**degree <= value, by integer Newton iteration.
 
-    Floating point is never consulted, so perfect-power boundaries are
-    exact for arbitrarily large integers.
+    The iteration starts at 2**ceil(bits / degree), above the root, and
+    each step x -> ((degree - 1) x + value // x**(degree - 1)) // degree
+    stays at or above the root (by the AM-GM inequality) and falls while
+    x**degree > value, so the first step that does not fall starts from
+    the root.  Floating point is never consulted, so perfect-power
+    boundaries are exact for arbitrarily large integers.
     """
     if degree < 1:
         raise ValueError("root degree must be a positive integer")
@@ -75,17 +79,10 @@ def integer_root(value: int, degree: int) -> int:
         raise ValueError("integer_root expects a nonnegative value")
     if value in (0, 1) or degree == 1:
         return value
-    hi = 1
-    while hi**degree <= value:
-        hi *= 2
-    lo = hi // 2
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if mid**degree <= value:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    x = 1 << -(-value.bit_length() // degree)
+    while (y := ((degree - 1) * x + value // x ** (degree - 1)) // degree) < x:
+        x = y
+    return x
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,7 @@ from qhelly.errors import (
 )
 from qhelly.lattice import (
     Z_LATTICE,
+    _anchored_leads,
     _hull_cycle_2d,
     canonical_form_2d,
     census,
@@ -245,6 +246,18 @@ def test_cache_rejects_unsorted_classes(tmp_path):
     lines[1], lines[2] = lines[2], lines[1]
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(CacheCorruptError):
+        store.load(1)
+
+
+def test_cache_rejects_a_repeated_class(tmp_path):
+    store = CensusStore(tmp_path)
+    store.ensure(1)
+    path = store.path(1)
+    lines = path.read_text().splitlines()
+    lines.insert(2, lines[1])
+    lines[-1] = f"count={len(lines) - 2}"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CacheCorruptError, match="not sorted and distinct"):
         store.load(1)
 
 
@@ -513,6 +526,35 @@ def test_canonical_form_is_the_least_oracle_image(points):
     for image in images | {cycle}:
         assert canonical_form_2d(image) == least
         assert is_canonical_cycle_2d(image) == (image == least)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_COORD, _COORD), min_size=3, max_size=16), st.integers(-90, 5))
+@example([(0, 0), (4, 0), (3, 2), (1, 2)], 0)  # the top edge parallel to the anchor edge
+@example([(0, 0), (3, 0), (0, 2)], 0)  # a vertical left edge into the forward image's anchor
+@example([(0, 0), (3, 0), (3, 2)], 0)  # a vertical left edge out of the reversed image's anchor
+@example([(-2, 1), (0, 0), (1, 0), (1, 2), (-2, 2)], -2)  # a vertical left edge off the anchor
+def test_anchored_leads_describe_the_oracle_images(points, bound):
+    # each yield is an oracle image read from its lex-min vertex, least x
+    # first; a bound drops exactly the images whose least x exceeds it
+    cycle = _hull_cycle_2d(points)
+    assume(len(cycle) >= 3)
+    m = len(cycle)
+    leads = list(_anchored_leads(cycle))
+    built = []
+    for low, lead, step, A, B, C, D, E, F in leads:
+        seq = [cycle[(lead + k * step) % m] for k in range(m)]
+        image = tuple((A * x + B * y + C, D * x + E * y + F) for x, y in seq)
+        assert image[0] == min(image) and image[0][0] == low
+        built.append(image)
+    oracle = []
+    for xs, ys in _anchored_images(cycle):
+        image = list(zip(xs, ys))
+        lead = image.index(min(image))
+        oracle.append(tuple(image[lead:] + image[:lead]))
+    assert sorted(built) == sorted(oracle)
+    for b in {bound} | {im[0] for im in leads}:
+        assert list(_anchored_leads(cycle, b)) == [im for im in leads if im[0] <= b]
 
 
 def test_validation_rejects_width_one_polygons():

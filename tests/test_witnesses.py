@@ -35,6 +35,35 @@ def test_integer_root_exact_at_power_boundaries():
             assert integer_root(power + 1, degree) == base
 
 
+def _bisected_root(value: int, degree: int) -> int:
+    """Largest r >= 0 with r**degree <= value, by integer bisection."""
+    if value in (0, 1) or degree == 1:
+        return value
+    hi = 1
+    while hi**degree <= value:
+        hi *= 2
+    lo = hi // 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if mid**degree <= value:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def test_integer_root_matches_bisection_near_large_powers():
+    # values of up to about 4,500 bits, as large as those that
+    # `constants --n-range 2..12` roots at its default precision
+    rng = random.Random(14)
+    for degree in range(2, 21):
+        for bits in (1, 2, 7, 64, 65, 4500 // degree):
+            r = rng.getrandbits(bits) | 1 << (bits - 1)
+            for value in (r**degree - 1, r**degree, r**degree + 1):
+                assert integer_root(value, degree) == _bisected_root(value, degree)
+            assert integer_root(r**degree, degree) == r
+
+
 def test_integer_root_rejects_bad_arguments():
     with pytest.raises(ValueError):
         integer_root(-1, 2)
