@@ -10,8 +10,20 @@ maximal polygons, `constants` certifies the constant chains, and
 Each subparser registers its handler with `set_defaults(handler=...)`,
 and the handler reads its own flags from the argparse namespace.
 Before dispatch, `_check` makes the value checks argparse cannot
-express (the constants range, k >= 0, threads >= 1, precision bounds),
-in that order; the first that fails is the reported usage error.
+express (the constants range and precision bounds, k >= 0, threads
+>= 1), in that order; the first that fails is the reported usage error.
+
+A command runs only the layers it calls.  Importing this module puts
+`lattice`, `engine`, `witnesses`, `constants` and `census` into
+sys.modules as lazy modules (`importlib.util.LazyLoader`), whose code
+runs when one of their attributes is first read; a layer imported
+before this module is used as it is.  Handlers reach the layers through
+these module objects, never through names bound at import time.  So
+`grid` and `audit` on a box run `engine` and `lattice`; `census`,
+`maximal` and `audit --site z2` also run `census`; `witness` runs
+`witnesses` and `lattice`; `constants` runs `constants`, `witnesses`
+(for `integer_root`) and `lattice`; `--version`, `--help` and usage
+errors run none.
 
 Profile-emitting commands support csv, json and svg output.  Identical
 configurations give byte-identical csv/json, and svg identical up to
@@ -23,31 +35,38 @@ or finding, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import os
 import sys
+import types
 from typing import Optional, Sequence
 
 from . import __version__
-from .census import (
-    CACHE_ENV_VAR,
-    CensusStore,
-    LatticeProfile,
-    c_z2_profile,
-    expand_to_maximal,
-)
-from .constants import (
-    DEFAULT_PRECISION,
-    MAX_PRECISION,
-    MIN_PRECISION,
-    certify_constant_estimates,
-    certify_growth_chain,
-)
-from .engine import audit_bounds, g_profile
-from .errors import QhellyError
+from .errors import OutputError, QhellyError
 from .extint import is_finite, to_csv, to_json
-from .lattice import FiniteSite, convex_hull
-from .witnesses import lower_bound_witness, tight_recipes, verify_witness
+
+
+def _lazy(name: str) -> types.ModuleType:
+    """The module `name`, put in sys.modules so that its code runs when one
+    of its attributes is first read; a module already imported is kept."""
+    module = sys.modules.get(name)
+    if module is None:
+        spec = importlib.util.find_spec(name)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module
+        spec.loader.exec_module(module)
+        package, _, attr = name.rpartition(".")
+        setattr(sys.modules[package], attr, module)
+    return module
+
+
+lattice = _lazy("qhelly.lattice")
+engine = _lazy("qhelly.engine")
+witnesses = _lazy("qhelly.witnesses")
+constants = _lazy("qhelly.constants")
+census = _lazy("qhelly.census")
 
 _FORMATS = ("csv", "json", "svg")
 
@@ -82,23 +101,24 @@ def _check(args: argparse.Namespace) -> None:
     reported, so a constants range error wins over a precision error."""
     if args.command == "constants":
         _parse_n_range(args.n_range)
+        lo, hi = constants.MIN_PRECISION, constants.MAX_PRECISION
+        if args.precision is not None and not lo <= args.precision <= hi:
+            raise UsageError(f"precision must be between {lo} and {hi} bits")
     if min(getattr(args, "k", 0), getattr(args, "kmax", 0)) < 0:
         raise UsageError("k must be nonnegative")
     if getattr(args, "threads", 1) < 1:
         raise UsageError("thread count must be positive")
-    if not MIN_PRECISION <= getattr(args, "precision", MIN_PRECISION) <= MAX_PRECISION:
-        raise UsageError(
-            f"precision must be between {MIN_PRECISION} and {MAX_PRECISION} bits"
-        )
 
 
-def _z2_profile(args: argparse.Namespace, k: int) -> LatticeProfile:
+def _z2_profile(args: argparse.Namespace, k: int) -> census.LatticeProfile:
     """The planar lattice profile up to k, building missing census counts."""
-    if args.cache is None and not os.environ.get(CACHE_ENV_VAR):
-        raise UsageError(f"census cache needed: pass --cache DIR or set {CACHE_ENV_VAR}")
-    store = CensusStore(args.cache)
+    if args.cache is None and not os.environ.get(census.CACHE_ENV_VAR):
+        raise UsageError(
+            f"census cache needed: pass --cache DIR or set {census.CACHE_ENV_VAR}"
+        )
+    store = census.CensusStore(args.cache)
     store.ensure(k, threads=args.threads)
-    return c_z2_profile(k, store)
+    return census.c_z2_profile(k, store)
 
 
 # ---------------------------------------------------------------------------
@@ -202,8 +222,13 @@ _RENDERERS = {"csv": render_csv, "json": render_json, "svg": render_svg}
 
 def _emit(text: str, out_path: Optional[str]) -> None:
     if out_path:
-        with open(out_path, "w") as handle:
-            handle.write(text)
+        try:
+            with open(out_path, "w") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise OutputError(
+                f"output path {out_path} is unusable: {exc.strerror or exc}"
+            ) from exc
     else:
         sys.stdout.write(text)
 
@@ -213,8 +238,9 @@ def _emit(text: str, out_path: Optional[str]) -> None:
 
 
 def _run_grid(args: argparse.Namespace) -> int:
-    site = FiniteSite.grid(*_parse_dims(args.dims))
-    profile = g_profile(site, args.kmax, label=args.dims)
+    dims = _parse_dims(args.dims)  # before the layer is read, so a bad value runs none
+    site = lattice.FiniteSite.grid(*dims)
+    profile = engine.g_profile(site, args.kmax, label=args.dims)
     _emit(_RENDERERS[args.format](profile), args.out)
     return 0
 
@@ -237,8 +263,8 @@ def _run_witness(args: argparse.Namespace) -> int:
     if args.suite == "theorem4":
         if args.n is None:
             raise UsageError("--suite theorem4 needs --n N")
-        for recipe in tight_recipes(args.n):
-            report = verify_witness(recipe)
+        for recipe in witnesses.tight_recipes(args.n):
+            report = witnesses.verify_witness(recipe)
             verdict = "ok" if report.ok else "FAIL"
             failures += not report.ok
             lines.append(
@@ -250,8 +276,8 @@ def _run_witness(args: argparse.Namespace) -> int:
     else:
         if args.n is None:
             raise UsageError("--suite lowerbound needs --n N and --k K")
-        witness = lower_bound_witness(args.n, args.k)
-        report = verify_witness(witness)
+        witness = witnesses.lower_bound_witness(args.n, args.k)
+        report = witnesses.verify_witness(witness)
         verdict = "ok" if report.ok else "FAIL"
         failures += not report.ok
         shape = "degenerate segment" if witness.degenerate else "parabolic body"
@@ -281,7 +307,7 @@ def _run_maximal(args: argparse.Namespace) -> int:
     lines = ["k,helly,facets,rounds,member"]
     for k in range(1, args.k + 1):
         witness = profile.witnesses[k]
-        result = expand_to_maximal(convex_hull(witness.vertices), k)
+        result = census.expand_to_maximal(lattice.convex_hull(witness.vertices), k)
         ok = result.report.is_member and result.facet_count == profile.c[k]
         failures += not ok
         lines.append(
@@ -298,7 +324,8 @@ def _verdict(flag: Optional[bool]) -> str:
 
 def _run_constants(args: argparse.Namespace) -> int:
     lo, hi = _parse_n_range(args.n_range)
-    estimates = certify_constant_estimates(range(lo, hi + 1), precision=args.precision)
+    precision = constants.DEFAULT_PRECISION if args.precision is None else args.precision
+    estimates = constants.certify_constant_estimates(range(lo, hi + 1), precision=precision)
     lines = [
         f"constants n={report.n}: "
         + " ".join(f"{name}={_verdict(flag)}" for name, flag in report.verdicts())
@@ -306,7 +333,7 @@ def _run_constants(args: argparse.Namespace) -> int:
     ]
     certificates = [estimates]
     if lo <= 8:  # the growth chain is certified for n <= 8 only
-        chain = certify_growth_chain(range(lo, min(hi, 8) + 1), precision=args.precision)
+        chain = constants.certify_growth_chain(range(lo, min(hi, 8) + 1), precision=precision)
         lines.extend(
             f"growth chain n={report.n}: "
             + " ".join(
@@ -329,10 +356,11 @@ def _run_audit(args: argparse.Namespace) -> int:
         profile = _z2_profile(args, args.kmax)
         dim = 2
     else:
-        site = FiniteSite.grid(*_parse_dims(args.site))
-        profile = g_profile(site, args.kmax, label=args.site)
+        dims = _parse_dims(args.site)
+        site = lattice.FiniteSite.grid(*dims)
+        profile = engine.g_profile(site, args.kmax, label=args.site)
         dim = site.dim
-    report = audit_bounds(profile.label, dim, profile.c)
+    report = engine.audit_bounds(profile.label, dim, profile.c)
     lines = [f"audit {profile.label}: h={to_csv(report.h)}"]
     for check in report.checks:
         mark = "=" if check.equality else "<" if check.satisfied else "VIOLATED"
@@ -386,12 +414,13 @@ def build_parser() -> argparse.ArgumentParser:
     maximal.add_argument("--threads", type=int, default=1)
     maximal.add_argument("--out", default=None)
 
-    constants = sub.add_parser("constants", help="certify the constant chains")
-    constants.set_defaults(handler=_run_constants)
-    constants.add_argument("--n-range", default="2..12", dest="n_range")
-    constants.add_argument("--strict", action="store_true")
-    constants.add_argument("--precision", type=int, default=DEFAULT_PRECISION)
-    constants.add_argument("--out", default=None)
+    constants_cmd = sub.add_parser("constants", help="certify the constant chains")
+    constants_cmd.set_defaults(handler=_run_constants)
+    constants_cmd.add_argument("--n-range", default="2..12", dest="n_range")
+    constants_cmd.add_argument("--strict", action="store_true")
+    # None stands for constants.DEFAULT_PRECISION, so parsing runs no layer
+    constants_cmd.add_argument("--precision", type=int, default=None)
+    constants_cmd.add_argument("--out", default=None)
 
     audit = sub.add_parser("audit", help="check profiles against the upper bounds")
     audit.set_defaults(handler=_run_audit)

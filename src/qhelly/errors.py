@@ -27,6 +27,10 @@ class GuardRadiusError(QhellyError):
     """Outward search exceeded its radius cap; diagnostics in the message."""
 
 
+class OutputError(QhellyError):
+    """An output file (`--out`, `--emit-svg`) cannot be written."""
+
+
 class CacheError(QhellyError):
     """Base class for census cache problems."""
 

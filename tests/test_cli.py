@@ -3,18 +3,24 @@
 Everything runs in-process through cli.main so exit codes and output
 bytes are observable without spawning subprocesses.  The census-backed
 subcommands share one small cache built once per session (conftest).
+The tests of lazy layer loading run cli.main in a fresh interpreter,
+where no layer has been imported yet.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
+import qhelly
 from qhelly.cli import main
 
 
@@ -240,6 +246,29 @@ def test_witness_theorem4(capsys):
     assert lines[-1] == "double_spike(n=4): vertices 32 nonvertex 4 ok"
 
 
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        *(
+            (["--suite", "theorem4", "--n", str(n)], f"theorem4_n{n}.txt")
+            for n in (2, 3, 4, 5)
+        ),
+        (["--suite", "lowerbound", "--n", "2", "--k", "2450"], "lowerbound_n2_k2450.txt"),
+        (["--suite", "lowerbound", "--n", "3", "--k", "19950"], "lowerbound_n3_k19950.txt"),
+    ],
+)
+def test_witness_output_matches_golden_bytes(capsys, argv, name):
+    code, out, err = run_cli(capsys, ["witness", *argv])
+    assert (code, err) == (0, "")
+    assert out.encode() == (GOLDEN / "witness" / name).read_bytes()
+
+
+def test_constants_output_matches_golden_bytes(capsys):
+    code, out, err = run_cli(capsys, ["constants", "--n-range", "2..12", "--strict"])
+    assert (code, err) == (0, "")
+    assert out.encode() == (GOLDEN / "constants_2_12.txt").read_bytes()
+
+
 def test_witness_lowerbound(capsys):
     code, out, _ = run_cli(capsys, ["witness", "--suite", "lowerbound", "--n", "2", "--k", "32"])
     assert code == 0
@@ -361,6 +390,35 @@ def test_cache_path_that_is_a_file_exits_one(tmp_path, capsys):
     assert payload["exit"] == 1 and str(plain) in payload["error"]
 
 
+@pytest.mark.parametrize(
+    "argv, as_json",
+    [
+        (["witness", "--suite", "theorem4", "--n", "2", "--out"], False),
+        (["grid", "--dims", "3x3", "--kmax", "2", "--format", "json", "--out"], True),
+    ],
+)
+def test_unwritable_output_path_exits_one(tmp_path, capsys, argv, as_json):
+    target = tmp_path / "absent" / "out.txt"
+    code, out, err = run_cli(capsys, argv + [str(target)])
+    message = f"output path {target} is unusable: No such file or directory"
+    assert (code, out) == (1, "")
+    if as_json:
+        assert json.loads(err) == {"error": message, "exit": 1}
+    else:
+        assert err == f"error: {message}\n"
+
+
+def test_unwritable_svg_path_exits_one(small_cache, tmp_path, capsys):
+    target = tmp_path / "absent" / "census.svg"
+    code, out, err = run_cli(
+        capsys,
+        ["census", "--k", "2", "--cache", str(small_cache.directory), "--emit-svg", str(target)],
+    )
+    assert code == 1
+    assert out.startswith("k,g,c\n")  # the table is written before the svg
+    assert err == f"error: output path {target} is unusable: No such file or directory\n"
+
+
 def test_corrupt_cache_exits_one(small_cache, tmp_path, capsys):
     # clone the census files, tamper with one, and point the CLI at the clone
     broken = tmp_path / "broken-cache"
@@ -397,3 +455,84 @@ def test_version_flag(capsys):
     code, out, _ = run_cli(capsys, ["--version"])
     assert code == 0
     assert out.startswith("qhelly ")
+
+
+# ---------------------------------------------------------------------------
+# lazy loading of the layers, each case in a fresh interpreter
+
+LAYERS = ("lattice", "engine", "witnesses", "constants", "census")
+SRC = str(Path(qhelly.__file__).resolve().parents[1])
+
+
+def run_fresh(script: str, *args: str) -> str:
+    """stdout of `script` run in a new interpreter that imports qhelly from this tree."""
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=SRC + (os.pathsep + path if path else ""))
+    env.pop("QHELLY_CACHE_DIR", None)
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *args], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+LAYERS_RUN = """
+import contextlib, io, json, sys, types
+from qhelly import cli
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+ran = [n for n in %r if type(sys.modules["qhelly." + n]) is types.ModuleType]
+print(json.dumps([code, ran]))
+""" % (LAYERS,)
+
+
+@pytest.mark.parametrize(
+    "argv, code, ran",
+    [
+        (["--version"], 0, []),
+        (["--help"], 0, []),
+        (["grid", "--dims", "3y3", "--kmax", "2"], 2, []),
+        (["audit", "--site", "3y3", "--kmax", "2"], 2, []),
+        (["constants", "--n-range", "5..3", "--precision", "10"], 2, []),
+        (["census", "--k", "-1", "--cache", "{cache}"], 2, []),
+        (["grid", "--dims", "3x3", "--kmax", "2"], 0, ["lattice", "engine"]),
+        (["audit", "--site", "3x3", "--kmax", "2"], 0, ["lattice", "engine"]),
+        (["witness", "--suite", "theorem4", "--n", "2"], 0, ["lattice", "witnesses"]),
+        (["witness", "--suite", "lowerbound", "--n", "2", "--k", "32"], 0, ["lattice", "witnesses"]),
+        (["constants", "--n-range", "2..3"], 0, ["lattice", "witnesses", "constants"]),
+        (["census", "--k", "2", "--cache", "{cache}"], 0, ["lattice", "engine", "census"]),
+        (["maximal", "--k", "2", "--cache", "{cache}"], 0, ["lattice", "engine", "census"]),
+        (["audit", "--site", "z2", "--kmax", "2", "--cache", "{cache}"], 0, ["lattice", "engine", "census"]),
+    ],
+)
+def test_each_command_runs_only_its_layers(tmp_path, argv, code, ran):
+    for i in range(3):
+        shutil.copy(GOLDEN / f"interior_{i:02d}.census", tmp_path)
+    argv = [arg.format(cache=tmp_path) for arg in argv]
+    assert json.loads(run_fresh(LAYERS_RUN, *argv)) == [code, ran]
+
+
+@pytest.mark.parametrize("first", ["qhelly.census", "qhelly.cli"])
+def test_a_layer_is_one_module_whichever_is_imported_first(first):
+    script = f"""
+import importlib, sys, types
+import qhelly
+importlib.import_module({first!r})
+import qhelly.census as census
+import qhelly.cli
+print(census is sys.modules["qhelly.census"] is qhelly.census is qhelly.cli.census)
+print(qhelly.cli.census.CensusStore is census.CensusStore)
+print(type(census) is types.ModuleType)
+"""
+    assert run_fresh(script).split() == ["True"] * 3
+
+
+def test_census_threads_build_golden_bytes_from_an_empty_cache(tmp_path):
+    cache = tmp_path / "cache"
+    script = "import sys; from qhelly import cli; sys.exit(cli.main(sys.argv[1:]))"
+    out = run_fresh(script, "census", "--k", "10", "--threads", "2", "--cache", str(cache))
+    assert out.encode() == (GOLDEN / "z2" / "census_k10.csv").read_bytes()
+    names = sorted(path.name for path in cache.iterdir())
+    assert names == [f"interior_{i:02d}.census" for i in range(11)]
+    for name in names:
+        assert (cache / name).read_bytes() == (GOLDEN / name).read_bytes()
