@@ -1,6 +1,6 @@
 """Exact quantitative Helly-type numbers over lattices and finite sites.
 
-The layers are modules: `qhelly.lattice` (hulls, closures, censuses,
+The layers are modules: `qhelly.lattice` (hulls, site masks, censuses,
 canonical forms), `qhelly.engine` (profiles of finite sites),
 `qhelly.census` (the planar lattice-polygon census and maximal
 polygons), `qhelly.witnesses` (witness constructions) and

@@ -69,11 +69,9 @@ from .errors import (
 from .engine import c_from_g
 from .lattice import (
     LatticePolytope,
-    Z_LATTICE,
     _hull_cycle_2d,
     _xgcd,
     canonical_form_2d,
-    census,
     is_canonical_cycle_2d,
     lattice_points_in,
     primitive,
@@ -856,12 +854,12 @@ def expand_to_maximal(polytope: LatticePolytope, k: int) -> ExpansionResult:
         raise ValueError("expansion supports k >= 1 only")
     if polytope.ambient_dim != 2 or polytope.affine_dim != 2:
         raise DegenerateInputError("expansion needs a full-dimensional polygon in the plane")
-    cen = census(polytope, Z_LATTICE)
-    if cen.nonvertex != k:
-        raise ValueError(
-            f"polygon has {cen.nonvertex} non-vertex points, expansion asked for {k}"
-        )
     verts = polytope.vertices
+    keep = set(lattice_points_in(polytope)) - set(verts)
+    if len(keep) != k:
+        raise ValueError(
+            f"polygon has {len(keep)} non-vertex points, expansion asked for {k}"
+        )
     m = len(verts)
     normals = []
     offsets = []
@@ -871,7 +869,6 @@ def expand_to_maximal(polytope: LatticePolytope, k: int) -> ExpansionResult:
         n = primitive((by - ay, ax - bx))
         normals.append(n)
         offsets.append(n[0] * ax + n[1] * ay)
-    keep = set(lattice_points_in(polytope, Z_LATTICE)) - set(verts)
     mu = [1] * m
     rounds = 0
 

@@ -246,10 +246,6 @@ class _Verdicts:
         return tuple((name, getattr(self, name)) for name in self._CHECKS)
 
     @property
-    def all_certified(self) -> bool:
-        return all(flag is True for _, flag in self.verdicts())
-
-    @property
     def inconclusive(self) -> tuple[str, ...]:
         return tuple(name for name, flag in self.verdicts() if flag is None)
 

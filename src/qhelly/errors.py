@@ -15,10 +15,6 @@ class DegenerateInputError(QhellyError):
     """Operation needs a full-dimensional (or otherwise non-degenerate) input."""
 
 
-class SiteMembershipError(QhellyError):
-    """A point set was required to lie inside a given site and does not."""
-
-
 class BudgetExceededError(QhellyError):
     """Enumeration would exceed the configured state budget."""
 

@@ -1,4 +1,4 @@
-"""Exact lattice geometry: hulls, closures, point censuses, canonical forms.
+"""Exact lattice geometry: hulls, site masks, point censuses, canonical forms.
 
 All arithmetic is exact (int / Fraction).  Convex hulls are supported for
 affine dimension up to 5: dimensions 0-2 directly, 3-5 by a fraction-free
@@ -11,10 +11,12 @@ is always integral.  A planar hull cycle grows by a point outside it in
 O(v) by beneath-beyond (_splice_cycle_2d), without a new hull.
 Membership in a finite site is one path: FiniteSite.cut_mask ANDs the
 site's memoized halfspace masks, over the facets and affine-hull
-equations of a polytope in site_mask.  Over the integer lattice, points
-are counted and listed by exact row intervals of the last coordinate,
-one per point of the box of the others; a degenerate polytope is counted
-in the chart of a saturated basis of its affine lattice (_affine_chart).
+equations of a polytope in site_mask.  Over the integer lattice, the
+points of a full-dimensional polytope are counted and listed by exact
+row intervals of the last coordinate, one per point of the box of the
+others.  census also counts a point, and a segment from a to b as its
+gcd(b - a) + 1 lattice points; it refuses every other degenerate
+polytope, and lattice_points_in refuses every degenerate one.
 A planar canonical form is the least of the 2v anchored images of a
 vertex cycle; rotating calipers find each image's top vertex, and its
 least x is read off its left chain (_anchored_leads), so an image is
@@ -28,16 +30,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-from fractions import Fraction
 from math import gcd
 from operator import mul
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence
 
-from .errors import (
-    DegenerateInputError,
-    SiteMembershipError,
-    UnsupportedDimensionError,
-)
+from .errors import DegenerateInputError, UnsupportedDimensionError
 
 Point = tuple  # tuple[int, ...]; kept loose so Fraction-valued helpers can reuse code
 
@@ -117,45 +114,6 @@ def rational_rank(rows: Sequence[Sequence[int]]) -> int:
     return rank
 
 
-def solve_rational(rows: Sequence[Sequence], rhs: Sequence) -> Optional[list[Fraction]]:
-    """One exact solution of rows * x = rhs, or None if inconsistent.
-
-    Free variables are set to zero.  Intended for the tiny systems that
-    write the vertices of a degenerate polytope in its affine chart.
-    """
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    aug = [[Fraction(x) for x in rows[r]] + [Fraction(rhs[r])] for r in range(m)]
-    pivots: list[tuple[int, int]] = []
-    row = 0
-    for col in range(n):
-        pr = None
-        for r in range(row, m):
-            if aug[r][col]:
-                pr = r
-                break
-        if pr is None:
-            continue
-        aug[row], aug[pr] = aug[pr], aug[row]
-        inv = 1 / aug[row][col]
-        aug[row] = [x * inv for x in aug[row]]
-        for r in range(m):
-            if r != row and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[row])]
-        pivots.append((row, col))
-        row += 1
-        if row == m:
-            break
-    for r in range(row, m):
-        if aug[r][n]:
-            return None
-    x = [Fraction(0)] * n
-    for r, c in pivots:
-        x[c] = aug[r][n]
-    return x
-
-
 def integer_kernel_basis(rows: Sequence[Sequence[int]], n: int) -> list[tuple[int, ...]]:
     """Basis of {x in Z^n : rows * x = 0}.
 
@@ -183,23 +141,6 @@ def integer_kernel_basis(rows: Sequence[Sequence[int]], n: int) -> list[tuple[in
         if active:
             free.remove(active[0])
     return [tuple(u_cols[j]) for j in free]
-
-
-def saturated_direction_basis(points: Sequence[Point]) -> list[tuple[int, ...]]:
-    """Integer basis of the saturated lattice spanned by point differences.
-
-    Saturation matters: every lattice point of the affine hull must have
-    integer coordinates in this basis.  Obtained as the kernel of the
-    kernel (both computed over Z, hence saturated).
-    """
-    n = len(points[0])
-    p0 = points[0]
-    diffs = [_sub(p, p0) for p in points[1:]]
-    diffs = [d for d in diffs if any(d)]
-    if not diffs:
-        return []
-    orth = integer_kernel_basis(diffs, n)
-    return integer_kernel_basis(orth, n)
 
 
 # ---------------------------------------------------------------------------
@@ -277,36 +218,16 @@ class FiniteSite:
         return f"finite site, {len(self.points)} points in Z^{self.dim}"
 
 
-class IntegerLattice:
-    """Marker site: the full integer lattice of the ambient dimension."""
-
-    _instance = None
-
-    def __new__(cls) -> "IntegerLattice":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def describe(self) -> str:
-        return "integer lattice"
-
-
-Z_LATTICE = IntegerLattice()
-
-Site = Union[FiniteSite, IntegerLattice]
-
-
 # ---------------------------------------------------------------------------
 # census record
 
 
 @dataclass(frozen=True)
 class PointCensus:
-    """Counts of site points relative to a polytope.
+    """Counts of the lattice points of a polytope.
 
     total = vertex + nonvertex and nonvertex = interior + boundary hold
-    by construction; interior means ambient interior unless the census
-    was taken in relative mode.
+    by construction; interior means ambient interior.
     """
 
     total: int
@@ -346,9 +267,6 @@ class LatticePolytope:
     def is_full_dimensional(self) -> bool:
         return self.affine_dim == self.ambient_dim
 
-    def facet_count(self) -> int:
-        return len(self.facets)
-
     @cached_property
     def equalities(self) -> tuple:
         """(normal, offset) pairs whose equations cut out the affine hull.
@@ -363,12 +281,6 @@ class LatticePolytope:
         return tuple(
             (normal, _dot(normal, v0))
             for normal in integer_kernel_basis(diffs, self.ambient_dim)
-        )
-
-    def contains(self, p: Point) -> bool:
-        """Exact membership; for degenerate polytopes the affine hull counts."""
-        return all(_dot(n, p) == c for n, c in self.equalities) and all(
-            _dot(n, p) <= c for n, c in self.facets
         )
 
     def bounding_box(self) -> tuple[tuple[int, int], ...]:
@@ -607,7 +519,7 @@ def convex_hull(points: Iterable[Point]) -> LatticePolytope:
 
 
 # ---------------------------------------------------------------------------
-# point enumeration, closure, census
+# point enumeration, site masks, census
 
 
 def _row_intervals(polytope: LatticePolytope) -> Iterator[tuple]:
@@ -641,24 +553,6 @@ def _row_intervals(polytope: LatticePolytope) -> Iterator[tuple]:
                 yield prefix, lo, hi, slo, shi
 
 
-def _affine_chart(polytope: LatticePolytope) -> tuple:
-    """(p0, matrix, inner) for a polytope of affine dimension d >= 1.
-
-    The columns of the n x d matrix (a list of rows) are a saturated basis
-    of the directions, so x = p0 + matrix u maps the lattice points u of
-    the full-dimensional hull inner in Z^d one to one onto those of the
-    polytope, vertices onto vertices.
-    """
-    p0 = polytope.vertices[0]
-    matrix = list(zip(*saturated_direction_basis(polytope.vertices)))
-    coords = []
-    for v in polytope.vertices:
-        sol = solve_rational(matrix, _sub(v, p0))
-        assert sol is not None and all(x.denominator == 1 for x in sol)
-        coords.append(tuple(int(x) for x in sol))
-    return p0, matrix, convex_hull(coords)
-
-
 def site_mask(polytope: LatticePolytope, site: FiniteSite) -> int:
     """Bitmask of the site points inside the polytope.
 
@@ -673,62 +567,34 @@ def site_mask(polytope: LatticePolytope, site: FiniteSite) -> int:
     return site.cut_mask(halfspaces)
 
 
-def lattice_points_in(polytope: LatticePolytope, site: Site) -> tuple:
-    """All site points inside the polytope, lexicographically sorted."""
-    if isinstance(site, FiniteSite):
-        return site.points_of(site_mask(polytope, site))
-    if polytope.affine_dim == 0:
-        return (polytope.vertices[0],)
-    if polytope.is_full_dimensional:
-        return tuple(
-            prefix + (z,)
-            for prefix, lo, hi, _, _ in _row_intervals(polytope)
-            for z in range(lo, hi + 1)
+def lattice_points_in(polytope: LatticePolytope) -> tuple:
+    """All lattice points of a full-dimensional polytope, lexicographically sorted."""
+    if not polytope.is_full_dimensional:
+        raise DegenerateInputError(
+            f"lattice points are listed for full-dimensional polytopes only, got "
+            f"affine dimension {polytope.affine_dim} in Z^{polytope.ambient_dim}"
         )
-
-    # Degenerate in the ambient lattice: enumerate in affine coordinates.
-    p0, matrix, inner = _affine_chart(polytope)
-    return tuple(sorted(
-        tuple(x + sum(map(mul, row, u)) for x, row in zip(p0, matrix))
-        for u in lattice_points_in(inner, Z_LATTICE)
-    ))
+    return tuple(
+        prefix + (z,)
+        for prefix, lo, hi, _, _ in _row_intervals(polytope)
+        for z in range(lo, hi + 1)
+    )
 
 
-def closure(points: Iterable[Point], site: Site) -> tuple:
-    """Site points inside the hull of the given site points.
+def census(polytope: LatticePolytope) -> PointCensus:
+    """Classify the integer points of a polytope.
 
-    The input must lie in the site; violations raise SiteMembershipError.
+    interior counts ambient-interior points, so it is zero whenever the
+    polytope is not full-dimensional.  A full-dimensional polytope is
+    counted by row intervals, and vertex counts the hull vertices found
+    inside their rows' intervals.  A point is one vertex, and a segment
+    from a to b holds gcd(b - a) + 1 points, two of them vertices; any
+    other degenerate polytope raises DegenerateInputError.
     """
-    pts = sorted(set(tuple(int(x) for x in p) for p in points))
-    if not pts:
-        raise ValueError("closure of an empty set")
-    if isinstance(site, FiniteSite):
-        missing = [p for p in pts if p not in site]
-        if missing:
-            raise SiteMembershipError(f"points outside the site: {missing[:3]}")
-    return lattice_points_in(convex_hull(pts), site)
-
-
-def census(polytope: LatticePolytope, site: Site, *, relative: bool = False) -> PointCensus:
-    """Classify the lattice points of a polytope; site must be Z_LATTICE.
-
-    interior counts ambient-interior points by default (zero whenever the
-    polytope is not full-dimensional); relative=True switches to the
-    relative interior.  The points are counted by row intervals, and
-    vertex counts the hull vertices found inside their rows' intervals.
-    """
-    if site is not Z_LATTICE:
-        raise ValueError("census counts the points of the integer lattice only")
     if polytope.affine_dim == 0:
         total = vertex = 1
         interior = 0
-    elif not polytope.is_full_dimensional:
-        # the chart maps vertices to vertices and its interior onto the
-        # relative interior; the ambient interior is empty
-        chart = census(_affine_chart(polytope)[2], Z_LATTICE)
-        total, vertex = chart.total, chart.vertex
-        interior = chart.interior if relative else 0
-    else:
+    elif polytope.is_full_dimensional:
         by_row: dict = {}
         for v in polytope.vertices:
             by_row.setdefault(v[:-1], []).append(v[-1])
@@ -738,6 +604,16 @@ def census(polytope: LatticePolytope, site: Site, *, relative: bool = False) -> 
             total += hi - lo + 1
             interior += max(0, shi - slo + 1)
             vertex += sum(1 for z in by_row.get(prefix, ()) if lo <= z <= hi)
+    elif polytope.affine_dim == 1:
+        a, b = polytope.vertices
+        total = _vec_gcd(_sub(b, a)) + 1
+        vertex = 2
+        interior = 0
+    else:
+        raise DegenerateInputError(
+            f"census counts points, segments and full-dimensional polytopes, got "
+            f"affine dimension {polytope.affine_dim} in Z^{polytope.ambient_dim}"
+        )
     nonvertex = total - vertex
     return PointCensus(
         total=total,

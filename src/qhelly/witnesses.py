@@ -35,7 +35,7 @@ from itertools import product
 from typing import Optional, Union
 
 from .errors import DegenerateInputError, UnsupportedDimensionError
-from .lattice import LatticePolytope, Z_LATTICE, census, convex_hull
+from .lattice import LatticePolytope, census, convex_hull
 
 __all__ = [
     "ConstructionRecipe",
@@ -208,7 +208,7 @@ def tight_witness(recipe: ConstructionRecipe) -> LatticePolytope:
     witness circulate.
     """
     polytope = convex_hull(_tight_point_set(recipe))
-    counts = census(polytope, Z_LATTICE)
+    counts = census(polytope)
     if (counts.vertex, counts.nonvertex) != (
         recipe.expected_vertices,
         recipe.expected_nonvertex,
@@ -316,7 +316,7 @@ def lower_bound_witness(n: int, k: int, *, realize: Optional[bool] = None) -> Lo
 
     if k < 2 * n:
         segment = _degenerate_segment(n)
-        counts = census(segment, Z_LATTICE)
+        counts = census(segment)
         assert (counts.vertex, counts.nonvertex) == (2, 0)
         return LowerBoundWitness(
             n=n,
@@ -364,7 +364,7 @@ def lower_bound_witness(n: int, k: int, *, realize: Optional[bool] = None) -> Lo
             "call with realize=False for formula-level invariants only"
         )
     polytope = convex_hull(_parabolic_endpoints(n, t, s))
-    counts = census(polytope, Z_LATTICE)
+    counts = census(polytope)
     if (counts.vertex, counts.nonvertex) != (2 * cells, k_prime):
         raise AssertionError(
             f"parabolic witness census ({counts.vertex} vertices, "
@@ -419,7 +419,7 @@ def _recount(
     expected_nonvertex: int,
     findings: list[str],
 ) -> WitnessReport:
-    counts = census(polytope, Z_LATTICE)
+    counts = census(polytope)
     if counts.vertex != expected_vertices:
         findings.append(
             f"recounted {counts.vertex} vertices where {expected_vertices} were claimed"

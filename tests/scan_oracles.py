@@ -1,21 +1,93 @@
-"""Scans that the tests use as oracles for exact point counts, for
-lattice width and for the planar canonical form.
+"""Scans and small solvers that the tests use as oracles for exact point
+counts, membership, closures, affine charts, lattice width and the
+planar canonical form.
 
 Each point scan tests every lattice point of a bounding box against
 every inequality, with no interval arithmetic, so it is slow but plainly
-right.  The width search tries every primitive direction in a box that
-Cramer's rule proves large enough.  The anchored images are built in
-full, every vertex of every one, without the calipers or the left-chain
-bound of lattice._anchored_leads.
+right.  A closure over Z^n is the box scan of a hull; one over a finite
+site is the site mask of the hull.  The width search tries every
+primitive direction in a box that Cramer's rule proves large enough.
+The anchored images are built in full, every vertex of every one,
+without the calipers or the left-chain bound of lattice._anchored_leads.
 """
 
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from math import ceil, floor, gcd
-from typing import Iterator, Sequence
+from typing import Iterator, Optional, Sequence
 
-from qhelly.lattice import Point, _xgcd
+from qhelly.lattice import Point, _xgcd, convex_hull, integer_kernel_basis, site_mask
+
+
+def solve_rational(rows: Sequence[Sequence], rhs: Sequence) -> Optional[list[Fraction]]:
+    """One exact solution of rows * x = rhs, or None if inconsistent.
+
+    Gauss-Jordan elimination over Q; free variables are set to zero.
+    """
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    aug = [[Fraction(x) for x in rows[r]] + [Fraction(rhs[r])] for r in range(m)]
+    pivots: list[tuple[int, int]] = []
+    row = 0
+    for col in range(n):
+        pr = None
+        for r in range(row, m):
+            if aug[r][col]:
+                pr = r
+                break
+        if pr is None:
+            continue
+        aug[row], aug[pr] = aug[pr], aug[row]
+        inv = 1 / aug[row][col]
+        aug[row] = [x * inv for x in aug[row]]
+        for r in range(m):
+            if r != row and aug[r][col]:
+                f = aug[r][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[row])]
+        pivots.append((row, col))
+        row += 1
+        if row == m:
+            break
+    for r in range(row, m):
+        if aug[r][n]:
+            return None
+    x = [Fraction(0)] * n
+    for r, c in pivots:
+        x[c] = aug[r][n]
+    return x
+
+
+def saturated_direction_basis(points: Sequence[Point]) -> list[tuple[int, ...]]:
+    """Integer basis of the saturated lattice spanned by point differences.
+
+    Saturation matters: every lattice point of the affine hull must have
+    integer coordinates in this basis.  Obtained as the kernel of the
+    kernel (both computed over Z, hence saturated).
+    """
+    n, p0 = len(points[0]), points[0]
+    diffs = [tuple(a - b for a, b in zip(p, p0)) for p in points[1:]]
+    diffs = [d for d in diffs if any(d)]
+    if not diffs:
+        return []
+    return integer_kernel_basis(integer_kernel_basis(diffs, n), n)
+
+
+def contains(polytope, p) -> bool:
+    """Exact membership; for a degenerate polytope the affine hull counts."""
+    return all(
+        sum(a * x for a, x in zip(n, p)) == c for n, c in polytope.equalities
+    ) and all(sum(a * x for a, x in zip(n, p)) <= c for n, c in polytope.facets)
+
+
+def closure(points, site=None) -> tuple:
+    """The lattice points in the hull of the given points, sorted: those
+    of a finite site, or with no site those of Z^n, by box_points."""
+    hull = convex_hull(points)
+    if site is None:
+        return tuple(box_points(hull)[0])
+    return site.points_of(site_mask(hull, site))
 
 
 def box_points(polytope) -> tuple[list, list]:
@@ -45,13 +117,13 @@ def box_points(polytope) -> tuple[list, list]:
     return out, strict
 
 
-def box_census(polytope, *, relative: bool = False) -> tuple[int, int, int, int, int]:
+def box_census(polytope) -> tuple[int, int, int, int, int]:
     """(total, vertex, nonvertex, interior, boundary) from box_points."""
     pts, strict = box_points(polytope)
     vset = set(polytope.vertices)
     vertex = sum(1 for p in pts if p in vset)
     interior = 0
-    if relative or polytope.is_full_dimensional:
+    if polytope.is_full_dimensional:
         interior = sum(1 for p in strict if p not in vset)
     nonvertex = len(pts) - vertex
     return (len(pts), vertex, nonvertex, interior, nonvertex - interior)

@@ -39,7 +39,6 @@ from qhelly.errors import (
     DegenerateInputError,
 )
 from qhelly.lattice import (
-    Z_LATTICE,
     _anchored_leads,
     _hull_cycle_2d,
     canonical_form_2d,
@@ -100,7 +99,7 @@ def test_interior_zero_is_the_doubled_triangle():
     (cls,) = enumerate_polygon_classes(0)[0]
     assert cls.vertex_count == 3 and cls.interior == 0
     assert lattice_width_2d(convex_hull(cls.vertices)) == 2
-    counts = census(convex_hull(cls.vertices), Z_LATTICE)
+    counts = census(convex_hull(cls.vertices))
     assert census_tuple(counts) == (6, 3, 3, 0, 3)
 
 
@@ -593,7 +592,7 @@ def test_pick_counts_and_width_match_brute_force(points):
     cycle = _hull_cycle_2d(points)
     assume(len(cycle) >= 3)
     poly = convex_hull(points)
-    counts = census(poly, Z_LATTICE)
+    counts = census(poly)
     assert _pick_counts(cycle) == (counts.interior, counts.boundary)
     assert lattice_width_2d(poly) == _brute_force_width(cycle)
 
@@ -700,7 +699,7 @@ def test_golden_cache_validates_and_matches_the_box_scan():
 def test_width1_family_counts():
     for k in (0, 1, 2, 7):
         witness = width1_trapezoid(k)
-        counts = census(convex_hull(witness.vertices), Z_LATTICE)
+        counts = census(convex_hull(witness.vertices))
         assert counts.vertex == 4 and counts.nonvertex == k
         assert witness.nonvertex == k
 
@@ -715,7 +714,7 @@ def test_g_witnesses_attain_their_counts(small_cache):
     for k in range(6):
         profile = c_z2_profile(k, small_cache)
         value, witness = profile.g[k], profile.witnesses[k]
-        counts = census(convex_hull(witness.vertices), Z_LATTICE)
+        counts = census(convex_hull(witness.vertices))
         assert counts.vertex == value and counts.nonvertex == k
 
 
@@ -858,7 +857,8 @@ def test_expansion_matches_profile_counts(small_cache):
 
 
 def test_expansion_validates_input():
-    with pytest.raises(ValueError):
+    message = "^polygon has 1 non-vertex points, expansion asked for 2$"
+    with pytest.raises(ValueError, match=message):
         expand_to_maximal(convex_hull(HEXAGON), 2)
     with pytest.raises(ValueError):
         expand_to_maximal(convex_hull(HEXAGON), 0)

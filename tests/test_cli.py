@@ -255,6 +255,7 @@ def test_witness_theorem4(capsys):
         ),
         (["--suite", "lowerbound", "--n", "2", "--k", "2450"], "lowerbound_n2_k2450.txt"),
         (["--suite", "lowerbound", "--n", "3", "--k", "19950"], "lowerbound_n3_k19950.txt"),
+        (["--suite", "lowerbound", "--n", "4", "--k", "7"], "lowerbound_n4_k7.txt"),
     ],
 )
 def test_witness_output_matches_golden_bytes(capsys, argv, name):

@@ -22,8 +22,9 @@ from qhelly.engine import (
 )
 from qhelly.errors import BudgetExceededError
 from qhelly.extint import NEG_INF, ext_max, is_finite
-from qhelly.lattice import FiniteSite, closure, convex_hull
+from qhelly.lattice import FiniteSite, convex_hull
 from profile_oracles import c_direct, consistency_findings, unrolled_c
+from scan_oracles import closure
 
 
 def brute_closed_subsets(site: FiniteSite) -> set:

