@@ -37,6 +37,7 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import json
+import math
 import os
 import sys
 import types
@@ -237,9 +238,15 @@ def _emit(text: str, out_path: Optional[str]) -> None:
 # subcommands
 
 
+def _grid_site(dims: tuple[int, ...]) -> lattice.FiniteSite:
+    """The box site of dims, refused by its point count before it is built."""
+    engine.check_site_size(math.prod(dims))
+    return lattice.FiniteSite.grid(*dims)
+
+
 def _run_grid(args: argparse.Namespace) -> int:
     dims = _parse_dims(args.dims)  # before the layer is read, so a bad value runs none
-    site = lattice.FiniteSite.grid(*dims)
+    site = _grid_site(dims)
     profile = engine.g_profile(site, args.kmax, label=args.dims)
     _emit(_RENDERERS[args.format](profile), args.out)
     return 0
@@ -356,8 +363,7 @@ def _run_audit(args: argparse.Namespace) -> int:
         profile = _z2_profile(args, args.kmax)
         dim = 2
     else:
-        dims = _parse_dims(args.site)
-        site = lattice.FiniteSite.grid(*dims)
+        site = _grid_site(_parse_dims(args.site))
         profile = engine.g_profile(site, args.kmax, label=args.site)
         dim = site.dim
     report = engine.audit_bounds(profile.label, dim, profile.c)

@@ -13,15 +13,22 @@ Both come from one enumeration of the closed subsets C = S intersect
 conv C.  The site is indexed once and a subset is an int bitmask (bit i
 is site.points[i]); the enumeration keeps a dict from each closed set to
 the mask of its hull's vertices, so totals and vertex counts are
-popcounts.  Closing V(C) + p is an AND of memoized halfspace masks of
-the site, one per facet of its hull (two per affine-hull equation when
-the hull is degenerate).  The work queue carries each new closed set
-with the hull vertices of the step that first reached it, so the hull
-of a closed set is never rebuilt.  In a planar site whose V(C) spans the plane, p
-lies strictly outside the polygon of C, so the hull of V(C) + p is C's
-vertex cycle with the chain of edges visible from p spliced out
-(beneath-beyond); other closed sets and sites outside Z^2 hull V(C) + p
-anew.  Only the winning witnesses are hulled again.
+popcounts.  The work queue carries each new closed set with the hull
+vertices of the step that first reached it, so the hull of a closed set
+is never rebuilt.
+
+A site of affine dimension at most 2 (a planar site, or a flat one in
+Z^n read on the coordinates the hull code keeps) is enumerated on
+indices alone.  One table holds, for each ordered pair of points, the
+mask of the site on or left of the line through them.  A hull is a
+point, a segment or a counterclockwise cycle of indices; its closed set
+is the AND of its edges' line masks, and a point p outside a polygon is
+spliced into its cycle in place of the chain of edges that see p
+(beneath-beyond), with no hull and no facet built.  Any other site
+hulls V(C) + p anew and closes it by ANDing the site's memoized
+halfspace masks, one per facet (two per affine-hull equation when the
+hull is degenerate).  Only the winning witnesses are hulled again, in
+the site's own coordinates.
 
 c comes from the stepwise recursion over the g profile (c_from_g).  The
 tests hold it against a second, independent route: direct maximization
@@ -32,20 +39,154 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import and_
 from typing import Optional, Sequence
 
 from .errors import BudgetExceededError
 from .extint import NEG_INF, ExtInt, ext_max, is_finite
 from .lattice import (
     FiniteSite,
-    _facets_from_cycle_2d,
-    _splice_cycle_2d,
+    _affinely_independent_subset,
+    _kept_coordinates,
     convex_hull,
     site_mask,
 )
 
 _DEFAULT_STATE_BUDGET = 2_000_000
 _SITE_SIZE_LIMIT = 30
+
+
+def check_site_size(size: int) -> None:
+    """Refuse a site of more than _SITE_SIZE_LIMIT points, before any work."""
+    if size > _SITE_SIZE_LIMIT:
+        raise BudgetExceededError(
+            f"site has {size} points; closed subsets can approach "
+            f"2^{size}, refuse beyond {_SITE_SIZE_LIMIT}"
+        )
+
+
+def _budget_error(max_states: int) -> BudgetExceededError:
+    return BudgetExceededError(f"more than {max_states} closed subsets; raise max_states")
+
+
+def _line_masks(xy: Sequence[tuple]) -> list:
+    """left[a*n + b]: the mask of the points on or left of the directed line
+    from xy[a] to xy[b] (every point when a == b)."""
+    n = len(xy)
+    full = (1 << n) - 1
+    left = [full] * (n * n)
+    for a, (ax, ay) in enumerate(xy):
+        for b in range(a + 1, n):
+            dx, dy = xy[b][0] - ax, xy[b][1] - ay
+            on = right = 0
+            for q, (qx, qy) in enumerate(xy):
+                cross = dx * (qy - ay) - dy * (qx - ax)
+                if cross <= 0:
+                    if cross:
+                        right |= 1 << q
+                    else:
+                        on |= 1 << q
+            left[a * n + b] = full ^ right
+            left[b * n + a] = right | on
+    return left
+
+
+def _seen_chain(back: Sequence[int], j: int) -> tuple[int, int]:
+    """The edges s..t-1 of a counterclockwise index cycle that see point j.
+
+    Edge e runs from cycle[e] to cycle[e + 1], cyclically, and back[e] is
+    the line mask on or right of it; an edge sees j when j is on or right
+    of its line.  j must lie strictly outside the polygon and above its
+    vertices in index (lexicographic) order.  The edges that see j then
+    form one chain, which cannot hold both edges at cycle[0]: that vertex
+    is the least of cycle + j, so it stays a vertex.  Hence 0 <= s < t <=
+    len(cycle), and the hull cycle of cycle + j, still from cycle[0], is
+    cycle[:s + 1] + (j,) + cycle[t:]: j takes the place of the chain's
+    inner vertices.  A vertex on the segment from j to its neighbour sees
+    j along both of its edges, so it is dropped, as convex_hull drops it.
+    """
+    sees = [e for e, mask in enumerate(back) if mask >> j & 1]
+    return sees[0], sees[-1] + 1
+
+
+def _planar_closed_sets(xy: Sequence[tuple], max_states: int) -> dict:
+    """Closed sets of a planar site, by index cycles on its line masks.
+
+    A queue entry is a closed set, its hull's vertex cycle, and the line
+    masks of the cycle's edges: edge e runs from cycle[e] to cycle[e + 1]
+    (cyclically), fwd[e] is the mask on or left of it and back[e] the mask
+    on or right of it.  For a point or a segment both lists are empty.
+    """
+    n = len(xy)
+    full = (1 << n) - 1
+    left = _line_masks(xy)
+    found = {1 << i: 1 << i for i in range(n)}
+    queue = deque((1 << i, (i,), [], []) for i in range(n))
+    while queue:
+        cur, hull, fwd, back = queue.popleft()
+        if fwd:
+            # head[s]: the AND over edges 0..s-1, tail[t]: over edges t..
+            head = [full, *accumulate(fwd, and_)]
+            tail = [*accumulate(reversed(fwd), and_)][::-1] + [full]
+        for j in range(cur.bit_length(), n):
+            if fwd:
+                # j is not in the closed set, so strictly outside its polygon
+                s, t = _seen_chain(back, j)
+                a, b = hull[s], hull[t % len(hull)]
+                into, out = left[a * n + j], left[j * n + b]
+                new = head[s] & tail[t] & into & out
+                if new in found:
+                    continue
+                cycle = hull[: s + 1] + (j,) + hull[t:]
+                new_fwd = fwd[:s] + [into, out] + fwd[t:]
+                new_back = back[:s] + [left[j * n + a], left[b * n + j]] + back[t:]
+            else:
+                # a point a is the segment (a, a), whose line masks are full
+                a, b = hull[0], hull[-1]
+                if (left[a * n + b] & left[b * n + a]) >> j & 1:
+                    # collinear site points are monotone in index order
+                    new = left[a * n + j] & left[j * n + a] & ((2 << j) - (1 << a))
+                    if new in found:
+                        continue
+                    cycle, new_fwd, new_back = (a, j), [], []
+                else:
+                    cycle = (a, b, j) if left[a * n + b] >> j & 1 else (a, j, b)
+                    ring = cycle[1:] + cycle[:1]
+                    new_fwd = [left[v * n + w] for v, w in zip(cycle, ring)]
+                    new = new_fwd[0] & new_fwd[1] & new_fwd[2]
+                    if new in found:
+                        continue
+                    new_back = [left[w * n + v] for v, w in zip(cycle, ring)]
+            vmask = 0
+            for v in cycle:
+                vmask |= 1 << v
+            found[new] = vmask
+            if len(found) > max_states:
+                raise _budget_error(max_states)
+            queue.append((new, cycle, new_fwd, new_back))
+    return found
+
+
+def _closed_sets_by_hulls(site: FiniteSite, max_states: int) -> dict:
+    """Closed sets of a site of any dimension, by a new hull per extension."""
+    points, index = site.points, site.index
+    found = {1 << i: 1 << i for i in range(len(points))}
+    queue = deque((1 << i, (p,)) for i, p in enumerate(points))
+    while queue:
+        cur, verts = queue.popleft()
+        for j in range(cur.bit_length(), len(points)):
+            poly = convex_hull(verts + (points[j],))
+            new = site_mask(poly, site)
+            if new not in found:
+                vmask = 0
+                for v in poly.vertices:
+                    vmask |= 1 << index[v]
+                found[new] = vmask
+                if len(found) > max_states:
+                    raise _budget_error(max_states)
+                queue.append((new, poly.vertices))
+    return found
 
 
 def enumerate_convex_subsets(
@@ -64,47 +205,39 @@ def enumerate_convex_subsets(
     Every closed set is reachable this way (remove the lexicographic
     maximum, which is always a vertex; the closure of the remainder plus
     that point restores the set), so the enumeration is complete without
-    revisiting permutations.  The closure is the AND of the site's
-    halfspace masks of the hull of V(C) + p.  The hull that first
-    reaches a closed set gives its vertex mask, and its vertices travel
-    with the set in the queue.  In a planar site they are the
-    counterclockwise cycle of C, and when it spans the plane each hull is
-    that cycle with p spliced in (p is not in the closed set C, so it
-    lies strictly outside its polygon); a point, a segment and every
-    site outside Z^2 take a new convex_hull per point.
+    revisiting permutations.  The step that first reaches a closed set
+    gives its vertex mask, and its vertices travel with it in the queue.
+
+    A site of affine dimension at most 2 is read on the coordinates
+    _kept_coordinates keeps, which map it one to one and in order, and is
+    enumerated on indices alone: V(C) is a point, a segment or a
+    counterclockwise index cycle from its lexicographic minimum, and a
+    closed set is the AND of the line masks of its edges (_line_masks,
+    built once per site).  p is not in C, so it lies strictly outside
+    C's polygon: its hull cycle is C's with the chain of edges that see
+    p spliced out, and no hull is built.  A point plus p is a segment;
+    a segment plus p is a longer segment or a triangle.  Any other site
+    hulls V(C) + p anew and closes it with the site's halfspace masks.
     """
-    if len(site) > _SITE_SIZE_LIMIT:
-        raise BudgetExceededError(
-            f"site has {len(site)} points; closed subsets can approach "
-            f"2^{len(site)}, refuse beyond {_SITE_SIZE_LIMIT}"
-        )
-    points, index = site.points, site.index
-    planar = site.dim == 2
-    found = {1 << i: 1 << i for i in range(len(points))}
-    queue = deque((1 << i, (p,)) for i, p in enumerate(points))
-    while queue:
-        cur, verts = queue.popleft()
-        for j in range(cur.bit_length(), len(points)):
-            if planar and len(verts) >= 3:
-                # points[j] is outside the closed set, so strictly outside
-                # its polygon: splice it into the cycle, no new hull
-                hull = _splice_cycle_2d(verts, points[j])
-                new = site.cut_mask(_facets_from_cycle_2d(hull))
-            else:
-                poly = convex_hull(verts + (points[j],))
-                hull = poly.vertices
-                new = site_mask(poly, site)
-            if new not in found:
-                vmask = 0
-                for v in hull:
-                    vmask |= 1 << index[v]
-                found[new] = vmask
-                if len(found) > max_states:
-                    raise BudgetExceededError(
-                        f"more than {max_states} closed subsets; raise max_states"
-                    )
-                queue.append((new, hull))
-    order = sorted(found, key=lambda m: (m.bit_count(), site.points_of(m)))
+    check_site_size(len(site))
+    points = site.points
+    base = _affinely_independent_subset(points, site.dim)
+    if len(base) <= 3:
+        kept = _kept_coordinates(base)
+        # a point or a line gets a zero second coordinate: one collinear site
+        pad = (0,) * (2 - len(kept))
+        xy = [tuple(p[i] for i in kept) + pad for p in points]
+        found = _planar_closed_sets(xy, max_states)
+    else:
+        found = _closed_sets_by_hulls(site, max_states)
+    # bit i is the i-th point in lexicographic order, so sorted point tuples
+    # of one size compare as their index tuples: the one holding the lower
+    # first differing index is smaller, and the complement's binary digits,
+    # read from bit 0 up, compare the same way
+    digits = f"0{len(points)}b"
+    full = (1 << len(points)) - 1
+    order = sorted(found, key=lambda m: format(full ^ m, digits)[::-1])
+    order.sort(key=int.bit_count)
     return {m: found[m] for m in order}
 
 

@@ -5,10 +5,10 @@ affine dimension up to 5: dimensions 0-2 directly, 3-5 by a fraction-free
 double description on the polar dual, started from the dual simplex of
 an affinely independent base.  Full-dimensional inputs are hulled as
 they are; an input of lower affine dimension d is projected onto d
-coordinates on which its affine hull is one to one, hulled there, and
+coordinates on which its affine hull is one to one and keeps its
+lexicographic order (_kept_coordinates), hulled there, and
 its facets are lifted by zeros in the dropped coordinates, so facet data
-is always integral.  A planar hull cycle grows by a point outside it in
-O(v) by beneath-beyond (_splice_cycle_2d), without a new hull.
+is always integral.
 Membership in a finite site is one path: FiniteSite.cut_mask ANDs the
 site's memoized halfspace masks, over the facets and affine-hull
 equations of a polytope in site_mask.  Over the integer lattice, the
@@ -328,38 +328,6 @@ def _facets_from_cycle_2d(cycle: Sequence[Point]) -> tuple:
     return tuple(sorted(facets))
 
 
-def _splice_cycle_2d(cycle: Sequence[Point], p: Point) -> tuple:
-    """Hull cycle of cycle + p, for p strictly outside the polygon.
-
-    Beneath-beyond (Preparata & Hong 1977): cycle is a counterclockwise
-    hull cycle of at least three vertices.  An edge sees p when p lies
-    on or right of its line (cross <= 0); the edges that see p form one
-    chain, its inner vertices are dropped and p takes their place.  A
-    vertex that ends up on the segment from p to its neighbour sees p
-    along both of its edges, so it is dropped as _hull_cycle_2d drops
-    it.  The result starts at its lexicographic minimum.
-    """
-    px, py = p
-    sees = []
-    vx, vy = cycle[-1]
-    for wx, wy in cycle:
-        sees.append((wx - vx) * (py - vy) - (wy - vy) * (px - vx) <= 0)
-        vx, vy = wx, wy
-    # sees[i] is the edge into cycle[i]; sees[i + 1 - m] the edge out of it
-    m = len(cycle)
-    out = []
-    for i, v in enumerate(cycle):
-        leaves = sees[i + 1 - m]
-        if not sees[i]:
-            out.append(v)
-            if leaves:
-                out.append(p)
-        elif not leaves:
-            out.append(v)
-    lead = out.index(min(out))
-    return tuple(out[lead:] + out[:lead])
-
-
 def _hull_1d(points: Sequence[Point]) -> tuple[tuple, tuple]:
     direction = primitive(_sub(max(points), min(points)))
     keyed = sorted(points, key=lambda p: _dot(direction, p))
@@ -479,6 +447,22 @@ def _hull_full_dim(points: Sequence[Point], d: int) -> tuple[tuple, tuple]:
     )
 
 
+def _kept_coordinates(base: Sequence[Point]) -> list[int]:
+    """The coordinates, taken greedily in order, on which the directions
+    of an affinely independent base have full rank.
+
+    Each coordinate left out is an affine function, on the affine hull of
+    base, of kept coordinates before it.  So dropping them maps the affine
+    hull one to one and keeps the lexicographic order of its points.
+    """
+    diffs = [_sub(p, base[0]) for p in base[1:]]
+    kept: list[int] = []
+    for i in range(len(base[0])):
+        if rational_rank([[row[j] for j in kept + [i]] for row in diffs]) > len(kept):
+            kept.append(i)
+    return kept
+
+
 def convex_hull(points: Iterable[Point]) -> LatticePolytope:
     """Exact convex hull of lattice points (affine dimension up to 5)."""
     pts = sorted(set(tuple(int(x) for x in p) for p in points))
@@ -496,16 +480,12 @@ def convex_hull(points: Iterable[Point]) -> LatticePolytope:
             return LatticePolytope(vertices, facets, n, n)
         return LatticePolytope(tuple(sorted(vertices)), facets, n, n)
 
-    # Degenerate: keep the first d coordinates on which the directions of
-    # the affine hull have rank d.  Dropping the others maps the affine
-    # hull one to one onto Q^d and its lattice points into Z^d, so the
-    # hull there has the same vertices, and a facet m . x_R <= c of it is
-    # the facet of the input with normal m at the kept positions.
-    diffs = [_sub(p, base[0]) for p in base[1:]]
-    kept: list[int] = []
-    for i in range(n):
-        if rational_rank([[row[j] for j in kept + [i]] for row in diffs]) > len(kept):
-            kept.append(i)
+    # Degenerate: dropping the coordinates that _kept_coordinates leaves
+    # out maps the affine hull one to one onto Q^d and its lattice points
+    # into Z^d, so the hull there has the same vertices, and a facet
+    # m . x_R <= c of it is the facet of the input with normal m at the
+    # kept positions.
+    kept = _kept_coordinates(base)
     lift = {tuple(p[i] for i in kept): p for p in pts}
     sub_vertices, sub_facets = _hull_full_dim(list(lift), d)
     vertices = tuple(sorted(lift[u] for u in sub_vertices))

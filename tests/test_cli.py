@@ -22,6 +22,7 @@ jsonschema = pytest.importorskip("jsonschema")
 
 import qhelly
 from qhelly.cli import main
+from qhelly.lattice import FiniteSite
 
 
 def run_cli(capsys, argv):
@@ -367,6 +368,18 @@ def test_census_without_cache_exits_two(capsys, monkeypatch):
     code, _, err = run_cli(capsys, ["census", "--k", "2"])
     assert code == 2
     assert "QHELLY_CACHE_DIR" in err
+
+
+@pytest.mark.parametrize("command", ["grid --dims", "audit --site"])
+def test_oversized_grid_is_refused_before_it_is_built(capsys, monkeypatch, command):
+    # a box of 10^10 points would not fit in memory
+    monkeypatch.setattr(FiniteSite, "grid", None)
+    code, out, err = run_cli(capsys, command.split() + ["100000x100000", "--kmax", "1"])
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: site has 10000000000 points; closed subsets can approach "
+        "2^10000000000, refuse beyond 30\n"
+    )
 
 
 def test_json_error_channel(capsys):

@@ -11,10 +11,13 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from qhelly import engine
 from qhelly.engine import (
+    _line_masks,
+    _seen_chain,
     audit_bounds,
     c_from_g,
     enumerate_convex_subsets,
@@ -22,9 +25,9 @@ from qhelly.engine import (
 )
 from qhelly.errors import BudgetExceededError
 from qhelly.extint import NEG_INF, ext_max, is_finite
-from qhelly.lattice import FiniteSite, convex_hull
+from qhelly.lattice import FiniteSite, convex_hull, site_mask
 from profile_oracles import c_direct, consistency_findings, unrolled_c
-from scan_oracles import closure
+from scan_oracles import closure, contains
 
 
 def brute_closed_subsets(site: FiniteSite) -> set:
@@ -69,6 +72,11 @@ def test_enumeration_matches_power_set_oracle(site):
     st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=9),
     st.booleans(),
 )
+@example([(2, 1)], False)  # one point
+@example([(0, 3), (2, 0)], True)  # two points
+@example([(x, 1) for x in range(6)], False)  # six points on a row
+@example([(0, 0), (1, 1), (3, 3), (2, 2)], True)  # a diagonal line
+@example([(0, 2), (1, 2), (2, 2), (3, 2), (1, 0)], False)  # a line and a point off it
 def test_enumeration_matches_power_set_oracle_on_random_sites_in_z2(coords, flat):
     # flat: the same points on the lattice plane z = x + 2y - 1 of Z^3
     points = [(a, b, a + 2 * b - 1) for a, b in coords] if flat else coords
@@ -91,10 +99,58 @@ def test_enumeration_is_sorted_and_deterministic():
     assert enumerate_convex_subsets(site) == enumerate_convex_subsets(site)
 
 
-def test_budget_guard():
+def test_budget_guard(monkeypatch):
     big = FiniteSite.grid(6, 6)  # 36 points
-    with pytest.raises(BudgetExceededError):
+    # refused by its size, before the table of line masks is built
+    monkeypatch.setattr(engine, "_line_masks", None)
+    with pytest.raises(BudgetExceededError, match="site has 36 points"):
         enumerate_convex_subsets(big)
+
+
+@pytest.mark.parametrize("dims", [(3, 3, 1), (3, 3, 1, 1), (1, 3, 3), (3, 1, 3)])
+def test_flat_grid_enumerates_as_its_plane_without_hulls(monkeypatch, dims):
+    plane = list(enumerate_convex_subsets(FiniteSite.grid(3, 3)).items())
+    monkeypatch.setattr(engine, "convex_hull", None)
+    assert list(enumerate_convex_subsets(FiniteSite.grid(*dims)).items()) == plane
+
+
+def test_grid_6x4_closed_set_count():
+    assert len(enumerate_convex_subsets(FiniteSite.grid(6, 4))) == 24777
+
+
+_SQUARE = [(0, 0), (2, 0), (2, 2), (0, 2)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), min_size=3, max_size=12),
+    st.tuples(st.integers(-3, 9), st.integers(-3, 9)),
+    st.lists(st.tuples(st.integers(-3, 9), st.integers(-3, 9)), max_size=8),
+)
+@example(_SQUARE, (3, 0), [])  # on an edge's line, past its end
+@example(_SQUARE, (3, 2), [])  # on an edge's line, before its start
+@example([(0, 0), (2, 1), (1, 2), (0, 2)], (4, 2), [])  # on the lines of two edges
+@example(_SQUARE, (3, 1), [(1, 1), (4, 1), (3, 3)])  # sees one edge
+@example([(0, 3), (3, 0), (3, 2), (2, 4)], (6, 9), [])  # sees every edge but one
+def test_splice_is_the_hull_of_cycle_plus_point(points, p, extra):
+    # in the enumeration p comes after every vertex of the closed set's
+    # cycle, so cycle[0] stays first and the cycle is not rotated
+    cycle = convex_hull(points).vertices
+    assume(len(cycle) >= 3 and p > max(cycle) and not contains(convex_hull(cycle), p))
+    site = FiniteSite.of(points + [p] + extra)
+    n, j = len(site), site.index[p]
+    left = _line_masks(site.points)
+    hull = tuple(site.index[v] for v in cycle)
+    ring = hull[1:] + hull[:1]
+    s, t = _seen_chain([left[w * n + v] for v, w in zip(hull, ring)], j)
+    spliced = hull[: s + 1] + (j,) + hull[t:]
+    expected = convex_hull(cycle + (p,))
+    assert spliced[0] == hull[0]
+    assert tuple(site.points[i] for i in spliced) == expected.vertices
+    closed = (1 << n) - 1
+    for v, w in zip(spliced, spliced[1:] + spliced[:1]):
+        closed &= left[v * n + w]
+    assert closed == site_mask(expected, site)
 
 
 def test_state_budget_guard():

@@ -21,8 +21,6 @@ from qhelly.errors import DegenerateInputError, UnsupportedDimensionError
 from qhelly.lattice import (
     FiniteSite,
     LatticePolytope,
-    _facets_from_cycle_2d,
-    _splice_cycle_2d,
     canonical_form_2d,
     census,
     convex_hull,
@@ -227,29 +225,6 @@ def test_hexagon_census():
 def test_collinear_points_are_not_vertices():
     P = convex_hull([(0, 0), (1, 0), (2, 0), (2, 2), (0, 2), (1, 2)])
     assert P.vertices == ((0, 0), (2, 0), (2, 2), (0, 2))
-
-
-_KITE = ((0, 0), (6, 0), (4, 1), (2, 1))
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), min_size=3, max_size=12),
-    st.tuples(st.integers(-3, 9), st.integers(-3, 9)),
-)
-@example([(0, 0), (2, 0), (2, 2), (0, 2)], (3, 0))  # on an edge's line, past its end
-@example([(0, 0), (2, 0), (2, 2), (0, 2)], (-1, 0))  # on an edge's line, before its start
-@example([(0, 0), (4, 0), (3, 1), (1, 1)], (2, 2))  # on the lines of two edges
-@example([(0, 0), (2, 0), (2, 2), (0, 2)], (1, -1))  # sees one edge
-@example(list(_KITE), (3, 3))  # sees every edge but (0, 0) -> (6, 0)
-@example(list(_KITE), (-2, 4))  # sees every edge but one, and becomes the lex-min vertex
-def test_splice_is_the_hull_of_cycle_plus_point(points, p):
-    cycle = convex_hull(points).vertices
-    assume(len(cycle) >= 3 and not contains(convex_hull(cycle), p))
-    hull = convex_hull(cycle + (p,))
-    spliced = _splice_cycle_2d(cycle, p)
-    assert spliced == hull.vertices
-    assert _facets_from_cycle_2d(spliced) == hull.facets
 
 
 # --- higher dimensions ------------------------------------------------------
