@@ -24,8 +24,8 @@ polygon of the family below the top is reached; classes are
 deduplicated by canonical form and only new ones descended from.
 conv(int P) is a unimodular invariant, so the families share no class
 and their shards run independently.  Pick's formula (shoelace area and
-edge gcds) gives every class its counts, and the same O(v) counts
-validate every class loaded from the cache.  A loaded class is not
+edge gcds) gives every class its counts, and the same O(v) edge pass
+validates every class loaded from the cache.  A loaded class is not
 re-canonicalized: its stored cycle is checked to be no larger than any
 of its 2v anchored images and equal to one of them.  The tests hold the
 enumeration against the row search that first wrote the census files.
@@ -151,20 +151,39 @@ def _has_width_two(interior: int, canon: tuple) -> bool:
 # enumeration by moving out the edges
 
 
-def _pick_counts(cycle: Sequence[tuple]) -> tuple[int, int]:
-    """Interior and non-vertex boundary lattice point counts of a
-    counterclockwise lattice vertex cycle, by Pick's formula.
+def _hull_pick_counts(cycle: Sequence[tuple]) -> Optional[tuple[int, int]]:
+    """Interior and non-vertex boundary lattice point counts of a hull
+    cycle, by Pick's formula, or None when the vertex cycle is not the
+    one _hull_cycle_2d gives for its points.
 
-    2A is the shoelace sum and the boundary holds B = sum of gcd(dx, dy)
-    over the edges, so I = (2A - B + 2) / 2 exactly.
+    One pass over the edges does both.  The cycle is a hull cycle when it
+    starts at its lex-min vertex, every turn is strictly left and the
+    edge directions wind exactly once; a closed path with these turns and
+    one winding is a strictly convex polygon traversed counterclockwise.
+    A strict left turn is less than a half turn, so the direction enters
+    the upper half-plane (dy > 0, or dy = 0 < dx) from the lower one once
+    per winding.  2A is the shoelace sum and the boundary holds
+    B = sum of gcd(dx, dy) over the edges, so I = (2A - B + 2) / 2 exactly.
     """
-    twice_area = 0
-    b = 0
-    px, py = cycle[-1]
+    if len(cycle) < 3 or min(cycle) != cycle[0]:
+        return None
+    (px, py), (qx, qy) = cycle[-2], cycle[-1]
+    dx, dy = qx - px, qy - py
+    lower = dy < 0 or (dy == 0 and dx < 0)
+    windings = twice_area = b = 0
     for x, y in cycle:
-        twice_area += px * y - x * py
-        b += gcd(x - px, y - py)
-        px, py = x, y
+        ex, ey = x - qx, y - qy
+        if dx * ey - dy * ex <= 0:
+            return None
+        below = ey < 0 or (ey == 0 and ex < 0)
+        if lower and not below:
+            windings += 1
+        twice_area += qx * y - x * qy
+        b += gcd(ex, ey)
+        dx, dy, lower = ex, ey, below
+        qx, qy = x, y
+    if windings != 1:
+        return None
     return (twice_area - b + 2) // 2, b - len(cycle)
 
 
@@ -258,13 +277,13 @@ def _descend(shard: tuple) -> list:
     stack = [_hull_cycle_2d(top) for top in tops]
     while stack:
         cycle = stack.pop()
-        interior, boundary = _pick_counts(cycle)
-        if interior != i:
+        counts = _hull_pick_counts(cycle)
+        if counts is None or counts[0] != i:
             continue
         canon = canonical_form_2d(cycle)
         if canon in found:
             continue
-        found[canon] = CensusClass(vertices=canon, interior=i, boundary=boundary)
+        found[canon] = CensusClass(vertices=canon, interior=i, boundary=counts[1])
         stack.extend(_drop_vertex(canon, j) for j in range(len(canon)))
     return list(found.values())
 
@@ -400,7 +419,11 @@ def parse_census_file(text: str) -> CensusFile:
     header's interior count, that it has lattice width >= 2 (an interior
     point, or the class 2 Delta), and that the classes are sorted and
     distinct, so a loaded cache carries the same guarantees as a freshly
-    enumerated one.
+    enumerated one.  A failing class is reported by the first of these
+    checks it fails, in that order.  Each class line costs one tokenize
+    pass, one edge pass for the hull and Pick checks (_hull_pick_counts)
+    and one calipers pass for the canonical check, which never walks the
+    identity image.
     """
     lines = text.split("\n")
     if not lines or lines[-1] != "":
@@ -426,51 +449,25 @@ def parse_census_file(text: str) -> CensusFile:
         # must be spelled exactly as render spells its numbers
         if _CLASS_LINE_RE.match(line) is None:
             raise CacheCorruptError(f"malformed census line: {line!r}")
-        nums = list(map(int, line.split(" ")))
-        if len(nums) != 1 + 2 * nums[0] or nums[0] < 3:
+        nums = map(int, line.split(" "))
+        size = next(nums)
+        # the regex allows one space between numbers, none around them
+        if line.count(" ") != 2 * size or size < 3:
             raise CacheCorruptError(f"malformed census line: {line!r}")
-        verts = tuple(zip(nums[1::2], nums[2::2]))
-        classes.append(_class_from_vertices(verts, interior))
+        classes.append(_class_from_vertices(tuple(zip(nums, nums)), interior))
     keys = [cls.key() for cls in classes]
     if any(a >= b for a, b in zip(keys, keys[1:])):
         raise CacheCorruptError("census classes are not sorted and distinct")
     return CensusFile(interior=interior, box=box, complete=complete, classes=tuple(classes))
 
 
-def _is_hull_cycle(cycle: Sequence[tuple]) -> bool:
-    """Whether a vertex cycle is the one _hull_cycle_2d gives for its points.
-
-    One pass checks that the cycle starts at its lex-min vertex, that
-    every turn is strictly left and that the edge directions wind exactly
-    once; a closed path with these turns and one winding is a strictly
-    convex polygon traversed counterclockwise.  A strict left turn is
-    less than a half turn, so the direction enters the upper half-plane
-    (dy > 0, or dy = 0 < dx) from the lower one once per winding.
-    """
-    if len(cycle) < 3 or min(cycle) != cycle[0]:
-        return False
-    (px, py), (qx, qy) = cycle[-2], cycle[-1]
-    dx, dy = qx - px, qy - py
-    lower = dy < 0 or (dy == 0 and dx < 0)
-    windings = 0
-    for x, y in cycle:
-        ex, ey = x - qx, y - qy
-        if dx * ey - dy * ex <= 0:
-            return False
-        below = ey < 0 or (ey == 0 and ex < 0)
-        if lower and not below:
-            windings += 1
-        dx, dy, lower = ex, ey, below
-        qx, qy = x, y
-    return windings == 1
-
-
 def _class_from_vertices(verts: tuple, interior: int) -> CensusClass:
-    if not _is_hull_cycle(verts):
+    counts = _hull_pick_counts(verts)
+    if counts is None:
         raise CacheCorruptError(f"stored vertices are not a polygon hull: {verts}")
     if not is_canonical_cycle_2d(verts):
         raise CacheCorruptError(f"stored vertices are not in canonical form: {verts}")
-    pick_interior, boundary = _pick_counts(verts)
+    pick_interior, boundary = counts
     if pick_interior != interior:
         raise CacheCorruptError(
             f"stored polygon has {pick_interior} interior points, header says {interior}"

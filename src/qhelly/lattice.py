@@ -21,8 +21,9 @@ A planar canonical form is the least of the 2v anchored images of a
 vertex cycle; rotating calipers find each image's top vertex, and its
 least x is read off its left chain (_anchored_leads), so an image is
 built, or walked, only when its least x ties.  The load-time check
-(is_canonical_cycle_2d) skips, without making a tuple of it, every
-image whose least x exceeds that of the stored cycle.
+(is_canonical_cycle_2d) is one calipers pass: it skips, without making
+a tuple of it, every image whose least x exceeds that of the stored
+cycle, and never walks the identity image, which equals the cycle.
 """
 
 from __future__ import annotations
@@ -76,7 +77,7 @@ def primitive(v: Sequence[int]) -> tuple[int, ...]:
 
 
 def _dot(u: Sequence, v: Sequence):
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def _sub(u: Sequence, v: Sequence) -> tuple:
@@ -425,8 +426,12 @@ def _dd_hull(points: Sequence[Point], d: int) -> tuple[tuple, tuple]:
 
     vertices = []
     for p in pts:
-        tightn = [n for n, c in facet_list if _dot(n, p) == c]
-        assert all(_dot(n, p) <= c for n, c in facet_list), "hull excludes an input"
+        tightn = []
+        for n, c in facet_list:
+            value = _dot(n, p)
+            assert value <= c, "hull excludes an input"
+            if value == c:
+                tightn.append(n)
         if len(tightn) >= d and rational_rank(tightn) == d:
             vertices.append(p)
     return tuple(vertices), tuple(facet_list)
@@ -641,10 +646,11 @@ def _anchored_leads(cycle: Sequence[Point], bound: Optional[int] = None) -> Iter
     X = [x for x, _ in cycle] * 2
     Y = [y for _, y in cycle] * 2
     j = 1
+    ox, oy = X[0], Y[0]
     for i in range(m):
-        ox, oy = X[i], Y[i]
-        g, a, b = _xgcd(X[i + 1] - ox, Y[i + 1] - oy)
-        px, py = (X[i + 1] - ox) // g, (Y[i + 1] - oy) // g
+        nx, ny = X[i + 1], Y[i + 1]
+        g, a, b = _xgcd(nx - ox, ny - oy)
+        px, py = (nx - ox) // g, (ny - oy) // g
         top = px * Y[j] - py * X[j]
         while (nxt := px * Y[j + 1] - py * X[j + 1]) > top:
             j, top = j + 1, nxt
@@ -655,12 +661,9 @@ def _anchored_leads(cycle: Sequence[Point], bound: Optional[int] = None) -> Iter
         A, B = a - s * py, b + s * px
         C = -A * ox - B * oy
         # back from the anchor o, at x = 0; the lower of a tie is met first
-        low, k = 0, i
-        for v in range(i + m - 1, jr - 1, -1):
-            x = A * X[v] + B * Y[v] + C
-            if x >= low:
-                break
-            low, k = x, v
+        low, k = 0, i + m
+        while k > jr and (x := A * X[k - 1] + B * Y[k - 1] + C) < low:
+            low, k = x, k - 1
         if bound is None or low <= bound:
             yield low, k % m, 1, A, B, C, -py, px, f
         s = -((g - a * (X[jr] - ox) - b * (Y[jr] - oy)) // top)
@@ -668,13 +671,11 @@ def _anchored_leads(cycle: Sequence[Point], bound: Optional[int] = None) -> Iter
         C = g - A * ox - B * oy
         # on from the anchor n, at x = 0; the lower of a tie is met first
         low, k = 0, i + 1
-        for v in range(i + 2, j + 1):
-            x = A * X[v] + B * Y[v] + C
-            if x >= low:
-                break
-            low, k = x, v
+        while k < j and (x := A * X[k + 1] + B * Y[k + 1] + C) < low:
+            low, k = x, k + 1
         if bound is None or low <= bound:
             yield low, k % m, -1, A, B, C, -py, px, f
+        ox, oy = nx, ny
 
 
 def canonical_form_2d(cycle: Sequence[Point]) -> tuple:
@@ -711,7 +712,8 @@ def is_canonical_cycle_2d(cycle: tuple) -> bool:
     least x (read off its left chain) exceeds cycle[0][0] is larger, and
     _anchored_leads drops it under that bound; one whose least x is below
     it is smaller, and only a tie walks the image from its lead vertex
-    on, up to the first difference.
+    on, up to the first difference.  The identity image (lead 0, step 1,
+    the map (x, y)) equals the cycle and is accepted without a walk.
     """
     m = len(cycle)
     x0 = cycle[0][0]
@@ -719,6 +721,9 @@ def is_canonical_cycle_2d(cycle: tuple) -> bool:
     for low, k, step, A, B, C, D, E, F in _anchored_leads(cycle, x0):
         if low < x0:
             return False
+        if (k, step, A, B, C, D, E, F) == (0, 1, 1, 0, 0, 0, 1, 0):
+            found = True
+            continue
         for sx, sy in cycle:
             x, y = cycle[k]
             x, y = A * x + B * y + C, D * x + E * y + F

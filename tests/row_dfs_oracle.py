@@ -34,7 +34,7 @@ from typing import Optional, Sequence
 from qhelly.census import (
     CensusClass,
     _has_width_two,
-    _pick_counts,
+    _hull_pick_counts,
     certified_box_bound,
     max_height,
 )
@@ -189,7 +189,7 @@ def _leaf_to_class(rows: Sequence[tuple], interior: int) -> Optional[CensusClass
     cycle = _hull_cycle_2d(pts)
     if len(cycle) < 3:
         return None
-    pick_interior, boundary = _pick_counts(cycle)
+    pick_interior, boundary = _hull_pick_counts(cycle)
     assert pick_interior == interior, "row arithmetic disagrees with Pick's formula"
     canon = canonical_form_2d(cycle)
     if not _has_width_two(interior, canon):

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import os
 import random
 import re
+import subprocess
+import sys
 from math import gcd
 from pathlib import Path
 
@@ -17,9 +20,8 @@ from qhelly.census import (
     CensusStore,
     CACHE_ENV_VAR,
     _has_width_two,
-    _is_hull_cycle,
+    _hull_pick_counts,
     _moved_out,
-    _pick_counts,
     _strict_interior_lattice_points,
     c_z2_profile,
     certified_box_bound,
@@ -320,6 +322,27 @@ def test_ensure_builds_only_the_missing_counts(tmp_path, monkeypatch):
         assert store.path(i).read_bytes() == _golden_bytes(store, i)
 
 
+def test_two_census_processes_on_one_empty_cache(tmp_path):
+    # both build and save every count; each save replaces the target
+    # atomically with a pid-suffixed temp file, so neither run fails and
+    # the directory ends with the golden bytes and no temp file
+    src = str(Path(census_module.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    argv = [sys.executable, "-m", "qhelly.cli", "census", "--k", "5", "--cache", str(tmp_path)]
+    runs = [
+        subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        for _ in range(2)
+    ]
+    outputs = [run.communicate() for run in runs]
+    assert [run.returncode for run in runs] == [0, 0], [err for _, err in outputs]
+    assert outputs[0][0] == outputs[1][0]
+    store = CensusStore(tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [store.path(i).name for i in range(6)]
+    for i in range(6):
+        assert store.path(i).read_bytes() == _golden_bytes(store, i)
+
+
 def test_store_directory_resolution(tmp_path, monkeypatch):
     monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path))
     store = CensusStore()
@@ -438,6 +461,25 @@ def test_validation_rejects_a_pentagram():
         parse_census_file(_one_class_file(2, star))
 
 
+@pytest.mark.parametrize(
+    "interior, verts, message",
+    [
+        # clockwise 2 Delta, whose Pick count would also be wrong
+        (1, ((0, 0), (0, 2), (2, 0)), "not a polygon hull"),
+        # a pentagram, also wrong for Pick and with width >= 2
+        (0, ((-1, 2), (2, 0), (1, 3), (0, 0), (3, 2)), "not a polygon hull"),
+        # 2 Delta sheared and translated, with a wrong interior count
+        (1, ((1, 0), (3, 0), (3, 2)), "not in canonical form"),
+        # the canonical unit square, width 1, under a header of one interior point
+        (1, ((-1, 1), (0, 0), (1, 0), (0, 1)), "0 interior points, header says 1"),
+    ],
+)
+def test_validation_reports_the_first_failed_check(interior, verts, message):
+    # the checks run in the order hull, canonical form, Pick interior, width
+    with pytest.raises(CacheCorruptError, match=message):
+        parse_census_file(_one_class_file(interior, verts))
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), min_size=3, max_size=9),
@@ -451,7 +493,8 @@ def test_hull_cycle_check_matches_the_monotone_chain(points, start, step, revers
     assume(len(hull) >= 3)
     order = [hull[(start + step * j) % len(hull)] for j in range(len(hull))]
     for seq in (tuple(points), tuple(order[::-1] if reverse else order)):
-        assert _is_hull_cycle(seq) == (len(seq) >= 3 and _hull_cycle_2d(seq) == seq)
+        is_hull = len(seq) >= 3 and _hull_cycle_2d(seq) == seq
+        assert (_hull_pick_counts(seq) is not None) == is_hull
 
 
 def test_validation_rejects_non_canonical_hulls():
@@ -517,6 +560,10 @@ _COORD = st.integers(-40, 40)
 @example([(0, 0), (6, 0), (1, 3)])  # an anchor edge of lattice length 6
 @example([(-2, 1), (0, 0), (1, 0), (1, 2), (-2, 2)])  # least x on a vertical edge
 @example([(-2, 3), (-1, 1), (0, 0), (1, 0), (2, 1), (2, 2), (1, 4), (0, 5), (-1, 5), (-2, 4)])  # 10-gon
+# polygons with non-trivial automorphisms: images other than the identity tie with it
+@example([(0, 0), (1, 0), (1, 1), (0, 1)])  # the unit square
+@example([(0, 0), (2, 0), (0, 2)])  # 2 Delta
+@example([(0, 0), (1, 0), (2, 1), (2, 2), (1, 2), (0, 1)])  # the hexagon
 def test_canonical_form_is_the_least_oracle_image(points):
     cycle = _hull_cycle_2d(points)
     assume(len(cycle) >= 3)
@@ -533,6 +580,10 @@ def test_canonical_form_is_the_least_oracle_image(points):
 @example([(0, 0), (3, 0), (0, 2)], 0)  # a vertical left edge into the forward image's anchor
 @example([(0, 0), (3, 0), (3, 2)], 0)  # a vertical left edge out of the reversed image's anchor
 @example([(-2, 1), (0, 0), (1, 0), (1, 2), (-2, 2)], -2)  # a vertical left edge off the anchor
+# non-trivial automorphisms, at the bound of the check: several images tie at x = 0
+@example([(0, 0), (1, 0), (1, 1), (0, 1)], 0)  # the unit square
+@example([(0, 0), (2, 0), (0, 2)], 0)  # 2 Delta
+@example([(0, 0), (1, 0), (2, 1), (2, 2), (1, 2), (0, 1)], 0)  # the hexagon
 def test_anchored_leads_describe_the_oracle_images(points, bound):
     # each yield is an oracle image read from its lex-min vertex, least x
     # first; a bound drops exactly the images whose least x exceeds it
@@ -593,7 +644,7 @@ def test_pick_counts_and_width_match_brute_force(points):
     assume(len(cycle) >= 3)
     poly = convex_hull(points)
     counts = census(poly)
-    assert _pick_counts(cycle) == (counts.interior, counts.boundary)
+    assert _hull_pick_counts(cycle) == (counts.interior, counts.boundary)
     assert lattice_width_2d(poly) == _brute_force_width(cycle)
 
 
@@ -606,7 +657,7 @@ def test_width_rule_matches_the_width_search(points):
     cycle = _hull_cycle_2d(points)
     assume(len(cycle) >= 3)
     poly = convex_hull(points)
-    interior, _ = _pick_counts(cycle)
+    interior, _ = _hull_pick_counts(cycle)
     width = lattice_width_2d(poly)
     if interior >= 1:
         assert width >= 2
