@@ -407,7 +407,10 @@ def _parse_header(line: str) -> tuple[int, int, bool]:
         raise CacheCorruptError(
             f"census format version {m.group('version')!r} is not supported"
         )
-    return int(m.group("interior")), int(m.group("box")), m.group("complete") == "1"
+    try:
+        return int(m.group("interior")), int(m.group("box")), m.group("complete") == "1"
+    except ValueError as exc:  # more digits than int() reads
+        raise CacheCorruptError(f"malformed census header: {exc}") from None
 
 
 def parse_census_file(text: str) -> CensusFile:
@@ -437,24 +440,29 @@ def parse_census_file(text: str) -> CensusFile:
     trailer = _TRAILER_RE.match(lines[-1])
     if trailer is None:
         raise CacheCorruptError(f"malformed count trailer: {lines[-1]!r}")
-    count = int(trailer.group("count"))
     body = lines[1:-1]
-    if count != len(body):
-        raise CacheCorruptError(
-            f"count trailer says {count} classes, file holds {len(body)}"
-        )
     classes = []
-    for line in body:
-        # int() also takes "+5", "05", "0_5" and a trailing "\r"; the line
-        # must be spelled exactly as render spells its numbers
-        if _CLASS_LINE_RE.match(line) is None:
-            raise CacheCorruptError(f"malformed census line: {line!r}")
-        nums = map(int, line.split(" "))
-        size = next(nums)
-        # the regex allows one space between numbers, none around them
-        if line.count(" ") != 2 * size or size < 3:
-            raise CacheCorruptError(f"malformed census line: {line!r}")
-        classes.append(_class_from_vertices(tuple(zip(nums, nums)), interior))
+    # one try for the whole file: int() refuses a number of more digits
+    # than sys.get_int_max_str_digits() with a ValueError
+    try:
+        count = int(trailer.group("count"))
+        if count != len(body):
+            raise CacheCorruptError(
+                f"count trailer says {count} classes, file holds {len(body)}"
+            )
+        for line in body:
+            # int() also takes "+5", "05", "0_5" and a trailing "\r"; the line
+            # must be spelled exactly as render spells its numbers
+            if _CLASS_LINE_RE.match(line) is None:
+                raise CacheCorruptError(f"malformed census line: {line!r}")
+            nums = map(int, line.split(" "))
+            size = next(nums)
+            # the regex allows one space between numbers, none around them
+            if line.count(" ") != 2 * size or size < 3:
+                raise CacheCorruptError(f"malformed census line: {line!r}")
+            classes.append(_class_from_vertices(tuple(zip(nums, nums)), interior))
+    except ValueError as exc:
+        raise CacheCorruptError(f"malformed census file: {exc}") from None
     keys = [cls.key() for cls in classes]
     if any(a >= b for a, b in zip(keys, keys[1:])):
         raise CacheCorruptError("census classes are not sorted and distinct")

@@ -250,8 +250,6 @@ class SiteProfile:
     """
 
     label: str
-    ambient_dim: int
-    site_size: int
     k_max: int
     g: tuple
     c: tuple
@@ -315,8 +313,6 @@ def g_profile(
             wit[k] = poly.vertices
     return SiteProfile(
         label=label or site.describe(),
-        ambient_dim=site.dim,
-        site_size=len(site),
         k_max=k_max,
         g=tuple(g),
         c=c_from_g(g, len(site), k_max),
@@ -341,7 +337,6 @@ class BoundCheck:
 @dataclass(frozen=True)
 class BoundReport:
     label: str
-    ambient_dim: int
     h: ExtInt
     checks: tuple
 
@@ -382,4 +377,4 @@ def audit_bounds(
             ok = (not is_finite(val)) or val <= bound
             eq = is_finite(val) and val == bound
             checks.append(BoundCheck(k, name, bound, val, ok, eq))
-    return BoundReport(label=label, ambient_dim=n, h=h, checks=tuple(checks))
+    return BoundReport(label=label, h=h, checks=tuple(checks))

@@ -23,9 +23,13 @@ vertices and k' <= k nonvertex points with k - k' < t^(n-1), which
 certifies a lower bound of t^(n-1) for the quantitative Helly number
 at parameter k.
 
-All arithmetic is exact integer arithmetic; verification recounts
-every lattice point geometrically instead of trusting the sheet
-formulas.
+Both families are records of parameters only: tight_recipe gives a
+recipe and lower_bound_witness the parabolic t, s and k'.  All
+arithmetic is exact integer arithmetic.  verify_witness is the one
+place where a witness is hulled and counted: it builds the polytope
+once (tight_witness, or the parabolic body within the box budget) and
+recounts every lattice point geometrically instead of trusting the
+sheet formulas or the recipe arithmetic.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Optional, Union
 
-from .errors import DegenerateInputError, UnsupportedDimensionError
+from .errors import UnsupportedDimensionError
 from .lattice import LatticePolytope, census, convex_hull
 
 __all__ = [
@@ -50,8 +54,8 @@ __all__ = [
     "verify_witness",
 ]
 
-# Realisations are only attempted when the bounding box of the target
-# polytope holds at most this many lattice points; beyond that only the
+# A parabolic body is built and recounted only when its bounding box
+# holds at most this many lattice points; beyond that only the
 # closed-form invariants are checked.  The recount's cost grows with the
 # grid columns, not the box, so the budget only fixes which k realise.
 _REALIZE_BOX_BUDGET = 10**7
@@ -188,37 +192,22 @@ def _double_spike_points(n: int) -> list[tuple[int, ...]]:
     return sorted(pts)
 
 
-def _tight_point_set(recipe: ConstructionRecipe) -> list[tuple[int, ...]]:
-    if recipe.kind == "cube":
-        return _cube_points(recipe.n)
-    if recipe.kind == "fused_cubes":
-        return _fused_cube_points(recipe.n)
-    if recipe.kind == "prism_spike":
-        assert recipe.spike is not None
-        return _prism_spike_points(recipe.n, recipe.spike)
-    return _double_spike_points(recipe.n)
-
-
 def tight_witness(recipe: ConstructionRecipe) -> LatticePolytope:
-    """Build the polytope of a recipe and certify its census on the spot.
+    """The polytope of a recipe: the convex hull of its construction points.
 
-    The census over the integer lattice must match the recipe's expected
-    vertex and nonvertex counts exactly; a mismatch means the recipe
-    arithmetic is wrong and raises immediately rather than letting a bad
-    witness circulate.
+    The hull is not counted here; verify_witness holds it to the
+    recipe's expected vertex and nonvertex counts.
     """
-    polytope = convex_hull(_tight_point_set(recipe))
-    counts = census(polytope)
-    if (counts.vertex, counts.nonvertex) != (
-        recipe.expected_vertices,
-        recipe.expected_nonvertex,
-    ):
-        raise AssertionError(
-            f"{recipe.label} census ({counts.vertex} vertices, "
-            f"{counts.nonvertex} nonvertex) does not match the expected "
-            f"({recipe.expected_vertices}, {recipe.expected_nonvertex})"
-        )
-    return polytope
+    if recipe.kind == "cube":
+        points = _cube_points(recipe.n)
+    elif recipe.kind == "fused_cubes":
+        points = _fused_cube_points(recipe.n)
+    elif recipe.kind == "prism_spike":
+        assert recipe.spike is not None
+        points = _prism_spike_points(recipe.n, recipe.spike)
+    else:
+        points = _double_spike_points(recipe.n)
+    return convex_hull(points)
 
 
 # ---------------------------------------------------------------------------
@@ -249,11 +238,11 @@ class LowerBoundWitness:
     """Certificate that 2*t^(n-1) vertices can pen in at most k nonvertex points.
 
     t is the largest integer with 2n * t^(n+1) <= k and s the largest
-    cap height whose realised nonvertex count k_prime stays within k.
-    The recorded bound t^(n-1) follows from trading the k - k_prime
-    unused nonvertex slots against vertices one for one.  realized is
-    the explicit polytope when the ambient box is small enough to
-    enumerate; verified says its census was recounted geometrically.
+    cap height whose nonvertex count k_prime stays within k.  The
+    recorded bound t^(n-1) follows from trading the k - k_prime unused
+    nonvertex slots against vertices one for one.  The record holds the
+    construction's parameters only; verify_witness builds the body and
+    recounts it.
     """
 
     n: int
@@ -264,8 +253,6 @@ class LowerBoundWitness:
     predicted_vertices: int
     bound: int
     degenerate: bool
-    realized: Optional[LatticePolytope]
-    verified: bool
 
     @property
     def slack(self) -> int:
@@ -273,41 +260,40 @@ class LowerBoundWitness:
         return self.k - self.k_prime
 
 
-def _sheet_values(n: int, t: int, s: int, x: tuple[int, ...]) -> tuple[int, int]:
-    q = sum(v * v for v in x)
-    shift = (n - 1) * t * t
-    return q - shift, s + shift - q
-
-
 def _parabolic_endpoints(n: int, t: int, s: int) -> list[tuple[int, ...]]:
     # every lattice point of the body lies on the vertical segment
-    # between its column's endpoints, so the hull of the endpoints is
-    # the hull of the whole body
+    # between its column's endpoints l(x) and u(x), so the hull of the
+    # endpoints is the hull of the whole body
+    shift = (n - 1) * t * t
     pts = []
     for x in product(range(1, t + 1), repeat=n - 1):
-        lo, hi = _sheet_values(n, t, s, x)
-        pts.append(x + (lo,))
-        pts.append(x + (hi,))
+        q = sum(v * v for v in x)
+        pts.append(x + (q - shift,))
+        pts.append(x + (s + shift - q,))
     return pts
 
 
-def _parabolic_box_volume(n: int, t: int, s: int) -> int:
-    # grid columns t^(n-1), heights spanning [l(1..1), u(1..1)]
-    return t ** (n - 1) * (s + 2 * (n - 1) * (t * t - 1) + 1)
+def _parabolic_body(witness: LowerBoundWitness) -> Optional[LatticePolytope]:
+    """The witness's polytope, or None when its box is beyond the budget.
+
+    A degenerate witness stands for the unit segment.  Otherwise the
+    bounding box has t^(n-1) grid columns, with heights spanning
+    [l(1..1), u(1..1)].
+    """
+    n, t, s = witness.n, witness.t, witness.s
+    if witness.degenerate:
+        return convex_hull([(0,) * n, (1,) + (0,) * (n - 1)])
+    if t ** (n - 1) * (s + 2 * (n - 1) * (t * t - 1) + 1) > _REALIZE_BOX_BUDGET:
+        return None
+    return convex_hull(_parabolic_endpoints(n, t, s))
 
 
-def _degenerate_segment(n: int) -> LatticePolytope:
-    return convex_hull([(0,) * n, (1,) + (0,) * (n - 1)])
-
-
-def lower_bound_witness(n: int, k: int, *, realize: Optional[bool] = None) -> LowerBoundWitness:
-    """Construct the parabolic witness for dimension n and nonvertex budget k.
+def lower_bound_witness(n: int, k: int) -> LowerBoundWitness:
+    """Parameters of the parabolic witness for dimension n and nonvertex budget k.
 
     For k < 2n the construction degenerates and a unit segment stands in
     for it, carrying the trivial bound 1.  Otherwise t, s and k_prime
-    are computed exactly, s is cross-checked to be maximal, and the
-    polytope is realised whenever its bounding box is small enough
-    (force or suppress realisation with realize=True/False).
+    are computed exactly and s is cross-checked to be maximal.
     """
     if n < 2:
         raise UnsupportedDimensionError("the parabolic construction needs dimension >= 2")
@@ -315,9 +301,6 @@ def lower_bound_witness(n: int, k: int, *, realize: Optional[bool] = None) -> Lo
         raise ValueError("nonvertex budget k must be nonnegative")
 
     if k < 2 * n:
-        segment = _degenerate_segment(n)
-        counts = census(segment)
-        assert (counts.vertex, counts.nonvertex) == (2, 0)
         return LowerBoundWitness(
             n=n,
             k=k,
@@ -327,8 +310,6 @@ def lower_bound_witness(n: int, k: int, *, realize: Optional[bool] = None) -> Lo
             predicted_vertices=2,
             bound=1,
             degenerate=True,
-            realized=segment,
-            verified=True,
         )
 
     t = integer_root(k // (2 * n), n + 1)
@@ -341,36 +322,6 @@ def lower_bound_witness(n: int, k: int, *, realize: Optional[bool] = None) -> Lo
     k_prime = _nonvertex_count(n, t, s)
     # maximality: raising s by one must overshoot the budget
     assert k_prime <= k < _nonvertex_count(n, t, s + 1)
-
-    witness = LowerBoundWitness(
-        n=n,
-        k=k,
-        t=t,
-        s=s,
-        k_prime=k_prime,
-        predicted_vertices=2 * cells,
-        bound=cells,
-        degenerate=False,
-        realized=None,
-        verified=False,
-    )
-    if realize is None:
-        realize = _parabolic_box_volume(n, t, s) <= _REALIZE_BOX_BUDGET
-    if not realize:
-        return witness
-    if _parabolic_box_volume(n, t, s) > _REALIZE_BOX_BUDGET:
-        raise DegenerateInputError(
-            "realisation box exceeds the enumeration budget; "
-            "call with realize=False for formula-level invariants only"
-        )
-    polytope = convex_hull(_parabolic_endpoints(n, t, s))
-    counts = census(polytope)
-    if (counts.vertex, counts.nonvertex) != (2 * cells, k_prime):
-        raise AssertionError(
-            f"parabolic witness census ({counts.vertex} vertices, "
-            f"{counts.nonvertex} nonvertex) does not match the predicted "
-            f"({2 * cells}, {k_prime})"
-        )
     return LowerBoundWitness(
         n=n,
         k=k,
@@ -380,8 +331,6 @@ def lower_bound_witness(n: int, k: int, *, realize: Optional[bool] = None) -> Lo
         predicted_vertices=2 * cells,
         bound=cells,
         degenerate=False,
-        realized=polytope,
-        verified=True,
     )
 
 
@@ -394,8 +343,8 @@ class WitnessReport:
     """Outcome of an independent recount of a witness's census.
 
     findings lists every discrepancy in plain language; an empty tuple
-    means the witness checks out.  Counts are None when no realisation
-    was available to recount.
+    means the witness checks out.  Counts are None when the witness's
+    box is beyond the budget and no recount was made.
     """
 
     label: str
@@ -441,34 +390,16 @@ def _recount(
     )
 
 
-def _verify_recipe(
-    recipe: ConstructionRecipe, polytope: Optional[LatticePolytope]
-) -> WitnessReport:
-    if polytope is None:
-        polytope = convex_hull(_tight_point_set(recipe))
-    return _recount(
-        recipe.label,
-        polytope,
-        recipe.expected_vertices,
-        recipe.expected_nonvertex,
-        [],
-    )
-
-
-def _verify_lower_bound(
-    witness: LowerBoundWitness, polytope: Optional[LatticePolytope]
-) -> WitnessReport:
+def _lower_bound_findings(witness: LowerBoundWitness) -> list[str]:
+    """Every claim of the witness that its sheet formulas contradict."""
     n, k, t, s = witness.n, witness.k, witness.t, witness.s
-    label = f"parabolic(n={n}, k={k})"
     findings: list[str] = []
-
     if witness.degenerate:
         if k >= 2 * n:
             findings.append(f"witness flagged degenerate although k = {k} >= 2n")
         if witness.bound != 1 or witness.k_prime != 0:
             findings.append("degenerate witness must carry bound 1 and k_prime 0")
-        segment = polytope or witness.realized or _degenerate_segment(n)
-        return _recount(label, segment, witness.predicted_vertices, witness.k_prime, findings)
+        return findings
 
     if k < 2 * n:
         findings.append(f"k = {k} < 2n admits no parabolic witness, yet none was flagged")
@@ -493,41 +424,42 @@ def _verify_lower_bound(
         findings.append(f"recorded bound {witness.bound} is not t^(n-1) = {cells}")
     if not (0 <= k - formula_k_prime <= cells):
         findings.append("budget slack k - k_prime escapes [0, t^(n-1)]")
+    return findings
 
-    # rebuild from the stored parameters rather than trusting any
-    # realisation the witness happens to carry
-    if polytope is None and _parabolic_box_volume(n, t, s) <= _REALIZE_BOX_BUDGET:
-        polytope = convex_hull(_parabolic_endpoints(n, t, s))
+
+def verify_witness(witness: Union[LowerBoundWitness, ConstructionRecipe]) -> WitnessReport:
+    """Build a witness's polytope, recount its census and report every discrepancy.
+
+    The recount never trusts the sheet formulas or recipe arithmetic: the
+    hull is built from the stored parameters, its lattice points are
+    counted row by row from the facet inequalities, a hull vertex counts
+    only if found in its row, and the resulting counts are compared
+    against the witness's claims.  A parabolic witness is first checked
+    against its sheet formulas, and its recount is skipped when its box
+    is beyond the budget.  Mismatches come back as report findings, not
+    exceptions, so corrupted witnesses can be inspected.
+    """
+    if isinstance(witness, ConstructionRecipe):
+        label = witness.label
+        expected = (witness.expected_vertices, witness.expected_nonvertex)
+        findings: list[str] = []
+        polytope = tight_witness(witness)
+    elif isinstance(witness, LowerBoundWitness):
+        label = f"parabolic(n={witness.n}, k={witness.k})"
+        expected = (witness.predicted_vertices, witness.k_prime)
+        findings = _lower_bound_findings(witness)
+        polytope = _parabolic_body(witness)
+    else:
+        raise TypeError(f"cannot verify object of type {type(witness).__name__}")
     if polytope is None:
         return WitnessReport(
             label=label,
-            expected_vertices=witness.predicted_vertices,
-            expected_nonvertex=witness.k_prime,
+            expected_vertices=expected[0],
+            expected_nonvertex=expected[1],
             actual_vertices=None,
             actual_nonvertex=None,
             total_points=None,
             realized=False,
             findings=tuple(findings),
         )
-    return _recount(label, polytope, witness.predicted_vertices, witness.k_prime, findings)
-
-
-def verify_witness(
-    witness: Union[LowerBoundWitness, ConstructionRecipe],
-    polytope: Optional[LatticePolytope] = None,
-) -> WitnessReport:
-    """Recount a witness's census from scratch and report every discrepancy.
-
-    The recount never trusts the sheet formulas or recipe arithmetic: the
-    hull is rebuilt, its lattice points are counted row by row from the
-    facet inequalities, a hull vertex counts only if found in its row, and
-    the resulting counts are compared against the witness's claims.  Pass
-    a polytope to audit it against the witness's expectations instead of
-    rebuilding; mismatches come back as report findings, not exceptions,
-    so corrupted witnesses can be inspected.
-    """
-    if isinstance(witness, ConstructionRecipe):
-        return _verify_recipe(witness, polytope)
-    if isinstance(witness, LowerBoundWitness):
-        return _verify_lower_bound(witness, polytope)
-    raise TypeError(f"cannot verify object of type {type(witness).__name__}")
+    return _recount(label, polytope, *expected, findings)

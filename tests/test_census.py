@@ -387,6 +387,24 @@ def test_load_names_the_file_of_a_parse_failure(tmp_path):
     assert str(excinfo.value).startswith(f"{path}: ")
 
 
+def test_numbers_too_long_for_int_fail_the_load_with_the_file_name(tmp_path):
+    # int() refuses more than 4,300 digits by default; both the class
+    # lines and the header turn that ValueError into a corrupt cache
+    store = CensusStore(tmp_path)
+    path = store.path(1)
+    text = _golden_bytes(store, 1).decode("ascii")
+    huge = "1" + "0" * 4999
+    path.write_text(text.replace("\n3 0 0 1 0 2 3\n", f"\n3 0 0 1 0 2 {huge}\n"))
+    with pytest.raises(CacheCorruptError, match="malformed census file") as excinfo:
+        store.load(1)
+    assert str(excinfo.value).startswith(f"{path}: ")
+    path.write_text(text.replace("interior=1 ", f"interior={huge} "))
+    for read in (store.is_complete, store.load):
+        with pytest.raises(CacheCorruptError, match="malformed census header") as excinfo:
+            read(1)
+        assert str(excinfo.value).startswith(f"{path}: ")
+
+
 def test_cache_rejects_non_ascii_bytes(tmp_path):
     store = CensusStore(tmp_path)
     path = store.path(1)

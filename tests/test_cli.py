@@ -9,6 +9,7 @@ where no layer has been imported yet.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import shutil
@@ -21,6 +22,7 @@ import pytest
 jsonschema = pytest.importorskip("jsonschema")
 
 import qhelly
+from qhelly import witnesses
 from qhelly.cli import main
 from qhelly.lattice import FiniteSite
 
@@ -257,6 +259,11 @@ def test_witness_theorem4(capsys):
         (["--suite", "lowerbound", "--n", "2", "--k", "2450"], "lowerbound_n2_k2450.txt"),
         (["--suite", "lowerbound", "--n", "3", "--k", "19950"], "lowerbound_n3_k19950.txt"),
         (["--suite", "lowerbound", "--n", "4", "--k", "7"], "lowerbound_n4_k7.txt"),
+        # beyond the box budget: the recount is skipped
+        (
+            ["--suite", "lowerbound", "--n", "4", "--k", "100000000"],
+            "lowerbound_n4_k100000000.txt",
+        ),
     ],
 )
 def test_witness_output_matches_golden_bytes(capsys, argv, name):
@@ -285,6 +292,46 @@ def test_witness_lowerbound_beyond_budget(capsys):
     )
     assert code == 0
     assert "recount skipped" in out
+
+
+def test_witness_lowerbound_builds_and_counts_once(capsys, monkeypatch):
+    calls = {"convex_hull": 0, "census": 0}
+    for name in calls:
+        real = getattr(witnesses, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(witnesses, name, counted)
+    code, out, _ = run_cli(
+        capsys, ["witness", "--suite", "lowerbound", "--n", "3", "--k", "19950"]
+    )
+    assert code == 0 and out.endswith(" ok\n")
+    assert calls == {"convex_hull": 1, "census": 1}
+
+
+def test_witness_recount_mismatch_is_a_failing_finding(capsys, monkeypatch):
+    real = witnesses.census
+
+    def one_point_too_many(polytope):
+        counts = real(polytope)
+        return dataclasses.replace(
+            counts,
+            total=counts.total + 1,
+            nonvertex=counts.nonvertex + 1,
+            boundary=counts.boundary + 1,
+        )
+
+    monkeypatch.setattr(witnesses, "census", one_point_too_many)
+    code, out, err = run_cli(
+        capsys, ["witness", "--suite", "lowerbound", "--n", "2", "--k", "32"]
+    )
+    assert (code, err) == (1, "")
+    assert out.splitlines()[1:] == [
+        "  recount: vertices 4 nonvertex 33 total 37 FAIL",
+        "  finding: recounted 33 nonvertex points where 32 were claimed",
+    ]
 
 
 def test_constants_default_range(capsys):

@@ -9,9 +9,10 @@ from itertools import product
 import pytest
 
 from qhelly.errors import UnsupportedDimensionError
-from qhelly.lattice import census, convex_hull
+from qhelly.lattice import census
 from qhelly.witnesses import (
     ConstructionRecipe,
+    _parabolic_body,
     grid_square_sum,
     integer_root,
     lower_bound_witness,
@@ -132,17 +133,19 @@ def test_prism_spike_three_dimensional_counts():
 def test_every_recipe_verifies_up_to_dimension_five():
     for n in range(2, 6):
         for recipe in tight_recipes(n):
-            report = verify_witness(recipe, tight_witness(recipe))
+            report = verify_witness(recipe)
             assert report.ok, (recipe.label, report.findings)
             assert report.actual_vertices == recipe.expected_vertices
             assert report.actual_nonvertex == recipe.expected_nonvertex
 
 
-def test_verify_rejects_a_foreign_polytope():
-    hexagon = convex_hull([(1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1)])
-    report = verify_witness(tight_recipe(2, 0), hexagon)
-    assert not report.ok
-    assert report.actual_vertices == 6 and report.expected_vertices == 4
+def test_verify_rejects_a_corrupted_recipe():
+    # the unit square claimed to have the fused hexagon's counts
+    bad = dataclasses.replace(tight_recipe(2, 0), expected_vertices=6, expected_nonvertex=1)
+    report = verify_witness(bad)
+    assert not report.ok and len(report.findings) == 2
+    assert report.actual_vertices == 4 and report.expected_vertices == 6
+    assert report.actual_nonvertex == 0 and report.expected_nonvertex == 1
 
 
 # ---------------------------------------------------------------------------
@@ -160,12 +163,12 @@ def test_parabolic_witness_frozen_examples():
         w = lower_bound_witness(2, k)
         assert (w.t, w.s, w.k_prime) == (t, s, k_prime)
         assert w.predicted_vertices == 2 * t and w.bound == t
-        assert w.verified and w.realized is not None
+        assert verify_witness(w).realized
 
 
 def test_parabolic_witness_explicit_vertices_at_k_32():
     w = lower_bound_witness(2, 32)
-    assert set(w.realized.vertices) == {(1, -3), (1, 17), (2, 0), (2, 14)}
+    assert set(_parabolic_body(w).vertices) == {(1, -3), (1, 17), (2, 0), (2, 14)}
     report = verify_witness(w)
     assert report.ok and report.total_points == 36
 
@@ -189,7 +192,7 @@ def test_parabolic_formula_invariants_sampled():
     for n in (2, 3):
         for _ in range(100):
             k = rng.randint(2 * n, 10**5)
-            w = lower_bound_witness(n, k, realize=False)
+            w = lower_bound_witness(n, k)
             cells = w.t ** (n - 1)
             assert 2 * n * w.t ** (n + 1) <= k < 2 * n * (w.t + 1) ** (n + 1)
             assert w.k_prime <= k and 0 <= w.slack <= cells
@@ -211,10 +214,9 @@ def test_parabolic_realizations_match_formulas_sampled():
 def test_large_parabolic_witnesses_realize_and_verify(n, k):
     # boxes of 2 * 10^5 to 1.2 * 10^6 cells, inside the realisation budget
     w = lower_bound_witness(n, k)
-    assert w.verified and w.realized is not None
-    assert len(w.realized.vertices) == w.predicted_vertices == 2 * w.t ** (n - 1)
+    assert w.predicted_vertices == 2 * w.t ** (n - 1)
     report = verify_witness(w)
-    assert report.ok, report.findings
+    assert report.ok and report.realized, report.findings
     assert report.actual_vertices == w.predicted_vertices
     assert report.actual_nonvertex == w.k_prime
 
@@ -237,7 +239,7 @@ def test_corrupted_cap_height_is_reported_not_raised():
 
 
 def test_corrupted_bound_is_reported():
-    w = lower_bound_witness(3, 1000, realize=False)
+    w = lower_bound_witness(3, 1000)
     bad = dataclasses.replace(w, bound=w.bound + 1)
     report = verify_witness(bad)
     assert not report.ok and any("bound" in f for f in report.findings)
