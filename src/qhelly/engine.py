@@ -14,8 +14,8 @@ conv C.  The site is indexed once and a subset is an int bitmask (bit i
 is site.points[i]); the enumeration keeps a dict from each closed set to
 the mask of its hull's vertices, so totals and vertex counts are
 popcounts.  The work queue carries each new closed set with the hull
-vertices of the step that first reached it, so the hull of a closed set
-is never rebuilt.
+that the step first reaching it made (an index cycle, a facet list or a
+polytope), so the hull of a closed set is never rebuilt.
 
 A site of affine dimension at most 2 (a planar site, or a flat one in
 Z^n read on the coordinates the hull code keeps) is enumerated on
@@ -24,11 +24,20 @@ mask of the site on or left of the line through them.  A hull is a
 point, a segment or a counterclockwise cycle of indices; its closed set
 is the AND of its edges' line masks, and a point p outside a polygon is
 spliced into its cycle in place of the chain of edges that see p
-(beneath-beyond), with no hull and no facet built.  Any other site
-hulls V(C) + p anew and closes it by ANDing the site's memoized
-halfspace masks, one per facet (two per affine-hull equation when the
-hull is degenerate).  Only the winning witnesses are hulled again, in
-the site's own coordinates.
+(beneath-beyond), with no hull and no facet built.
+
+A site of affine dimension 3, read the same way, carries each closed
+set of affine dimension 3 with its facets (primitive normal, offset,
+vertex mask, halfspace mask).  A point p outside is added by
+beneath-beyond (Preparata & Hong 1977): the facets that see p go, one
+whose plane holds p gets the 2-D hull of its vertices plus p, and a
+triangle joins p to each horizon edge.  The closed set is the AND of
+the facets' halfspace masks.  A polygon plus a point off its plane is a
+pyramid.  A closed set of lower dimension, and any set of a site of
+affine dimension 4 or 5, hulls V(C) + p anew and closes it by ANDing
+the site's memoized halfspace masks, one per facet (two per affine-hull
+equation when the hull is degenerate).  Only the winning witnesses are
+hulled again, in the site's own coordinates.
 
 c comes from the stepwise recursion over the g profile (c_from_g).  The
 tests hold it against a second, independent route: direct maximization
@@ -40,6 +49,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import accumulate
+from math import gcd
 from operator import and_
 from typing import Optional, Sequence
 
@@ -47,7 +57,10 @@ from .errors import BudgetExceededError
 from .extint import NEG_INF, ExtInt, ext_max, is_finite
 from .lattice import (
     FiniteSite,
+    LatticePolytope,
     _affinely_independent_subset,
+    _dot,
+    _hull_cycle_2d,
     _kept_coordinates,
     convex_hull,
     site_mask,
@@ -168,6 +181,154 @@ def _planar_closed_sets(xy: Sequence[tuple], max_states: int) -> dict:
     return found
 
 
+def _lowest(mask: int) -> int:
+    """The index of the lowest set bit of a nonzero mask."""
+    return (mask & -mask).bit_length() - 1
+
+
+def _cone_facet(site: FiniteSite, j: int, edge: int, inner: int) -> tuple:
+    """The facet through point j and the hull edge whose two vertex bits
+    are edge, as (normal, offset, vertex mask, halfspace mask).
+
+    The lowest vertex of the mask inner outside edge must lie off that
+    plane; the primitive normal is oriented so that it lies beneath.
+    """
+    points = site.points
+    x, y, z = points[j]
+    ax, ay, az = points[_lowest(edge)]
+    bx, by, bz = points[edge.bit_length() - 1]
+    ax, ay, az, bx, by, bz = ax - x, ay - y, az - z, bx - x, by - y, bz - z
+    nx, ny, nz = ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx
+    g = gcd(nx, ny, nz)
+    normal = (nx // g, ny // g, nz // g)
+    offset = normal[0] * x + normal[1] * y + normal[2] * z
+    if _dot(normal, points[_lowest(inner & ~edge)]) > offset:
+        normal, offset = (-normal[0], -normal[1], -normal[2]), -offset
+    return normal, offset, edge | 1 << j, site.halfspace_mask(normal, offset)
+
+
+def _plane_vertices(points: Sequence[tuple], normal: tuple, mask: int) -> int:
+    """The mask of the hull vertices of the points of mask, which lie in
+    one plane with this normal: a 2-D hull after dropping a coordinate
+    on which the normal is nonzero, which maps the plane one to one."""
+    drop = 0 if normal[0] else 1 if normal[1] else 2
+    bit_of = {}
+    for i in range(mask.bit_length()):
+        if mask >> i & 1:
+            p = points[i]
+            bit_of[p[:drop] + p[drop + 1 :]] = 1 << i
+    vmask = 0
+    for q in _hull_cycle_2d(bit_of):
+        vmask |= bit_of[q]
+    return vmask
+
+
+def _pyramid(site: FiniteSite, poly: LatticePolytope, base: tuple, j: int) -> tuple:
+    """The closed set and facets of the pyramid over a polygon of the
+    site, with apex j off the polygon's plane normal . x = offset: the
+    base plus one triangle per edge (a facet of the polygon in its plane).
+    """
+    normal, offset = base
+    if _dot(normal, site.points[j]) > offset:
+        normal, offset = tuple(-x for x in normal), -offset
+    index = site.index
+    vmask = 0
+    for v in poly.vertices:
+        vmask |= 1 << index[v]
+    facets = [(normal, offset, vmask, site.halfspace_mask(normal, offset))]
+    closed = facets[0][3]
+    for h, c in poly.facets:
+        edge = 0
+        for v in poly.vertices:
+            if _dot(h, v) == c:
+                edge |= 1 << index[v]
+        facets.append(_cone_facet(site, j, edge, vmask))
+        closed &= facets[-1][3]
+    return closed, facets
+
+
+def _beneath_beyond(site: FiniteSite, facets: list, j: int, found: dict) -> tuple:
+    """The closed set and facets of the hull of a full-dimensional hull,
+    given by its facets, plus point j outside it; the facets are None
+    when the closed set is in found already.
+
+    Facets that see j (normal . p > offset) are dropped; one whose plane
+    holds j gets the 2-D hull of its vertices plus j; and a facet is
+    added through j and each horizon edge, where a seen facet meets a
+    facet beneath j.  Two facets of a 3-D polytope share an edge exactly
+    when their vertex masks share 2 bits.  A horizon edge on a facet
+    whose plane holds j adds no facet: the triangle lies in that plane.
+    """
+    points = site.points
+    x, y, z = points[j]
+    closed = (1 << len(points)) - 1
+    seen, beneath, level = [], [], []
+    for f in facets:
+        (a, b, c), offset, _, hmask = f
+        side = a * x + b * y + c * z - offset
+        if side > 0:
+            seen.append(f)
+        else:
+            closed &= hmask
+            (beneath if side else level).append(f)
+    new_facets = beneath[:]
+    for f in seen:
+        for g in beneath:
+            edge = f[2] & g[2]
+            if edge.bit_count() == 2:
+                new_facets.append(_cone_facet(site, j, edge, g[2]))
+                closed &= new_facets[-1][3]
+    if closed in found:
+        return closed, None
+    for normal, offset, vmask, hmask in level:
+        vmask = _plane_vertices(points, normal, vmask | 1 << j)
+        new_facets.append((normal, offset, vmask, hmask))
+    return closed, new_facets
+
+
+def _solid_closed_sets(site: FiniteSite, max_states: int) -> dict:
+    """Closed sets of a site in Z^3 of affine dimension 3, by beneath-beyond.
+
+    A queue entry is a closed set and its hull, while that has affine
+    dimension at most 2, or else its facets, each as (primitive normal,
+    offset, mask of the hull vertices on it, mask of the site points
+    beneath it).  A closed set is the AND of its facets' halfspace
+    masks, and its vertex mask the OR of their vertex masks.  A point,
+    segment or polygon plus a point in its affine hull is hulled anew; a
+    polygon plus a point off its plane is a pyramid.
+    """
+    points, index = site.points, site.index
+    found = {1 << i: 1 << i for i in range(len(points))}
+    queue = deque((1 << i, convex_hull((p,)), None) for i, p in enumerate(points))
+    while queue:
+        cur, poly, facets = queue.popleft()
+        if facets is None and poly.affine_dim == 2:
+            (base,) = poly.equalities
+        for j in range(cur.bit_length(), len(points)):
+            hull = None
+            if facets is not None:
+                new, new_facets = _beneath_beyond(site, facets, j, found)
+            elif poly.affine_dim == 2 and _dot(base[0], points[j]) != base[1]:
+                new, new_facets = _pyramid(site, poly, base, j)
+            else:
+                hull, new_facets = convex_hull(poly.vertices + (points[j],)), None
+                new = site_mask(hull, site)
+            if new in found:
+                continue
+            vmask = 0
+            if hull is None:
+                for f in new_facets:
+                    vmask |= f[2]
+            else:
+                for v in hull.vertices:
+                    vmask |= 1 << index[v]
+            found[new] = vmask
+            if len(found) > max_states:
+                raise _budget_error(max_states)
+            queue.append((new, hull, new_facets))
+    return found
+
+
 def _closed_sets_by_hulls(site: FiniteSite, max_states: int) -> dict:
     """Closed sets of a site of any dimension, by a new hull per extension."""
     points, index = site.points, site.index
@@ -216,8 +377,15 @@ def enumerate_convex_subsets(
     built once per site).  p is not in C, so it lies strictly outside
     C's polygon: its hull cycle is C's with the chain of edges that see
     p spliced out, and no hull is built.  A point plus p is a segment;
-    a segment plus p is a longer segment or a triangle.  Any other site
-    hulls V(C) + p anew and closes it with the site's halfspace masks.
+    a segment plus p is a longer segment or a triangle.
+
+    A site of affine dimension 3 is read the same way on three
+    coordinates.  A closed set of affine dimension 3 travels with its
+    facets, and p is added by beneath-beyond (_beneath_beyond): no hull
+    is built.  A polygon plus a point off its plane is a pyramid
+    (_pyramid).  A closed set of lower dimension there, and any closed
+    set of a site of affine dimension 4 or 5, hulls V(C) + p anew and
+    closes it with the site's halfspace masks.
     """
     check_site_size(len(site))
     points = site.points
@@ -228,6 +396,11 @@ def enumerate_convex_subsets(
         pad = (0,) * (2 - len(kept))
         xy = [tuple(p[i] for i in kept) + pad for p in points]
         found = _planar_closed_sets(xy, max_states)
+    elif len(base) == 4:
+        if site.dim > 3:
+            kept = _kept_coordinates(base)
+            site = FiniteSite.of(tuple(p[i] for i in kept) for p in points)
+        found = _solid_closed_sets(site, max_states)
     else:
         found = _closed_sets_by_hulls(site, max_states)
     # bit i is the i-th point in lexicographic order, so sorted point tuples

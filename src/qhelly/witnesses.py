@@ -45,7 +45,6 @@ __all__ = [
     "ConstructionRecipe",
     "LowerBoundWitness",
     "WitnessReport",
-    "grid_square_sum",
     "integer_root",
     "lower_bound_witness",
     "tight_recipe",
@@ -214,16 +213,6 @@ def tight_witness(recipe: ConstructionRecipe) -> LatticePolytope:
 # large-k family
 
 
-def grid_square_sum(n: int, t: int) -> int:
-    """Sum of |x|^2 over the grid x in [1,t]^(n-1), in closed form.
-
-    Equals (n-1)(t+1)(2t+1)t^(n-1)/6, always an integer.
-    """
-    if n < 2 or t < 0:
-        raise ValueError("grid_square_sum needs n >= 2 and t >= 0")
-    return (n - 1) * (t * (t + 1) * (2 * t + 1) // 6) * t ** (n - 2)
-
-
 def _nonvertex_count(n: int, t: int, s: int) -> int:
     # columns hold u - l - 1 = s - 1 + 2(n-1)t^2 - 2|x|^2 nonvertex
     # points each; summed over the grid this collapses to
@@ -253,11 +242,6 @@ class LowerBoundWitness:
     predicted_vertices: int
     bound: int
     degenerate: bool
-
-    @property
-    def slack(self) -> int:
-        """Unused nonvertex budget k - k_prime."""
-        return self.k - self.k_prime
 
 
 def _parabolic_endpoints(n: int, t: int, s: int) -> list[tuple[int, ...]]:

@@ -70,7 +70,8 @@ GOLDEN_GRID = GOLDEN / "grid"
 
 
 @pytest.mark.parametrize(
-    "name", ["5x4_k20.csv", "2x2x2_k8.json", "3x3x1_k9.csv", "3x2x2_k12.csv"]
+    "name",
+    ["5x4_k20.csv", "2x2x2_k8.json", "3x3x1_k9.csv", "3x2x2_k12.csv", "3x3x2_k18.csv"],
 )
 def test_grid_output_matches_golden_bytes(capsys, name):
     stem, fmt = name.split(".")

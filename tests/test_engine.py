@@ -16,7 +16,9 @@ from hypothesis import strategies as st
 
 from qhelly import engine
 from qhelly.engine import (
+    _beneath_beyond,
     _line_masks,
+    _pyramid,
     _seen_chain,
     audit_bounds,
     c_from_g,
@@ -153,6 +155,112 @@ def test_splice_is_the_hull_of_cycle_plus_point(points, p, extra):
     assert closed == site_mask(expected, site)
 
 
+def by_hulls(site: FiniteSite) -> list:
+    """The enumeration's items with 3-D sites on the hull-per-step path."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_solid_closed_sets", engine._closed_sets_by_hulls)
+        return list(enumerate_convex_subsets(site).items())
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2), (3, 2, 2), (2, 2, 3)])
+def test_solid_grid_matches_the_hull_per_step_path(dims):
+    site = FiniteSite.grid(*dims)
+    assert list(enumerate_convex_subsets(site).items()) == by_hulls(site)
+
+
+_CORNER = [(0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.tuples(*[st.integers(-1, 1)] * 3), min_size=4, max_size=11)
+    | st.lists(st.tuples(*[st.integers(0, 2)] * 3), min_size=4, max_size=11)
+)
+# (1, 1, 0) is a vertex until (2, 1, 0), in the plane of the base, puts it inside
+@example([(0, 0, 0), (0, 2, 0), (1, 1, 0), (1, 1, 1), (2, 1, 0)])
+@example([(0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 1, 0), (2, 1, 1)])  # a pyramid over a square
+@example(_CORNER + [(2, 0, 0)])  # on the line of an edge, past (1, 0, 0)
+def test_solid_sites_match_the_hull_per_step_path(points):
+    site = FiniteSite.of(points)
+    assert list(enumerate_convex_subsets(site).items()) == by_hulls(site)
+
+
+def test_solid_site_in_z4_enumerates_as_its_projection():
+    # 2x1x2x2 is 2x2x2 on the coordinates 0, 2 and 3, point for point
+    site = FiniteSite.grid(2, 1, 2, 2)
+    items = list(enumerate_convex_subsets(site).items())
+    assert items == list(enumerate_convex_subsets(FiniteSite.grid(2, 2, 2)).items())
+    assert items == by_hulls(site)
+
+
+def test_four_dimensional_site_matches_power_set_oracle(monkeypatch):
+    # affine dimension 4 stays on the hull-per-step path
+    monkeypatch.setattr(engine, "_solid_closed_sets", None)
+    simplex = [(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
+    site = FiniteSite.of(simplex + [(1, 1, 1, 1), (1, 1, 0, 0), (2, 1, 1, 0)])
+    assert set(closed_tuples(site)) == brute_closed_subsets(site)
+
+
+def solid_facets(site: FiniteSite, poly) -> list:
+    """The facets of a full-dimensional hull in Z^3 as the enumeration
+    carries them: (normal, offset, vertex mask, halfspace mask)."""
+    out = []
+    for normal, offset in poly.facets:
+        vmask = 0
+        for v in poly.vertices:
+            if sum(a * x for a, x in zip(normal, v)) == offset:
+                vmask |= 1 << site.index[v]
+        out.append((normal, offset, vmask, site.halfspace_mask(normal, offset)))
+    return sorted(out)
+
+
+_TETRA = [(0, 0, 0), (0, 2, 0), (1, 1, 0), (1, 1, 1)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(*[st.integers(0, 3)] * 3), min_size=4, max_size=10),
+    st.tuples(*[st.integers(-2, 5)] * 3),
+    st.lists(st.tuples(*[st.integers(-2, 5)] * 3), max_size=6),
+)
+@example(_TETRA, (2, 1, 0), [])  # in the plane of a facet, turns (1, 1, 0) into a nonvertex
+@example(_TETRA, (1, 1, -1), [(1, 1, 2)])  # on the line of the edge below (1, 1, 1)
+@example(_CORNER, (2, 0, 0), [(3, 0, 0)])  # on the line of an edge, past (1, 0, 0)
+@example(_CORNER, (1, 1, 1), [(0, 1, 1)])  # sees one facet only
+@example(_CORNER, (-1, -1, -1), [])  # sees every facet but one
+def test_beneath_beyond_is_the_hull_of_facets_plus_point(points, p, extra):
+    poly = convex_hull(points)
+    assume(poly.affine_dim == 3 and not contains(poly, p))
+    site = FiniteSite.of(points + [p] + extra)
+    closed, facets = _beneath_beyond(site, solid_facets(site, poly), site.index[p], {})
+    expected = convex_hull(poly.vertices + (p,))
+    assert sorted(facets) == solid_facets(site, expected)
+    assert closed == site_mask(expected, site)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=3, max_size=8),
+    st.tuples(st.integers(-1, 1), st.integers(-1, 1)),
+    st.tuples(*[st.integers(-2, 5)] * 3),
+    st.lists(st.tuples(*[st.integers(-2, 5)] * 3), max_size=6),
+)
+@example([(0, 0), (0, 1), (1, 0), (1, 1)], (0, 0), (2, 1, 2), [])  # over a square
+def test_pyramid_is_the_hull_of_polygon_plus_apex(coords, slope, p, extra):
+    # the polygon lies in the plane z = u x + v y + 1
+    u, v = slope
+    points = [(a, b, u * a + v * b + 1) for a, b in coords]
+    poly = convex_hull(points)
+    assume(poly.affine_dim == 2 and not contains(poly, p))
+    (base,) = poly.equalities
+    assume(sum(a * x for a, x in zip(base[0], p)) != base[1])
+    site = FiniteSite.of(points + [p] + extra)
+    closed, facets = _pyramid(site, poly, base, site.index[p])
+    expected = convex_hull(poly.vertices + (p,))
+    assert sorted(facets) == solid_facets(site, expected)
+    assert closed == site_mask(expected, site)
+
+
 def test_state_budget_guard():
     # 3x3 has 9 singletons and many more closed sets than 10
     with pytest.raises(BudgetExceededError):
@@ -197,6 +305,16 @@ def test_grid_3x2x2_profile_regression():
         low + ((1, 1, 1), (2, 0, 0), (2, 0, 1), (2, 1, 0)),
         low + ((2, 0, 0), (2, 0, 1), (2, 1, 0), (2, 1, 1)),
     ) + (None,) * 8
+
+
+def test_grid_3x3x2_profile_matches_the_direct_route():
+    # the golden grid/3x3x2_k18.csv; g and c as first computed by a new
+    # hull per extension
+    site = FiniteSite.grid(3, 3, 2)
+    prof = g_profile(site, 18)
+    assert prof.g == (8, 10, 12, 11, 11, 10, 10, 9, 9, NEG_INF, 8) + (NEG_INF,) * 8
+    assert prof.c == (8, 10, 12, 11, 11, 10, 10, 9, 9, 8, 8, 7, 6, 5, 4, 3, 2, 1, 0)
+    assert c_direct(site, 18) == prof.c
 
 
 def test_grid_5x4_profile_regression():

@@ -12,8 +12,8 @@ from qhelly.errors import UnsupportedDimensionError
 from qhelly.lattice import census
 from qhelly.witnesses import (
     ConstructionRecipe,
+    _nonvertex_count,
     _parabolic_body,
-    grid_square_sum,
     integer_root,
     lower_bound_witness,
     tight_recipe,
@@ -72,13 +72,16 @@ def test_integer_root_rejects_bad_arguments():
         integer_root(5, 0)
 
 
-def test_grid_square_sum_matches_direct_summation():
+def test_nonvertex_count_matches_direct_summation_over_the_columns():
+    # the column over x holds s - 1 + 2(n-1)t^2 - 2|x|^2 nonvertex points
     for n in range(2, 5):
         for t in range(0, 21):
-            direct = sum(
-                sum(v * v for v in x) for x in product(range(1, t + 1), repeat=n - 1)
-            )
-            assert grid_square_sum(n, t) == direct
+            for s in (1, 2, 7):
+                direct = sum(
+                    s - 1 + 2 * (n - 1) * t * t - 2 * sum(v * v for v in x)
+                    for x in product(range(1, t + 1), repeat=n - 1)
+                )
+                assert _nonvertex_count(n, t, s) == direct
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +198,7 @@ def test_parabolic_formula_invariants_sampled():
             w = lower_bound_witness(n, k)
             cells = w.t ** (n - 1)
             assert 2 * n * w.t ** (n + 1) <= k < 2 * n * (w.t + 1) ** (n + 1)
-            assert w.k_prime <= k and 0 <= w.slack <= cells
+            assert w.k_prime <= k and 0 <= w.k - w.k_prime <= cells
             assert w.predicted_vertices == 2 * cells and w.bound == cells
 
 
