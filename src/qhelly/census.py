@@ -853,7 +853,10 @@ def expand_to_maximal(polytope: LatticePolytope, k: int) -> ExpansionResult:
     restores the turning since the quadratic mu-term of each determinant
     has positive coefficient; a stray interior lattice point, always
     outside the input, is cut by doubling the mu of its most violated
-    input edge, and stays cut because weights never decrease.
+    input edge, and stays cut because weights never decrease.  The
+    result's report is the maximality test of the grown polygon; a
+    polygon that fails it is returned all the same, for the caller to
+    report.
     """
     if k < 1:
         raise ValueError("expansion supports k >= 1 only")
@@ -942,7 +945,6 @@ def expand_to_maximal(polytope: LatticePolytope, k: int) -> ExpansionResult:
         mu[worst] *= 2
     # the anchor vertices certify one lattice point per facet relative interior
     report = maximal_membership(cycle, k)
-    assert report.is_member, "expansion produced a non-maximal polygon"
     # report.vertices starts at the lex-min vertex; align facet data with it
     shift = cycle.index(min(cycle))
     vertices = tuple(cycle[shift:] + cycle[:shift])

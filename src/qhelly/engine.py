@@ -13,31 +13,30 @@ Both come from one enumeration of the closed subsets C = S intersect
 conv C.  The site is indexed once and a subset is an int bitmask (bit i
 is site.points[i]); the enumeration keeps a dict from each closed set to
 the mask of its hull's vertices, so totals and vertex counts are
-popcounts.  The work queue carries each new closed set with the hull
-that the step first reaching it made (an index cycle, a facet list or a
-polytope), so the hull of a closed set is never rebuilt.
+popcounts.  The work stack carries each new closed set with the hull
+that the step first reaching it made, as masks and facets, so no hull
+is built while enumerating.  A site is read on the coordinates
+_kept_coordinates keeps, on which it is full-dimensional.
 
-A site of affine dimension at most 2 (a planar site, or a flat one in
-Z^n read on the coordinates the hull code keeps) is enumerated on
-indices alone.  One table holds, for each ordered pair of points, the
-mask of the site on or left of the line through them.  A hull is a
-point, a segment or a counterclockwise cycle of indices; its closed set
-is the AND of its edges' line masks, and a point p outside a polygon is
-spliced into its cycle in place of the chain of edges that see p
-(beneath-beyond), with no hull and no facet built.
+A site of affine dimension at most 2 is enumerated on indices alone.
+One table holds, for each ordered pair of points, the mask of the site
+on or left of the line through them.  A hull is a point, a segment or a
+counterclockwise cycle of indices; its closed set is the AND of its
+edges' line masks, and a point p outside a polygon is spliced into its
+cycle in place of the chain of edges that see p (beneath-beyond).
 
-A site of affine dimension 3, read the same way, carries each closed
-set of affine dimension 3 with its facets (primitive normal, offset,
-vertex mask, halfspace mask).  A point p outside is added by
-beneath-beyond (Preparata & Hong 1977): the facets that see p go, one
-whose plane holds p gets the 2-D hull of its vertices plus p, and a
-triangle joins p to each horizon edge.  The closed set is the AND of
-the facets' halfspace masks.  A polygon plus a point off its plane is a
-pyramid.  A closed set of lower dimension, and any set of a site of
-affine dimension 4 or 5, hulls V(C) + p anew and closes it by ANDing
-the site's memoized halfspace masks, one per facet (two per affine-hull
-equation when the hull is degenerate).  Only the winning witnesses are
-hulled again, in the site's own coordinates.
+A site of affine dimension 3 to 5 carries each closed set with the
+integer equalities of its affine hull and its facets relative to that
+hull (primitive normal, offset, vertex mask, halfspace mask); the
+closed set is the AND of both halfspace masks of every equality and the
+facets' masks.  A point p off the affine hull makes a pyramid over the
+hull, whose base lies in the hyperplane of an equality; a point p in it
+is added by beneath-beyond (Seidel 1981): the facets that see p go,
+each with an adjacent facet beneath p gives a new facet through their
+ridge and p by the double-description step (Fukuda & Prodon 1996), and
+a facet whose hyperplane holds p keeps the old vertices that a rank
+test of the facets through them still finds to be vertices.  Only the
+winning witnesses are hulled, in the site's own coordinates.
 
 c comes from the stepwise recursion over the g profile (c_from_g).  The
 tests hold it against a second, independent route: direct maximization
@@ -46,27 +45,26 @@ over the enumerated closed sets.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import accumulate
 from math import gcd
 from operator import and_
 from typing import Optional, Sequence
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, UnsupportedDimensionError
 from .extint import NEG_INF, ExtInt, ext_max, is_finite
 from .lattice import (
+    _HULL_DIM_LIMIT,
     FiniteSite,
-    LatticePolytope,
     _affinely_independent_subset,
     _dot,
-    _hull_cycle_2d,
     _kept_coordinates,
     convex_hull,
+    rational_rank,
     site_mask,
 )
 
-_DEFAULT_STATE_BUDGET = 2_000_000
+_STATE_BUDGET = 2_000_000
 _SITE_SIZE_LIMIT = 30
 
 
@@ -79,8 +77,10 @@ def check_site_size(size: int) -> None:
         )
 
 
-def _budget_error(max_states: int) -> BudgetExceededError:
-    return BudgetExceededError(f"more than {max_states} closed subsets; raise max_states")
+def _budget_error() -> BudgetExceededError:
+    return BudgetExceededError(
+        f"more than {_STATE_BUDGET} closed subsets; use a smaller site, such as a smaller box"
+    )
 
 
 def _line_masks(xy: Sequence[tuple]) -> list:
@@ -123,10 +123,10 @@ def _seen_chain(back: Sequence[int], j: int) -> tuple[int, int]:
     return sees[0], sees[-1] + 1
 
 
-def _planar_closed_sets(xy: Sequence[tuple], max_states: int) -> dict:
+def _planar_closed_sets(xy: Sequence[tuple]) -> dict:
     """Closed sets of a planar site, by index cycles on its line masks.
 
-    A queue entry is a closed set, its hull's vertex cycle, and the line
+    A stack entry is a closed set, its hull's vertex cycle, and the line
     masks of the cycle's edges: edge e runs from cycle[e] to cycle[e + 1]
     (cyclically), fwd[e] is the mask on or left of it and back[e] the mask
     on or right of it.  For a point or a segment both lists are empty.
@@ -135,9 +135,9 @@ def _planar_closed_sets(xy: Sequence[tuple], max_states: int) -> dict:
     full = (1 << n) - 1
     left = _line_masks(xy)
     found = {1 << i: 1 << i for i in range(n)}
-    queue = deque((1 << i, (i,), [], []) for i in range(n))
-    while queue:
-        cur, hull, fwd, back = queue.popleft()
+    stack = [(1 << i, (i,), [], []) for i in range(n)]
+    while stack:
+        cur, hull, fwd, back = stack.pop()
         if fwd:
             # head[s]: the AND over edges 0..s-1, tail[t]: over edges t..
             head = [full, *accumulate(fwd, and_)]
@@ -175,184 +175,146 @@ def _planar_closed_sets(xy: Sequence[tuple], max_states: int) -> dict:
             for v in cycle:
                 vmask |= 1 << v
             found[new] = vmask
-            if len(found) > max_states:
-                raise _budget_error(max_states)
-            queue.append((new, cycle, new_fwd, new_back))
+            if len(found) > _STATE_BUDGET:
+                raise _budget_error()
+            stack.append((new, cycle, new_fwd, new_back))
     return found
 
 
-def _lowest(mask: int) -> int:
-    """The index of the lowest set bit of a nonzero mask."""
-    return (mask & -mask).bit_length() - 1
+def _hyperplane(normal: list, offset: int) -> tuple:
+    """(normal, offset) with the normal made primitive; the hyperplane holds
+    a lattice point, so the gcd divides the offset too."""
+    g = gcd(*normal)
+    return tuple(a // g for a in normal), offset // g
 
 
-def _cone_facet(site: FiniteSite, j: int, edge: int, inner: int) -> tuple:
-    """The facet through point j and the hull edge whose two vertex bits
-    are edge, as (normal, offset, vertex mask, halfspace mask).
-
-    The lowest vertex of the mask inner outside edge must lie off that
-    plane; the primitive normal is oriented so that it lies beneath.
-    """
-    points = site.points
-    x, y, z = points[j]
-    ax, ay, az = points[_lowest(edge)]
-    bx, by, bz = points[edge.bit_length() - 1]
-    ax, ay, az, bx, by, bz = ax - x, ay - y, az - z, bx - x, by - y, bz - z
-    nx, ny, nz = ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx
-    g = gcd(nx, ny, nz)
-    normal = (nx // g, ny // g, nz // g)
-    offset = normal[0] * x + normal[1] * y + normal[2] * z
-    if _dot(normal, points[_lowest(inner & ~edge)]) > offset:
-        normal, offset = (-normal[0], -normal[1], -normal[2]), -offset
-    return normal, offset, edge | 1 << j, site.halfspace_mask(normal, offset)
+def _plane_mask(site: FiniteSite, normal: tuple, offset: int) -> int:
+    """The mask of the site points on the hyperplane normal . x = offset."""
+    flip = tuple(-a for a in normal)
+    return site.halfspace_mask(normal, offset) & site.halfspace_mask(flip, -offset)
 
 
-def _plane_vertices(points: Sequence[tuple], normal: tuple, mask: int) -> int:
-    """The mask of the hull vertices of the points of mask, which lie in
-    one plane with this normal: a 2-D hull after dropping a coordinate
-    on which the normal is nonzero, which maps the plane one to one."""
-    drop = 0 if normal[0] else 1 if normal[1] else 2
-    bit_of = {}
-    for i in range(mask.bit_length()):
-        if mask >> i & 1:
-            p = points[i]
-            bit_of[p[:drop] + p[drop + 1 :]] = 1 << i
-    vmask = 0
-    for q in _hull_cycle_2d(bit_of):
-        vmask |= bit_of[q]
-    return vmask
-
-
-def _pyramid(site: FiniteSite, poly: LatticePolytope, base: tuple, j: int) -> tuple:
-    """The closed set and facets of the pyramid over a polygon of the
-    site, with apex j off the polygon's plane normal . x = offset: the
-    base plus one triangle per edge (a facet of the polygon in its plane).
-    """
-    normal, offset = base
-    if _dot(normal, site.points[j]) > offset:
-        normal, offset = tuple(-x for x in normal), -offset
-    index = site.index
-    vmask = 0
-    for v in poly.vertices:
-        vmask |= 1 << index[v]
-    facets = [(normal, offset, vmask, site.halfspace_mask(normal, offset))]
-    closed = facets[0][3]
-    for h, c in poly.facets:
-        edge = 0
-        for v in poly.vertices:
-            if _dot(h, v) == c:
-                edge |= 1 << index[v]
-        facets.append(_cone_facet(site, j, edge, vmask))
-        closed &= facets[-1][3]
-    return closed, facets
-
-
-def _beneath_beyond(site: FiniteSite, facets: list, j: int, found: dict) -> tuple:
-    """The closed set and facets of the hull of a full-dimensional hull,
-    given by its facets, plus point j outside it; the facets are None
+def _extend(site: FiniteSite, eqs: tuple, facets: list, vmask: int, j: int, found: dict) -> tuple:
+    """The closed set, equalities and facets of the hull of a closed set C
+    plus point j outside it; a beneath-beyond step gives no facets (None)
     when the closed set is in found already.
 
-    Facets that see j (normal . p > offset) are dropped; one whose plane
-    holds j gets the 2-D hull of its vertices plus j; and a facet is
-    added through j and each horizon edge, where a seen facet meets a
-    facet beneath j.  Two facets of a 3-D polytope share an edge exactly
-    when their vertex masks share 2 bits.  A horizon edge on a facet
-    whose plane holds j adds no facet: the triangle lies in that plane.
+    The affine hull of C is cut out by the integer equalities eqs, as
+    (normal, offset) pairs; facets are C's facets relative to that hull,
+    as (primitive normal, offset, vertex mask, halfspace mask) meaning
+    normal . x <= offset, and vmask is the mask of C's vertices.
+
+    A point p off the affine hull makes a pyramid: with e the first
+    equality and s = e . p - e0 != 0, the base facet is b = -sign(s) e,
+    an old facet f becomes |s| f - (f0 - f . p) b, which holds p, and an
+    other equality e' becomes s e' - (e' . p - e'0) e; a lone point gets
+    the one new facet -b through p.  A point in the affine hull is added
+    by beneath-beyond: a facet F that sees p goes, and with an adjacent
+    facet G beneath p gives the facet (f . p - f0) g - (g . p - g0) f
+    through their ridge and p.  F and G of an r-polytope are adjacent
+    when their vertex masks share r - 1 bits, so that F & G is a face of
+    dimension at least min(r - 2, 2), and, for r >= 5, no third facet's
+    vertex mask holds the shared ones.  A facet whose hyperplane
+    holds p keeps the old vertices at which the equalities and the new
+    facets through them still have rank d, the site's dimension.
     """
-    points = site.points
-    x, y, z = points[j]
-    closed = (1 << len(points)) - 1
+    p, d, bit = site.points[j], site.dim, 1 << j
+    mask_of = site.halfspace_mask
+    closed = (1 << len(site.points)) - 1
+    for k, (e, e0) in enumerate(eqs):
+        s = _dot(e, p) - e0
+        if s:
+            b, b0 = (tuple(-a for a in e), -e0) if s > 0 else (e, e0)
+            new_eqs = []
+            for f, f0 in eqs[:k] + eqs[k + 1 :]:
+                t = _dot(f, p) - f0
+                new_eqs.append(_hyperplane([s * x - t * y for x, y in zip(f, e)], s * f0 - t * e0))
+                closed &= _plane_mask(site, *new_eqs[-1])
+            new_facets = [(b, b0, vmask, mask_of(b, b0))]
+            s = abs(s)
+            for f, f0, fv, _ in facets:
+                t = f0 - _dot(f, p)
+                h = _hyperplane([s * x - t * y for x, y in zip(f, b)], s * f0 - t * b0)
+                new_facets.append((*h, fv | bit, mask_of(*h)))
+            if not facets:
+                h = tuple(-a for a in b), -_dot(b, p)
+                new_facets.append((*h, bit, mask_of(*h)))
+            for f in new_facets:
+                closed &= f[3]
+            return closed, tuple(new_eqs), new_facets
+    for e, e0 in eqs:
+        closed &= _plane_mask(site, e, e0)
+    r = d - len(eqs)
     seen, beneath, level = [], [], []
     for f in facets:
-        (a, b, c), offset, _, hmask = f
-        side = a * x + b * y + c * z - offset
+        side = _dot(f[0], p) - f[1]
         if side > 0:
-            seen.append(f)
+            seen.append((f, side))
         else:
-            closed &= hmask
-            (beneath if side else level).append(f)
-    new_facets = beneath[:]
-    for f in seen:
-        for g in beneath:
-            edge = f[2] & g[2]
-            if edge.bit_count() == 2:
-                new_facets.append(_cone_facet(site, j, edge, g[2]))
-                closed &= new_facets[-1][3]
-    if closed in found:
-        return closed, None
-    for normal, offset, vmask, hmask in level:
-        vmask = _plane_vertices(points, normal, vmask | 1 << j)
-        new_facets.append((normal, offset, vmask, hmask))
-    return closed, new_facets
-
-
-def _solid_closed_sets(site: FiniteSite, max_states: int) -> dict:
-    """Closed sets of a site in Z^3 of affine dimension 3, by beneath-beyond.
-
-    A queue entry is a closed set and its hull, while that has affine
-    dimension at most 2, or else its facets, each as (primitive normal,
-    offset, mask of the hull vertices on it, mask of the site points
-    beneath it).  A closed set is the AND of its facets' halfspace
-    masks, and its vertex mask the OR of their vertex masks.  A point,
-    segment or polygon plus a point in its affine hull is hulled anew; a
-    polygon plus a point off its plane is a pyramid.
-    """
-    points, index = site.points, site.index
-    found = {1 << i: 1 << i for i in range(len(points))}
-    queue = deque((1 << i, convex_hull((p,)), None) for i, p in enumerate(points))
-    while queue:
-        cur, poly, facets = queue.popleft()
-        if facets is None and poly.affine_dim == 2:
-            (base,) = poly.equalities
-        for j in range(cur.bit_length(), len(points)):
-            hull = None
-            if facets is not None:
-                new, new_facets = _beneath_beyond(site, facets, j, found)
-            elif poly.affine_dim == 2 and _dot(base[0], points[j]) != base[1]:
-                new, new_facets = _pyramid(site, poly, base, j)
+            closed &= f[3]
+            if side:
+                beneath.append((f, side))
             else:
-                hull, new_facets = convex_hull(poly.vertices + (points[j],)), None
-                new = site_mask(hull, site)
+                level.append(f)
+    new_facets = [g for g, _ in beneath]
+    for (f, f0, fv, _), fs in seen:
+        for (g, g0, gv, _), gs in beneath:
+            ridge = fv & gv
+            if ridge.bit_count() < r - 1:
+                continue
+            if r > 4 and sum((h[2] & ridge) == ridge for h in facets) > 2:
+                continue
+            h = _hyperplane([fs * y - gs * x for x, y in zip(f, g)], fs * g0 - gs * f0)
+            new_facets.append((*h, ridge | bit, mask_of(*h)))
+            closed &= new_facets[-1][3]
+    if closed in found:
+        return closed, eqs, None
+    if level:
+        # a vertex on a facet beneath p stays one
+        tight = new_facets + level
+        old = keep = 0
+        for f in level:
+            old |= f[2]
+        for g, _ in beneath:
+            keep |= g[2]
+        old &= ~keep
+        for v in range(old.bit_length()):
+            if old >> v & 1:
+                rows = [e for e, _ in eqs] + [f[0] for f in tight if f[2] >> v & 1]
+                if rational_rank(rows) == d:
+                    keep |= 1 << v
+        new_facets += [(f, f0, fv & keep | bit, hmask) for f, f0, fv, hmask in level]
+    return closed, eqs, new_facets
+
+
+def _closed_sets(site: FiniteSite) -> dict:
+    """Closed sets of a full-dimensional site in Z^d, d = 3..5, by _extend.
+
+    A stack entry is a closed set, the equalities of its affine hull and
+    its facets relative to that hull; a singleton starts with the d unit
+    equalities and no facets.
+    """
+    points, d = site.points, site.dim
+    found = {1 << i: 1 << i for i in range(len(points))}
+    units = [tuple(int(a == b) for b in range(d)) for a in range(d)]
+    stack = [(1 << i, tuple(zip(units, p)), []) for i, p in enumerate(points)]
+    while stack:
+        cur, eqs, facets = stack.pop()
+        for j in range(cur.bit_length(), len(points)):
+            new, new_eqs, new_facets = _extend(site, eqs, facets, found[cur], j, found)
             if new in found:
                 continue
             vmask = 0
-            if hull is None:
-                for f in new_facets:
-                    vmask |= f[2]
-            else:
-                for v in hull.vertices:
-                    vmask |= 1 << index[v]
+            for f in new_facets:
+                vmask |= f[2]
             found[new] = vmask
-            if len(found) > max_states:
-                raise _budget_error(max_states)
-            queue.append((new, hull, new_facets))
+            if len(found) > _STATE_BUDGET:
+                raise _budget_error()
+            stack.append((new, new_eqs, new_facets))
     return found
 
 
-def _closed_sets_by_hulls(site: FiniteSite, max_states: int) -> dict:
-    """Closed sets of a site of any dimension, by a new hull per extension."""
-    points, index = site.points, site.index
-    found = {1 << i: 1 << i for i in range(len(points))}
-    queue = deque((1 << i, (p,)) for i, p in enumerate(points))
-    while queue:
-        cur, verts = queue.popleft()
-        for j in range(cur.bit_length(), len(points)):
-            poly = convex_hull(verts + (points[j],))
-            new = site_mask(poly, site)
-            if new not in found:
-                vmask = 0
-                for v in poly.vertices:
-                    vmask |= 1 << index[v]
-                found[new] = vmask
-                if len(found) > max_states:
-                    raise _budget_error(max_states)
-                queue.append((new, poly.vertices))
-    return found
-
-
-def enumerate_convex_subsets(
-    site: FiniteSite, *, max_states: int = _DEFAULT_STATE_BUDGET
-) -> dict:
+def enumerate_convex_subsets(site: FiniteSite) -> dict:
     """All nonempty closed subsets of the site (C = S intersect conv C).
 
     Subsets are bitmasks over the site (bit i is site.points[i]).  The
@@ -367,42 +329,41 @@ def enumerate_convex_subsets(
     maximum, which is always a vertex; the closure of the remainder plus
     that point restores the set), so the enumeration is complete without
     revisiting permutations.  The step that first reaches a closed set
-    gives its vertex mask, and its vertices travel with it in the queue.
+    gives its vertex mask, and its hull travels with it on the stack.
 
-    A site of affine dimension at most 2 is read on the coordinates
-    _kept_coordinates keeps, which map it one to one and in order, and is
+    A site is read on the coordinates _kept_coordinates keeps, which map
+    it one to one and in order.  A site of affine dimension at most 2 is
     enumerated on indices alone: V(C) is a point, a segment or a
     counterclockwise index cycle from its lexicographic minimum, and a
     closed set is the AND of the line masks of its edges (_line_masks,
     built once per site).  p is not in C, so it lies strictly outside
     C's polygon: its hull cycle is C's with the chain of edges that see
-    p spliced out, and no hull is built.  A point plus p is a segment;
-    a segment plus p is a longer segment or a triangle.
+    p spliced out.  A point plus p is a segment; a segment plus p is a
+    longer segment or a triangle.
 
-    A site of affine dimension 3 is read the same way on three
-    coordinates.  A closed set of affine dimension 3 travels with its
-    facets, and p is added by beneath-beyond (_beneath_beyond): no hull
-    is built.  A polygon plus a point off its plane is a pyramid
-    (_pyramid).  A closed set of lower dimension there, and any closed
-    set of a site of affine dimension 4 or 5, hulls V(C) + p anew and
-    closes it with the site's halfspace masks.
+    A site of affine dimension 3 to 5 carries each closed set with the
+    equalities of its affine hull and its facets relative to that hull;
+    p makes a pyramid over C when it is off C's affine hull, and is
+    added by beneath-beyond when it is in it (_extend).  Neither path
+    builds a hull.
     """
     check_site_size(len(site))
     points = site.points
     base = _affinely_independent_subset(points, site.dim)
+    if len(base) > _HULL_DIM_LIMIT + 1:
+        raise UnsupportedDimensionError(
+            f"closed sets are enumerated up to affine dimension {_HULL_DIM_LIMIT}, "
+            f"got {len(base) - 1}"
+        )
+    kept = _kept_coordinates(base)
     if len(base) <= 3:
-        kept = _kept_coordinates(base)
         # a point or a line gets a zero second coordinate: one collinear site
         pad = (0,) * (2 - len(kept))
-        xy = [tuple(p[i] for i in kept) + pad for p in points]
-        found = _planar_closed_sets(xy, max_states)
-    elif len(base) == 4:
-        if site.dim > 3:
-            kept = _kept_coordinates(base)
-            site = FiniteSite.of(tuple(p[i] for i in kept) for p in points)
-        found = _solid_closed_sets(site, max_states)
+        found = _planar_closed_sets([tuple(p[i] for i in kept) + pad for p in points])
     else:
-        found = _closed_sets_by_hulls(site, max_states)
+        if len(kept) < site.dim:
+            site = FiniteSite.of(tuple(p[i] for i in kept) for p in points)
+        found = _closed_sets(site)
     # bit i is the i-th point in lexicographic order, so sorted point tuples
     # of one size compare as their index tuples: the one holding the lower
     # first differing index is smaller, and the complement's binary digits,
@@ -458,7 +419,6 @@ def g_profile(
     k_max: Optional[int] = None,
     *,
     label: Optional[str] = None,
-    max_states: int = _DEFAULT_STATE_BUDGET,
 ) -> SiteProfile:
     """Profile of g (and c via the stepwise route) for k = 0..k_max.
 
@@ -472,7 +432,7 @@ def g_profile(
         raise ValueError("k_max must be nonnegative")
     g: list[ExtInt] = [NEG_INF] * (k_max + 1)
     best: list = [None] * (k_max + 1)
-    for closed, verts in enumerate_convex_subsets(site, max_states=max_states).items():
+    for closed, verts in enumerate_convex_subsets(site).items():
         nvert = verts.bit_count()
         k = closed.bit_count() - nvert
         if k <= k_max and g[k] < nvert:

@@ -1,6 +1,6 @@
 """Scans and small solvers that the tests use as oracles for exact point
-counts, membership, closures, affine charts, lattice width and the
-planar canonical form.
+counts, membership, closures, closed sets of a site, affine charts,
+lattice width and the planar canonical form.
 
 Each point scan tests every lattice point of a bounding box against
 every inequality, with no interval arithmetic, so it is slow but plainly
@@ -9,6 +9,8 @@ site is the site mask of the hull.  The width search tries every
 primitive direction in a box that Cramer's rule proves large enough.
 The anchored images are built in full, every vertex of every one,
 without the calipers or the left-chain bound of lattice._anchored_leads.
+The closed sets of a finite site are grown with one convex_hull per
+extension, where the engine carries facets or line masks.
 """
 
 from __future__ import annotations
@@ -88,6 +90,28 @@ def closure(points, site=None) -> tuple:
     if site is None:
         return tuple(box_points(hull)[0])
     return site.points_of(site_mask(hull, site))
+
+
+def closed_sets_by_hulls(site) -> dict:
+    """The closed sets of a site of any affine dimension up to 5, each
+    mapped to the mask of its hull's vertices, by the enumeration's growth
+    rule with one exact hull per extension: conv(V(C) + p), closed by
+    site_mask."""
+    points, index = site.points, site.index
+    found = {1 << i: 1 << i for i in range(len(points))}
+    queue = [(1 << i, (p,)) for i, p in enumerate(points)]
+    while queue:
+        cur, verts = queue.pop()
+        for j in range(cur.bit_length(), len(points)):
+            poly = convex_hull(verts + (points[j],))
+            new = site_mask(poly, site)
+            if new not in found:
+                vmask = 0
+                for v in poly.vertices:
+                    vmask |= 1 << index[v]
+                found[new] = vmask
+                queue.append((new, poly.vertices))
+    return found
 
 
 def box_points(polytope) -> tuple[list, list]:

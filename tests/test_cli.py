@@ -22,7 +22,7 @@ import pytest
 jsonschema = pytest.importorskip("jsonschema")
 
 import qhelly
-from qhelly import witnesses
+from qhelly import census, engine, witnesses
 from qhelly.cli import main
 from qhelly.lattice import FiniteSite
 
@@ -71,7 +71,14 @@ GOLDEN_GRID = GOLDEN / "grid"
 
 @pytest.mark.parametrize(
     "name",
-    ["5x4_k20.csv", "2x2x2_k8.json", "3x3x1_k9.csv", "3x2x2_k12.csv", "3x3x2_k18.csv"],
+    [
+        "5x4_k20.csv",
+        "2x2x2_k8.json",
+        "3x3x1_k9.csv",
+        "3x2x2_k12.csv",
+        "3x3x2_k18.csv",
+        "2x2x2x2_k16.csv",
+    ],
 )
 def test_grid_output_matches_golden_bytes(capsys, name):
     stem, fmt = name.split(".")
@@ -81,6 +88,15 @@ def test_grid_output_matches_golden_bytes(capsys, name):
     )
     assert (code, err) == (0, "")
     assert out.encode() == (GOLDEN_GRID / name).read_bytes()
+
+
+def test_grid_over_the_state_budget_says_what_to_do(capsys, monkeypatch):
+    monkeypatch.setattr(engine, "_STATE_BUDGET", 10)
+    code, out, err = run_cli(capsys, ["grid", "--dims", "3x3", "--kmax", "4"])
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: more than 10 closed subsets; use a smaller site, such as a smaller box\n"
+    )
 
 
 def test_grid_three_dimensional(capsys):
@@ -198,6 +214,23 @@ def test_maximal_table(small_cache, capsys):
         k, helly, facets, rounds, member = line.split(",")
         assert helly == facets
         assert member == "yes"
+
+
+def test_non_maximal_expansion_is_a_failing_no_row(small_cache, capsys, monkeypatch):
+    real = census.maximal_membership
+
+    def one_interior_point_too_many_at_k2(points, k):
+        report = real(points, k)
+        if k == 2:
+            report = dataclasses.replace(report, interior_count=report.interior_count + 1)
+        return report
+
+    monkeypatch.setattr(census, "maximal_membership", one_interior_point_too_many_at_k2)
+    code, out, err = run_cli(
+        capsys, ["maximal", "--k", "3", "--cache", str(small_cache.directory)]
+    )
+    assert (code, err) == (1, "")
+    assert out == "k,helly,facets,rounds,member\n1,6,6,0,yes\n2,6,6,0,NO\n3,6,6,0,yes\n"
 
 
 def test_audit_z2(small_cache, capsys):

@@ -16,20 +16,19 @@ from hypothesis import strategies as st
 
 from qhelly import engine
 from qhelly.engine import (
-    _beneath_beyond,
+    _extend,
     _line_masks,
-    _pyramid,
     _seen_chain,
     audit_bounds,
     c_from_g,
     enumerate_convex_subsets,
     g_profile,
 )
-from qhelly.errors import BudgetExceededError
+from qhelly.errors import BudgetExceededError, UnsupportedDimensionError
 from qhelly.extint import NEG_INF, ext_max, is_finite
 from qhelly.lattice import FiniteSite, convex_hull, site_mask
 from profile_oracles import c_direct, consistency_findings, unrolled_c
-from scan_oracles import closure, contains
+from scan_oracles import closed_sets_by_hulls, closure, contains
 
 
 def brute_closed_subsets(site: FiniteSite) -> set:
@@ -156,10 +155,10 @@ def test_splice_is_the_hull_of_cycle_plus_point(points, p, extra):
 
 
 def by_hulls(site: FiniteSite) -> list:
-    """The enumeration's items with 3-D sites on the hull-per-step path."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(engine, "_solid_closed_sets", engine._closed_sets_by_hulls)
-        return list(enumerate_convex_subsets(site).items())
+    """The oracle's closed sets and vertex masks, in the enumeration's
+    (size, sorted point tuple) order."""
+    items = closed_sets_by_hulls(site).items()
+    return sorted(items, key=lambda item: (item[0].bit_count(), site.points_of(item[0])))
 
 
 @pytest.mark.parametrize("dims", [(2, 2, 2), (3, 2, 2), (2, 2, 3)])
@@ -193,17 +192,76 @@ def test_solid_site_in_z4_enumerates_as_its_projection():
     assert items == by_hulls(site)
 
 
-def test_four_dimensional_site_matches_power_set_oracle(monkeypatch):
-    # affine dimension 4 stays on the hull-per-step path
-    monkeypatch.setattr(engine, "_solid_closed_sets", None)
-    simplex = [(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
-    site = FiniteSite.of(simplex + [(1, 1, 1, 1), (1, 1, 0, 0), (2, 1, 1, 0)])
+_SIMPLEX_4 = [(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
+_SITE_4 = _SIMPLEX_4 + [(1, 1, 1, 1), (1, 1, 0, 0), (2, 1, 1, 0)]
+
+
+def test_four_dimensional_site_matches_power_set_oracle():
+    site = FiniteSite.of(_SITE_4)
     assert set(closed_tuples(site)) == brute_closed_subsets(site)
 
 
-def solid_facets(site: FiniteSite, poly) -> list:
-    """The facets of a full-dimensional hull in Z^3 as the enumeration
-    carries them: (normal, offset, vertex mask, halfspace mask)."""
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.tuples(*[st.integers(-1, 1)] * 4), min_size=5, max_size=9)
+    | st.lists(st.tuples(*[st.integers(0, 2)] * 4), min_size=5, max_size=9)
+)
+@example(_SITE_4)
+@example(_SIMPLEX_4 + [(2, 0, 0, 0), (1, 1, 0, 0)])  # on an edge's line; a 2-face grows
+@example(_SIMPLEX_4 + [(1, 1, 1, -1)])  # beyond one facet only
+def test_four_dimensional_sites_match_the_hull_per_step_path(points):
+    site = FiniteSite.of(points)
+    assert list(enumerate_convex_subsets(site).items()) == by_hulls(site)
+
+
+_SIMPLEX_5 = [tuple(int(i == j) for j in range(5)) for i in range(-1, 5)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.lists(st.tuples(*[st.integers(-1, 1)] * 5), min_size=6, max_size=8)
+    | st.lists(st.tuples(*[st.integers(0, 2)] * 5), min_size=6, max_size=8)
+)
+@example(_SIMPLEX_5 + [(1, 1, 1, 1, 1), (1, 1, 0, 0, 0)])
+@example(_SIMPLEX_5 + [(1, 1, 0, 0, -1), (2, 0, 0, 0, 0)])
+def test_five_dimensional_sites_match_the_hull_per_step_path(points):
+    site = FiniteSite.of(points)
+    assert list(enumerate_convex_subsets(site).items()) == by_hulls(site)
+
+
+def test_six_dimensional_site_is_refused():
+    # as convex_hull refuses it, which the witnesses of g need
+    simplex = [tuple(int(i == j) for j in range(6)) for i in range(-1, 6)]
+    with pytest.raises(UnsupportedDimensionError, match="affine dimension 5, got 6"):
+        enumerate_convex_subsets(FiniteSite.of(simplex))
+
+
+def test_grid_2x2x2x2_has_every_subset_closed_and_each_its_own_vertex_set():
+    found = enumerate_convex_subsets(FiniteSite.grid(2, 2, 2, 2))
+    assert len(found) == 2**16 - 1
+    assert all(closed == vertices for closed, vertices in found.items())
+
+
+@pytest.mark.parametrize(
+    "points",
+    [
+        FiniteSite.grid(3, 2, 2).points,
+        FiniteSite.grid(2, 2, 1, 2).points,  # a 3-D site in Z^4
+        _SITE_4,
+        _SIMPLEX_5 + [(1, 1, 1, 1, 1), (1, 1, 0, 0, 0)],
+    ],
+)
+def test_sites_of_affine_dimension_3_to_5_enumerate_without_hulls(monkeypatch, points):
+    site = FiniteSite.of(points)
+    expected = list(enumerate_convex_subsets(site).items())
+    monkeypatch.setattr(engine, "convex_hull", None)
+    monkeypatch.setattr(engine, "site_mask", None)
+    assert list(enumerate_convex_subsets(site).items()) == expected
+
+
+def carried_facets(site: FiniteSite, poly) -> list:
+    """The facets of a hull as the enumeration carries them, relative to
+    its affine hull: (normal, offset, vertex mask, halfspace mask)."""
     out = []
     for normal, offset in poly.facets:
         vmask = 0
@@ -212,6 +270,15 @@ def solid_facets(site: FiniteSite, poly) -> list:
                 vmask |= 1 << site.index[v]
         out.append((normal, offset, vmask, site.halfspace_mask(normal, offset)))
     return sorted(out)
+
+
+def one_step(site: FiniteSite, poly, p) -> tuple:
+    """_extend from the carried data of a hull of site points, by point p."""
+    vmask = 0
+    for v in poly.vertices:
+        vmask |= 1 << site.index[v]
+    facets = carried_facets(site, poly)
+    return _extend(site, poly.equalities, facets, vmask, site.index[p], {})
 
 
 _TETRA = [(0, 0, 0), (0, 2, 0), (1, 1, 0), (1, 1, 1)]
@@ -232,9 +299,10 @@ def test_beneath_beyond_is_the_hull_of_facets_plus_point(points, p, extra):
     poly = convex_hull(points)
     assume(poly.affine_dim == 3 and not contains(poly, p))
     site = FiniteSite.of(points + [p] + extra)
-    closed, facets = _beneath_beyond(site, solid_facets(site, poly), site.index[p], {})
+    closed, eqs, facets = one_step(site, poly, p)
     expected = convex_hull(poly.vertices + (p,))
-    assert sorted(facets) == solid_facets(site, expected)
+    assert eqs == ()
+    assert sorted(facets) == carried_facets(site, expected)
     assert closed == site_mask(expected, site)
 
 
@@ -255,18 +323,81 @@ def test_pyramid_is_the_hull_of_polygon_plus_apex(coords, slope, p, extra):
     (base,) = poly.equalities
     assume(sum(a * x for a, x in zip(base[0], p)) != base[1])
     site = FiniteSite.of(points + [p] + extra)
-    closed, facets = _pyramid(site, poly, base, site.index[p])
+    closed, eqs, facets = one_step(site, poly, p)
     expected = convex_hull(poly.vertices + (p,))
-    assert sorted(facets) == solid_facets(site, expected)
+    assert eqs == ()
+    assert sorted(facets) == carried_facets(site, expected)
     assert closed == site_mask(expected, site)
 
 
-def test_state_budget_guard():
-    # 3x3 has 9 singletons and many more closed sets than 10
-    with pytest.raises(BudgetExceededError):
-        enumerate_convex_subsets(FiniteSite.grid(3, 3), max_states=10)
-    with pytest.raises(BudgetExceededError):
-        g_profile(FiniteSite.grid(3, 3), max_states=10)
+def check_one_step(points: list, p: tuple, extra: list) -> None:
+    """One _extend step from the hull of points by p, against convex_hull:
+    the closed set, the vertex mask, equalities that hold on the new hull,
+    one fewer per dimension gained, and, for a full-dimensional hull, the
+    facets themselves."""
+    poly = convex_hull(points)
+    assume(not contains(poly, p))
+    site = FiniteSite.of(points + [p] + extra)
+    closed, eqs, facets = one_step(site, poly, p)
+    expected = convex_hull(poly.vertices + (p,))
+    vmask = 0
+    for f in facets:
+        vmask |= f[2]
+    assert closed == site_mask(expected, site)
+    assert site.points_of(vmask) == expected.vertices
+    assert len(eqs) == site.dim - expected.affine_dim
+    for normal, offset in eqs:
+        assert all(sum(a * x for a, x in zip(normal, v)) == offset for v in expected.vertices)
+    if expected.is_full_dimensional:
+        assert sorted(facets) == carried_facets(site, expected)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(*[st.integers(0, 2)] * 4), min_size=1, max_size=8),
+    st.tuples(*[st.integers(-1, 3)] * 4),
+    st.lists(st.tuples(*[st.integers(-1, 3)] * 4), max_size=4),
+)
+@example([(0, 0, 0, 0)], (1, 2, 0, 0), [(2, 4, 0, 0)])  # a point, then a segment
+@example([(0, 0, 0, 0), (2, 0, 0, 0)], (3, 0, 0, 0), [(1, 0, 0, 0)])  # along the line
+@example([(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0)], (2, 2, 0, 0), [(1, 1, 0, 0)])
+@example(_SIMPLEX_4, (1, 1, 1, 1), [])
+@example(_SIMPLEX_4, (2, 0, 0, 0), [])  # on the line of an edge
+def test_extend_is_the_hull_of_a_closed_set_in_z4_plus_point(points, p, extra):
+    # every affine dimension of a closed set in Z^4, from a point up
+    check_one_step(points, p, extra)
+
+
+_CUBE_5 = list(itertools.product((0, 1), repeat=5))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.sampled_from(_CUBE_5), min_size=6, max_size=16, unique=True),
+    st.tuples(*[st.integers(-1, 2)] * 5),
+)
+# a seen and a beneath facet share a square 2-face of this 0/1 polytope,
+# four vertices, which is no ridge: a third facet holds it too
+@example(
+    [
+        (0, 0, 0, 0, 0), (0, 0, 0, 1, 1), (0, 0, 1, 1, 1), (0, 1, 0, 0, 0),
+        (0, 1, 1, 1, 0), (1, 0, 0, 1, 0), (1, 0, 0, 1, 1), (1, 0, 1, 1, 0),
+        (1, 0, 1, 1, 1), (1, 1, 0, 0, 0), (1, 1, 0, 1, 1), (1, 1, 1, 0, 1),
+    ],
+    (1, -1, -1, -1, -1),
+)
+def test_extend_is_the_hull_of_a_01_polytope_in_z5_plus_point(points, p):
+    check_one_step(points, p, [])
+
+
+def test_state_budget_guard(monkeypatch):
+    # 3x3 has 9 singletons and 2x2x2 has 8, with many more closed sets than 10
+    monkeypatch.setattr(engine, "_STATE_BUDGET", 10)
+    for site in (FiniteSite.grid(3, 3), FiniteSite.grid(2, 2, 2)):
+        with pytest.raises(BudgetExceededError, match="^more than 10 closed subsets; use a"):
+            enumerate_convex_subsets(site)
+        with pytest.raises(BudgetExceededError):
+            g_profile(site)
 
 
 def test_grid_3x3_profile():
