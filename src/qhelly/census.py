@@ -51,11 +51,10 @@ from __future__ import annotations
 
 import os
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, gcd, isqrt, lcm
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import (
     BudgetExceededError,
@@ -66,7 +65,7 @@ from .errors import (
     DegenerateInputError,
     GuardRadiusError,
 )
-from .engine import c_from_g
+from .extint import c_from_g
 from .lattice import (
     LatticePolytope,
     _hull_cycle_2d,
@@ -113,8 +112,7 @@ def certified_box_bound(i_max: int) -> int:
 # class record
 
 
-@dataclass(frozen=True)
-class CensusClass:
+class CensusClass(NamedTuple):
     """One equivalence class of lattice polygons, canonically embedded."""
 
     vertices: tuple
@@ -368,8 +366,7 @@ def enumerate_polygon_classes(i_max: int, *, threads: int = 1) -> dict[int, tupl
 # persistent cache
 
 
-@dataclass(frozen=True)
-class CensusFile:
+class CensusFile(NamedTuple):
     """One persisted census shard: all classes with a fixed interior count."""
 
     interior: int
@@ -595,8 +592,7 @@ class CensusStore:
 # the counting profile of the planar lattice
 
 
-@dataclass(frozen=True)
-class Width1Witness:
+class Width1Witness(NamedTuple):
     """Trapezoid between two adjacent lattice lines.
 
     Width-1 polygons form infinitely many classes per interior count, so
@@ -631,8 +627,7 @@ def _require_complete(store: CensusStore, k_max: int) -> None:
         )
 
 
-@dataclass(frozen=True)
-class LatticeProfile:
+class LatticeProfile(NamedTuple):
     """g and c over the planar lattice, with drop points and findings."""
 
     label: str
@@ -652,7 +647,7 @@ def c_z2_profile(k_max: int, store: CensusStore) -> LatticeProfile:
     the width-1 family stands in when no class reaches 4 vertices.  A polygon
     with k non-vertex points has at most k interior points, so the files
     0..k_max decide every value, and one pass over them fills the table.
-    c follows the stepwise recursion of engine.c_from_g; no k exceeds the
+    c follows the stepwise recursion of extint.c_from_g; no k exceeds the
     size of the infinite site Z^2, so k_max serves as the size bound.
 
     Any k with c[k] != g[k] would separate the two quantities, which no
@@ -773,8 +768,7 @@ def _strict_interior_lattice_points(cycle: Sequence[tuple]) -> tuple:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class MembershipReport:
+class MembershipReport(NamedTuple):
     """Outcome of the two-part maximality test for a rational polygon."""
 
     k: int
@@ -820,8 +814,7 @@ def maximal_membership(points: Iterable[tuple], k: int) -> MembershipReport:
     )
 
 
-@dataclass(frozen=True)
-class ExpansionResult:
+class ExpansionResult(NamedTuple):
     """A maximal rational polygon grown around an integral polygon."""
 
     vertices: tuple

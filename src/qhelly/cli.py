@@ -19,11 +19,10 @@ sys.modules as lazy modules (`importlib.util.LazyLoader`), whose code
 runs when one of their attributes is first read; a layer imported
 before this module is used as it is.  Handlers reach the layers through
 these module objects, never through names bound at import time.  So
-`grid` and `audit` on a box run `engine` and `lattice`; `census`,
-`maximal` and `audit --site z2` also run `census`; `witness` runs
-`witnesses` and `lattice`; `constants` runs `constants`, `witnesses`
-(for `integer_root`) and `lattice`; `--version`, `--help` and usage
-errors run none.
+`grid` and `audit` on a box run `engine` and `lattice`; `census` and
+`maximal` run `census` and `lattice`, and `audit --site z2` runs all
+three; `witness` runs `witnesses` and `lattice`; `constants` runs
+`constants` alone; `--version`, `--help` and usage errors run none.
 
 Profile-emitting commands support csv, json and svg output.  Identical
 configurations give byte-identical csv/json, and svg identical up to

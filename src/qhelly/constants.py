@@ -21,13 +21,12 @@ cap rather than a false certificate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gcd
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
-from .witnesses import integer_root
+from .extint import integer_root
 
 __all__ = [
     "AndrewsReport",
@@ -52,7 +51,6 @@ def _as_fraction(value) -> Fraction:
     return Fraction(value)
 
 
-@dataclass(frozen=True)
 class Enclosure:
     """A closed rational interval guaranteed to contain the true value.
 
@@ -60,15 +58,24 @@ class Enclosure:
     arithmetic on enclosures yields an enclosure of the exact result.
     """
 
-    lo: Fraction
-    hi: Fraction
+    __slots__ = ("lo", "hi")
 
-    def __post_init__(self) -> None:
-        if not (isinstance(self.lo, Fraction) and isinstance(self.hi, Fraction)):
-            object.__setattr__(self, "lo", _as_fraction(self.lo))
-            object.__setattr__(self, "hi", _as_fraction(self.hi))
-        if self.lo > self.hi:
+    def __init__(self, lo: Fraction, hi: Fraction) -> None:
+        if not (isinstance(lo, Fraction) and isinstance(hi, Fraction)):
+            lo, hi = _as_fraction(lo), _as_fraction(hi)
+        if lo > hi:
             raise ValueError("enclosure bounds are inverted")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is Enclosure and (self.lo, self.hi) == (other.lo, other.hi)
+
+    def __hash__(self) -> int:
+        return hash((self.lo, self.hi))
 
     @staticmethod
     def point(value) -> "Enclosure":
@@ -240,6 +247,7 @@ def gamma_half(n: int, precision: int = DEFAULT_PRECISION) -> Enclosure:
 class _Verdicts:
     """Verdict views over the Optional[bool] fields a report names in _CHECKS."""
 
+    __slots__ = ()
     _CHECKS = ()
 
     def verdicts(self) -> tuple[tuple[str, Optional[bool]], ...]:
@@ -254,8 +262,7 @@ class _Verdicts:
         return tuple(name for name, flag in self.verdicts() if flag is False)
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     """Aggregated verdicts of one chain over a range of dimensions."""
 
     reports: tuple
@@ -370,16 +377,7 @@ def andrews_constants(n: int, precision: int = DEFAULT_PRECISION) -> "AndrewsRep
     )
 
 
-@dataclass(frozen=True)
-class AndrewsReport(_Verdicts):
-    """Constant-chain enclosures for one dimension, with estimate verdicts.
-
-    A verdict of None means the precision used could not separate the
-    intervals; it is never silently promoted to a pass.  kappa and
-    alpha_required are None when the enclosures they are powers of reach
-    0, and alpha_bounded is None with them.
-    """
-
+class _AndrewsFields(NamedTuple):
     n: int
     precision: int
     xi: Enclosure
@@ -396,6 +394,17 @@ class AndrewsReport(_Verdicts):
     kappa_prime_bounded: Optional[bool]
     alpha_bounded: Optional[bool]
 
+
+class AndrewsReport(_AndrewsFields, _Verdicts):
+    """Constant-chain enclosures for one dimension, with estimate verdicts.
+
+    A verdict of None means the precision used could not separate the
+    intervals; it is never silently promoted to a pass.  kappa and
+    alpha_required are None when the enclosures they are powers of reach
+    0, and alpha_bounded is None with them.
+    """
+
+    __slots__ = ()
     _CHECKS = ("xi_bounded", "c1_bounded", "kappa_prime_bounded", "alpha_bounded")
 
 
@@ -421,15 +430,7 @@ def certify_constant_estimates(
 # the growth chain of the upper-bound recursion
 
 
-@dataclass(frozen=True)
-class ChainLinkReport(_Verdicts):
-    """Verdicts for the three links of the growth-budget chain at one n.
-
-    The chain bounds (2*phi(n)+1)*(beta(n-1)+2^(n-1)) through the
-    midpoint 6*phi(n)*beta(n-1) and the integer 6n^3*(3n)^(5n-5) by the
-    budget (3n)^(5n).
-    """
-
+class _ChainLinkFields(NamedTuple):
     n: int
     precision: int
     phi: Enclosure
@@ -441,6 +442,16 @@ class ChainLinkReport(_Verdicts):
     second_ok: Optional[bool]
     third_ok: Optional[bool]
 
+
+class ChainLinkReport(_ChainLinkFields, _Verdicts):
+    """Verdicts for the three links of the growth-budget chain at one n.
+
+    The chain bounds (2*phi(n)+1)*(beta(n-1)+2^(n-1)) through the
+    midpoint 6*phi(n)*beta(n-1) and the integer 6n^3*(3n)^(5n-5) by the
+    budget (3n)^(5n).
+    """
+
+    __slots__ = ()
     _CHECKS = ("first_ok", "second_ok", "third_ok")
 
 

@@ -38,21 +38,20 @@ a facet whose hyperplane holds p keeps the old vertices that a rank
 test of the facets through them still finds to be vertices.  Only the
 winning witnesses are hulled, in the site's own coordinates.
 
-c comes from the stepwise recursion over the g profile (c_from_g).  The
-tests hold it against a second, independent route: direct maximization
-over the enumerated closed sets.
+c comes from the stepwise recursion over the g profile
+(extint.c_from_g).  The tests hold it against a second, independent
+route: direct maximization over the enumerated closed sets.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 from math import gcd
 from operator import and_
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import BudgetExceededError, UnsupportedDimensionError
-from .extint import NEG_INF, ExtInt, ext_max, is_finite
+from .extint import NEG_INF, ExtInt, c_from_g, is_finite
 from .lattice import (
     _HULL_DIM_LIMIT,
     FiniteSite,
@@ -375,7 +374,6 @@ def enumerate_convex_subsets(site: FiniteSite) -> dict:
     return {m: found[m] for m in order}
 
 
-@dataclass(frozen=True)
 class SiteProfile:
     """g and c values of a finite site for k = 0..k_max, plus witnesses.
 
@@ -383,35 +381,15 @@ class SiteProfile:
     when g[k] is NEG_INF).
     """
 
-    label: str
-    k_max: int
-    g: tuple
-    c: tuple
-    witnesses: tuple
+    __slots__ = ("label", "k_max", "g", "c", "witnesses")
 
-    def __post_init__(self) -> None:
-        assert len(self.g) == len(self.c) == len(self.witnesses) == self.k_max + 1
+    def __init__(self, label: str, k_max: int, g: tuple, c: tuple, witnesses: tuple) -> None:
+        assert len(g) == len(c) == len(witnesses) == k_max + 1
+        for name, value in zip(self.__slots__, (label, k_max, g, c, witnesses)):
+            object.__setattr__(self, name, value)
 
-
-def c_from_g(g: Sequence[ExtInt], site_size: int, k_max: int) -> tuple:
-    """Stepwise recursion: c[0] = g[0], c[k] = max(c[k-1] - 1, g[k]).
-
-    Beyond the site size no configuration qualifies, so c drops to
-    NEG_INF there regardless of the recursion value.
-    """
-    out: list[ExtInt] = []
-    for k in range(k_max + 1):
-        if k > site_size:
-            out.append(NEG_INF)
-            continue
-        gk = g[k] if k < len(g) else NEG_INF
-        if k == 0:
-            out.append(gk)
-        else:
-            prev = out[-1]
-            step = prev - 1 if is_finite(prev) else NEG_INF
-            out.append(ext_max((step, gk)))
-    return tuple(out)
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
 
 
 def g_profile(
@@ -457,8 +435,7 @@ def g_profile(
 # bound audit
 
 
-@dataclass(frozen=True)
-class BoundCheck:
+class BoundCheck(NamedTuple):
     k: int
     name: str
     bound: int
@@ -467,8 +444,7 @@ class BoundCheck:
     equality: bool
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     label: str
     h: ExtInt
     checks: tuple

@@ -29,8 +29,6 @@ cycle, and never walks the identity image, which equals the cycle.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from functools import cached_property
 from math import gcd
 from operator import mul
 from typing import Iterable, Iterator, Optional, Sequence
@@ -148,24 +146,30 @@ def integer_kernel_basis(rows: Sequence[Sequence[int]], n: int) -> list[tuple[in
 # sites
 
 
-@dataclass(frozen=True)
 class FiniteSite:
     """A finite set of lattice points, stored sorted and deduplicated.
 
     A subset of the site is also an int bitmask: bit i stands for
     points[i].  index maps each point to its bit; both it and the memo
     of halfspace masks are built once per site and take no part in
-    comparison or repr.
+    comparison.  A site is immutable: its attributes cannot be assigned.
     """
 
-    points: tuple
-    dim: int
-    index: dict = field(init=False, repr=False, compare=False)
-    _halfspaces: dict = field(init=False, repr=False, compare=False)
+    __slots__ = ("points", "dim", "index", "_halfspaces")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "index", {p: i for i, p in enumerate(self.points)})
-        object.__setattr__(self, "_halfspaces", {})
+    def __init__(self, points: tuple, dim: int) -> None:
+        index = {p: i for i, p in enumerate(points)}
+        for name, value in zip(self.__slots__, (points, dim, index, {})):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is FiniteSite and (self.points, self.dim) == (other.points, other.dim)
+
+    def __hash__(self) -> int:
+        return hash((self.points, self.dim))
 
     @classmethod
     def of(cls, points: Iterable[Point]) -> "FiniteSite":
@@ -223,7 +227,6 @@ class FiniteSite:
 # census record
 
 
-@dataclass(frozen=True)
 class PointCensus:
     """Counts of the lattice points of a polytope.
 
@@ -231,24 +234,26 @@ class PointCensus:
     by construction; interior means ambient interior.
     """
 
-    total: int
-    vertex: int
-    nonvertex: int
-    interior: int
-    boundary: int
+    __slots__ = ("total", "vertex", "nonvertex", "interior", "boundary")
 
-    def __post_init__(self) -> None:
-        if self.total != self.vertex + self.nonvertex:
+    def __init__(
+        self, total: int, vertex: int, nonvertex: int, interior: int, boundary: int
+    ) -> None:
+        if total != vertex + nonvertex:
             raise ValueError("census mismatch: total != vertex + nonvertex")
-        if self.nonvertex != self.interior + self.boundary:
+        if nonvertex != interior + boundary:
             raise ValueError("census mismatch: nonvertex != interior + boundary")
+        for name, value in zip(self.__slots__, (total, vertex, nonvertex, interior, boundary)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
 
 
 # ---------------------------------------------------------------------------
 # polytope
 
 
-@dataclass(frozen=True)
 class LatticePolytope:
     """Convex hull of finitely many lattice points, with exact facet data.
 
@@ -259,30 +264,43 @@ class LatticePolytope:
     of lower affine dimension the facets cut the affine hull.
     """
 
-    vertices: tuple
-    facets: tuple
-    ambient_dim: int
-    affine_dim: int
+    __slots__ = ("vertices", "facets", "ambient_dim", "affine_dim", "_equalities")
+
+    def __init__(self, vertices: tuple, facets: tuple, ambient_dim: int, affine_dim: int) -> None:
+        equalities = () if affine_dim == ambient_dim else None  # else found on first read
+        values = (vertices, facets, ambient_dim, affine_dim, equalities)
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def _key(self) -> tuple:
+        return (self.vertices, self.facets, self.ambient_dim, self.affine_dim)
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is LatticePolytope and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     @property
     def is_full_dimensional(self) -> bool:
         return self.affine_dim == self.ambient_dim
 
-    @cached_property
+    @property
     def equalities(self) -> tuple:
         """(normal, offset) pairs whose equations cut out the affine hull.
 
         Empty when full-dimensional; otherwise the normals are a basis of
         the integer kernel of the vertex differences, computed once.
         """
-        if self.is_full_dimensional:
-            return ()
-        v0 = self.vertices[0]
-        diffs = [_sub(v, v0) for v in self.vertices[1:]]
-        return tuple(
-            (normal, _dot(normal, v0))
-            for normal in integer_kernel_basis(diffs, self.ambient_dim)
-        )
+        if self._equalities is None:
+            v0 = self.vertices[0]
+            diffs = [_sub(v, v0) for v in self.vertices[1:]]
+            basis = integer_kernel_basis(diffs, self.ambient_dim)
+            object.__setattr__(self, "_equalities", tuple((n, _dot(n, v0)) for n in basis))
+        return self._equalities
 
     def bounding_box(self) -> tuple[tuple[int, int], ...]:
         lo = tuple(min(v[i] for v in self.vertices) for i in range(self.ambient_dim))

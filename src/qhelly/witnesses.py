@@ -34,11 +34,11 @@ sheet formulas or the recipe arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .errors import UnsupportedDimensionError
+from .extint import integer_root
 from .lattice import LatticePolytope, census, convex_hull
 
 __all__ = [
@@ -63,36 +63,9 @@ _TIGHT_KINDS = ("cube", "fused_cubes", "prism_spike", "double_spike")
 
 
 # ---------------------------------------------------------------------------
-# integer roots
-
-
-def integer_root(value: int, degree: int) -> int:
-    """Largest r >= 0 with r**degree <= value, by integer Newton iteration.
-
-    The iteration starts at 2**ceil(bits / degree), above the root, and
-    each step x -> ((degree - 1) x + value // x**(degree - 1)) // degree
-    stays at or above the root (by the AM-GM inequality) and falls while
-    x**degree > value, so the first step that does not fall starts from
-    the root.  Floating point is never consulted, so perfect-power
-    boundaries are exact for arbitrarily large integers.
-    """
-    if degree < 1:
-        raise ValueError("root degree must be a positive integer")
-    if value < 0:
-        raise ValueError("integer_root expects a nonnegative value")
-    if value in (0, 1) or degree == 1:
-        return value
-    x = 1 << -(-value.bit_length() // degree)
-    while (y := ((degree - 1) * x + value // x ** (degree - 1)) // degree) < x:
-        x = y
-    return x
-
-
-# ---------------------------------------------------------------------------
 # small-k family
 
 
-@dataclass(frozen=True)
 class ConstructionRecipe:
     """Blueprint for one member of the small-k witness family.
 
@@ -102,25 +75,32 @@ class ConstructionRecipe:
     recipe so a verifier can hold the construction to them.
     """
 
-    kind: str
-    n: int
-    spike: Optional[int]
-    expected_vertices: int
-    expected_nonvertex: int
+    __slots__ = ("kind", "n", "spike", "expected_vertices", "expected_nonvertex")
 
-    def __post_init__(self) -> None:
-        if self.kind not in _TIGHT_KINDS:
-            raise ValueError(f"unknown construction kind {self.kind!r}")
-        if self.kind == "prism_spike":
-            if self.spike not in (2, 3):
+    def __init__(
+        self,
+        kind: str,
+        n: int,
+        spike: Optional[int],
+        expected_vertices: int,
+        expected_nonvertex: int,
+    ) -> None:
+        if kind not in _TIGHT_KINDS:
+            raise ValueError(f"unknown construction kind {kind!r}")
+        if kind == "prism_spike":
+            if spike not in (2, 3):
                 raise ValueError("prism_spike requires spike in {2, 3}")
-        elif self.spike is not None:
-            raise ValueError(f"{self.kind} does not take a spike length")
-        min_n = 1 if self.kind == "cube" else 2
-        if self.n < min_n:
-            raise UnsupportedDimensionError(
-                f"{self.kind} needs dimension >= {min_n}, got {self.n}"
-            )
+        elif spike is not None:
+            raise ValueError(f"{kind} does not take a spike length")
+        min_n = 1 if kind == "cube" else 2
+        if n < min_n:
+            raise UnsupportedDimensionError(f"{kind} needs dimension >= {min_n}, got {n}")
+        values = (kind, n, spike, expected_vertices, expected_nonvertex)
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     @property
     def label(self) -> str:
@@ -222,8 +202,7 @@ def _nonvertex_count(n: int, t: int, s: int) -> int:
     return (s - 1) * t ** (n - 1) + triple // 3
 
 
-@dataclass(frozen=True)
-class LowerBoundWitness:
+class LowerBoundWitness(NamedTuple):
     """Certificate that 2*t^(n-1) vertices can pen in at most k nonvertex points.
 
     t is the largest integer with 2n * t^(n+1) <= k and s the largest
@@ -322,8 +301,7 @@ def lower_bound_witness(n: int, k: int) -> LowerBoundWitness:
 # verification
 
 
-@dataclass(frozen=True)
-class WitnessReport:
+class WitnessReport(NamedTuple):
     """Outcome of an independent recount of a witness's census.
 
     findings lists every discrepancy in plain language; an empty tuple

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import os
+import pickle
 import random
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from math import gcd
 from pathlib import Path
 
@@ -32,6 +34,7 @@ from qhelly.census import (
     parse_census_file,
     width1_trapezoid,
 )
+from qhelly.constants import Enclosure
 from qhelly.errors import (
     BudgetExceededError,
     CacheCorruptError,
@@ -41,6 +44,8 @@ from qhelly.errors import (
     DegenerateInputError,
 )
 from qhelly.lattice import (
+    FiniteSite,
+    PointCensus,
     _anchored_leads,
     _hull_cycle_2d,
     canonical_form_2d,
@@ -974,3 +979,26 @@ def test_cached_classes_absorb_unimodular_images(small_cache):
         cls = rng.choice(classes)
         image = _random_unimodular_image(rng, cls.vertices)
         assert canonical_form_2d(convex_hull(image).vertices) == cls.vertices
+
+
+# ---------------------------------------------------------------------------
+# record contract
+
+
+def test_records_refuse_assignment_check_their_counts_and_pickle():
+    classes = [cls for bucket in enumerate_polygon_classes(3).values() for cls in bucket]
+    for record, field in [
+        (classes[0], "interior"),
+        (convex_hull([(0, 0), (2, 0), (0, 1)]), "vertices"),
+        (FiniteSite.grid(2, 2), "points"),
+        (Enclosure(Fraction(1), Fraction(2)), "lo"),
+    ]:
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
+    with pytest.raises(ValueError, match=r"^census mismatch: total != vertex \+ nonvertex$"):
+        PointCensus(total=5, vertex=3, nonvertex=1, interior=1, boundary=0)
+    with pytest.raises(ValueError, match=r"^census mismatch: nonvertex != interior \+ boundary$"):
+        PointCensus(total=5, vertex=3, nonvertex=2, interior=1, boundary=0)
+    # the worker processes of a threaded census build return classes by pickle
+    copies = pickle.loads(pickle.dumps(classes))
+    assert copies == classes and {type(cls) for cls in copies} == {type(classes[0])}

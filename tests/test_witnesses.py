@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import random
 from itertools import product
 
@@ -144,7 +143,8 @@ def test_every_recipe_verifies_up_to_dimension_five():
 
 def test_verify_rejects_a_corrupted_recipe():
     # the unit square claimed to have the fused hexagon's counts
-    bad = dataclasses.replace(tight_recipe(2, 0), expected_vertices=6, expected_nonvertex=1)
+    square = tight_recipe(2, 0)
+    bad = ConstructionRecipe(square.kind, square.n, square.spike, 6, 1)
     report = verify_witness(bad)
     assert not report.ok and len(report.findings) == 2
     assert report.actual_vertices == 4 and report.expected_vertices == 6
@@ -233,7 +233,7 @@ def test_width_one_columns_realize_too():
 
 def test_corrupted_cap_height_is_reported_not_raised():
     w = lower_bound_witness(2, 32)
-    bad = dataclasses.replace(w, s=w.s + 1)
+    bad = w._replace(s=w.s + 1)
     report = verify_witness(bad)
     assert not report.ok
     # the recount lands exactly t^(n-1) above the stored claim
@@ -243,7 +243,7 @@ def test_corrupted_cap_height_is_reported_not_raised():
 
 def test_corrupted_bound_is_reported():
     w = lower_bound_witness(3, 1000)
-    bad = dataclasses.replace(w, bound=w.bound + 1)
+    bad = w._replace(bound=w.bound + 1)
     report = verify_witness(bad)
     assert not report.ok and any("bound" in f for f in report.findings)
 
