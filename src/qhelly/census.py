@@ -51,8 +51,7 @@ from __future__ import annotations
 
 import os
 import re
-from fractions import Fraction
-from math import ceil, floor, gcd, isqrt, lcm
+from math import gcd, isqrt, lcm
 from pathlib import Path
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -705,46 +704,37 @@ def c_z2_profile(k_max: int, store: CensusStore) -> LatticeProfile:
 _SCAN_BUDGET = 1 << 22
 
 
-def _as_fraction_point(p) -> tuple:
-    return (Fraction(p[0]), Fraction(p[1]))
+def _edge_relint_lattice_point(A: tuple, B: tuple, scale: int):
+    """Some lattice point strictly between A / scale and B / scale, or None.
 
-
-def _edge_relint_lattice_point(A: tuple, B: tuple):
-    """Some lattice point strictly between rational points A and B, or None."""
-    dx = B[0] - A[0]
-    dy = B[1] - A[1]
-    scale = lcm(Fraction(dy).denominator, Fraction(dx).denominator)
-    a = int(dy * scale)
-    b = int(-dx * scale)
-    g = gcd(abs(a), abs(b))
-    a //= g
-    b //= g
-    c = a * A[0] + b * A[1]
-    if Fraction(c).denominator != 1:
+    With B - A = g (p, q) for a primitive (p, q), the lattice points of the
+    line, if it has any, are z0 + t (p, q); scaled, they sit at A + u (p, q)
+    with u = u0 + t scale, and the open segment is 0 < u < g.
+    """
+    ax, ay = A
+    dx, dy = B[0] - ax, B[1] - ay
+    g = gcd(dx, dy)
+    p, q = dx // g, dy // g
+    c, rem = divmod(q * ax - p * ay, scale)
+    if rem:
+        return None  # q x - p y is not an integer on the line
+    _, s, r = _xgcd(q, -p)
+    zx, zy = s * c, r * c
+    u0 = (scale * zx - ax) // p if p else (scale * zy - ay) // q
+    u = u0 % scale or scale
+    if u >= g:
         return None
-    c = int(c)
-    _, u, v = _xgcd(a, b)
-    z0 = (u * c, v * c)
-    ux, uy = -b, a
-    dd = dx * dx + dy * dy
-    s0 = Fraction((z0[0] - A[0]) * dx + (z0[1] - A[1]) * dy, 1) / dd
-    slope = Fraction(ux * dx + uy * dy, 1) / dd
-    if slope > 0:
-        t_lo, t_hi = -s0 / slope, (1 - s0) / slope
-    else:
-        t_lo, t_hi = (1 - s0) / slope, -s0 / slope
-    t = floor(t_lo) + 1
-    if t > ceil(t_hi) - 1:
-        return None
-    return (z0[0] + t * ux, z0[1] + t * uy)
+    t = (u - u0) // scale
+    return (zx + t * p, zy + t * q)
 
 
-def _strict_interior_lattice_points(cycle: Sequence[tuple]) -> tuple:
-    """Lattice points strictly inside a convex ccw rational cycle, by columns."""
+def _strict_interior_lattice_points(cycle: Sequence[tuple], scale: int) -> tuple:
+    """Lattice points strictly inside a convex ccw cycle of integer points
+    over the common denominator scale, by columns."""
     xs = [p[0] for p in cycle]
     ys = [p[1] for p in cycle]
-    x_lo, x_hi = floor(min(xs)) + 1, ceil(max(xs)) - 1
-    y_lo, y_hi = floor(min(ys)) + 1, ceil(max(ys)) - 1
+    x_lo, x_hi = min(xs) // scale + 1, -(-max(xs) // scale) - 1
+    y_lo, y_hi = min(ys) // scale + 1, -(-max(ys) // scale) - 1
     if x_hi < x_lo or y_hi < y_lo:
         return ()
     cells = (x_hi - x_lo + 1) * (y_hi - y_lo + 1)
@@ -752,18 +742,20 @@ def _strict_interior_lattice_points(cycle: Sequence[tuple]) -> tuple:
         raise BudgetExceededError(
             f"lattice scan over {cells} cells exceeds the budget {_SCAN_BUDGET}"
         )
-    # strictly left of edge A -> B: dx (y - ay) > dy (x - ax), a lower bound
-    # on y if dx > 0, an upper one if dx < 0; a vertical edge lies at the
-    # least or greatest x, which the column range already leaves out
+    # strictly left of edge A -> B: dx (scale y - ay) > dy (scale x - ax),
+    # so y > n / d for n = dy scale x + dx ay - dy ax and d = scale dx if
+    # dx > 0, and y < n / d if dx < 0; a vertical edge lies at the least or
+    # greatest x, which the column range already leaves out
     below, above = [], []
     for i, (ax, ay) in enumerate(cycle):
         bx, by = cycle[(i + 1) % len(cycle)]
         if bx != ax:
-            (below if bx > ax else above).append((ax, ay, Fraction(by - ay) / (bx - ax)))
+            dx, dy = bx - ax, by - ay
+            (below if dx > 0 else above).append((dy * scale, dx * ay - dy * ax, dx * scale))
     out = []
     for x in range(x_lo, x_hi + 1):
-        lo = max([y_lo] + [floor(ay + slope * (x - ax)) + 1 for ax, ay, slope in below])
-        hi = min([y_hi] + [ceil(ay + slope * (x - ax)) - 1 for ax, ay, slope in above])
+        lo = max([y_lo] + [(nx * x + n0) // d + 1 for nx, n0, d in below])
+        hi = min([y_hi] + [-(-(nx * x + n0) // d) - 1 for nx, n0, d in above])
         out.extend((x, y) for y in range(lo, hi + 1))
     return tuple(out)
 
@@ -772,9 +764,7 @@ class MembershipReport(NamedTuple):
     """Outcome of the two-part maximality test for a rational polygon."""
 
     k: int
-    vertices: tuple
     interior_count: int
-    interior_points: tuple
     facet_count: int
     facets_missing_lattice_point: tuple
 
@@ -783,51 +773,43 @@ class MembershipReport(NamedTuple):
         return self.interior_count == self.k and not self.facets_missing_lattice_point
 
 
-def maximal_membership(points: Iterable[tuple], k: int) -> MembershipReport:
-    """Test whether a rational polygon is inclusion-maximal among convex
-    sets with exactly k interior lattice points.
+def maximal_membership(points: Iterable[tuple], k: int, scale: int = 1) -> MembershipReport:
+    """Test whether the polygon with vertices (X / scale, Y / scale), over
+    integer points (X, Y), is inclusion-maximal among convex sets with
+    exactly k interior lattice points.
 
     Maximality holds exactly when the interior lattice count is k and the
-    relative interior of every edge contains a lattice point.  k = 0 is
-    refused: maximal sets without interior points can be unbounded, so no
-    polygon test applies.
+    relative interior of every edge contains a lattice point.  facet_count
+    is the number of edges of the hull of the points.  k = 0 is refused:
+    maximal sets without interior points can be unbounded, so no polygon
+    test applies.
     """
     if k < 1:
         raise ValueError("maximality test supports k >= 1 only")
-    pts = sorted({_as_fraction_point(p) for p in points})
-    cycle = _hull_cycle_2d(pts)
-    if len(cycle) < 3:
+    if scale < 1:
+        raise ValueError("the scale of a rational polygon must be positive")
+    cycle = _hull_cycle_2d(points)
+    m = len(cycle)
+    if m < 3:
         raise DegenerateInputError("maximality test needs a 2-dimensional polygon")
-    interior = _strict_interior_lattice_points(cycle)
-    missing = []
-    for i in range(len(cycle)):
-        A, B = cycle[i], cycle[(i + 1) % len(cycle)]
-        if _edge_relint_lattice_point(A, B) is None:
-            missing.append(i)
-    return MembershipReport(
-        k=k,
-        vertices=tuple(cycle),
-        interior_count=len(interior),
-        interior_points=interior,
-        facet_count=len(cycle),
-        facets_missing_lattice_point=tuple(missing),
+    interior = _strict_interior_lattice_points(cycle, scale)
+    missing = tuple(
+        i for i in range(m) if _edge_relint_lattice_point(cycle[i], cycle[(i + 1) % m], scale) is None
     )
+    return MembershipReport(k, len(interior), m, missing)
 
 
 class ExpansionResult(NamedTuple):
-    """A maximal rational polygon grown around an integral polygon."""
+    """A rational polygon grown around an integral polygon, and its test.
 
-    vertices: tuple
-    facet_normals: tuple
-    facet_offsets: tuple
-    anchors: tuple
-    interior_points: tuple
+    facets[i] is the (normal, offset) pair of the line normal . x = offset
+    through input vertex i, and the polygon is where every normal . x is at
+    most its offset.
+    """
+
+    facets: tuple
     rounds: int
     report: MembershipReport
-
-    @property
-    def facet_count(self) -> int:
-        return len(self.facet_normals)
 
 
 _EXPAND_OP_GUARD = 512
@@ -846,10 +828,12 @@ def expand_to_maximal(polytope: LatticePolytope, k: int) -> ExpansionResult:
     restores the turning since the quadratic mu-term of each determinant
     has positive coefficient; a stray interior lattice point, always
     outside the input, is cut by doubling the mu of its most violated
-    input edge, and stays cut because weights never decrease.  The
-    result's report is the maximality test of the grown polygon; a
-    polygon that fails it is returned all the same, for the caller to
-    report.
+    input edge, and stays cut because weights never decrease.  Consecutive
+    facets i and i + 1 meet at a vertex with denominator their determinant,
+    so the vertex cycle is kept as integers over the lcm of the
+    determinants.  The result's report is the maximality test of the grown
+    polygon; a polygon that fails it is returned all the same, for the
+    caller to report.
     """
     if k < 1:
         raise ValueError("expansion supports k >= 1 only")
@@ -874,27 +858,19 @@ def expand_to_maximal(polytope: LatticePolytope, k: int) -> ExpansionResult:
     rounds = 0
 
     def build():
+        # each facet with the next, and the determinant of their normals
         facets = []
-        gammas = []
-        for i in range(m):
-            prev = normals[(i - 1) % m]
+        for i, (vx, vy) in enumerate(verts):
+            prev = normals[i - 1]
             cur = normals[i]
             a = (prev[0] + mu[i] * cur[0], prev[1] + mu[i] * cur[1])
-            facets.append(a)
-            gammas.append(a[0] * verts[i][0] + a[1] * verts[i][1])
-        return facets, gammas
-
-    def fan_ok(facets) -> bool:
-        return all(
-            facets[i][0] * facets[(i + 1) % m][1]
-            - facets[i][1] * facets[(i + 1) % m][0]
-            > 0
-            for i in range(m)
-        )
+            facets.append((a, a[0] * vx + a[1] * vy))
+        pairs = list(zip(facets, facets[1:] + facets[:1]))
+        return pairs, [a[0] * b[1] - a[1] * b[0] for (a, _), (b, _) in pairs]
 
     while True:
-        facets, gammas = build()
-        while not fan_ok(facets):
+        pairs, dets = build()
+        while min(dets) <= 0:
             for i in range(m):
                 mu[i] *= 2
             rounds += 1
@@ -903,16 +879,14 @@ def expand_to_maximal(polytope: LatticePolytope, k: int) -> ExpansionResult:
                     "expansion weights grew past the guard while restoring "
                     "the facet normal fan"
                 )
-            facets, gammas = build()
+            pairs, dets = build()
+        scale = lcm(*dets)
         cycle = []
-        for i in range(m):
-            j = (i + 1) % m
-            det = facets[i][0] * facets[j][1] - facets[i][1] * facets[j][0]
-            x = Fraction(gammas[i] * facets[j][1] - gammas[j] * facets[i][1], det)
-            y = Fraction(facets[i][0] * gammas[j] - facets[j][0] * gammas[i], det)
-            cycle.append((x, y))
+        for ((a, ga), (b, gb)), det in zip(pairs, dets):
+            f = scale // det
+            cycle.append((f * (ga * b[1] - gb * a[1]), f * (a[0] * gb - b[0] * ga)))
         try:
-            interior = _strict_interior_lattice_points(cycle)
+            interior = _strict_interior_lattice_points(cycle, scale)
         except BudgetExceededError as exc:
             raise GuardRadiusError(
                 f"expansion escaped the guard region after {rounds} rounds: {exc}"
@@ -936,18 +910,5 @@ def expand_to_maximal(polytope: LatticePolytope, k: int) -> ExpansionResult:
         )
         assert violation > 0, "stray lattice point inside the input polygon"
         mu[worst] *= 2
-    # the anchor vertices certify one lattice point per facet relative interior
-    report = maximal_membership(cycle, k)
-    # report.vertices starts at the lex-min vertex; align facet data with it
-    shift = cycle.index(min(cycle))
-    vertices = tuple(cycle[shift:] + cycle[:shift])
-    facet_order = [(shift + 1 + t) % m for t in range(m)]
-    return ExpansionResult(
-        vertices=vertices,
-        facet_normals=tuple(facets[i] for i in facet_order),
-        facet_offsets=tuple(gammas[i] for i in facet_order),
-        anchors=tuple(verts[i] for i in facet_order),
-        interior_points=tuple(sorted(keep)),
-        rounds=rounds,
-        report=report,
-    )
+    facets = tuple(facet for facet, _ in pairs)
+    return ExpansionResult(facets, rounds, maximal_membership(cycle, k, scale))

@@ -314,11 +314,11 @@ def _run_maximal(args: argparse.Namespace) -> int:
     for k in range(1, args.k + 1):
         witness = profile.witnesses[k]
         result = census.expand_to_maximal(lattice.convex_hull(witness.vertices), k)
-        ok = result.report.is_member and result.facet_count == profile.c[k]
-        failures += not ok
+        report = result.report
+        failures += not (report.is_member and report.facet_count == profile.c[k])
         lines.append(
-            f"{k},{to_csv(profile.c[k])},{result.facet_count},{result.rounds},"
-            f"{'yes' if result.report.is_member else 'NO'}"
+            f"{k},{to_csv(profile.c[k])},{report.facet_count},{result.rounds},"
+            f"{'yes' if report.is_member else 'NO'}"
         )
     _emit("\n".join(lines) + "\n", args.out)
     return 1 if failures else 0

@@ -26,6 +26,7 @@ from functools import lru_cache
 from math import factorial, gcd
 from typing import Iterable, NamedTuple, Optional
 
+from .errors import FrozenRecord
 from .extint import integer_root
 
 __all__ = [
@@ -51,7 +52,7 @@ def _as_fraction(value) -> Fraction:
     return Fraction(value)
 
 
-class Enclosure:
+class Enclosure(FrozenRecord):
     """A closed rational interval guaranteed to contain the true value.
 
     All operations round outward, so enclosures compose: any chain of
@@ -67,9 +68,6 @@ class Enclosure:
             raise ValueError("enclosure bounds are inverted")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
 
     def __eq__(self, other: object) -> bool:
         return type(other) is Enclosure and (self.lo, self.hi) == (other.lo, other.hi)

@@ -50,7 +50,7 @@ from math import gcd
 from operator import and_
 from typing import NamedTuple, Optional, Sequence
 
-from .errors import BudgetExceededError, UnsupportedDimensionError
+from .errors import BudgetExceededError, FrozenRecord, UnsupportedDimensionError
 from .extint import NEG_INF, ExtInt, c_from_g, is_finite
 from .lattice import (
     _HULL_DIM_LIMIT,
@@ -374,7 +374,7 @@ def enumerate_convex_subsets(site: FiniteSite) -> dict:
     return {m: found[m] for m in order}
 
 
-class SiteProfile:
+class SiteProfile(FrozenRecord):
     """g and c values of a finite site for k = 0..k_max, plus witnesses.
 
     witnesses[k] is the vertex tuple of a polytope attaining g[k] (None
@@ -387,9 +387,6 @@ class SiteProfile:
         assert len(g) == len(c) == len(witnesses) == k_max + 1
         for name, value in zip(self.__slots__, (label, k_max, g, c, witnesses)):
             object.__setattr__(self, name, value)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
 
 
 def g_profile(

@@ -1,4 +1,4 @@
-"""Shared exception types."""
+"""Shared exception types, and the base of the immutable records."""
 
 from __future__ import annotations
 
@@ -41,3 +41,21 @@ class CacheIncompleteError(CacheError):
 
 class CacheCorruptError(CacheError):
     """Cache file failed validation (header, body, trailer or content)."""
+
+
+class FrozenRecord:
+    """Base of the immutable __slots__ records: a subclass sets its fields
+    once, through object.__setattr__, and refuses every later assignment.
+
+    copy and pickle rebuild a record from the (None, {slot: value}) state
+    of the default reduce, which __setstate__ restores the same way.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __setstate__(self, state: tuple) -> None:
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)

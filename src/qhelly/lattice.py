@@ -1,6 +1,6 @@
 """Exact lattice geometry: hulls, site masks, point censuses, canonical forms.
 
-All arithmetic is exact (int / Fraction).  Convex hulls are supported for
+All arithmetic is exact integer arithmetic.  Convex hulls are supported for
 affine dimension up to 5: dimensions 0-2 directly, 3-5 by a fraction-free
 double description on the polar dual, started from the dual simplex of
 an affinely independent base.  Full-dimensional inputs are hulled as
@@ -33,9 +33,9 @@ from math import gcd
 from operator import mul
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .errors import DegenerateInputError, UnsupportedDimensionError
+from .errors import DegenerateInputError, FrozenRecord, UnsupportedDimensionError
 
-Point = tuple  # tuple[int, ...]; kept loose so Fraction-valued helpers can reuse code
+Point = tuple  # tuple[int, ...]
 
 _HULL_DIM_LIMIT = 5
 
@@ -146,7 +146,7 @@ def integer_kernel_basis(rows: Sequence[Sequence[int]], n: int) -> list[tuple[in
 # sites
 
 
-class FiniteSite:
+class FiniteSite(FrozenRecord):
     """A finite set of lattice points, stored sorted and deduplicated.
 
     A subset of the site is also an int bitmask: bit i stands for
@@ -161,9 +161,6 @@ class FiniteSite:
         index = {p: i for i, p in enumerate(points)}
         for name, value in zip(self.__slots__, (points, dim, index, {})):
             object.__setattr__(self, name, value)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
 
     def __eq__(self, other: object) -> bool:
         return type(other) is FiniteSite and (self.points, self.dim) == (other.points, other.dim)
@@ -227,7 +224,7 @@ class FiniteSite:
 # census record
 
 
-class PointCensus:
+class PointCensus(FrozenRecord):
     """Counts of the lattice points of a polytope.
 
     total = vertex + nonvertex and nonvertex = interior + boundary hold
@@ -246,15 +243,12 @@ class PointCensus:
         for name, value in zip(self.__slots__, (total, vertex, nonvertex, interior, boundary)):
             object.__setattr__(self, name, value)
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
 
 # ---------------------------------------------------------------------------
 # polytope
 
 
-class LatticePolytope:
+class LatticePolytope(FrozenRecord):
     """Convex hull of finitely many lattice points, with exact facet data.
 
     vertices: canonical order (counterclockwise from the lexicographic
@@ -271,9 +265,6 @@ class LatticePolytope:
         values = (vertices, facets, ambient_dim, affine_dim, equalities)
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
 
     def _key(self) -> tuple:
         return (self.vertices, self.facets, self.ambient_dim, self.affine_dim)
@@ -316,7 +307,8 @@ def _hull_cycle_2d(points: Sequence[Point]) -> tuple:
     """Counterclockwise vertex cycle starting at the lexicographic minimum.
 
     Monotone chain; strictly convex turns only, so collinear interior
-    points never survive.  Works for int and Fraction coordinates alike.
+    points never survive.  A rational polygon is hulled as integer points
+    over a common denominator (census.maximal_membership).
     """
     pts = sorted(set(points))
 

@@ -37,7 +37,7 @@ from __future__ import annotations
 from itertools import product
 from typing import NamedTuple, Optional, Union
 
-from .errors import UnsupportedDimensionError
+from .errors import FrozenRecord, UnsupportedDimensionError
 from .extint import integer_root
 from .lattice import LatticePolytope, census, convex_hull
 
@@ -66,7 +66,7 @@ _TIGHT_KINDS = ("cube", "fused_cubes", "prism_spike", "double_spike")
 # small-k family
 
 
-class ConstructionRecipe:
+class ConstructionRecipe(FrozenRecord):
     """Blueprint for one member of the small-k witness family.
 
     kind is one of "cube", "fused_cubes", "prism_spike", "double_spike";
@@ -98,9 +98,6 @@ class ConstructionRecipe:
         values = (kind, n, spike, expected_vertices, expected_nonvertex)
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
 
     @property
     def label(self) -> str:

@@ -1,6 +1,7 @@
 """Scans and small solvers that the tests use as oracles for exact point
 counts, membership, closures, closed sets of a site, affine charts,
-lattice width and the planar canonical form.
+lattice width, the planar canonical form and the lattice points of a
+rational segment.
 
 Each point scan tests every lattice point of a bounding box against
 every inequality, with no interval arithmetic, so it is slow but plainly
@@ -10,14 +11,15 @@ primitive direction in a box that Cramer's rule proves large enough.
 The anchored images are built in full, every vertex of every one,
 without the calipers or the left-chain bound of lattice._anchored_leads.
 The closed sets of a finite site are grown with one convex_hull per
-extension, where the engine carries facets or line masks.
+extension, where the engine carries facets or line masks.  The segment
+oracle works in Fractions, where the package scales to integers.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import ceil, floor, gcd
+from math import ceil, floor, gcd, lcm
 from typing import Iterator, Optional, Sequence
 
 from qhelly.lattice import Point, _xgcd, convex_hull, integer_kernel_basis, site_mask
@@ -173,6 +175,41 @@ def strict_interior_cell_scan(cycle) -> tuple:
             ):
                 out.append((x, y))
     return tuple(out)
+
+
+def edge_relint_lattice_point(A: tuple, B: tuple):
+    """Some lattice point strictly between rational points A and B, or None.
+
+    In Fractions: the segment's line a x + b y = c, with (a, b) primitive,
+    holds a lattice point only if c is an integer; its lattice points are
+    z0 + t (-b, a), and t is bounded by the segment parameter s in (0, 1).
+    """
+    dx = B[0] - A[0]
+    dy = B[1] - A[1]
+    scale = lcm(Fraction(dy).denominator, Fraction(dx).denominator)
+    a = int(dy * scale)
+    b = int(-dx * scale)
+    g = gcd(abs(a), abs(b))
+    a //= g
+    b //= g
+    c = a * A[0] + b * A[1]
+    if Fraction(c).denominator != 1:
+        return None
+    c = int(c)
+    _, u, v = _xgcd(a, b)
+    z0 = (u * c, v * c)
+    ux, uy = -b, a
+    dd = dx * dx + dy * dy
+    s0 = Fraction((z0[0] - A[0]) * dx + (z0[1] - A[1]) * dy, 1) / dd
+    slope = Fraction(ux * dx + uy * dy, 1) / dd
+    if slope > 0:
+        t_lo, t_hi = -s0 / slope, (1 - s0) / slope
+    else:
+        t_lo, t_hi = (1 - s0) / slope, -s0 / slope
+    t = floor(t_lo) + 1
+    if t > ceil(t_hi) - 1:
+        return None
+    return (z0[0] + t * ux, z0[1] + t * uy)
 
 
 def lattice_width_2d(poly) -> int:

@@ -236,7 +236,7 @@ def test_criterion_08_maximal_expansion(capsys):
         witness = profile.witnesses[k]
         result = expand_to_maximal(convex_hull(witness.vertices), k)
         ok = ok and result.report.is_member
-        ok = ok and result.facet_count == profile.c[k]
+        ok = ok and result.report.facet_count == profile.c[k]
     square = maximal_membership([(1, 1), (1, -1), (-1, 1), (-1, -1)], 1)
     hexagon = maximal_membership(
         [(0, 0), (1, 0), (2, 1), (2, 2), (1, 2), (0, 1)], 1

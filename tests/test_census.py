@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import os
 import pickle
 import random
@@ -9,7 +10,7 @@ import re
 import subprocess
 import sys
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from pathlib import Path
 
 import pytest
@@ -21,6 +22,7 @@ from qhelly.census import (
     CensusFile,
     CensusStore,
     CACHE_ENV_VAR,
+    _edge_relint_lattice_point,
     _has_width_two,
     _hull_pick_counts,
     _moved_out,
@@ -35,6 +37,7 @@ from qhelly.census import (
     width1_trapezoid,
 )
 from qhelly.constants import Enclosure
+from qhelly.engine import g_profile
 from qhelly.errors import (
     BudgetExceededError,
     CacheCorruptError,
@@ -53,12 +56,14 @@ from qhelly.lattice import (
     convex_hull,
     is_canonical_cycle_2d,
 )
+from qhelly.witnesses import tight_recipe
 from profile_oracles import unrolled_c
 from row_dfs_oracle import row_dfs_classes
 from scan_oracles import (
     _anchored_images,
     box_census,
     census_tuple,
+    edge_relint_lattice_point,
     lattice_width_2d,
     strict_interior_cell_scan,
 )
@@ -142,7 +147,7 @@ def test_moving_out_the_edges():
     spanning = 0
     for i in range(2, 11):
         for cls in parse_census_file((DEVCACHE / f"interior_{i:02d}.census").read_text()).classes:
-            q = _hull_cycle_2d(_strict_interior_lattice_points(cls.vertices))
+            q = _hull_cycle_2d(_strict_interior_lattice_points(cls.vertices, 1))
             if len(q) < 3:
                 continue
             spanning += 1
@@ -842,10 +847,11 @@ def test_golden_witnesses_match_a_brute_force_pick(golden_profile):
 
 
 def test_square_is_maximal_for_one_interior_point():
-    report = maximal_membership([(1, 1), (-1, 1), (-1, -1), (1, -1)], 1)
+    square = [(1, 1), (-1, 1), (-1, -1), (1, -1)]
+    report = maximal_membership(square, 1)
     assert report.is_member
     assert report.interior_count == 1 and report.facet_count == 4
-    assert report.interior_points == ((0, 0),)
+    assert strict_interior_cell_scan(_hull_cycle_2d(square)) == ((0, 0),)
 
 
 def test_hexagon_is_not_maximal():
@@ -858,6 +864,11 @@ def test_hexagon_is_not_maximal():
 def test_triangle_membership():
     report = maximal_membership([(-1, -1), (2, -1), (-1, 2)], 1)
     assert report.is_member and report.facet_count == 3
+    # halved, the triangle keeps only (0, 0) strictly inside and no
+    # lattice point inside its edges
+    report = maximal_membership([(-1, -1), (2, -1), (-1, 2)], 1, 2)
+    assert report.interior_count == 1 and report.facet_count == 3
+    assert report.facets_missing_lattice_point == (0, 1, 2)
 
 
 def test_membership_validates_input():
@@ -865,6 +876,8 @@ def test_membership_validates_input():
         maximal_membership([(1, 1), (-1, 1), (-1, -1), (1, -1)], 0)
     with pytest.raises(DegenerateInputError):
         maximal_membership([(0, 0), (1, 0)], 1)
+    with pytest.raises(ValueError):
+        maximal_membership([(1, 1), (-1, 1), (-1, -1), (1, -1)], 1, 0)
 
 
 def test_membership_scan_budget():
@@ -879,36 +892,69 @@ _RATIONAL = st.fractions(-8, 8, max_denominator=7)
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.tuples(_RATIONAL, _RATIONAL), min_size=3, max_size=8))
 def test_strict_interior_points_match_cell_scan(points):
-    cycle = _hull_cycle_2d(points)
+    scale = lcm(*(c.denominator for p in points for c in p))
+    cycle = _hull_cycle_2d([(int(x * scale), int(y * scale)) for x, y in points])
     assume(len(cycle) >= 3)
-    assert _strict_interior_lattice_points(cycle) == strict_interior_cell_scan(cycle)
+    rational = [(Fraction(x, scale), Fraction(y, scale)) for x, y in cycle]
+    assert _strict_interior_lattice_points(cycle, scale) == strict_interior_cell_scan(rational)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_RATIONAL, _RATIONAL, _RATIONAL, _RATIONAL)
+@example(Fraction(0), Fraction(0), Fraction(2), Fraction(0))
+@example(Fraction(0), Fraction(0), Fraction(1), Fraction(0))
+@example(Fraction(1, 2), Fraction(1, 2), Fraction(3, 2), Fraction(3, 2))
+@example(Fraction(-7, 3), Fraction(5, 2), Fraction(8), Fraction(-1, 2))
+def test_edge_lattice_point_matches_fraction_oracle(ax, ay, bx, by):
+    assume((ax, ay) != (bx, by))
+    scale = lcm(ax.denominator, ay.denominator, bx.denominator, by.denominator)
+    A = (int(ax * scale), int(ay * scale))
+    B = (int(bx * scale), int(by * scale))
+    found = _edge_relint_lattice_point(A, B, scale)
+    assert (found is None) == (edge_relint_lattice_point((ax, ay), (bx, by)) is None)
+    if found is not None:
+        # on the segment's line, strictly between its ends
+        dx, dy = B[0] - A[0], B[1] - A[1]
+        px, py = scale * found[0] - A[0], scale * found[1] - A[1]
+        assert dx * py == dy * px
+        assert 0 < dx * px + dy * py < dx * dx + dy * dy
 
 
 # ---------------------------------------------------------------------------
 # expansion to maximal supersets
 
 
+def _facet_cycle(facets) -> list:
+    """The points where consecutive facets (normal, offset) meet, in Fractions."""
+    cycle = []
+    for ((ax, ay), ga), ((bx, by), gb) in zip(facets, facets[1:] + facets[:1]):
+        det = ax * by - ay * bx
+        cycle.append((Fraction(ga * by - gb * ay, det), Fraction(ax * gb - bx * ga, det)))
+    return cycle
+
+
 def test_hexagon_expands_to_a_maximal_hexagon():
     result = expand_to_maximal(convex_hull(HEXAGON), 1)
-    assert result.facet_count == 6
+    assert len(result.facets) == 6
     assert result.report.is_member
-    assert result.interior_points == ((0, 0),)
-    # every anchor sits on its facet
-    for (nx, ny), offset, (ax, ay) in zip(
-        result.facet_normals, result.facet_offsets, result.anchors
-    ):
+    assert strict_interior_cell_scan(_facet_cycle(result.facets)) == ((0, 0),)
+    # every input vertex sits on its facet
+    for ((nx, ny), offset), (ax, ay) in zip(result.facets, convex_hull(HEXAGON).vertices):
         assert nx * ax + ny * ay == offset
 
 
 def test_expansion_facets_support_the_vertex_cycle():
     result = expand_to_maximal(convex_hull(HEXAGON), 1)
-    m = result.facet_count
-    for t in range(m):
-        nx, ny = result.facet_normals[t]
-        ox, oy = result.vertices[t]
-        px, py = result.vertices[(t + 1) % m]
-        assert nx * ox + ny * oy == result.facet_offsets[t]
-        assert nx * px + ny * py == result.facet_offsets[t]
+    cycle = _facet_cycle(result.facets)
+    m = len(cycle)
+    for t, ((nx, ny), offset) in enumerate(result.facets):
+        (ox, oy), (px, py), (qx, qy) = cycle[t - 1], cycle[t], cycle[(t + 1) % m]
+        # facet t holds the points it shares with facets t - 1 and t + 1
+        assert nx * ox + ny * oy == offset
+        assert nx * px + ny * py == offset
+        assert all(nx * x + ny * y <= offset for x, y in cycle)
+        # and the cycle turns strictly left at each point
+        assert (px - ox) * (qy - py) - (py - oy) * (qx - px) > 0
 
 
 def test_skewed_triangle_needs_weight_doubling():
@@ -917,7 +963,8 @@ def test_skewed_triangle_needs_weight_doubling():
     triangle = convex_hull([(0, 0), (2, 0), (4, 6)])
     result = expand_to_maximal(triangle, 7)
     assert result.rounds > 0
-    assert result.facet_count == 3 and result.report.is_member
+    assert len(result.facets) == 3 and result.report.is_member
+    assert result.report.facet_count == 3
     assert result.report.interior_count == 7
 
 
@@ -927,7 +974,7 @@ def test_expansion_matches_profile_counts(small_cache):
     for k in range(1, 6):
         witness = profile.witnesses[k]
         result = expand_to_maximal(convex_hull(witness.vertices), k)
-        assert result.facet_count == profile.c[k], k
+        assert len(result.facets) == result.report.facet_count == profile.c[k], k
 
 
 def test_expansion_validates_input():
@@ -1002,3 +1049,27 @@ def test_records_refuse_assignment_check_their_counts_and_pickle():
     # the worker processes of a threaded census build return classes by pickle
     copies = pickle.loads(pickle.dumps(classes))
     assert copies == classes and {type(cls) for cls in copies} == {type(classes[0])}
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: FiniteSite.grid(2, 2),
+        lambda: census(convex_hull([(0, 0), (2, 0), (0, 2)])),
+        lambda: convex_hull([(0, 0), (2, 0), (0, 1)]),
+        lambda: Enclosure(Fraction(1), Fraction(2)),
+        lambda: g_profile(FiniteSite.grid(2, 2), 2),
+        lambda: tight_recipe(3, 1),
+    ],
+    ids=["FiniteSite", "PointCensus", "LatticePolytope", "Enclosure", "SiteProfile", "ConstructionRecipe"],
+)
+def test_frozen_records_survive_copy_and_pickle(make):
+    record = make()
+    slots = type(record).__slots__
+    for twin in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+        assert type(twin) is type(record)
+        assert [getattr(twin, name) for name in slots] == [getattr(record, name) for name in slots]
+        if type(record).__eq__ is not object.__eq__:
+            assert twin == record
+        with pytest.raises(AttributeError, match=f"^cannot assign to field '{slots[0]}'$"):
+            setattr(twin, slots[0], getattr(record, slots[0]))

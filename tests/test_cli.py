@@ -218,8 +218,8 @@ def test_maximal_table(small_cache, capsys):
 def test_non_maximal_expansion_is_a_failing_no_row(small_cache, capsys, monkeypatch):
     real = census.maximal_membership
 
-    def one_interior_point_too_many_at_k2(points, k):
-        report = real(points, k)
+    def one_interior_point_too_many_at_k2(points, k, scale):
+        report = real(points, k, scale)
         if k == 2:
             report = report._replace(interior_count=report.interior_count + 1)
         return report
@@ -577,7 +577,7 @@ from qhelly import cli
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     code = cli.main(sys.argv[1:])
 ran = [n for n in %r if type(sys.modules["qhelly." + n]) is types.ModuleType]
-print(json.dumps([code, ran, "dataclasses" in sys.modules]))
+print(json.dumps([code, ran, "dataclasses" in sys.modules, "fractions" in sys.modules]))
 """ % (LAYERS,)
 
 
@@ -604,8 +604,10 @@ def test_each_command_runs_only_its_layers(tmp_path, argv, code, ran):
     for i in range(3):
         shutil.copy(GOLDEN / f"interior_{i:02d}.census", tmp_path)
     argv = [arg.format(cache=tmp_path) for arg in argv]
-    # dataclasses, with the inspect it imports, is start-up time that no command needs
-    assert json.loads(run_fresh(LAYERS_RUN, *argv)) == [code, ran, False]
+    # dataclasses, with the inspect it imports, is start-up time that no command
+    # needs; fractions, with decimal and numbers, only the constants layer needs
+    expected = [code, ran, False, "constants" in ran]
+    assert json.loads(run_fresh(LAYERS_RUN, *argv)) == expected
 
 
 @pytest.mark.parametrize("first", ["qhelly.census", "qhelly.cli"])
