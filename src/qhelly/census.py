@@ -27,7 +27,9 @@ and their shards run independently.  Pick's formula (shoelace area and
 edge gcds) gives every class its counts, and the same O(v) edge pass
 validates every class loaded from the cache.  A loaded class is not
 re-canonicalized: its stored cycle is checked to be no larger than any
-of its 2v anchored images and equal to one of them.  The tests hold the
+of its 2v anchored images and equal to one of them, and the doubled
+area from that edge pass lets the check skip every edge whose two
+images an area bound puts above the stored cycle's least x.  The tests hold the
 enumeration against the row search that first wrote the census files.
 
 Lattice width needs no search.  A polygon with an interior lattice point
@@ -421,8 +423,9 @@ def parse_census_file(text: str) -> CensusFile:
     enumerated one.  A failing class is reported by the first of these
     checks it fails, in that order.  Each class line costs one tokenize
     pass, one edge pass for the hull and Pick checks (_hull_pick_counts)
-    and one calipers pass for the canonical check, which never walks the
-    identity image.
+    and one calipers pass for the canonical check, which skips the edges
+    that the doubled area from the Pick counts rules out and never walks
+    the identity image.
     """
     lines = text.split("\n")
     if not lines or lines[-1] != "":
@@ -469,9 +472,10 @@ def _class_from_vertices(verts: tuple, interior: int) -> CensusClass:
     counts = _hull_pick_counts(verts)
     if counts is None:
         raise CacheCorruptError(f"stored vertices are not a polygon hull: {verts}")
-    if not is_canonical_cycle_2d(verts):
-        raise CacheCorruptError(f"stored vertices are not in canonical form: {verts}")
     pick_interior, boundary = counts
+    # Pick: 2A = 2I + B - 2, with B the boundary's non-vertex and vertex points
+    if not is_canonical_cycle_2d(verts, 2 * pick_interior + boundary + len(verts) - 2):
+        raise CacheCorruptError(f"stored vertices are not in canonical form: {verts}")
     if pick_interior != interior:
         raise CacheCorruptError(
             f"stored polygon has {pick_interior} interior points, header says {interior}"

@@ -24,6 +24,8 @@ built, or walked, only when its least x ties.  The load-time check
 (is_canonical_cycle_2d) is one calipers pass: it skips, without making
 a tuple of it, every image whose least x exceeds that of the stored
 cycle, and never walks the identity image, which equals the cycle.
+Given the cycle's doubled area, it also skips every edge whose two
+images an area bound puts above that x, before their maps are made.
 """
 
 from __future__ import annotations
@@ -623,7 +625,9 @@ def census(polytope: LatticePolytope) -> PointCensus:
 # canonical form in the plane
 
 
-def _anchored_leads(cycle: Sequence[Point], bound: Optional[int] = None) -> Iterator[tuple]:
+def _anchored_leads(
+    cycle: Sequence[Point], bound: Optional[int] = None, twice_area: Optional[int] = None
+) -> Iterator[tuple]:
     """The 2v normalized images of a counterclockwise vertex cycle, each
     given by its least x and its lead (lex-min) vertex, not built.
 
@@ -633,10 +637,11 @@ def _anchored_leads(cycle: Sequence[Point], bound: Optional[int] = None) -> Iter
     u(v) = (a, b).(v - o), where a p_x + b p_y = 1.  The reversed
     traversal, anchored at n and reflected across the edge, has the same
     height and x = g - u.  A shear then puts the first vertex of greatest
-    height met from the anchor at an x in [0, h).  That top vertex only
-    moves forward as i does (rotating calipers, Toussaint 1983).  At most
-    two vertices are top, j and jr = j + 1, when the top edge is parallel
-    to the anchor edge; the forward image shears j, the reversed one jr.
+    height met from the anchor at an x in [0, h), whatever Bezout pair
+    (a, b) it starts from.  That top vertex only moves forward as i does
+    (rotating calipers, Toussaint 1983).  At most two vertices are top, j
+    and jr = j + 1, when the top edge is parallel to the anchor edge; the
+    forward image shears j, the reversed one jr.
 
     The vertices met between the anchor and the top lie right of the
     chord joining them, at x > 0, so the least x (at most the anchor's
@@ -651,15 +656,28 @@ def _anchored_leads(cycle: Sequence[Point], bound: Optional[int] = None) -> Iter
     cycle read from its lead is cycle[lead + k * step], mapped to
     (A x + B y + C, D x + E y + F).  An image whose least x exceeds
     bound is not yielded.
+
+    Given bound and twice_area, the doubled area 2A of the cycle itself,
+    an edge whose two images both have their least x above bound is
+    skipped before its Bezout pair and shear are made.  In either image
+    the anchor edge runs from (0, 0) to (g, 0), the polygon lies in
+    0 <= y <= H, the top vertex T is at (x_t, H) with 0 <= x_t < H, and
+    the lead L = (x_L, y_L) has x_L <= 0.  The triangle (0, 0), (g, 0), T
+    has doubled area g H; the triangle L, (0, 0), T has doubled area
+    -x_L H + y_L x_t >= -x_L H.  They lie in the polygon on opposite
+    sides of the line from (0, 0) to T, so 2A >= H (g - x_L).  An image
+    with x_L <= bound thus has 2A >= H (g - bound), and the edge is
+    skipped when H (g - bound) > 2A.  twice_area must be the cycle's own
+    doubled area: a smaller value could skip an image whose least x is
+    at most bound, a larger one only skips less.
     """
     m = len(cycle)
     X = [x for x, _ in cycle] * 2
     Y = [y for _, y in cycle] * 2
     j = 1
-    ox, oy = X[0], Y[0]
     for i in range(m):
-        nx, ny = X[i + 1], Y[i + 1]
-        g, a, b = _xgcd(nx - ox, ny - oy)
+        ox, oy, nx, ny = X[i], Y[i], X[i + 1], Y[i + 1]
+        g = gcd(nx - ox, ny - oy)
         px, py = (nx - ox) // g, (ny - oy) // g
         top = px * Y[j] - py * X[j]
         while (nxt := px * Y[j + 1] - py * X[j + 1]) > top:
@@ -667,6 +685,13 @@ def _anchored_leads(cycle: Sequence[Point], bound: Optional[int] = None) -> Iter
         jr = j + 1 if nxt == top else j
         f = py * ox - px * oy
         top += f
+        if twice_area is not None and top * (g - bound) > twice_area:
+            continue
+        if py:
+            a = pow(px, -1, abs(py))
+            b = (1 - a * px) // py
+        else:
+            a, b = px, 0
         s = -((a * (X[j] - ox) + b * (Y[j] - oy)) // top)
         A, B = a - s * py, b + s * px
         C = -A * ox - B * oy
@@ -685,7 +710,6 @@ def _anchored_leads(cycle: Sequence[Point], bound: Optional[int] = None) -> Iter
             low, k = x, k + 1
         if bound is None or low <= bound:
             yield low, k % m, -1, A, B, C, -py, px, f
-        ox, oy = nx, ny
 
 
 def canonical_form_2d(cycle: Sequence[Point]) -> tuple:
@@ -713,22 +737,27 @@ def canonical_form_2d(cycle: Sequence[Point]) -> tuple:
     return best
 
 
-def is_canonical_cycle_2d(cycle: tuple) -> bool:
+def is_canonical_cycle_2d(cycle: tuple, twice_area: int) -> bool:
     """Whether a hull cycle is its own canonical form.
 
     cycle must be a counterclockwise polygon cycle from its lex-min
-    vertex, as _hull_cycle_2d returns it; the answer is that of
-    canonical_form_2d(cycle) == cycle.  No image is built: one whose
-    least x (read off its left chain) exceeds cycle[0][0] is larger, and
-    _anchored_leads drops it under that bound; one whose least x is below
-    it is smaller, and only a tie walks the image from its lead vertex
-    on, up to the first difference.  The identity image (lead 0, step 1,
-    the map (x, y)) equals the cycle and is accepted without a walk.
+    vertex, as _hull_cycle_2d returns it, and twice_area its own doubled
+    area; the answer is that of canonical_form_2d(cycle) == cycle.  No
+    image is built: one whose least x (read off its left chain) exceeds
+    cycle[0][0] is larger, and _anchored_leads drops it under that bound,
+    skipping every edge whose images the area bound rules out; one whose
+    least x is below it is smaller, and only a tie walks the image from
+    its lead vertex on, up to the first difference.  The identity image
+    (lead 0, step 1, the map (x, y)) equals the cycle and is accepted
+    without a walk.  A twice_area below the true one could skip a smaller
+    image and accept a non-canonical cycle; a larger one only skips less.
+    The census load takes it from the Pick pass that has just accepted
+    the cycle as a hull.
     """
     m = len(cycle)
     x0 = cycle[0][0]
     found = False
-    for low, k, step, A, B, C, D, E, F in _anchored_leads(cycle, x0):
+    for low, k, step, A, B, C, D, E, F in _anchored_leads(cycle, x0, twice_area):
         if low < x0:
             return False
         if (k, step, A, B, C, D, E, F) == (0, 1, 1, 0, 0, 0, 1, 0):

@@ -9,7 +9,8 @@ right.  A closure over Z^n is the box scan of a hull; one over a finite
 site is the site mask of the hull.  The width search tries every
 primitive direction in a box that Cramer's rule proves large enough.
 The anchored images are built in full, every vertex of every one,
-without the calipers or the left-chain bound of lattice._anchored_leads.
+without the calipers, the left-chain bound or the area bound of
+lattice._anchored_leads.
 The closed sets of a finite site are grown with one convex_hull per
 extension, where the engine carries facets or line masks.  The segment
 oracle works in Fractions, where the package scales to integers.

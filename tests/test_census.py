@@ -551,6 +551,20 @@ def test_validation_compares_past_the_lead_vertex():
         parse_census_file(text.replace(canon_line, "\n5 -1 1 0 0 1 0 2 1 1 2\n"))
 
 
+def _twice_area(cycle) -> int:
+    """The doubled area of a counterclockwise vertex cycle, by the shoelace."""
+    return sum(px * qy - qx * py for (px, py), (qx, qy) in zip(cycle[-1:] + cycle[:-1], cycle))
+
+
+def _assert_area_bounds_every_image(cycle) -> None:
+    # the premise of the kernel's edge skip: every oracle image, anchored at
+    # (0, 0) -> (g, 0) with top height H and least x, has H (g - least x) <= 2A
+    area = _twice_area(cycle)
+    for xs, ys in _anchored_images(cycle):
+        assert xs[0] == ys[0] == ys[1] == 0 and xs[1] > 0
+        assert max(ys) * (xs[1] - min(xs)) <= area
+
+
 def _anchored_cycles(cycle: tuple) -> set:
     """The 2v anchored images of a hull cycle, each from its lex-min vertex,
     built in full by the oracle."""
@@ -571,10 +585,18 @@ def test_canonical_check_accepts_exactly_the_canonical_image():
         for cls in parse_census_file(text).classes:
             images = _anchored_cycles(cls.vertices)
             assert min(images) == cls.vertices
+            area = _twice_area(cls.vertices)
             for image in images:
                 assert _hull_cycle_2d(image) == image
                 assert canonical_form_2d(image) == cls.vertices
-                assert is_canonical_cycle_2d(image) == (image == cls.vertices)
+                assert is_canonical_cycle_2d(image, area) == (image == cls.vertices)
+
+
+def test_area_bounds_every_image_of_every_golden_class():
+    for i in range(len(PUBLISHED_CLASS_COUNTS)):
+        text = (DEVCACHE / f"interior_{i:02d}.census").read_text()
+        for cls in parse_census_file(text).classes:
+            _assert_area_bounds_every_image(cls.vertices)
 
 
 _COORD = st.integers(-40, 40)
@@ -597,9 +619,20 @@ def test_canonical_form_is_the_least_oracle_image(points):
     assume(len(cycle) >= 3)
     images = _anchored_cycles(cycle)
     least = min(images)
+    area = _twice_area(cycle)
     for image in images | {cycle}:
         assert canonical_form_2d(image) == least
-        assert is_canonical_cycle_2d(image) == (image == least)
+        assert is_canonical_cycle_2d(image, area) == (image == least)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_COORD, _COORD), min_size=3, max_size=16))
+@example([(0, 0), (6, 0), (1, 3)])  # an anchor edge of lattice length 6
+@example([(-2, 1), (0, 0), (1, 0), (1, 2), (-2, 2)])  # least x on a vertical edge
+def test_area_bounds_every_oracle_image(points):
+    cycle = _hull_cycle_2d(points)
+    assume(len(cycle) >= 3)
+    _assert_area_bounds_every_image(cycle)
 
 
 @settings(max_examples=300, deadline=None)
@@ -607,14 +640,19 @@ def test_canonical_form_is_the_least_oracle_image(points):
 @example([(0, 0), (4, 0), (3, 2), (1, 2)], 0)  # the top edge parallel to the anchor edge
 @example([(0, 0), (3, 0), (0, 2)], 0)  # a vertical left edge into the forward image's anchor
 @example([(0, 0), (3, 0), (3, 2)], 0)  # a vertical left edge out of the reversed image's anchor
-@example([(-2, 1), (0, 0), (1, 0), (1, 2), (-2, 2)], -2)  # a vertical left edge off the anchor
+# a vertical left edge off the anchor; the area bound skips edges 0 and 2
+@example([(-2, 1), (0, 0), (1, 0), (1, 2), (-2, 2)], -2)
 # non-trivial automorphisms, at the bound of the check: several images tie at x = 0
 @example([(0, 0), (1, 0), (1, 1), (0, 1)], 0)  # the unit square
 @example([(0, 0), (2, 0), (0, 2)], 0)  # 2 Delta
 @example([(0, 0), (1, 0), (2, 1), (2, 2), (1, 2), (0, 1)], 0)  # the hexagon
+# an interior-2 class: the area bound skips edge 3, and edges 2 and 4 each have an
+# image tying at the bound
+@example([(-1, 1), (0, 0), (1, 0), (2, 1), (0, 2)], -1)
 def test_anchored_leads_describe_the_oracle_images(points, bound):
     # each yield is an oracle image read from its lex-min vertex, least x
-    # first; a bound drops exactly the images whose least x exceeds it
+    # first; a bound drops exactly the images whose least x exceeds it,
+    # whether or not the cycle's doubled area lets it skip whole edges
     cycle = _hull_cycle_2d(points)
     assume(len(cycle) >= 3)
     m = len(cycle)
@@ -631,8 +669,11 @@ def test_anchored_leads_describe_the_oracle_images(points, bound):
         lead = image.index(min(image))
         oracle.append(tuple(image[lead:] + image[:lead]))
     assert sorted(built) == sorted(oracle)
+    area = _twice_area(cycle)
     for b in {bound} | {im[0] for im in leads}:
-        assert list(_anchored_leads(cycle, b)) == [im for im in leads if im[0] <= b]
+        bounded = [im for im in leads if im[0] <= b]
+        assert list(_anchored_leads(cycle, b)) == bounded
+        assert list(_anchored_leads(cycle, b, area)) == bounded
 
 
 def test_validation_rejects_width_one_polygons():
