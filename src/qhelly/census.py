@@ -70,6 +70,7 @@ from .extint import c_from_g
 from .lattice import (
     LatticePolytope,
     _hull_cycle_2d,
+    _row_intervals,
     _xgcd,
     canonical_form_2d,
     is_canonical_cycle_2d,
@@ -747,21 +748,17 @@ def _strict_interior_lattice_points(cycle: Sequence[tuple], scale: int) -> tuple
             f"lattice scan over {cells} cells exceeds the budget {_SCAN_BUDGET}"
         )
     # strictly left of edge A -> B: dx (scale y - ay) > dy (scale x - ax),
-    # so y > n / d for n = dy scale x + dx ay - dy ax and d = scale dx if
-    # dx > 0, and y < n / d if dx < 0; a vertical edge lies at the least or
-    # greatest x, which the column range already leaves out
-    below, above = [], []
-    for i, (ax, ay) in enumerate(cycle):
-        bx, by = cycle[(i + 1) % len(cycle)]
-        if bx != ax:
-            dx, dy = bx - ax, by - ay
-            (below if dx > 0 else above).append((dy * scale, dx * ay - dy * ax, dx * scale))
-    out = []
-    for x in range(x_lo, x_hi + 1):
-        lo = max([y_lo] + [(nx * x + n0) // d + 1 for nx, n0, d in below])
-        hi = min([y_hi] + [-(-(nx * x + n0) // d) - 1 for nx, n0, d in above])
-        out.extend((x, y) for y in range(lo, hi + 1))
-    return tuple(out)
+    # strictly inside the integral facet (scale dy, -scale dx) . (x, y) <=
+    # dy ax - dx ay
+    facets = [
+        ((scale * (by - ay), scale * (ax - bx)), (by - ay) * ax + (ax - bx) * ay)
+        for (ax, ay), (bx, by) in zip(cycle, [*cycle[1:], cycle[0]])
+    ]
+    return tuple(
+        (x, y)
+        for (x,), _, _, slo, shi in _row_intervals(((x_lo, x_hi), (y_lo, y_hi)), facets)
+        for y in range(slo, shi + 1)
+    )
 
 
 class MembershipReport(NamedTuple):

@@ -360,12 +360,9 @@ def andrews_constants(n: int, precision: int = DEFAULT_PRECISION) -> "AndrewsRep
         xi=xi,
         c1=c1,
         kappa_prime=kappa_prime,
-        gamma=gamma,
         kappa=kappa,
         alpha_required=alpha_required,
         phi=phi,
-        beta_n=(3 * n) ** (5 * n),
-        beta_n_minus_1=(3 * (n - 1)) ** (5 * (n - 1)),
         xi_bounded=certified_le(xi, Enclosure.point(n ** (2 * n))),
         c1_bounded=certified_ge(c1, Enclosure.point(Fraction(1, n * n))),
         kappa_prime_bounded=certified_ge(
@@ -381,12 +378,9 @@ class _AndrewsFields(NamedTuple):
     xi: Enclosure
     c1: Enclosure
     kappa_prime: Enclosure
-    gamma: Enclosure
     kappa: Optional[Enclosure]
     alpha_required: Optional[Enclosure]
     phi: Enclosure
-    beta_n: int
-    beta_n_minus_1: int
     xi_bounded: Optional[bool]
     c1_bounded: Optional[bool]
     kappa_prime_bounded: Optional[bool]
@@ -433,7 +427,6 @@ class _ChainLinkFields(NamedTuple):
     precision: int
     phi: Enclosure
     lhs: Enclosure
-    mid: Enclosure
     mid_integer: int
     budget: int
     first_ok: Optional[bool]
@@ -469,7 +462,6 @@ def _chain_links(n: int, precision: int) -> ChainLinkReport:
         precision=precision,
         phi=phi,
         lhs=lhs,
-        mid=mid,
         mid_integer=mid_integer,
         budget=budget,
         first_ok=certified_le(lhs, mid),

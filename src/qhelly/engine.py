@@ -12,10 +12,10 @@ Two quantities are computed for a finite site S and each k:
 Both come from one enumeration of the closed subsets C = S intersect
 conv C.  The site is indexed once and a subset is an int bitmask (bit i
 is site.points[i]); the enumeration keeps a dict from each closed set to
-the mask of its hull's vertices, so totals and vertex counts are
-popcounts.  The work stack carries each new closed set with the hull
-that the step first reaching it made, as masks and facets, so no hull
-is built while enumerating.  A site is read on the coordinates
+the mask of its hull's vertices, in the order it found them, so totals
+and vertex counts are popcounts.  The work stack carries each new closed
+set with the hull that the step first reaching it made, as masks and
+facets, so no hull is built while enumerating.  A site is read on the coordinates
 _kept_coordinates keeps, on which it is full-dimensional.
 
 A site of affine dimension at most 2 is enumerated on indices alone.
@@ -35,8 +35,9 @@ is added by beneath-beyond (Seidel 1981): the facets that see p go,
 each with an adjacent facet beneath p gives a new facet through their
 ridge and p by the double-description step (Fukuda & Prodon 1996), and
 a facet whose hyperplane holds p keeps the old vertices that a rank
-test of the facets through them still finds to be vertices.  Only the
-winning witnesses are hulled, in the site's own coordinates.
+test of the facets through them still finds to be vertices.  g_profile
+folds over the dict as it stands and picks each witness as it goes; only
+the winning witnesses are hulled, in the site's own coordinates.
 
 c comes from the stepwise recursion over the g profile
 (extint.c_from_g).  The tests hold it against a second, independent
@@ -318,7 +319,7 @@ def enumerate_convex_subsets(site: FiniteSite) -> dict:
 
     Subsets are bitmasks over the site (bit i is site.points[i]).  The
     result maps each closed set to the mask of its hull's vertices, in
-    (size, sorted point tuple) order.
+    the order the enumeration found them.
 
     Growth rule: a closed set C is extended only by a point p
     lexicographically above its maximum, and S intersect conv(V(C) + p)
@@ -358,20 +359,10 @@ def enumerate_convex_subsets(site: FiniteSite) -> dict:
     if len(base) <= 3:
         # a point or a line gets a zero second coordinate: one collinear site
         pad = (0,) * (2 - len(kept))
-        found = _planar_closed_sets([tuple(p[i] for i in kept) + pad for p in points])
-    else:
-        if len(kept) < site.dim:
-            site = FiniteSite.of(tuple(p[i] for i in kept) for p in points)
-        found = _closed_sets(site)
-    # bit i is the i-th point in lexicographic order, so sorted point tuples
-    # of one size compare as their index tuples: the one holding the lower
-    # first differing index is smaller, and the complement's binary digits,
-    # read from bit 0 up, compare the same way
-    digits = f"0{len(points)}b"
-    full = (1 << len(points)) - 1
-    order = sorted(found, key=lambda m: format(full ^ m, digits)[::-1])
-    order.sort(key=int.bit_count)
-    return {m: found[m] for m in order}
+        return _planar_closed_sets([tuple(p[i] for i in kept) + pad for p in points])
+    if len(kept) < site.dim:
+        site = FiniteSite.of(tuple(p[i] for i in kept) for p in points)
+    return _closed_sets(site)
 
 
 class SiteProfile(FrozenRecord):
@@ -397,9 +388,11 @@ def g_profile(
 ) -> SiteProfile:
     """Profile of g (and c via the stepwise route) for k = 0..k_max.
 
-    The witness of g[k] is the first closed set in enumeration order with
-    the largest vertex count; only the k_max + 1 witnesses are hulled
-    again, to give their vertices in polytope order.
+    One fold over the closed sets, in the order they were found, keeps
+    per k the largest vertex count and, among the sets that attain it,
+    the least sorted point tuple: the witness of g[k] is the first such
+    set in (size, sorted point tuple) order.  Only the k_max + 1
+    witnesses are hulled again, to give their vertices in polytope order.
     """
     if k_max is None:
         k_max = len(site)
@@ -410,7 +403,12 @@ def g_profile(
     for closed, verts in enumerate_convex_subsets(site).items():
         nvert = verts.bit_count()
         k = closed.bit_count() - nvert
-        if k <= k_max and g[k] < nvert:
+        # a tie has the same size; bit i is the i-th point in lexicographic
+        # order, so the lesser sorted point tuple holds the lowest bit of the two
+        # masks' difference
+        if k <= k_max and (
+            g[k] < nvert or (g[k] == nvert and (d := closed ^ best[k]) & -d & closed)
+        ):
             g[k] = nvert
             best[k] = closed
     wit: list = [None] * (k_max + 1)

@@ -190,12 +190,6 @@ class FiniteSite(FrozenRecord):
     def __len__(self) -> int:
         return len(self.points)
 
-    def __iter__(self) -> Iterator[Point]:
-        return iter(self.points)
-
-    def __contains__(self, p: object) -> bool:
-        return p in self.index
-
     def points_of(self, mask: int) -> tuple:
         """The site points of a bitmask, lexicographically sorted."""
         return tuple(self.points[i] for i in range(mask.bit_length()) if mask >> i & 1)
@@ -519,18 +513,20 @@ def convex_hull(points: Iterable[Point]) -> LatticePolytope:
 # point enumeration, site masks, census
 
 
-def _row_intervals(polytope: LatticePolytope) -> Iterator[tuple]:
-    """Rows of a full-dimensional polytope in Z^n, n >= 1, as exact intervals.
+def _row_intervals(box: Sequence[tuple], facets: Iterable[tuple]) -> Iterator[tuple]:
+    """Rows of the integer box in Z^n, n >= 1, cut by the integral
+    halfspaces normal . x <= offset in facets, as exact intervals.
 
-    Yields (x', lo, hi, slo, shi) for each point x' of the bounding box over
-    the first n - 1 coordinates whose row meets the polytope, in
-    lexicographic order: the row holds x' + (z,) for lo <= z <= hi, strictly
-    inside every facet for slo <= z <= shi.  A facet h . x' + a z <= c bounds
-    z by the floor or ceiling of (c - h . x') / a, or for a = 0 drops the
-    row or puts all of it on the facet.
+    box holds a (lo, hi) range per coordinate.  Yields (x', lo, hi, slo,
+    shi) for each point x' of the box over the first n - 1 coordinates
+    whose row meets the cut, in lexicographic order: the row holds x' + (z,)
+    for lo <= z <= hi, strictly inside every halfspace for slo <= z <= shi.
+    A facet h . x' + a z <= c bounds z by the floor or ceiling of
+    (c - h . x') / a, or for a = 0 drops the row or puts all of it on the
+    facet.
     """
-    *prefix_box, (z_lo, z_hi) = polytope.bounding_box()
-    facets = [(normal[:-1], normal[-1], offset) for normal, offset in polytope.facets]
+    *prefix_box, (z_lo, z_hi) = box
+    facets = [(normal[:-1], normal[-1], offset) for normal, offset in facets]
     for prefix in itertools.product(*(range(lo, hi + 1) for lo, hi in prefix_box)):
         lo, hi = slo, shi = z_lo, z_hi
         for h, a, c in facets:
@@ -573,7 +569,7 @@ def lattice_points_in(polytope: LatticePolytope) -> tuple:
         )
     return tuple(
         prefix + (z,)
-        for prefix, lo, hi, _, _ in _row_intervals(polytope)
+        for prefix, lo, hi, _, _ in _row_intervals(polytope.bounding_box(), polytope.facets)
         for z in range(lo, hi + 1)
     )
 
@@ -597,7 +593,7 @@ def census(polytope: LatticePolytope) -> PointCensus:
             by_row.setdefault(v[:-1], []).append(v[-1])
         total = vertex = interior = 0
         # vertices lie on facets, so the strict intervals hold no vertex
-        for prefix, lo, hi, slo, shi in _row_intervals(polytope):
+        for prefix, lo, hi, slo, shi in _row_intervals(polytope.bounding_box(), polytope.facets):
             total += hi - lo + 1
             interior += max(0, shi - slo + 1)
             vertex += sum(1 for z in by_row.get(prefix, ()) if lo <= z <= hi)

@@ -72,11 +72,14 @@ GOLDEN_GRID = GOLDEN / "grid"
     "name",
     [
         "5x4_k20.csv",
+        "5x4_k20.json",
         "2x2x2_k8.json",
         "3x3x1_k9.csv",
         "3x2x2_k12.csv",
         "3x3x2_k18.csv",
+        "3x3x2_k18.json",
         "2x2x2x2_k16.csv",
+        "2x2x2x2_k16.json",
     ],
 )
 def test_grid_output_matches_golden_bytes(capsys, name):

@@ -43,7 +43,8 @@ def brute_closed_subsets(site: FiniteSite) -> set:
 
 
 def closed_tuples(site: FiniteSite) -> list:
-    """The enumerated closed sets as point tuples, in enumeration order.
+    """The enumerated closed sets as point tuples, in the order the
+    enumeration found them.
 
     Also checks each vertex mask against the hull of its closed set.
     """
@@ -92,10 +93,9 @@ def test_enumeration_matches_power_set_oracle_on_random_sites_in_z3(points):
     assert set(closed_tuples(site)) == brute_closed_subsets(site)
 
 
-def test_enumeration_is_sorted_and_deterministic():
+def test_enumeration_is_deterministic():
     site = FiniteSite.grid(3, 2)
     subs = closed_tuples(site)
-    assert list(subs) == sorted(subs, key=lambda s: (len(s), s))
     assert subs == closed_tuples(site)
     assert enumerate_convex_subsets(site) == enumerate_convex_subsets(site)
 
@@ -154,17 +154,10 @@ def test_splice_is_the_hull_of_cycle_plus_point(points, p, extra):
     assert closed == site_mask(expected, site)
 
 
-def by_hulls(site: FiniteSite) -> list:
-    """The oracle's closed sets and vertex masks, in the enumeration's
-    (size, sorted point tuple) order."""
-    items = closed_sets_by_hulls(site).items()
-    return sorted(items, key=lambda item: (item[0].bit_count(), site.points_of(item[0])))
-
-
 @pytest.mark.parametrize("dims", [(2, 2, 2), (3, 2, 2), (2, 2, 3)])
 def test_solid_grid_matches_the_hull_per_step_path(dims):
     site = FiniteSite.grid(*dims)
-    assert list(enumerate_convex_subsets(site).items()) == by_hulls(site)
+    assert enumerate_convex_subsets(site) == closed_sets_by_hulls(site)
 
 
 _CORNER = [(0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0)]
@@ -181,15 +174,15 @@ _CORNER = [(0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0)]
 @example(_CORNER + [(2, 0, 0)])  # on the line of an edge, past (1, 0, 0)
 def test_solid_sites_match_the_hull_per_step_path(points):
     site = FiniteSite.of(points)
-    assert list(enumerate_convex_subsets(site).items()) == by_hulls(site)
+    assert enumerate_convex_subsets(site) == closed_sets_by_hulls(site)
 
 
 def test_solid_site_in_z4_enumerates_as_its_projection():
     # 2x1x2x2 is 2x2x2 on the coordinates 0, 2 and 3, point for point
     site = FiniteSite.grid(2, 1, 2, 2)
-    items = list(enumerate_convex_subsets(site).items())
-    assert items == list(enumerate_convex_subsets(FiniteSite.grid(2, 2, 2)).items())
-    assert items == by_hulls(site)
+    found = enumerate_convex_subsets(site)
+    assert list(found.items()) == list(enumerate_convex_subsets(FiniteSite.grid(2, 2, 2)).items())
+    assert found == closed_sets_by_hulls(site)
 
 
 _SIMPLEX_4 = [(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
@@ -211,7 +204,7 @@ def test_four_dimensional_site_matches_power_set_oracle():
 @example(_SIMPLEX_4 + [(1, 1, 1, -1)])  # beyond one facet only
 def test_four_dimensional_sites_match_the_hull_per_step_path(points):
     site = FiniteSite.of(points)
-    assert list(enumerate_convex_subsets(site).items()) == by_hulls(site)
+    assert enumerate_convex_subsets(site) == closed_sets_by_hulls(site)
 
 
 _SIMPLEX_5 = [tuple(int(i == j) for j in range(5)) for i in range(-1, 5)]
@@ -226,7 +219,7 @@ _SIMPLEX_5 = [tuple(int(i == j) for j in range(5)) for i in range(-1, 5)]
 @example(_SIMPLEX_5 + [(1, 1, 0, 0, -1), (2, 0, 0, 0, 0)])
 def test_five_dimensional_sites_match_the_hull_per_step_path(points):
     site = FiniteSite.of(points)
-    assert list(enumerate_convex_subsets(site).items()) == by_hulls(site)
+    assert enumerate_convex_subsets(site) == closed_sets_by_hulls(site)
 
 
 def test_six_dimensional_site_is_refused():
@@ -498,6 +491,37 @@ def test_witness_is_least_closed_set_attaining_g(site):
         if k in first:
             assert prof.g[k] == len(first[k])
             assert prof.witnesses[k] == first[k]
+        else:
+            assert prof.g[k] is NEG_INF and prof.witnesses[k] is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.tuples(*[st.integers(0, 3)] * 2), min_size=3, max_size=14)
+    | st.lists(st.tuples(*[st.integers(-1, 1)] * 3), min_size=4, max_size=11)
+    | st.lists(st.tuples(*[st.integers(0, 2)] * 3), min_size=4, max_size=11)
+    | st.lists(st.tuples(*[st.integers(-1, 1)] * 4), min_size=5, max_size=9)
+)
+# the enumeration reaches ((2, 0), (2, 1)) before ((0, 0), (0, 1))
+@example(FiniteSite.grid(3, 2).points)
+def test_fold_picks_the_first_witness_in_size_and_point_order(points):
+    # oracle: the hull-per-step closed sets sorted by (size, point tuple);
+    # the witness of g[k] is the first one with the largest vertex count
+    site = FiniteSite.of(points)
+    items = sorted(
+        closed_sets_by_hulls(site).items(),
+        key=lambda item: (item[0].bit_count(), site.points_of(item[0])),
+    )
+    first: dict = {}
+    for closed, verts in items:
+        k = closed.bit_count() - verts.bit_count()
+        if k not in first or verts.bit_count() > first[k].bit_count():
+            first[k] = verts
+    prof = g_profile(site)
+    for k in range(prof.k_max + 1):
+        if k in first:
+            assert prof.g[k] == first[k].bit_count()
+            assert tuple(sorted(prof.witnesses[k])) == site.points_of(first[k])
         else:
             assert prof.g[k] is NEG_INF and prof.witnesses[k] is None
 
