@@ -11,12 +11,14 @@ Two quantities are computed for a finite site S and each k:
 
 Both come from one enumeration of the closed subsets C = S intersect
 conv C.  The site is indexed once and a subset is an int bitmask (bit i
-is site.points[i]); the enumeration keeps a dict from each closed set to
-the mask of its hull's vertices, in the order it found them, so totals
-and vertex counts are popcounts.  The work stack carries each new closed
-set with the hull that the step first reaching it made, as masks and
-facets, so no hull is built while enumerating.  A site is read on the coordinates
-_kept_coordinates keeps, on which it is full-dimensional.
+is site.points[i]); the enumeration writes a dict from each closed set to
+the mask of its hull's vertices, so totals and vertex counts are
+popcounts.  The closed sets form a tree: a closed set's parent is the set
+less its greatest point, so each is reached once, from its parent, and
+the dict is never read.  The work stack carries each closed set with its
+hull, as masks and facets, so no hull is built while enumerating.  A
+site is read on the coordinates _kept_coordinates keeps, on which it is
+full-dimensional.
 
 A site of affine dimension at most 2 is enumerated on indices alone.
 One table holds, for each ordered pair of points, the mask of the site
@@ -34,10 +36,10 @@ hull, whose base lies in the hyperplane of an equality; a point p in it
 is added by beneath-beyond (Seidel 1981): the facets that see p go,
 each with an adjacent facet beneath p gives a new facet through their
 ridge and p by the double-description step (Fukuda & Prodon 1996), and
-a facet whose hyperplane holds p keeps the old vertices that a rank
-test of the facets through them still finds to be vertices.  g_profile
-folds over the dict as it stands and picks each witness as it goes; only
-the winning witnesses are hulled, in the site's own coordinates.
+a facet whose hyperplane holds p keeps p and the old vertices that lie
+on a facet beneath p.  g_profile folds over the dict as it stands and
+picks each witness as it goes; only the winning witnesses are hulled,
+in the site's own coordinates.
 
 c comes from the stepwise recursion over the g profile
 (extint.c_from_g).  The tests hold it against a second, independent
@@ -60,7 +62,6 @@ from .lattice import (
     _dot,
     _kept_coordinates,
     convex_hull,
-    rational_rank,
     site_mask,
 )
 
@@ -143,13 +144,14 @@ def _planar_closed_sets(xy: Sequence[tuple]) -> dict:
             head = [full, *accumulate(fwd, and_)]
             tail = [*accumulate(reversed(fwd), and_)][::-1] + [full]
         for j in range(cur.bit_length(), n):
+            # the child is kept only when it is closed itself
+            target = cur | 1 << j
             if fwd:
                 # j is not in the closed set, so strictly outside its polygon
                 s, t = _seen_chain(back, j)
                 a, b = hull[s], hull[t % len(hull)]
                 into, out = left[a * n + j], left[j * n + b]
-                new = head[s] & tail[t] & into & out
-                if new in found:
+                if head[s] & tail[t] & into & out != target:
                     continue
                 cycle = hull[: s + 1] + (j,) + hull[t:]
                 new_fwd = fwd[:s] + [into, out] + fwd[t:]
@@ -159,25 +161,23 @@ def _planar_closed_sets(xy: Sequence[tuple]) -> dict:
                 a, b = hull[0], hull[-1]
                 if (left[a * n + b] & left[b * n + a]) >> j & 1:
                     # collinear site points are monotone in index order
-                    new = left[a * n + j] & left[j * n + a] & ((2 << j) - (1 << a))
-                    if new in found:
+                    if left[a * n + j] & left[j * n + a] & ((2 << j) - (1 << a)) != target:
                         continue
                     cycle, new_fwd, new_back = (a, j), [], []
                 else:
                     cycle = (a, b, j) if left[a * n + b] >> j & 1 else (a, j, b)
                     ring = cycle[1:] + cycle[:1]
                     new_fwd = [left[v * n + w] for v, w in zip(cycle, ring)]
-                    new = new_fwd[0] & new_fwd[1] & new_fwd[2]
-                    if new in found:
+                    if new_fwd[0] & new_fwd[1] & new_fwd[2] != target:
                         continue
                     new_back = [left[w * n + v] for v, w in zip(cycle, ring)]
             vmask = 0
             for v in cycle:
                 vmask |= 1 << v
-            found[new] = vmask
+            found[target] = vmask
             if len(found) > _STATE_BUDGET:
                 raise _budget_error()
-            stack.append((new, cycle, new_fwd, new_back))
+            stack.append((target, cycle, new_fwd, new_back))
     return found
 
 
@@ -194,10 +194,12 @@ def _plane_mask(site: FiniteSite, normal: tuple, offset: int) -> int:
     return site.halfspace_mask(normal, offset) & site.halfspace_mask(flip, -offset)
 
 
-def _extend(site: FiniteSite, eqs: tuple, facets: list, vmask: int, j: int, found: dict) -> tuple:
-    """The closed set, equalities and facets of the hull of a closed set C
-    plus point j outside it; a beneath-beyond step gives no facets (None)
-    when the closed set is in found already.
+def _extend(
+    site: FiniteSite, eqs: tuple, facets: list, vmask: int, j: int, target: int
+) -> Optional[tuple]:
+    """The equalities and facets of the hull of a closed set C plus point j
+    outside it, when the site points in that hull are target (C + j in the
+    enumeration); None when they are not.
 
     The affine hull of C is cut out by the integer equalities eqs, as
     (normal, offset) pairs; facets are C's facets relative to that hull,
@@ -214,9 +216,12 @@ def _extend(site: FiniteSite, eqs: tuple, facets: list, vmask: int, j: int, foun
     through their ridge and p.  F and G of an r-polytope are adjacent
     when their vertex masks share r - 1 bits, so that F & G is a face of
     dimension at least min(r - 2, 2), and, for r >= 5, no third facet's
-    vertex mask holds the shared ones.  A facet whose hyperplane
-    holds p keeps the old vertices at which the equalities and the new
-    facets through them still have rank d, the site's dimension.
+    vertex mask holds the shared ones.  A facet whose hyperplane holds p
+    keeps p and those of its old vertices that lie on a facet beneath p:
+    a vertex of C is a vertex of conv(C + p) exactly when some facet
+    through it has p beneath it (Grunbaum, Convex Polytopes, 5.2.1).  A
+    vertex v on no such facet lies between p and the point v - e (p - v)
+    of conv C, for a small e > 0.
     """
     p, d, bit = site.points[j], site.dim, 1 << j
     mask_of = site.halfspace_mask
@@ -241,7 +246,7 @@ def _extend(site: FiniteSite, eqs: tuple, facets: list, vmask: int, j: int, foun
                 new_facets.append((*h, bit, mask_of(*h)))
             for f in new_facets:
                 closed &= f[3]
-            return closed, tuple(new_eqs), new_facets
+            return (tuple(new_eqs), new_facets) if closed == target else None
     for e, e0 in eqs:
         closed &= _plane_mask(site, e, e0)
     r = d - len(eqs)
@@ -267,50 +272,43 @@ def _extend(site: FiniteSite, eqs: tuple, facets: list, vmask: int, j: int, foun
             h = _hyperplane([fs * y - gs * x for x, y in zip(f, g)], fs * g0 - gs * f0)
             new_facets.append((*h, ridge | bit, mask_of(*h)))
             closed &= new_facets[-1][3]
-    if closed in found:
-        return closed, eqs, None
+    if closed != target:
+        return None
     if level:
-        # a vertex on a facet beneath p stays one
-        tight = new_facets + level
-        old = keep = 0
-        for f in level:
-            old |= f[2]
+        # the vertices of C that stay vertices are those on a facet beneath p
+        keep = 0
         for g, _ in beneath:
             keep |= g[2]
-        old &= ~keep
-        for v in range(old.bit_length()):
-            if old >> v & 1:
-                rows = [e for e, _ in eqs] + [f[0] for f in tight if f[2] >> v & 1]
-                if rational_rank(rows) == d:
-                    keep |= 1 << v
         new_facets += [(f, f0, fv & keep | bit, hmask) for f, f0, fv, hmask in level]
-    return closed, eqs, new_facets
+    return eqs, new_facets
 
 
 def _closed_sets(site: FiniteSite) -> dict:
     """Closed sets of a full-dimensional site in Z^d, d = 3..5, by _extend.
 
-    A stack entry is a closed set, the equalities of its affine hull and
-    its facets relative to that hull; a singleton starts with the d unit
-    equalities and no facets.
+    A stack entry is a closed set, its vertex mask, the equalities of its
+    affine hull and its facets relative to that hull; a singleton starts
+    with the d unit equalities and no facets.
     """
     points, d = site.points, site.dim
     found = {1 << i: 1 << i for i in range(len(points))}
     units = [tuple(int(a == b) for b in range(d)) for a in range(d)]
-    stack = [(1 << i, tuple(zip(units, p)), []) for i, p in enumerate(points)]
+    stack = [(1 << i, 1 << i, tuple(zip(units, p)), []) for i, p in enumerate(points)]
     while stack:
-        cur, eqs, facets = stack.pop()
+        cur, vmask, eqs, facets = stack.pop()
         for j in range(cur.bit_length(), len(points)):
-            new, new_eqs, new_facets = _extend(site, eqs, facets, found[cur], j, found)
-            if new in found:
+            target = cur | 1 << j
+            step = _extend(site, eqs, facets, vmask, j, target)
+            if step is None:
                 continue
-            vmask = 0
+            new_eqs, new_facets = step
+            new_vmask = 0
             for f in new_facets:
-                vmask |= f[2]
-            found[new] = vmask
+                new_vmask |= f[2]
+            found[target] = new_vmask
             if len(found) > _STATE_BUDGET:
                 raise _budget_error()
-            stack.append((new, new_eqs, new_facets))
+            stack.append((target, new_vmask, new_eqs, new_facets))
     return found
 
 
@@ -319,17 +317,18 @@ def enumerate_convex_subsets(site: FiniteSite) -> dict:
 
     Subsets are bitmasks over the site (bit i is site.points[i]).  The
     result maps each closed set to the mask of its hull's vertices, in
-    the order the enumeration found them.
+    no promised order.
 
-    Growth rule: a closed set C is extended only by a point p
-    lexicographically above its maximum, and S intersect conv(V(C) + p)
-    is the new closed set, where V(C) is the vertex set of C; it equals
-    the closure of C + p, because V(C) + p and C + p have the same hull.
-    Every closed set is reachable this way (remove the lexicographic
-    maximum, which is always a vertex; the closure of the remainder plus
-    that point restores the set), so the enumeration is complete without
-    revisiting permutations.  The step that first reaches a closed set
-    gives its vertex mask, and its hull travels with it on the stack.
+    Tree rule: a closed set C is extended only by a point p
+    lexicographically above its maximum, and the child C + p is kept
+    only when it is closed: S intersect conv(V(C) + p), where V(C) is
+    the vertex set of C, is C + p itself.  Every closed set C' but a
+    singleton is reached exactly once this way, from C' less its greatest
+    point p: p is a vertex of conv C', so conv(C' - p) holds no site point
+    outside C' - p, which is therefore closed (orderly generation with a
+    canonical parent; Read, Every one a winner, 1978).  So no step looks
+    up the sets found before it, and each set's hull and vertex mask
+    travel with it on the stack.
 
     A site is read on the coordinates _kept_coordinates keeps, which map
     it one to one and in order.  A site of affine dimension at most 2 is
@@ -388,10 +387,10 @@ def g_profile(
 ) -> SiteProfile:
     """Profile of g (and c via the stepwise route) for k = 0..k_max.
 
-    One fold over the closed sets, in the order they were found, keeps
-    per k the largest vertex count and, among the sets that attain it,
-    the least sorted point tuple: the witness of g[k] is the first such
-    set in (size, sorted point tuple) order.  Only the k_max + 1
+    One fold over the closed sets, in any order, keeps per k the largest
+    vertex count and, among the sets that attain it, the least sorted
+    point tuple: the witness of g[k] is the first such set in (size,
+    sorted point tuple) order.  Only the k_max + 1
     witnesses are hulled again, to give their vertices in polytope order.
     """
     if k_max is None:

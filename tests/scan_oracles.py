@@ -97,10 +97,15 @@ def closure(points, site=None) -> tuple:
 
 def closed_sets_by_hulls(site) -> dict:
     """The closed sets of a site of any affine dimension up to 5, each
-    mapped to the mask of its hull's vertices, by the enumeration's growth
-    rule with one exact hull per extension: conv(V(C) + p), closed by
-    site_mask.  The dict is in the order the sets were found, which need
-    not be the enumeration's: compare the two as mappings."""
+    mapped to the mask of its hull's vertices, with one exact hull per
+    extension: conv(V(C) + p), closed by site_mask, for every point p
+    above C's greatest.
+
+    It keeps the dedup-dict rule, a route the engine no longer shares: a
+    closure is kept the first time it is reached, whether or not it is
+    C + p, and later reaches are looked up and skipped.  The dict is in
+    the order the sets were found, which need not be the enumeration's:
+    compare the two as mappings."""
     points, index = site.points, site.index
     found = {1 << i: 1 << i for i in range(len(points))}
     queue = [(1 << i, (p,)) for i, p in enumerate(points)]

@@ -80,6 +80,7 @@ GOLDEN_GRID = GOLDEN / "grid"
         "3x3x2_k18.json",
         "2x2x2x2_k16.csv",
         "2x2x2x2_k16.json",
+        "6x5_k10.json",
     ],
 )
 def test_grid_output_matches_golden_bytes(capsys, name):

@@ -229,6 +229,54 @@ def test_six_dimensional_site_is_refused():
         enumerate_convex_subsets(FiniteSite.of(simplex))
 
 
+@pytest.mark.parametrize(
+    "points",
+    [
+        FiniteSite.grid(3, 2, 2).points,
+        _SITE_4,
+        FiniteSite.grid(2, 2, 1, 2).points,  # a 3-D site in Z^4
+        _SIMPLEX_5 + [(1, 1, 1, 1, 1), (1, 1, 0, 0, 0)],
+    ],
+)
+def test_each_solid_closed_set_is_reached_once(monkeypatch, points):
+    # every step that _extend accepts writes a new closed set
+    site = FiniteSite.of(points)
+    accepted = []
+
+    def counted(*args):
+        step = _extend(*args)
+        if step is not None:
+            accepted.append(args[-1])
+        return step
+
+    monkeypatch.setattr(engine, "_extend", counted)
+    found = enumerate_convex_subsets(site)
+    assert len(accepted) + len(site) == len(found)
+
+
+class CountingBudget:
+    """A state budget that is never exceeded and counts the checks against
+    it, one per closed set written past the singletons."""
+
+    def __init__(self) -> None:
+        self.checks = 0
+
+    def __lt__(self, written: int) -> bool:
+        self.checks += 1
+        return False
+
+
+@pytest.mark.parametrize(
+    "points", [FiniteSite.grid(5, 4).points, [(x, 1) for x in range(6)]]  # six points on a row
+)
+def test_each_planar_closed_set_is_written_once(monkeypatch, points):
+    site = FiniteSite.of(points)
+    budget = CountingBudget()
+    monkeypatch.setattr(engine, "_STATE_BUDGET", budget)
+    found = enumerate_convex_subsets(site)
+    assert budget.checks + len(site) == len(found)
+
+
 def test_grid_2x2x2x2_has_every_subset_closed_and_each_its_own_vertex_set():
     found = enumerate_convex_subsets(FiniteSite.grid(2, 2, 2, 2))
     assert len(found) == 2**16 - 1
@@ -266,15 +314,28 @@ def carried_facets(site: FiniteSite, poly) -> list:
 
 
 def one_step(site: FiniteSite, poly, p) -> tuple:
-    """_extend from the carried data of a hull of site points, by point p."""
+    """_extend from the carried data of a hull of site points, by point p:
+    the equalities and facets of the hull plus p.
+
+    The hull's closed set C is the site in it.  _extend refuses the
+    enumeration's target C + p exactly when the hull of C + p holds a
+    site point outside C + p, and it accepts the site in that hull."""
     vmask = 0
     for v in poly.vertices:
         vmask |= 1 << site.index[v]
     facets = carried_facets(site, poly)
-    return _extend(site, poly.equalities, facets, vmask, site.index[p], {})
+    j = site.index[p]
+    closed = site_mask(convex_hull(poly.vertices + (p,)), site)
+    child = site_mask(poly, site) | 1 << j
+    refused = _extend(site, poly.equalities, facets, vmask, j, child) is None
+    assert refused == (closed != child)
+    step = _extend(site, poly.equalities, facets, vmask, j, closed)
+    assert step is not None
+    return step
 
 
 _TETRA = [(0, 0, 0), (0, 2, 0), (1, 1, 0), (1, 1, 1)]
+_CUBE_4 = list(itertools.product((0, 1), repeat=4))
 
 
 @settings(max_examples=300, deadline=None)
@@ -292,11 +353,10 @@ def test_beneath_beyond_is_the_hull_of_facets_plus_point(points, p, extra):
     poly = convex_hull(points)
     assume(poly.affine_dim == 3 and not contains(poly, p))
     site = FiniteSite.of(points + [p] + extra)
-    closed, eqs, facets = one_step(site, poly, p)
+    eqs, facets = one_step(site, poly, p)
     expected = convex_hull(poly.vertices + (p,))
     assert eqs == ()
     assert sorted(facets) == carried_facets(site, expected)
-    assert closed == site_mask(expected, site)
 
 
 @settings(max_examples=150, deadline=None)
@@ -316,11 +376,10 @@ def test_pyramid_is_the_hull_of_polygon_plus_apex(coords, slope, p, extra):
     (base,) = poly.equalities
     assume(sum(a * x for a, x in zip(base[0], p)) != base[1])
     site = FiniteSite.of(points + [p] + extra)
-    closed, eqs, facets = one_step(site, poly, p)
+    eqs, facets = one_step(site, poly, p)
     expected = convex_hull(poly.vertices + (p,))
     assert eqs == ()
     assert sorted(facets) == carried_facets(site, expected)
-    assert closed == site_mask(expected, site)
 
 
 def check_one_step(points: list, p: tuple, extra: list) -> None:
@@ -331,12 +390,11 @@ def check_one_step(points: list, p: tuple, extra: list) -> None:
     poly = convex_hull(points)
     assume(not contains(poly, p))
     site = FiniteSite.of(points + [p] + extra)
-    closed, eqs, facets = one_step(site, poly, p)
+    eqs, facets = one_step(site, poly, p)
     expected = convex_hull(poly.vertices + (p,))
     vmask = 0
     for f in facets:
         vmask |= f[2]
-    assert closed == site_mask(expected, site)
     assert site.points_of(vmask) == expected.vertices
     assert len(eqs) == site.dim - expected.affine_dim
     for normal, offset in eqs:
@@ -356,6 +414,13 @@ def check_one_step(points: list, p: tuple, extra: list) -> None:
 @example([(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0)], (2, 2, 0, 0), [(1, 1, 0, 0)])
 @example(_SIMPLEX_4, (1, 1, 1, 1), [])
 @example(_SIMPLEX_4, (2, 0, 0, 0), [])  # on the line of an edge
+# in the hyperplanes of the facets x3, x4 >= 0; each old vertex is on the
+# facet x1 >= 0 or x2 >= 0 too, beneath p, and stays
+@example(_SIMPLEX_4, (1, 1, 0, 0), [])
+# in the hyperplanes of x2, x3, x4 >= 0: (1, 1, 0, 0) is on x2 <= 1 too,
+# beneath p, and stays; (1, 0, 0, 0) is on them and on x1 <= 1 only, which
+# sees p, and goes
+@example(_CUBE_4, (2, 0, 0, 0), [])
 def test_extend_is_the_hull_of_a_closed_set_in_z4_plus_point(points, p, extra):
     # every affine dimension of a closed set in Z^4, from a point up
     check_one_step(points, p, extra)
