@@ -18,19 +18,26 @@ top polygons that contain every class of one family up to equivalence:
     the edge lines of Q moved out by lattice distance 1 (Koelman).
     Q^(-1) is the top, when its vertices are lattice points.
 
-From each top one vertex is dropped at a time (the hull of the
-remaining lattice points) while Pick's formula still gives i, so every
-polygon of the family below the top is reached; classes are
-deduplicated by canonical form and only new ones descended from.
-conv(int P) is a unimodular invariant, so the families share no class
-and their shards run independently.  Pick's formula (shoelace area and
-edge gcds) gives every class its counts, and the same O(v) edge pass
-validates every class loaded from the cache.  A loaded class is not
-re-canonicalized: its stored cycle is checked to be no larger than any
-of its 2v anchored images and equal to one of them, and the doubled
-area from that edge pass lets the check skip every edge whose two
-images an area bound puts above the stored cycle's least x.  The tests hold the
-enumeration against the row search that first wrote the census files.
+From each distinct top hull one vertex is dropped at a time (the hull
+of the remaining lattice points) while Pick's formula still gives i, so
+every polygon of the family below the top is reached; classes are
+deduplicated by canonical form and only new ones descended from.  A
+drop changes only the chain between the vertex's neighbours, where the
+hull of the other lattice points of the triangle they span with it is
+spliced in (_vertex_drop); row intervals scan a smaller triangle at the
+vertex, only when Pick counts interior points in it.  The child's
+doubled area and boundary count follow from the parent's and that
+chain, so a child with another interior count is never built, and the
+canonical form uses the doubled area to skip edges.  conv(int P) is a
+unimodular invariant, so the families share no class and their shards
+run independently.  Pick's formula (shoelace area and edge gcds) gives
+each top its counts, and the same O(v) edge pass validates every class
+loaded from the cache.  A loaded class is not re-canonicalized: its
+stored cycle is checked to be no larger than any of its 2v anchored
+images and equal to one of them, and the doubled area from that edge
+pass lets the check skip every edge whose two images an area bound
+puts above the stored cycle's least x.  The tests hold the enumeration
+against the row search that first wrote the census files.
 
 Lattice width needs no search.  A polygon with an interior lattice point
 has width >= 2: width 1 would put it in a strip a <= u.x <= a + 1, whose
@@ -243,48 +250,111 @@ def _moved_out(q: tuple) -> Optional[tuple]:
     return _hull_cycle_2d(points)
 
 
-def _drop_vertex(cycle: tuple, j: int) -> tuple:
-    """Hull cycle of the lattice points of a polygon other than vertex j.
+def _vertex_drop(cycle: tuple, j: int, twice_area: int, boundary: int) -> tuple:
+    """(2A', B', chain) for the polygon cycle with vertex j dropped: the
+    hull of its lattice points other than that vertex.
 
-    They are the other vertices and the lattice points of the triangle
-    that vertex j spans with its two neighbours.
+    twice_area and boundary are the cycle's doubled area 2A and boundary
+    lattice point count B.  Only the part inside the triangle T that
+    vertex v = cycle[j] spans with its neighbours u and w changes: chain
+    is the u..w chain, counterclockwise, of the hull of the lattice
+    points of T other than v.  It replaces u, v, w; u and w stay
+    vertices, since the turn at each only grows.
+
+    Let p1 and p2 be the lattice points next to v on its edges from u and
+    to w, whose lattice lengths are g1 and g2.  T is the union of the
+    quadrilateral u, p1, p2, w, which lies in the hull, and the triangle
+    t = (p1, v, p2), whose edges at v are primitive.  So the chain is u,
+    the p1..p2 chain of the hull of p1, p2 and the interior points of t,
+    then w, with p1 = u or p2 = w left out.  By Pick, t has
+    (det(v - u, w - u) / (g1 g2) - gcd(p2 - p1)) / 2 interior points, and
+    they are scanned by row intervals only when there are any.
+
+    So 2A' = 2A - det(v - u, w - u) + the doubled area between the chord
+    uw and the chain, and B' = B - g1 - g2 + the chain's gcds, before any
+    child cycle is made (_splice).  When the cycle is a triangle and the
+    chain its chord uw, the child is the segment uw, with 2A' = 0.
     """
-    (ux, uy), (vx, vy), (wx, wy) = cycle[j - 1], cycle[j], cycle[(j + 1) % len(cycle)]
-    points = [p for k, p in enumerate(cycle) if k != j]
-    for x in range(min(ux, vx, wx), max(ux, vx, wx) + 1):
-        for y in range(min(uy, vy, wy), max(uy, vy, wy) + 1):
-            if (
-                (vx - ux) * (y - uy) >= (vy - uy) * (x - ux)
-                and (wx - vx) * (y - vy) >= (wy - vy) * (x - vx)
-                and (ux - wx) * (y - wy) >= (uy - wy) * (x - wx)
-                and (x, y) != (vx, vy)
-            ):
-                points.append((x, y))
-    return _hull_cycle_2d(points)
+    u, v, w = cycle[j - 1], cycle[j], cycle[(j + 1) % len(cycle)]
+    (ux, uy), (vx, vy), (wx, wy) = u, v, w
+    det = (vx - ux) * (wy - uy) - (vy - uy) * (wx - ux)
+    g1, g2 = gcd(vx - ux, vy - uy), gcd(wx - vx, wy - vy)
+    p1 = (vx - (vx - ux) // g1, vy - (vy - uy) // g1)
+    p2 = (vx + (wx - vx) // g2, vy + (wy - vy) // g2)
+    (ax, ay), (bx, by) = p1, p2
+    inner = (p1, p2)
+    if det // (g1 * g2) > gcd(bx - ax, by - ay):
+        # strictly left of each edge of the counterclockwise triangle t
+        facets = [
+            ((qy - py, px - qx), (qy - py) * px + (px - qx) * py)
+            for (px, py), (qx, qy) in ((p1, v), (v, p2), (p2, p1))
+        ]
+        # t's interior points lie strictly inside its bounding box
+        box = (
+            (min(ax, vx, bx) + 1, max(ax, vx, bx) - 1),
+            (min(ay, vy, by) + 1, max(ay, vy, by) - 1),
+        )
+        points = [p1, p2]
+        for (x,), _, _, slo, shi in _row_intervals(box, facets):
+            if slo <= shi:
+                points += ((x, slo), (x, shi))
+        hull = _hull_cycle_2d(points)
+        k = hull.index(p1)
+        hull = hull[k:] + hull[:k]
+        inner = hull[: hull.index(p2) + 1]
+    # p1 = u exactly when g1 = 1, and p2 = w when g2 = 1
+    chain = (u,) * (g1 > 1) + inner + (w,) * (g2 > 1)
+    twice_area -= det
+    boundary -= g1 + g2
+    px, py = u
+    for qx, qy in chain[1:]:
+        twice_area += (px - ux) * (qy - uy) - (py - uy) * (qx - ux)
+        boundary += gcd(qx - px, qy - py)
+        px, py = qx, qy
+    return twice_area, boundary, chain
+
+
+def _splice(cycle: tuple, j: int, chain: tuple) -> tuple:
+    """The cycle with vertex j replaced by the inner points of chain, from
+    its successor on; canonical_form_2d reads a cycle from any vertex."""
+    return cycle[j + 1 :] + cycle[:j] + chain[1:-1]
 
 
 def _descend(shard: tuple) -> list:
-    """Every class with i interior points inside one of the top polygons.
+    """Every class with i >= 1 interior points inside one of the top
+    polygons.
 
-    From each top, one vertex is dropped at a time (the hull of the
-    remaining lattice points) while Pick's formula still gives i; classes
-    are deduplicated by canonical form, and only new ones are descended
-    from, since an equivalence maps the descendants of one polygon onto
-    those of the other.
+    From each distinct top hull, one vertex is dropped at a time
+    (_vertex_drop: the hull of the remaining lattice points, spliced in
+    locally) while Pick's formula on the child's counts, taken from the
+    parent's and the new chain, still gives i; a child with another count
+    is never built, and a segment child has count 1 - gcd <= 0.  Classes
+    are deduplicated by canonical form, which the doubled area speeds up,
+    and only new ones are descended from, since an equivalence maps the
+    descendants of one polygon onto those of the other.  2A and B are
+    unimodular invariants, so each class takes its counts from the child
+    it was first reached as.
     """
     i, tops = shard
     found: dict = {}
-    stack = [_hull_cycle_2d(top) for top in tops]
-    while stack:
-        cycle = stack.pop()
+    stack = []
+    for cycle in dict.fromkeys(map(_hull_cycle_2d, tops)):
         counts = _hull_pick_counts(cycle)
-        if counts is None or counts[0] != i:
-            continue
-        canon = canonical_form_2d(cycle)
+        if counts is not None and counts[0] == i:
+            boundary = counts[1] + len(cycle)
+            # Pick: 2A = 2I + B - 2
+            stack.append((cycle, 2 * i + boundary - 2, boundary))
+    while stack:
+        cycle, twice_area, boundary = stack.pop()
+        canon = canonical_form_2d(cycle, twice_area)
         if canon in found:
             continue
-        found[canon] = CensusClass(vertices=canon, interior=i, boundary=counts[1])
-        stack.extend(_drop_vertex(canon, j) for j in range(len(canon)))
+        found[canon] = CensusClass(vertices=canon, interior=i, boundary=boundary - len(canon))
+        for j in range(len(canon)):
+            area, b, chain = _vertex_drop(canon, j, twice_area, boundary)
+            # Pick: 2I = 2A - B + 2
+            if area - b + 2 == 2 * i:
+                stack.append((_splice(canon, j, chain), area, b))
     return list(found.values())
 
 

@@ -25,7 +25,9 @@ built, or walked, only when its least x ties.  The load-time check
 a tuple of it, every image whose least x exceeds that of the stored
 cycle, and never walks the identity image, which equals the cycle.
 Given the cycle's doubled area, it also skips every edge whose two
-images an area bound puts above that x, before their maps are made.
+images an area bound puts above that x, before their maps are made;
+the canonical form skips by the same bound, with the least x found so
+far in place of the stored cycle's.
 """
 
 from __future__ import annotations
@@ -666,10 +668,18 @@ def _anchored_leads(
     skipped when H (g - bound) > 2A.  twice_area must be the cycle's own
     doubled area: a smaller value could skip an image whose least x is
     at most bound, a larger one only skips less.
+
+    Given twice_area and no bound, the bound is the least x yielded so
+    far (canonical_form_2d), starting from 0, the anchor's x, which no
+    image's least x exceeds.  The yielded least x then never rises, and
+    every image at the least x of all is yielded.
     """
     m = len(cycle)
     X = [x for x, _ in cycle] * 2
     Y = [y for _, y in cycle] * 2
+    running = bound is None and twice_area is not None
+    if running:
+        bound = 0
     j = 1
     for i in range(m):
         ox, oy, nx, ny = X[i], Y[i], X[i + 1], Y[i + 1]
@@ -696,6 +706,8 @@ def _anchored_leads(
         while k > jr and (x := A * X[k - 1] + B * Y[k - 1] + C) < low:
             low, k = x, k - 1
         if bound is None or low <= bound:
+            if running:
+                bound = low
             yield low, k % m, 1, A, B, C, -py, px, f
         s = -((g - a * (X[jr] - ox) - b * (Y[jr] - oy)) // top)
         A, B = -a - s * py, -b + s * px
@@ -705,23 +717,28 @@ def _anchored_leads(
         while k < j and (x := A * X[k + 1] + B * Y[k + 1] + C) < low:
             low, k = x, k + 1
         if bound is None or low <= bound:
+            if running:
+                bound = low
             yield low, k % m, -1, A, B, C, -py, px, f
 
 
-def canonical_form_2d(cycle: Sequence[Point]) -> tuple:
+def canonical_form_2d(cycle: Sequence[Point], twice_area: Optional[int] = None) -> tuple:
     """Canonical vertex cycle under unimodular (det +-1) maps and translations.
 
     cycle is the counterclockwise vertex cycle of a lattice polygon, such
-    as convex_hull(points).vertices.  Two polygons are equivalent iff
-    their canonical cycles are equal.  The canonical cycle is the least,
-    over every anchored directed edge and both orientations, of the
-    shear-normalized image (_anchored_leads) read from its lex-min
-    vertex, so it is a hull cycle as well; only the images at the least
-    x of all are built.
+    as convex_hull(points).vertices, from any of its vertices.  Two
+    polygons are equivalent iff their canonical cycles are equal.  The
+    canonical cycle is the least, over every anchored directed edge and
+    both orientations, of the shear-normalized image (_anchored_leads)
+    read from its lex-min vertex, so it is a hull cycle as well; only the
+    images at the least x of all are built.  Given the cycle's doubled
+    area, the calipers pass skips every edge whose two images the area
+    bound puts above the least x found so far.  A twice_area below the
+    true one could skip the least image; a larger one only skips less.
     """
     if len(cycle) < 3:
         raise DegenerateInputError("canonical form needs a full-dimensional polygon in Z^2")
-    images = list(_anchored_leads(cycle))
+    images = list(_anchored_leads(cycle, None, twice_area))
     least = min(image[0] for image in images)
     best = None
     for low, lead, step, A, B, C, D, E, F in images:

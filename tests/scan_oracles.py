@@ -1,7 +1,7 @@
 """Scans and small solvers that the tests use as oracles for exact point
 counts, membership, closures, closed sets of a site, affine charts,
-lattice width, the planar canonical form and the lattice points of a
-rational segment.
+lattice width, the planar canonical form, a polygon less one vertex and
+the lattice points of a rational segment.
 
 Each point scan tests every lattice point of a bounding box against
 every inequality, with no interval arithmetic, so it is slow but plainly
@@ -12,8 +12,11 @@ The anchored images are built in full, every vertex of every one,
 without the calipers, the left-chain bound or the area bound of
 lattice._anchored_leads.
 The closed sets of a finite site are grown with one convex_hull per
-extension, where the engine carries facets or line masks.  The segment
-oracle works in Fractions, where the package scales to integers.
+extension, where the engine carries facets or line masks.  A polygon
+less one vertex is the whole hull of the box scan of the vertex's
+triangle and the other vertices, where the census descent splices in
+one chain.  The segment oracle works in Fractions, where the package
+scales to integers.
 """
 
 from __future__ import annotations
@@ -23,7 +26,14 @@ from fractions import Fraction
 from math import ceil, floor, gcd, lcm
 from typing import Iterator, Optional, Sequence
 
-from qhelly.lattice import Point, _xgcd, convex_hull, integer_kernel_basis, site_mask
+from qhelly.lattice import (
+    Point,
+    _hull_cycle_2d,
+    _xgcd,
+    convex_hull,
+    integer_kernel_basis,
+    site_mask,
+)
 
 
 def solve_rational(rows: Sequence[Sequence], rhs: Sequence) -> Optional[list[Fraction]]:
@@ -300,3 +310,23 @@ def _anchored_images(cycle: Sequence[Point]) -> Iterator[tuple[list, list]]:
             b += shear * d
             t = a * ox + b * oy
             yield [a * x + b * y - t for x, y in seq], ys
+
+
+def _drop_vertex(cycle: tuple, j: int) -> tuple:
+    """Hull cycle of the lattice points of a polygon other than vertex j.
+
+    They are the other vertices and the lattice points of the triangle
+    that vertex j spans with its two neighbours.
+    """
+    (ux, uy), (vx, vy), (wx, wy) = cycle[j - 1], cycle[j], cycle[(j + 1) % len(cycle)]
+    points = [p for k, p in enumerate(cycle) if k != j]
+    for x in range(min(ux, vx, wx), max(ux, vx, wx) + 1):
+        for y in range(min(uy, vy, wy), max(uy, vy, wy) + 1):
+            if (
+                (vx - ux) * (y - uy) >= (vy - uy) * (x - ux)
+                and (wx - vx) * (y - vy) >= (wy - vy) * (x - vx)
+                and (ux - wx) * (y - wy) >= (uy - wy) * (x - wx)
+                and (x, y) != (vx, vy)
+            ):
+                points.append((x, y))
+    return _hull_cycle_2d(points)

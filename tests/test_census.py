@@ -26,7 +26,9 @@ from qhelly.census import (
     _has_width_two,
     _hull_pick_counts,
     _moved_out,
+    _splice,
     _strict_interior_lattice_points,
+    _vertex_drop,
     c_z2_profile,
     certified_box_bound,
     enumerate_polygon_classes,
@@ -37,7 +39,7 @@ from qhelly.census import (
     width1_trapezoid,
 )
 from qhelly.constants import Enclosure
-from qhelly.engine import g_profile
+from qhelly.engine import enumerate_convex_subsets, g_profile
 from qhelly.errors import (
     BudgetExceededError,
     CacheCorruptError,
@@ -61,6 +63,7 @@ from profile_oracles import unrolled_c
 from row_dfs_oracle import row_dfs_classes
 from scan_oracles import (
     _anchored_images,
+    _drop_vertex,
     box_census,
     census_tuple,
     edge_relint_lattice_point,
@@ -121,6 +124,65 @@ def test_enumeration_matches_row_dfs_oracle():
     buckets = enumerate_polygon_classes(5)
     for i in range(6):
         assert buckets[i] == oracle[i], f"interior {i}"
+
+
+_SMALL = st.integers(-12, 12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_SMALL, _SMALL), min_size=3, max_size=12))
+@example([(0, 0), (5, 1), (1, 4)])  # a triangle parent with interior points
+@example([(0, 0), (1, 0), (0, 1)])  # every chain is the chord, every child a segment
+@example([(0, 0), (1, 0), (1, 1), (0, 1)])  # every chain is the chord of a square
+# a drop at the lex-min vertex, where a chain point becomes the lex-min
+@example([(0, 0), (4, 0), (0, 4)])
+# drops next to the lex-min vertex (-1, 3), both with a triangle to scan
+@example([(0, 0), (6, 1), (7, 3), (2, 5), (-1, 3)])
+def test_local_vertex_drop_is_the_hull_of_the_remaining_points(points):
+    # the spliced chain, read from the lex-min vertex, is the oracle's hull of
+    # the lattice points left after the drop, and the counts derived from the
+    # chain are the child's Pick counts, so the descent accepts the child
+    # exactly when its Pick count is right
+    cycle = _hull_cycle_2d(points)
+    assume(len(cycle) >= 3)
+    interior, nonvertex = _hull_pick_counts(cycle)
+    boundary = nonvertex + len(cycle)
+    twice_area = 2 * interior + boundary - 2
+    for j in range(len(cycle)):
+        area, b, chain = _vertex_drop(cycle, j, twice_area, boundary)
+        child = _splice(cycle, j, chain)
+        lead = child.index(min(child))
+        expected = _drop_vertex(cycle, j)
+        assert child[lead:] + child[:lead] == expected
+        if len(child) < 3:
+            assert area == 0
+            continue
+        assert _hull_pick_counts(expected) == ((area - b + 2) // 2, b - len(child))
+        # the descent canonicalizes the child as spliced, from w on
+        assert canonical_form_2d(child, area) == canonical_form_2d(expected)
+
+
+def test_box_closed_sets_are_census_classes():
+    # closed sets of the 7x4 box, from the finite-site engine, a route that
+    # shares no code with the descent: every hull of width >= 2 with at most
+    # 10 interior points is a stored class, and the box holds every class
+    # with at most 2 interior points
+    golden = []
+    for i in range(len(PUBLISHED_CLASS_COUNTS)):
+        text = (DEVCACHE / f"interior_{i:02d}.census").read_text()
+        golden.append({cls.vertices for cls in parse_census_file(text).classes})
+    site = FiniteSite.grid(7, 4)
+    hulls = {_hull_cycle_2d(site.points_of(v)) for v in enumerate_convex_subsets(site).values()}
+    found = [set() for _ in golden]
+    for cycle in hulls:
+        if len(cycle) < 3:
+            continue
+        interior, _ = _hull_pick_counts(cycle)
+        canon = canonical_form_2d(cycle)
+        if interior < len(golden) and _has_width_two(interior, canon):
+            assert canon in golden[interior]
+            found[interior].add(canon)
+    assert [len(classes) for classes in found[:3]] == list(PUBLISHED_CLASS_COUNTS[:3])
 
 
 def _moved_half_planes(q) -> list:
@@ -622,6 +684,7 @@ def test_canonical_form_is_the_least_oracle_image(points):
     area = _twice_area(cycle)
     for image in images | {cycle}:
         assert canonical_form_2d(image) == least
+        assert canonical_form_2d(image, area) == least
         assert is_canonical_cycle_2d(image, area) == (image == least)
 
 
@@ -674,6 +737,14 @@ def test_anchored_leads_describe_the_oracle_images(points, bound):
         bounded = [im for im in leads if im[0] <= b]
         assert list(_anchored_leads(cycle, b)) == bounded
         assert list(_anchored_leads(cycle, b, area)) == bounded
+    # with the area and no bound, the bound is the least x so far: the yields
+    # are images in the unbounded order, their least x never rises, and they
+    # hold every image at the least x of all
+    running = list(_anchored_leads(cycle, None, area))
+    assert all(a[0] >= b[0] for a, b in zip(running, running[1:]))
+    assert [im for im in leads if im in running] == running
+    least = min(im[0] for im in leads)
+    assert [im for im in running if im[0] == least] == [im for im in leads if im[0] == least]
 
 
 def test_validation_rejects_width_one_polygons():
