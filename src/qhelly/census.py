@@ -122,7 +122,12 @@ def certified_box_bound(i_max: int) -> int:
 
 
 class CensusClass(NamedTuple):
-    """One equivalence class of lattice polygons, canonically embedded."""
+    """A lattice polygon, by its vertices and its interior and non-vertex
+    boundary point counts.
+
+    A census class holds the canonical form of its unimodular class; the
+    width-1 trapezoids of the planar profile hold a fixed embedding.
+    """
 
     vertices: tuple
     interior: int
@@ -666,30 +671,21 @@ class CensusStore:
 # the counting profile of the planar lattice
 
 
-class Width1Witness(NamedTuple):
-    """Trapezoid between two adjacent lattice lines.
+def width1_trapezoid(k: int) -> CensusClass:
+    """A trapezoid between two adjacent lattice lines with k non-vertex
+    points, all on its long edge.
 
     Width-1 polygons form infinitely many classes per interior count, so
     they are kept out of the cache; for every k >= 0 the family reaches
     vertex count 4 with exactly k non-vertex points and never more.
     """
-
-    nonvertex: int
-    vertices: tuple
-
-    @property
-    def vertex_count(self) -> int:
-        return len(self.vertices)
-
-
-def width1_trapezoid(k: int) -> Width1Witness:
     if k < 0:
         raise ValueError("non-vertex count must be nonnegative")
     if k == 0:
         verts = ((0, 0), (1, 0), (1, 1), (0, 1))
     else:
         verts = ((0, 0), (k + 1, 0), (1, 1), (0, 1))
-    return Width1Witness(nonvertex=k, vertices=verts)
+    return CensusClass(vertices=verts, interior=0, boundary=k)
 
 
 def _require_complete(store: CensusStore, k_max: int) -> None:

@@ -26,9 +26,9 @@ three; `witness` runs `witnesses` and `lattice`; `constants` runs
 
 Profile-emitting commands support csv, json and svg output.  Identical
 configurations give byte-identical csv/json, and svg identical up to
-the version comment.  Negative infinity prints as `-inf` in csv and
-null in json.  Exit codes: 0 all checks pass, 1 verification failure
-or finding, 2 usage error.
+the version comment.  A k with no value (None in the profile) prints
+as `-inf` in csv and null in json.  Exit codes: 0 all checks pass, 1
+verification failure or finding, 2 usage error.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from typing import Optional, Sequence
 
 from . import __version__
 from .errors import OutputError, QhellyError
-from .extint import is_finite, to_csv, to_json
+from .extint import to_csv
 
 
 def _lazy(name: str) -> types.ModuleType:
@@ -143,8 +143,8 @@ def render_json(profile) -> str:
     payload = {
         "site": profile.label,
         "k_max": profile.k_max,
-        "g": [to_json(v) for v in profile.g],
-        "c": [to_json(v) for v in profile.c],
+        "g": profile.g,
+        "c": profile.c,
         "witnesses": [_witness_points(w) for w in profile.witnesses],
     }
     drops = getattr(profile, "drops", None)
@@ -155,7 +155,7 @@ def render_json(profile) -> str:
 
 def render_svg(profile) -> str:
     """Step plot of the c column: integer axes, one polyline, labeled ticks."""
-    ks = [k for k in range(profile.k_max + 1) if is_finite(profile.c[k])]
+    ks = [k for k in range(profile.k_max + 1) if profile.c[k] is not None]
     values = [profile.c[k] for k in ks]
     if not values:
         raise UsageError("nothing to plot: no finite c values")

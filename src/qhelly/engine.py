@@ -22,10 +22,13 @@ full-dimensional.
 
 A site of affine dimension at most 2 is enumerated on indices alone.
 One table holds, for each ordered pair of points, the mask of the site
-on or left of the line through them.  A hull is a point, a segment or a
-counterclockwise cycle of indices; its closed set is the AND of its
-edges' line masks, and a point p outside a polygon is spliced into its
-cycle in place of the chain of edges that see p (beneath-beyond).
+on or left of the line through them.  A hull is a counterclockwise
+cycle of indices from its least point, with one edge for a point and two
+for a segment.  A point p outside a closed set's hull is spliced into
+its cycle in place of the chain of edges that see p (beneath-beyond),
+and the closed set of the new hull is the AND of its edges' line masks,
+cut to the indices from its least point to p when the old hull is a
+point or a segment.
 
 A site of affine dimension 3 to 5 carries each closed set with the
 integer equalities of its affine hull and its facets relative to that
@@ -42,8 +45,10 @@ picks each witness as it goes; only the winning witnesses are hulled,
 in the site's own coordinates.
 
 c comes from the stepwise recursion over the g profile
-(extint.c_from_g).  The tests hold it against a second, independent
-route: direct maximization over the enumerated closed sets.
+(extint.c_from_g).  g[k] is None where no closed set has k nonvertex
+points, and c[k] is None where k exceeds the site's size.  The tests
+hold c against a second, independent route: direct maximization over
+the enumerated closed sets.
 """
 
 from __future__ import annotations
@@ -54,7 +59,7 @@ from operator import and_
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import BudgetExceededError, FrozenRecord, UnsupportedDimensionError
-from .extint import NEG_INF, ExtInt, c_from_g, is_finite
+from .extint import c_from_g
 from .lattice import (
     _HULL_DIM_LIMIT,
     FiniteSite,
@@ -111,10 +116,11 @@ def _seen_chain(back: Sequence[int], j: int) -> tuple[int, int]:
 
     Edge e runs from cycle[e] to cycle[e + 1], cyclically, and back[e] is
     the line mask on or right of it; an edge sees j when j is on or right
-    of its line.  j must lie strictly outside the polygon and above its
+    of its line.  j must lie outside the closed set and above its
     vertices in index (lexicographic) order.  The edges that see j then
-    form one chain, which cannot hold both edges at cycle[0]: that vertex
-    is the least of cycle + j, so it stays a vertex.  Hence 0 <= s < t <=
+    form one chain, which holds both edges at cycle[0] only when they are
+    all the edges, of a point or a segment: cycle[0] is the least of
+    cycle + j, so it stays a vertex.  Hence 0 <= s < t <=
     len(cycle), and the hull cycle of cycle + j, still from cycle[0], is
     cycle[:s + 1] + (j,) + cycle[t:]: j takes the place of the chain's
     inner vertices.  A vertex on the segment from j to its neighbour sees
@@ -130,47 +136,34 @@ def _planar_closed_sets(xy: Sequence[tuple]) -> dict:
     A stack entry is a closed set, its hull's vertex cycle, and the line
     masks of the cycle's edges: edge e runs from cycle[e] to cycle[e + 1]
     (cyclically), fwd[e] is the mask on or left of it and back[e] the mask
-    on or right of it.  For a point or a segment both lists are empty.
+    on or right of it.  A point i is the one-edge cycle (i,), with full masks.
     """
     n = len(xy)
     full = (1 << n) - 1
     left = _line_masks(xy)
     found = {1 << i: 1 << i for i in range(n)}
-    stack = [(1 << i, (i,), [], []) for i in range(n)]
+    stack = [(1 << i, (i,), [full], [full]) for i in range(n)]
     while stack:
         cur, hull, fwd, back = stack.pop()
-        if fwd:
-            # head[s]: the AND over edges 0..s-1, tail[t]: over edges t..
-            head = [full, *accumulate(fwd, and_)]
-            tail = [*accumulate(reversed(fwd), and_)][::-1] + [full]
+        # head[s]: the AND over edges 0..s-1, tail[t]: over edges t..
+        head = [full, *accumulate(fwd, and_)]
+        tail = [*accumulate(reversed(fwd), and_)][::-1] + [full]
         for j in range(cur.bit_length(), n):
             # the child is kept only when it is closed itself
             target = cur | 1 << j
-            if fwd:
-                # j is not in the closed set, so strictly outside its polygon
-                s, t = _seen_chain(back, j)
-                a, b = hull[s], hull[t % len(hull)]
-                into, out = left[a * n + j], left[j * n + b]
-                if head[s] & tail[t] & into & out != target:
-                    continue
-                cycle = hull[: s + 1] + (j,) + hull[t:]
-                new_fwd = fwd[:s] + [into, out] + fwd[t:]
-                new_back = back[:s] + [left[j * n + a], left[b * n + j]] + back[t:]
-            else:
-                # a point a is the segment (a, a), whose line masks are full
-                a, b = hull[0], hull[-1]
-                if (left[a * n + b] & left[b * n + a]) >> j & 1:
-                    # collinear site points are monotone in index order
-                    if left[a * n + j] & left[j * n + a] & ((2 << j) - (1 << a)) != target:
-                        continue
-                    cycle, new_fwd, new_back = (a, j), [], []
-                else:
-                    cycle = (a, b, j) if left[a * n + b] >> j & 1 else (a, j, b)
-                    ring = cycle[1:] + cycle[:1]
-                    new_fwd = [left[v * n + w] for v, w in zip(cycle, ring)]
-                    if new_fwd[0] & new_fwd[1] & new_fwd[2] != target:
-                        continue
-                    new_back = [left[w * n + v] for v, w in zip(cycle, ring)]
+            s, t = _seen_chain(back, j)
+            a, b = hull[s], hull[t % len(hull)]
+            into, out = left[a * n + j], left[j * n + b]
+            closed = head[s] & tail[t] & into & out
+            if len(hull) < 3:
+                # a segment's line masks leave its whole line; the closed
+                # set lies between indices hull[0] and j
+                closed &= (2 << j) - (1 << hull[0])
+            if closed != target:
+                continue
+            cycle = hull[: s + 1] + (j,) + hull[t:]
+            new_fwd = fwd[:s] + [into, out] + fwd[t:]
+            new_back = back[:s] + [left[j * n + a], left[b * n + j]] + back[t:]
             vmask = 0
             for v in cycle:
                 vmask |= 1 << v
@@ -332,13 +325,15 @@ def enumerate_convex_subsets(site: FiniteSite) -> dict:
 
     A site is read on the coordinates _kept_coordinates keeps, which map
     it one to one and in order.  A site of affine dimension at most 2 is
-    enumerated on indices alone: V(C) is a point, a segment or a
-    counterclockwise index cycle from its lexicographic minimum, and a
-    closed set is the AND of the line masks of its edges (_line_masks,
-    built once per site).  p is not in C, so it lies strictly outside
-    C's polygon: its hull cycle is C's with the chain of edges that see
-    p spliced out.  A point plus p is a segment; a segment plus p is a
-    longer segment or a triangle.
+    enumerated on indices alone: V(C) is a counterclockwise index cycle
+    from its lexicographic minimum, and a closed set is the AND of the
+    line masks of its edges (_line_masks, built once per site).  p is not in C, so it lies outside C's hull:
+    its hull cycle is C's with the chain of edges that see p spliced out.
+    A point is a one-edge cycle and a segment a two-edge one, so the same
+    splice makes a point plus p a segment, and a segment plus p a longer
+    segment or a triangle.  Collinear site points are monotone in index
+    order, so a point's or a segment's closed set is cut to the indices
+    from C's least to p.
 
     A site of affine dimension 3 to 5 carries each closed set with the
     equalities of its affine hull and its facets relative to that hull;
@@ -367,8 +362,10 @@ def enumerate_convex_subsets(site: FiniteSite) -> dict:
 class SiteProfile(FrozenRecord):
     """g and c values of a finite site for k = 0..k_max, plus witnesses.
 
-    witnesses[k] is the vertex tuple of a polytope attaining g[k] (None
-    when g[k] is NEG_INF).
+    g[k] and c[k] are Optional[int]: None where no polytope with vertices
+    in the site has k nonvertex points (g) or where k exceeds the site's
+    size (c).  witnesses[k] is the vertex tuple of a polytope attaining
+    g[k] (None when g[k] is None).
     """
 
     __slots__ = ("label", "k_max", "g", "c", "witnesses")
@@ -397,7 +394,8 @@ def g_profile(
         k_max = len(site)
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
-    g: list[ExtInt] = [NEG_INF] * (k_max + 1)
+    # 0 stands for "no closed set yet": every closed set has a vertex
+    g = [0] * (k_max + 1)
     best: list = [None] * (k_max + 1)
     for closed, verts in enumerate_convex_subsets(site).items():
         nvert = verts.bit_count()
@@ -416,11 +414,12 @@ def g_profile(
             poly = convex_hull(site.points_of(closed))
             assert site_mask(poly, site) == closed and len(poly.vertices) == g[k]
             wit[k] = poly.vertices
+    g_vals = tuple(v or None for v in g)
     return SiteProfile(
         label=label or site.describe(),
         k_max=k_max,
-        g=tuple(g),
-        c=c_from_g(g, len(site), k_max),
+        g=g_vals,
+        c=c_from_g(g_vals, len(site), k_max),
         witnesses=tuple(wit),
     )
 
@@ -433,14 +432,14 @@ class BoundCheck(NamedTuple):
     k: int
     name: str
     bound: int
-    value: ExtInt
+    value: Optional[int]
     satisfied: bool
     equality: bool
 
 
 class BoundReport(NamedTuple):
     label: str
-    h: ExtInt
+    h: Optional[int]
     checks: tuple
 
     @property
@@ -455,7 +454,7 @@ def _ceil_div(a: int, b: int) -> int:
 def audit_bounds(
     label: str,
     ambient_dim: int,
-    c_values: Sequence[ExtInt],
+    c_values: Sequence[Optional[int]],
 ) -> BoundReport:
     """Check c against the known upper bounds.
 
@@ -463,21 +462,21 @@ def audit_bounds(
     linear:      (k+1) * h;
     two_thirds:  ceil(2(k+1)/3) * (2^n - 2) + 2,
     power:       (k+2)^n.
-    NEG_INF values satisfy everything vacuously.
+    None values satisfy everything vacuously.
     """
     h = c_values[0]
     checks: list[BoundCheck] = []
     n = ambient_dim
     for k, val in enumerate(c_values):
         entries: list[tuple[str, int]] = []
-        if is_finite(h):
+        if h is not None:
             if h >= 2:
                 entries.append(("paired_step", ((k + 1) // 2) * (h - 2) + h))
             entries.append(("linear", (k + 1) * h))
         entries.append(("two_thirds", _ceil_div(2 * (k + 1), 3) * (2 ** n - 2) + 2))
         entries.append(("power", (k + 2) ** n))
         for name, bound in entries:
-            ok = (not is_finite(val)) or val <= bound
-            eq = is_finite(val) and val == bound
+            ok = val is None or val <= bound
+            eq = val == bound
             checks.append(BoundCheck(k, name, bound, val, ok, eq))
     return BoundReport(label=label, h=h, checks=tuple(checks))

@@ -1,123 +1,40 @@
-"""Integers extended by a single negative infinity, and shared integer helpers.
+"""The profile values and the integer helpers that two layers share.
 
-Several counting functions here take the value "no polytope qualifies",
-which must compare below every integer, survive max() unchanged, and
-absorb addition.  Floats are not acceptable carriers (they compare equal
-to large ints inexactly and leak into exact arithmetic), so the sentinel
-is its own type.  c_from_g (the stepwise c recursion of the site and
-planar profiles) and integer_root (the exact root of the witnesses and
-the constant chains) live here too, so each command loads only its layers.
+g(S, k) has no value at a k that no polytope with vertices in S reaches,
+and c(S, k) none beyond the size of S.  Such a value is None, which
+to_csv writes as -inf and json as null; None is below every int in the
+c recursion.  c_from_g (the stepwise c recursion of the site and planar
+profiles) and integer_root (the exact root of the witnesses and the
+constant chains) live here, so each command loads only its layers.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence, Union
+from typing import Optional, Sequence
 
 
-class NegInfinity:
-    """The unique value below every int.  Compare, max and add freely."""
-
-    __slots__ = ()
-    _instance = None
-
-    def __new__(cls) -> "NegInfinity":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "NEG_INF"
-
-    def __eq__(self, other: object) -> bool:
-        return other is self
-
-    def __hash__(self) -> int:
-        return hash("qhelly.NEG_INF")
-
-    # NEG_INF is strictly below every int; int's reflected comparisons
-    # delegate here, so int-on-the-left works too.
-    def __lt__(self, other: object) -> bool:
-        if isinstance(other, (int, NegInfinity)):
-            return other is not self
-        return NotImplemented
-
-    def __le__(self, other: object) -> bool:
-        if isinstance(other, (int, NegInfinity)):
-            return True
-        return NotImplemented
-
-    def __gt__(self, other: object) -> bool:
-        if isinstance(other, (int, NegInfinity)):
-            return False
-        return NotImplemented
-
-    def __ge__(self, other: object) -> bool:
-        if isinstance(other, (int, NegInfinity)):
-            return other is self
-        return NotImplemented
-
-    def __add__(self, other: object) -> "NegInfinity":
-        if isinstance(other, (int, NegInfinity)):
-            return self
-        return NotImplemented
-
-    __radd__ = __add__
-
-    def __sub__(self, other: object) -> "NegInfinity":
-        if isinstance(other, int):
-            return self
-        return NotImplemented
-
-    def __neg__(self) -> "NegInfinity":
-        raise ArithmeticError("positive infinity is not representable")
+def to_csv(value: Optional[int]) -> str:
+    """CSV carrier: the literal token -inf encodes None."""
+    return "-inf" if value is None else str(value)
 
 
-NEG_INF = NegInfinity()
+def c_from_g(g: Sequence[Optional[int]], site_size: int, k_max: int) -> tuple:
+    """Stepwise recursion: c[0] = g[0], c[k] = max(c[k-1] - 1, g[k]),
+    where None is below every int.
 
-ExtInt = Union[int, NegInfinity]
-
-
-def is_finite(value: ExtInt) -> bool:
-    return isinstance(value, int)
-
-
-def ext_max(values: Iterable[ExtInt]) -> ExtInt:
-    """max() with NEG_INF as the identity; empty input yields NEG_INF."""
-    best: ExtInt = NEG_INF
-    for v in values:
-        if best < v:
-            best = v
-    return best
-
-
-def to_json(value: ExtInt):
-    """JSON carrier: null encodes NEG_INF."""
-    return value if isinstance(value, int) else None
-
-
-def to_csv(value: ExtInt) -> str:
-    """CSV carrier: the literal token -inf encodes NEG_INF."""
-    return str(value) if isinstance(value, int) else "-inf"
-
-
-def c_from_g(g: Sequence[ExtInt], site_size: int, k_max: int) -> tuple:
-    """Stepwise recursion: c[0] = g[0], c[k] = max(c[k-1] - 1, g[k]).
-
-    Beyond the site size no configuration qualifies, so c drops to
-    NEG_INF there regardless of the recursion value.
+    Beyond the site size no configuration qualifies, so c is None there
+    regardless of the recursion value.
     """
-    out: list[ExtInt] = []
+    out: list = []
+    step = None
     for k in range(k_max + 1):
         if k > site_size:
-            out.append(NEG_INF)
+            out.append(None)
             continue
-        gk = g[k] if k < len(g) else NEG_INF
-        if k == 0:
-            out.append(gk)
-        else:
-            prev = out[-1]
-            step = prev - 1 if is_finite(prev) else NEG_INF
-            out.append(ext_max((step, gk)))
+        gk = g[k] if k < len(g) else None
+        ck = max((v for v in (step, gk) if v is not None), default=None)
+        out.append(ck)
+        step = None if ck is None else ck - 1
     return tuple(out)
 
 

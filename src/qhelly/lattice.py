@@ -154,16 +154,15 @@ class FiniteSite(FrozenRecord):
     """A finite set of lattice points, stored sorted and deduplicated.
 
     A subset of the site is also an int bitmask: bit i stands for
-    points[i].  index maps each point to its bit; both it and the memo
-    of halfspace masks are built once per site and take no part in
-    comparison.  A site is immutable: its attributes cannot be assigned.
+    points[i].  The memo of halfspace masks is built once per site and
+    takes no part in comparison.  A site is immutable: its attributes
+    cannot be assigned.
     """
 
-    __slots__ = ("points", "dim", "index", "_halfspaces")
+    __slots__ = ("points", "dim", "_halfspaces")
 
     def __init__(self, points: tuple, dim: int) -> None:
-        index = {p: i for i, p in enumerate(points)}
-        for name, value in zip(self.__slots__, (points, dim, index, {})):
+        for name, value in zip(self.__slots__, (points, dim, {})):
             object.__setattr__(self, name, value)
 
     def __eq__(self, other: object) -> bool:
@@ -338,12 +337,10 @@ def _facets_from_cycle_2d(cycle: Sequence[Point]) -> tuple:
 
 
 def _hull_1d(points: Sequence[Point]) -> tuple[tuple, tuple]:
-    direction = primitive(_sub(max(points), min(points)))
-    keyed = sorted(points, key=lambda p: _dot(direction, p))
-    lo, hi = keyed[0], keyed[-1]
-    neg = tuple(-x for x in direction)
-    facets = tuple(sorted([(direction, _dot(direction, hi)), (neg, _dot(neg, lo))]))
-    return (tuple(sorted((lo, hi))), facets)
+    """The two ends of two or more points in Z^1 and their facets; convex_hull
+    projects a degenerate input to Z^d first, so only Z^1 gets here."""
+    (lo,), (hi,) = min(points), max(points)
+    return ((lo,), (hi,)), (((-1,), -lo), ((1,), hi))
 
 
 def _affinely_independent_subset(points: Sequence[Point], d: int) -> list[Point]:

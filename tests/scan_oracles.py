@@ -116,7 +116,8 @@ def closed_sets_by_hulls(site) -> dict:
     C + p, and later reaches are looked up and skipped.  The dict is in
     the order the sets were found, which need not be the enumeration's:
     compare the two as mappings."""
-    points, index = site.points, site.index
+    points = site.points
+    index = {p: i for i, p in enumerate(points)}
     found = {1 << i: 1 << i for i in range(len(points))}
     queue = [(1 << i, (p,)) for i, p in enumerate(points)]
     while queue:

@@ -81,6 +81,9 @@ GOLDEN_GRID = GOLDEN / "grid"
         "2x2x2x2_k16.csv",
         "2x2x2x2_k16.json",
         "6x5_k10.json",
+        # g has no value past k = 0 and c none past the box's 4 points
+        "2x2_k6.csv",
+        "2x2_k6.json",
     ],
 )
 def test_grid_output_matches_golden_bytes(capsys, name):
@@ -270,6 +273,13 @@ def test_audit_grid(capsys):
     assert code == 0
     assert "VIOLATED" not in out
     assert out.splitlines()[0] == "audit 3x3: h=4"
+
+
+def test_audit_grid_matches_golden_bytes(capsys):
+    # c has no value past the box's 4 points: those checks print c=-inf
+    code, out, err = run_cli(capsys, ["audit", "--site", "2x2", "--kmax", "6"])
+    assert (code, err) == (0, "")
+    assert out.encode() == (GOLDEN / "audit" / "2x2_k6.txt").read_bytes()
 
 
 # ---------------------------------------------------------------------------

@@ -25,9 +25,8 @@ from qhelly.engine import (
     g_profile,
 )
 from qhelly.errors import BudgetExceededError, UnsupportedDimensionError
-from qhelly.extint import NEG_INF, ext_max, is_finite
 from qhelly.lattice import FiniteSite, convex_hull, site_mask
-from profile_oracles import c_direct, consistency_findings, unrolled_c
+from profile_oracles import c_direct, consistency_findings, ext_max, unrolled_c
 from scan_oracles import closed_sets_by_hulls, closure, contains
 
 
@@ -79,11 +78,14 @@ def test_enumeration_matches_power_set_oracle(site):
 @example([(x, 1) for x in range(6)], False)  # six points on a row
 @example([(0, 0), (1, 1), (3, 3), (2, 2)], True)  # a diagonal line
 @example([(0, 2), (1, 2), (2, 2), (3, 2), (1, 0)], False)  # a line and a point off it
+# a polygon with collinear runs along two of its edges
+@example([(0, 0), (1, 0), (2, 0), (3, 0), (0, 1), (0, 2), (0, 3), (1, 1), (2, 1)], True)
 def test_enumeration_matches_power_set_oracle_on_random_sites_in_z2(coords, flat):
     # flat: the same points on the lattice plane z = x + 2y - 1 of Z^3
     points = [(a, b, a + 2 * b - 1) for a, b in coords] if flat else coords
     site = FiniteSite.of(points)
     assert set(closed_tuples(site)) == brute_closed_subsets(site)
+    assert enumerate_convex_subsets(site) == closed_sets_by_hulls(site)
 
 
 @settings(max_examples=25, deadline=None)
@@ -139,9 +141,10 @@ def test_splice_is_the_hull_of_cycle_plus_point(points, p, extra):
     cycle = convex_hull(points).vertices
     assume(len(cycle) >= 3 and p > max(cycle) and not contains(convex_hull(cycle), p))
     site = FiniteSite.of(points + [p] + extra)
-    n, j = len(site), site.index[p]
+    index = {q: i for i, q in enumerate(site.points)}
+    n, j = len(site), index[p]
     left = _line_masks(site.points)
-    hull = tuple(site.index[v] for v in cycle)
+    hull = tuple(index[v] for v in cycle)
     ring = hull[1:] + hull[:1]
     s, t = _seen_chain([left[w * n + v] for v, w in zip(hull, ring)], j)
     spliced = hull[: s + 1] + (j,) + hull[t:]
@@ -303,12 +306,13 @@ def test_sites_of_affine_dimension_3_to_5_enumerate_without_hulls(monkeypatch, p
 def carried_facets(site: FiniteSite, poly) -> list:
     """The facets of a hull as the enumeration carries them, relative to
     its affine hull: (normal, offset, vertex mask, halfspace mask)."""
+    index = {p: i for i, p in enumerate(site.points)}
     out = []
     for normal, offset in poly.facets:
         vmask = 0
         for v in poly.vertices:
             if sum(a * x for a, x in zip(normal, v)) == offset:
-                vmask |= 1 << site.index[v]
+                vmask |= 1 << index[v]
         out.append((normal, offset, vmask, site.halfspace_mask(normal, offset)))
     return sorted(out)
 
@@ -320,11 +324,12 @@ def one_step(site: FiniteSite, poly, p) -> tuple:
     The hull's closed set C is the site in it.  _extend refuses the
     enumeration's target C + p exactly when the hull of C + p holds a
     site point outside C + p, and it accepts the site in that hull."""
+    index = {q: i for i, q in enumerate(site.points)}
     vmask = 0
     for v in poly.vertices:
-        vmask |= 1 << site.index[v]
+        vmask |= 1 << index[v]
     facets = carried_facets(site, poly)
-    j = site.index[p]
+    j = index[p]
     closed = site_mask(convex_hull(poly.vertices + (p,)), site)
     child = site_mask(poly, site) | 1 << j
     refused = _extend(site, poly.equalities, facets, vmask, j, child) is None
@@ -460,7 +465,7 @@ def test_state_budget_guard(monkeypatch):
 
 def test_grid_3x3_profile():
     prof = g_profile(FiniteSite.grid(3, 3), 5)
-    assert prof.g == (4, 6, 5, 5, NEG_INF, 4)
+    assert prof.g == (4, 6, 5, 5, None, 4)
     assert prof.c == (4, 6, 5, 5, 4, 4)
     # the 6-vertex witness at k=1 is the hexagon class
     assert len(prof.witnesses[1]) == 6
@@ -469,7 +474,7 @@ def test_grid_3x3_profile():
 
 def test_grid_2x2_profile():
     prof = g_profile(FiniteSite.grid(2, 2))
-    assert prof.g == (4, NEG_INF, NEG_INF, NEG_INF, NEG_INF)
+    assert prof.g == (4, None, None, None, None)
     assert prof.c == (4, 3, 2, 1, 0)
 
 
@@ -477,14 +482,14 @@ def test_cube_profile():
     site = FiniteSite.of(itertools.product((0, 1), repeat=3))
     prof = g_profile(site)
     assert prof.g[0] == 8
-    assert all(prof.g[k] is NEG_INF for k in range(1, 9))
+    assert all(prof.g[k] is None for k in range(1, 9))
     assert prof.c == tuple(8 - k for k in range(9))
 
 
 def test_grid_3x2x2_profile_regression():
     # frozen from the enumeration before closed sets became bitmasks
     prof = g_profile(FiniteSite.grid(3, 2, 2))
-    assert prof.g == (8, 8, 8, 8, 8) + (NEG_INF,) * 8
+    assert prof.g == (8, 8, 8, 8, 8) + (None,) * 8
     assert prof.c == (8, 8, 8, 8, 8, 7, 6, 5, 4, 3, 2, 1, 0)
     low = ((0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1))
     assert prof.witnesses == (
@@ -501,7 +506,7 @@ def test_grid_3x3x2_profile_matches_the_direct_route():
     # hull per extension
     site = FiniteSite.grid(3, 3, 2)
     prof = g_profile(site, 18)
-    assert prof.g == (8, 10, 12, 11, 11, 10, 10, 9, 9, NEG_INF, 8) + (NEG_INF,) * 8
+    assert prof.g == (8, 10, 12, 11, 11, 10, 10, 9, 9, None, 8) + (None,) * 8
     assert prof.c == (8, 10, 12, 11, 11, 10, 10, 9, 9, 8, 8, 7, 6, 5, 4, 3, 2, 1, 0)
     assert c_direct(site, 18) == prof.c
 
@@ -509,7 +514,7 @@ def test_grid_3x3x2_profile_matches_the_direct_route():
 def test_grid_5x4_profile_regression():
     # frozen from the enumeration that hulled every (closed set, point) pair
     prof = g_profile(FiniteSite.grid(5, 4), 20)
-    assert prof.g == (4, 6, 6, 6, 8, 7, 8, 8, 8, 7, 7, 6, 6, 5, 5, NEG_INF, 4) + (NEG_INF,) * 4
+    assert prof.g == (4, 6, 6, 6, 8, 7, 8, 8, 8, 7, 7, 6, 6, 5, 5, None, 4) + (None,) * 4
     assert prof.c == (4, 6, 6, 6, 8, 7, 8, 8, 8, 7, 7, 6, 6, 5, 5, 4, 4, 3, 2, 1, 0)
     assert prof.witnesses == (
         ((0, 0), (1, 0), (1, 1), (0, 1)),
@@ -557,7 +562,7 @@ def test_witness_is_least_closed_set_attaining_g(site):
             assert prof.g[k] == len(first[k])
             assert prof.witnesses[k] == first[k]
         else:
-            assert prof.g[k] is NEG_INF and prof.witnesses[k] is None
+            assert prof.g[k] is None and prof.witnesses[k] is None
 
 
 @settings(max_examples=60, deadline=None)
@@ -588,12 +593,12 @@ def test_fold_picks_the_first_witness_in_size_and_point_order(points):
             assert prof.g[k] == first[k].bit_count()
             assert tuple(sorted(prof.witnesses[k])) == site.points_of(first[k])
         else:
-            assert prof.g[k] is NEG_INF and prof.witnesses[k] is None
+            assert prof.g[k] is None and prof.witnesses[k] is None
 
 
 def test_grid_4x3_profile_regression():
     prof = g_profile(FiniteSite.grid(4, 3))
-    assert prof.g == (4, 6, 6, 6, 6, 5, 5, NEG_INF, 4, NEG_INF, NEG_INF, NEG_INF, NEG_INF)
+    assert prof.g == (4, 6, 6, 6, 6, 5, 5, None, 4, None, None, None, None)
     assert prof.c == (4, 6, 6, 6, 6, 5, 5, 4, 4, 3, 2, 1, 0)
 
 
@@ -617,9 +622,9 @@ def test_sandwich_invariant():
     for site in (FiniteSite.grid(3, 3), FiniteSite.grid(4, 3)):
         prof = g_profile(site)
         for k in range(prof.k_max + 1):
-            if is_finite(prof.g[k]):
+            if prof.g[k] is not None:
                 assert prof.g[k] <= prof.c[k]
-            if is_finite(prof.c[k]):
+            if prof.c[k] is not None:
                 assert prof.c[k] <= ext_max(prof.g[: k + 1])
         assert consistency_findings(prof) == []
 
@@ -628,11 +633,11 @@ def test_c_is_neg_inf_exactly_beyond_site_size():
     site = FiniteSite.grid(2, 2)
     prof = g_profile(site, 7)
     for k in range(8):
-        assert is_finite(prof.c[k]) == (k <= 4)
+        assert (prof.c[k] is not None) == (k <= 4)
 
 
 def test_c_from_g_handles_neg_inf_runs():
-    g = (4, NEG_INF, 5, NEG_INF)
+    g = (4, None, 5, None)
     assert c_from_g(g, 10, 3) == (4, 3, 5, 4)
 
 
