@@ -3,12 +3,13 @@
 All arithmetic is exact integer arithmetic.  Convex hulls are supported for
 affine dimension up to 5: dimensions 0-2 directly, 3-5 by a fraction-free
 double description on the polar dual, started from the dual simplex of
-an affinely independent base.  Full-dimensional inputs are hulled as
-they are; an input of lower affine dimension d is projected onto d
-coordinates on which its affine hull is one to one and keeps its
-lexicographic order (_kept_coordinates), hulled there, and
-its facets are lifted by zeros in the dropped coordinates, so facet data
-is always integral.
+an affinely independent base.  convex_hull sorts the points and picks
+that base once, which also gives the affine dimension.  Full-dimensional
+inputs are hulled as they are; an input of lower affine dimension d is
+projected, with its base, onto d coordinates on which its affine hull is
+one to one and keeps its lexicographic order (_kept_coordinates), hulled
+there, and its facets are lifted by zeros in the dropped coordinates, so
+facet data is always integral.
 Membership in a finite site is one path: FiniteSite.cut_mask ANDs the
 site's memoized halfspace masks, over the facets and affine-hull
 equations of a polytope in site_mask.  Over the integer lattice, the
@@ -20,14 +21,15 @@ polytope, and lattice_points_in refuses every degenerate one.
 A planar canonical form is the least of the 2v anchored images of a
 vertex cycle; rotating calipers find each image's top vertex, and its
 least x is read off its left chain (_anchored_leads), so an image is
-built, or walked, only when its least x ties.  The load-time check
-(is_canonical_cycle_2d) is one calipers pass: it skips, without making
-a tuple of it, every image whose least x exceeds that of the stored
-cycle, and never walks the identity image, which equals the cycle.
-Given the cycle's doubled area, it also skips every edge whose two
-images an area bound puts above that x, before their maps are made;
-the canonical form skips by the same bound, with the least x found so
-far in place of the stored cycle's.
+built, or walked, only when its least x ties.  One calipers pass yields
+the images whose least x is at most a running bound, which drops to the
+least x of each image it yields, and skips every edge whose two images
+an area bound, from the cycle's doubled area, puts above the bound,
+before their maps are made.  The canonical form starts the bound at 0,
+the anchor's x.  The load-time check (is_canonical_cycle_2d) starts it
+at the stored cycle's least x, so it skips, without making a tuple of
+it, every image whose least x exceeds that, and never walks the
+identity image, which equals the cycle.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from __future__ import annotations
 import itertools
 from math import gcd
 from operator import mul
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DegenerateInputError, FrozenRecord, UnsupportedDimensionError
 
@@ -63,16 +65,9 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def _vec_gcd(v: Sequence[int]) -> int:
-    g = 0
-    for x in v:
-        g = gcd(g, x)
-    return g
-
-
 def primitive(v: Sequence[int]) -> tuple[int, ...]:
     """v divided by the gcd of its entries; v must be nonzero."""
-    g = _vec_gcd(v)
+    g = gcd(*v)
     if g == 0:
         raise ValueError("zero vector has no primitive form")
     return tuple(x // g for x in v)
@@ -253,12 +248,19 @@ class LatticePolytope(FrozenRecord):
     lexicographically otherwise).  facets: (normal, offset) pairs with
     primitive integer normals, meaning normal . x <= offset; for inputs
     of lower affine dimension the facets cut the affine hull.
+    equalities: (normal, offset) pairs whose equations cut out the affine
+    hull; empty when full-dimensional, otherwise the normals are a basis
+    of the integer kernel of the vertex differences.
     """
 
-    __slots__ = ("vertices", "facets", "ambient_dim", "affine_dim", "_equalities")
+    __slots__ = ("vertices", "facets", "ambient_dim", "affine_dim", "equalities")
 
     def __init__(self, vertices: tuple, facets: tuple, ambient_dim: int, affine_dim: int) -> None:
-        equalities = () if affine_dim == ambient_dim else None  # else found on first read
+        equalities = ()
+        if affine_dim < ambient_dim:
+            v0 = vertices[0]
+            basis = integer_kernel_basis([_sub(v, v0) for v in vertices[1:]], ambient_dim)
+            equalities = tuple((n, _dot(n, v0)) for n in basis)
         values = (vertices, facets, ambient_dim, affine_dim, equalities)
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
@@ -275,20 +277,6 @@ class LatticePolytope(FrozenRecord):
     @property
     def is_full_dimensional(self) -> bool:
         return self.affine_dim == self.ambient_dim
-
-    @property
-    def equalities(self) -> tuple:
-        """(normal, offset) pairs whose equations cut out the affine hull.
-
-        Empty when full-dimensional; otherwise the normals are a basis of
-        the integer kernel of the vertex differences, computed once.
-        """
-        if self._equalities is None:
-            v0 = self.vertices[0]
-            diffs = [_sub(v, v0) for v in self.vertices[1:]]
-            basis = integer_kernel_basis(diffs, self.ambient_dim)
-            object.__setattr__(self, "_equalities", tuple((n, _dot(n, v0)) for n in basis))
-        return self._equalities
 
     def bounding_box(self) -> tuple[tuple[int, int], ...]:
         lo = tuple(min(v[i] for v in self.vertices) for i in range(self.ambient_dim))
@@ -356,11 +344,13 @@ def _affinely_independent_subset(points: Sequence[Point], d: int) -> list[Point]
     return chosen
 
 
-def _dd_hull(points: Sequence[Point], d: int) -> tuple[tuple, tuple]:
+def _dd_hull(pts: Sequence[Point], base: Sequence[Point]) -> tuple[tuple, tuple]:
     """Full-dimensional hull in Z^d, d in {3,4,5}, by polar double description.
 
-    The dual polytope {y : (p - c) . y <= 1 for every input p}, with c the
-    centroid of an affinely independent base, is cut out one constraint
+    pts are distinct and lexicographically sorted, so the vertices come
+    out sorted, and base is an affinely independent subset of d + 1 of
+    them.  The dual polytope {y : (p - c) . y <= 1 for every input p},
+    with c the centroid of base, is cut out one constraint
     at a time (Fukuda & Prodon, "Double description method revisited",
     1996), starting from the dual of the base simplex: its vertex opposite
     base point j is tight at the d other base constraints.  The arithmetic
@@ -371,10 +361,8 @@ def _dd_hull(points: Sequence[Point], d: int) -> tuple[tuple, tuple]:
     (t_i & t_o) | {new}: a constraint tight strictly inside the edge is
     tight at both of its ends.
     """
-    pts = sorted(set(points))
-    base = _affinely_independent_subset(pts, d)
-    assert len(base) == d + 1, "caller guarantees full affine dimension"
-    q = d + 1
+    q = len(base)
+    d = q - 1
     centroid_q = tuple(sum(p[i] for p in base) for i in range(d))  # q * centroid
 
     # Dual halfspaces: (p - c) . y <= 1, scaled integral: omega . y <= q.
@@ -424,7 +412,7 @@ def _dd_hull(points: Sequence[Point], d: int) -> tuple[tuple, tuple]:
     for y, w, _ in verts:
         n_raw = tuple(q * coord for coord in y)
         off = _dot(y, centroid_q) + q * w
-        g = _vec_gcd(n_raw)
+        g = gcd(*n_raw)
         assert g and off % g == 0, "facet hyperplane must be integral"
         facets.add((tuple(x // g for x in n_raw), off // g))
     facet_list = sorted(facets)
@@ -442,16 +430,20 @@ def _dd_hull(points: Sequence[Point], d: int) -> tuple[tuple, tuple]:
     return tuple(vertices), tuple(facet_list)
 
 
-def _hull_full_dim(points: Sequence[Point], d: int) -> tuple[tuple, tuple]:
+def _hull_full_dim(points: Sequence[Point], base: Sequence[Point]) -> tuple[tuple, tuple]:
+    """Vertices and facets of distinct, sorted points of full affine
+    dimension d in Z^d, given an affinely independent base of d + 1 of
+    them; the vertices are sorted, except for the 2-D cycle."""
+    d = len(base) - 1
     if d == 0:
-        return (tuple(sorted(set(points)))[:1], ())
+        return tuple(base), ()
     if d == 1:
         return _hull_1d(points)
     if d == 2:
         cycle = _hull_cycle_2d(points)
         return cycle, _facets_from_cycle_2d(cycle)
     if d <= _HULL_DIM_LIMIT:
-        return _dd_hull(points, d)
+        return _dd_hull(points, base)
     raise UnsupportedDimensionError(
         f"exact hulls support affine dimension <= {_HULL_DIM_LIMIT}, got {d}"
     )
@@ -485,19 +477,17 @@ def convex_hull(points: Iterable[Point]) -> LatticePolytope:
     base = _affinely_independent_subset(pts, n)
     d = len(base) - 1
     if d == n:
-        vertices, facets = _hull_full_dim(pts, n)
-        if n == 2:
-            return LatticePolytope(vertices, facets, n, n)
-        return LatticePolytope(tuple(sorted(vertices)), facets, n, n)
+        return LatticePolytope(*_hull_full_dim(pts, base), n, n)
 
     # Degenerate: dropping the coordinates that _kept_coordinates leaves
     # out maps the affine hull one to one onto Q^d and its lattice points
-    # into Z^d, so the hull there has the same vertices, and a facet
-    # m . x_R <= c of it is the facet of the input with normal m at the
-    # kept positions.
+    # into Z^d, so the base stays a base there, the hull there has the
+    # same vertices, and a facet m . x_R <= c of it is the facet of the
+    # input with normal m at the kept positions.
     kept = _kept_coordinates(base)
     lift = {tuple(p[i] for i in kept): p for p in pts}
-    sub_vertices, sub_facets = _hull_full_dim(list(lift), d)
+    sub_base = [tuple(p[i] for i in kept) for p in base]
+    sub_vertices, sub_facets = _hull_full_dim(list(lift), sub_base)
     vertices = tuple(sorted(lift[u] for u in sub_vertices))
     facets = []
     for m, c in sub_facets:
@@ -598,7 +588,7 @@ def census(polytope: LatticePolytope) -> PointCensus:
             vertex += sum(1 for z in by_row.get(prefix, ()) if lo <= z <= hi)
     elif polytope.affine_dim == 1:
         a, b = polytope.vertices
-        total = _vec_gcd(_sub(b, a)) + 1
+        total = gcd(*_sub(b, a)) + 1
         vertex = 2
         interior = 0
     else:
@@ -620,9 +610,7 @@ def census(polytope: LatticePolytope) -> PointCensus:
 # canonical form in the plane
 
 
-def _anchored_leads(
-    cycle: Sequence[Point], bound: Optional[int] = None, twice_area: Optional[int] = None
-) -> Iterator[tuple]:
+def _anchored_leads(cycle: Sequence[Point], twice_area: int, bound: int) -> Iterator[tuple]:
     """The 2v normalized images of a counterclockwise vertex cycle, each
     given by its least x and its lead (lex-min) vertex, not built.
 
@@ -649,34 +637,28 @@ def _anchored_leads(
 
     Yields (least x, lead, step, A, B, C, D, E, F): vertex k of the image
     cycle read from its lead is cycle[lead + k * step], mapped to
-    (A x + B y + C, D x + E y + F).  An image whose least x exceeds
-    bound is not yielded.
+    (A x + B y + C, D x + E y + F).  An image is yielded only when its
+    least x is at most a running bound, which starts at bound and drops
+    to the least x of each image yielded.  So the yielded least x never
+    rises, and every image at the least x of all is yielded if that x is
+    at most bound.
 
-    Given bound and twice_area, the doubled area 2A of the cycle itself,
-    an edge whose two images both have their least x above bound is
-    skipped before its Bezout pair and shear are made.  In either image
-    the anchor edge runs from (0, 0) to (g, 0), the polygon lies in
-    0 <= y <= H, the top vertex T is at (x_t, H) with 0 <= x_t < H, and
-    the lead L = (x_L, y_L) has x_L <= 0.  The triangle (0, 0), (g, 0), T
-    has doubled area g H; the triangle L, (0, 0), T has doubled area
-    -x_L H + y_L x_t >= -x_L H.  They lie in the polygon on opposite
-    sides of the line from (0, 0) to T, so 2A >= H (g - x_L).  An image
-    with x_L <= bound thus has 2A >= H (g - bound), and the edge is
-    skipped when H (g - bound) > 2A.  twice_area must be the cycle's own
-    doubled area: a smaller value could skip an image whose least x is
-    at most bound, a larger one only skips less.
-
-    Given twice_area and no bound, the bound is the least x yielded so
-    far (canonical_form_2d), starting from 0, the anchor's x, which no
-    image's least x exceeds.  The yielded least x then never rises, and
-    every image at the least x of all is yielded.
+    twice_area, the doubled area 2A of the cycle itself, skips an edge
+    whose two images both have their least x above the bound before its
+    Bezout pair and shear are made.  In either image the anchor edge
+    runs from (0, 0) to (g, 0), the polygon lies in 0 <= y <= H, the top
+    vertex T is at (x_t, H) with 0 <= x_t < H, and the lead L = (x_L,
+    y_L) has x_L <= 0.  The triangle (0, 0), (g, 0), T has doubled area
+    g H; the triangle L, (0, 0), T has doubled area -x_L H + y_L x_t >=
+    -x_L H.  They lie in the polygon on opposite sides of the line from
+    (0, 0) to T, so 2A >= H (g - x_L).  An image with x_L <= bound thus
+    has 2A >= H (g - bound), and the edge is skipped when H (g - bound)
+    > 2A.  A twice_area below the true one could skip an image whose
+    least x is at most the bound; a larger one only skips less.
     """
     m = len(cycle)
     X = [x for x, _ in cycle] * 2
     Y = [y for _, y in cycle] * 2
-    running = bound is None and twice_area is not None
-    if running:
-        bound = 0
     j = 1
     for i in range(m):
         ox, oy, nx, ny = X[i], Y[i], X[i + 1], Y[i + 1]
@@ -688,7 +670,7 @@ def _anchored_leads(
         jr = j + 1 if nxt == top else j
         f = py * ox - px * oy
         top += f
-        if twice_area is not None and top * (g - bound) > twice_area:
+        if top * (g - bound) > twice_area:
             continue
         if py:
             a = pow(px, -1, abs(py))
@@ -702,9 +684,8 @@ def _anchored_leads(
         low, k = 0, i + m
         while k > jr and (x := A * X[k - 1] + B * Y[k - 1] + C) < low:
             low, k = x, k - 1
-        if bound is None or low <= bound:
-            if running:
-                bound = low
+        if low <= bound:
+            bound = low
             yield low, k % m, 1, A, B, C, -py, px, f
         s = -((g - a * (X[jr] - ox) - b * (Y[jr] - oy)) // top)
         A, B = -a - s * py, -b + s * px
@@ -713,30 +694,32 @@ def _anchored_leads(
         low, k = 0, i + 1
         while k < j and (x := A * X[k + 1] + B * Y[k + 1] + C) < low:
             low, k = x, k + 1
-        if bound is None or low <= bound:
-            if running:
-                bound = low
+        if low <= bound:
+            bound = low
             yield low, k % m, -1, A, B, C, -py, px, f
 
 
-def canonical_form_2d(cycle: Sequence[Point], twice_area: Optional[int] = None) -> tuple:
+def canonical_form_2d(cycle: Sequence[Point], twice_area: int) -> tuple:
     """Canonical vertex cycle under unimodular (det +-1) maps and translations.
 
     cycle is the counterclockwise vertex cycle of a lattice polygon, such
-    as convex_hull(points).vertices, from any of its vertices.  Two
-    polygons are equivalent iff their canonical cycles are equal.  The
-    canonical cycle is the least, over every anchored directed edge and
-    both orientations, of the shear-normalized image (_anchored_leads)
-    read from its lex-min vertex, so it is a hull cycle as well; only the
-    images at the least x of all are built.  Given the cycle's doubled
-    area, the calipers pass skips every edge whose two images the area
-    bound puts above the least x found so far.  A twice_area below the
-    true one could skip the least image; a larger one only skips less.
+    as convex_hull(points).vertices, from any of its vertices, and
+    twice_area its doubled area.  Two polygons are equivalent iff their
+    canonical cycles are equal.  The canonical cycle is the least, over
+    every anchored directed edge and both orientations, of the
+    shear-normalized image (_anchored_leads) read from its lex-min
+    vertex, so it is a hull cycle as well; only the images at the least x
+    of all are built.  The running bound starts at 0, the anchor's x,
+    which no image's least x exceeds, so the calipers pass skips every
+    edge whose two images the area bound puts above the least x found so
+    far, and the last image yielded is at the least x of all.  A
+    twice_area below the true one could skip the least image; a larger
+    one only skips less.
     """
     if len(cycle) < 3:
         raise DegenerateInputError("canonical form needs a full-dimensional polygon in Z^2")
-    images = list(_anchored_leads(cycle, None, twice_area))
-    least = min(image[0] for image in images)
+    images = list(_anchored_leads(cycle, twice_area, 0))
+    least = images[-1][0]
     best = None
     for low, lead, step, A, B, C, D, E, F in images:
         if low == least:
@@ -752,12 +735,14 @@ def is_canonical_cycle_2d(cycle: tuple, twice_area: int) -> bool:
 
     cycle must be a counterclockwise polygon cycle from its lex-min
     vertex, as _hull_cycle_2d returns it, and twice_area its own doubled
-    area; the answer is that of canonical_form_2d(cycle) == cycle.  No
-    image is built: one whose least x (read off its left chain) exceeds
-    cycle[0][0] is larger, and _anchored_leads drops it under that bound,
-    skipping every edge whose images the area bound rules out; one whose
-    least x is below it is smaller, and only a tie walks the image from
-    its lead vertex on, up to the first difference.  The identity image
+    area; the answer is that of canonical_form_2d(cycle, twice_area) ==
+    cycle.  No image is built: one whose least x (read off its left
+    chain) exceeds cycle[0][0] is larger, and _anchored_leads, with its
+    running bound started there, drops it, skipping every edge whose
+    images the area bound rules out; one whose least x is below it is
+    smaller, and the check returns at the first such image, before the
+    running bound has moved; only a tie walks the image from its lead
+    vertex on, up to the first difference.  The identity image
     (lead 0, step 1, the map (x, y)) equals the cycle and is accepted
     without a walk.  A twice_area below the true one could skip a smaller
     image and accept a non-canonical cycle; a larger one only skips less.
@@ -767,7 +752,7 @@ def is_canonical_cycle_2d(cycle: tuple, twice_area: int) -> bool:
     m = len(cycle)
     x0 = cycle[0][0]
     found = False
-    for low, k, step, A, B, C, D, E, F in _anchored_leads(cycle, x0, twice_area):
+    for low, k, step, A, B, C, D, E, F in _anchored_leads(cycle, twice_area, x0):
         if low < x0:
             return False
         if (k, step, A, B, C, D, E, F) == (0, 1, 1, 0, 0, 0, 1, 0):

@@ -191,7 +191,7 @@ def _leaf_to_class(rows: Sequence[tuple], interior: int) -> Optional[CensusClass
         return None
     pick_interior, boundary = _hull_pick_counts(cycle)
     assert pick_interior == interior, "row arithmetic disagrees with Pick's formula"
-    canon = canonical_form_2d(cycle)
+    canon = canonical_form_2d(cycle, 2 * interior + boundary + len(cycle) - 2)
     if not _has_width_two(interior, canon):
         return None
     return CensusClass(vertices=canon, interior=interior, boundary=boundary)

@@ -1,7 +1,8 @@
 """Scans and small solvers that the tests use as oracles for exact point
 counts, membership, closures, closed sets of a site, affine charts,
-lattice width, the planar canonical form, a polygon less one vertex and
-the lattice points of a rational segment.
+lattice width, the planar canonical form, the doubled area of a vertex
+cycle, a polygon less one vertex and the lattice points of a rational
+segment.
 
 Each point scan tests every lattice point of a bounding box against
 every inequality, with no interval arithmetic, so it is slow but plainly
@@ -277,6 +278,11 @@ def lattice_width_2d(poly) -> int:
                     improved = True
         if not improved:
             return best
+
+
+def twice_area(cycle) -> int:
+    """The doubled area of a counterclockwise vertex cycle, by the shoelace."""
+    return sum(px * qy - qx * py for (px, py), (qx, qy) in zip(cycle[-1:] + cycle[:-1], cycle))
 
 
 def _anchored_images(cycle: Sequence[Point]) -> Iterator[tuple[list, list]]:

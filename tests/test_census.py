@@ -69,6 +69,7 @@ from scan_oracles import (
     edge_relint_lattice_point,
     lattice_width_2d,
     strict_interior_cell_scan,
+    twice_area,
 )
 
 HEXAGON = ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1))
@@ -103,7 +104,8 @@ def test_every_class_reports_its_own_interior_count(small_cache):
 
 
 def test_hexagon_class_is_enumerated():
-    canonical = canonical_form_2d(convex_hull(HEXAGON).vertices)
+    cycle = convex_hull(HEXAGON).vertices
+    canonical = canonical_form_2d(cycle, twice_area(cycle))
     classes = enumerate_polygon_classes(1)[1]
     assert any(cls.vertices == canonical for cls in classes)
     assert max(cls.vertex_count for cls in classes) == 6
@@ -159,7 +161,7 @@ def test_local_vertex_drop_is_the_hull_of_the_remaining_points(points):
             continue
         assert _hull_pick_counts(expected) == ((area - b + 2) // 2, b - len(child))
         # the descent canonicalizes the child as spliced, from w on
-        assert canonical_form_2d(child, area) == canonical_form_2d(expected)
+        assert canonical_form_2d(child, area) == canonical_form_2d(expected, area)
 
 
 def test_box_closed_sets_are_census_classes():
@@ -178,11 +180,19 @@ def test_box_closed_sets_are_census_classes():
         if len(cycle) < 3:
             continue
         interior, _ = _hull_pick_counts(cycle)
-        canon = canonical_form_2d(cycle)
+        canon = canonical_form_2d(cycle, twice_area(cycle))
         if interior < len(golden) and _has_width_two(interior, canon):
             assert canon in golden[interior]
             found[interior].add(canon)
     assert [len(classes) for classes in found[:3]] == list(PUBLISHED_CLASS_COUNTS[:3])
+
+
+def test_six_by_five_box_profile_is_the_planar_table():
+    # the finite-site engine, which never reads a census file, gives the
+    # whole planar table on the 6x5 box, as the census does
+    box = g_profile(FiniteSite.grid(6, 5), 10)
+    planar = c_z2_profile(10, CensusStore(DEVCACHE))
+    assert box.g == box.c == planar.g == PLANAR_TABLE
 
 
 def _moved_half_planes(q) -> list:
@@ -605,7 +615,7 @@ def test_validation_compares_past_the_lead_vertex():
     # four vertices, stored in place of the class
     canon = ((-1, 1), (0, 0), (1, 0), (2, 1), (0, 2))
     image = ((-1, 1), (0, 0), (1, 0), (2, 1), (1, 2))
-    assert canonical_form_2d(convex_hull(image).vertices) == canon
+    assert canonical_form_2d(convex_hull(image).vertices, twice_area(image)) == canon
     text = (DEVCACHE / "interior_02.census").read_text()
     canon_line = "\n5 -1 1 0 0 1 0 2 1 0 2\n"
     assert text.count(canon_line) == 1
@@ -613,15 +623,10 @@ def test_validation_compares_past_the_lead_vertex():
         parse_census_file(text.replace(canon_line, "\n5 -1 1 0 0 1 0 2 1 1 2\n"))
 
 
-def _twice_area(cycle) -> int:
-    """The doubled area of a counterclockwise vertex cycle, by the shoelace."""
-    return sum(px * qy - qx * py for (px, py), (qx, qy) in zip(cycle[-1:] + cycle[:-1], cycle))
-
-
 def _assert_area_bounds_every_image(cycle) -> None:
     # the premise of the kernel's edge skip: every oracle image, anchored at
     # (0, 0) -> (g, 0) with top height H and least x, has H (g - least x) <= 2A
-    area = _twice_area(cycle)
+    area = twice_area(cycle)
     for xs, ys in _anchored_images(cycle):
         assert xs[0] == ys[0] == ys[1] == 0 and xs[1] > 0
         assert max(ys) * (xs[1] - min(xs)) <= area
@@ -647,10 +652,10 @@ def test_canonical_check_accepts_exactly_the_canonical_image():
         for cls in parse_census_file(text).classes:
             images = _anchored_cycles(cls.vertices)
             assert min(images) == cls.vertices
-            area = _twice_area(cls.vertices)
+            area = twice_area(cls.vertices)
             for image in images:
                 assert _hull_cycle_2d(image) == image
-                assert canonical_form_2d(image) == cls.vertices
+                assert canonical_form_2d(image, area) == cls.vertices
                 assert is_canonical_cycle_2d(image, area) == (image == cls.vertices)
 
 
@@ -681,9 +686,8 @@ def test_canonical_form_is_the_least_oracle_image(points):
     assume(len(cycle) >= 3)
     images = _anchored_cycles(cycle)
     least = min(images)
-    area = _twice_area(cycle)
+    area = twice_area(cycle)
     for image in images | {cycle}:
-        assert canonical_form_2d(image) == least
         assert canonical_form_2d(image, area) == least
         assert is_canonical_cycle_2d(image, area) == (image == least)
 
@@ -713,49 +717,50 @@ def test_area_bounds_every_oracle_image(points):
 # image tying at the bound
 @example([(-1, 1), (0, 0), (1, 0), (2, 1), (0, 2)], -1)
 def test_anchored_leads_describe_the_oracle_images(points, bound):
-    # each yield is an oracle image read from its lex-min vertex, least x
-    # first; a bound drops exactly the images whose least x exceeds it,
-    # whether or not the cycle's doubled area lets it skip whole edges
+    # the kernel visits edge i's forward image, then its reversed one, for
+    # i = 0..v-1; the oracle builds the forward images by start vertex and
+    # the reversed ones along the reversed cycle, where edge i is start
+    # v - 2 - i.  From each start bound, the yields are exactly the oracle
+    # images in the kernel's order, each read from its lex-min vertex, that
+    # the running rule keeps: least x at most the bound, which drops to each
+    # kept least x, whether or not the doubled area lets it skip whole edges
     cycle = _hull_cycle_2d(points)
     assume(len(cycle) >= 3)
     m = len(cycle)
-    leads = list(_anchored_leads(cycle))
-    built = []
-    for low, lead, step, A, B, C, D, E, F in leads:
-        seq = [cycle[(lead + k * step) % m] for k in range(m)]
-        image = tuple((A * x + B * y + C, D * x + E * y + F) for x, y in seq)
-        assert image[0] == min(image) and image[0][0] == low
-        built.append(image)
     oracle = []
     for xs, ys in _anchored_images(cycle):
         image = list(zip(xs, ys))
         lead = image.index(min(image))
         oracle.append(tuple(image[lead:] + image[:lead]))
-    assert sorted(built) == sorted(oracle)
-    area = _twice_area(cycle)
-    for b in {bound} | {im[0] for im in leads}:
-        bounded = [im for im in leads if im[0] <= b]
-        assert list(_anchored_leads(cycle, b)) == bounded
-        assert list(_anchored_leads(cycle, b, area)) == bounded
-    # with the area and no bound, the bound is the least x so far: the yields
-    # are images in the unbounded order, their least x never rises, and they
-    # hold every image at the least x of all
-    running = list(_anchored_leads(cycle, None, area))
-    assert all(a[0] >= b[0] for a, b in zip(running, running[1:]))
-    assert [im for im in leads if im in running] == running
-    least = min(im[0] for im in leads)
-    assert [im for im in running if im[0] == least] == [im for im in leads if im[0] == least]
+    ordered = []
+    for i in range(m):
+        ordered += [oracle[i], oracle[m + (m - 2 - i) % m]]
+    area = twice_area(cycle)
+    for start in {bound} | {image[0][0] for image in ordered}:
+        kept, b = [], start
+        for image in ordered:
+            if image[0][0] <= b:
+                kept.append(image)
+                b = image[0][0]
+        built = []
+        for low, lead, step, A, B, C, D, E, F in _anchored_leads(cycle, area, start):
+            seq = [cycle[(lead + k * step) % m] for k in range(m)]
+            image = tuple((A * x + B * y + C, D * x + E * y + F) for x, y in seq)
+            assert image[0] == min(image) and image[0][0] == low
+            built.append(image)
+        assert built == kept
 
 
 def test_validation_rejects_width_one_polygons():
-    canon = canonical_form_2d(convex_hull([(0, 0), (3, 0), (1, 1), (0, 1)]).vertices)
+    canon = canonical_form_2d(convex_hull([(0, 0), (3, 0), (1, 1), (0, 1)]).vertices, 4)
     with pytest.raises(CacheCorruptError, match="lattice width 1"):
         parse_census_file(_one_class_file(0, canon))
 
 
 def test_validation_rejects_wrong_interior_header():
     # the hexagon's class has one interior point
-    canon = canonical_form_2d(convex_hull(HEXAGON).vertices)
+    cycle = convex_hull(HEXAGON).vertices
+    canon = canonical_form_2d(cycle, twice_area(cycle))
     assert parse_census_file(_one_class_file(1, canon)).classes[0].interior == 1
     for wrong in (0, 2):
         with pytest.raises(CacheCorruptError, match="1 interior points"):
@@ -799,11 +804,12 @@ def test_width_rule_matches_the_width_search(points):
     poly = convex_hull(points)
     interior, _ = _hull_pick_counts(cycle)
     width = lattice_width_2d(poly)
+    area = twice_area(poly.vertices)
     if interior >= 1:
         assert width >= 2
     elif width >= 2:
-        assert canonical_form_2d(poly.vertices) == ((0, 0), (2, 0), (0, 2))
-    assert _has_width_two(interior, canonical_form_2d(poly.vertices)) == (width >= 2)
+        assert canonical_form_2d(poly.vertices, area) == ((0, 0), (2, 0), (0, 2))
+    assert _has_width_two(interior, canonical_form_2d(poly.vertices, area)) == (width >= 2)
 
 
 _FUZZ_FILES = ("interior_02.census", "interior_03.census")
@@ -1137,7 +1143,8 @@ def test_cached_classes_absorb_unimodular_images(small_cache):
     for _ in range(40):
         cls = rng.choice(classes)
         image = _random_unimodular_image(rng, cls.vertices)
-        assert canonical_form_2d(convex_hull(image).vertices) == cls.vertices
+        cycle = convex_hull(image).vertices
+        assert canonical_form_2d(cycle, twice_area(cycle)) == cls.vertices
 
 
 # ---------------------------------------------------------------------------

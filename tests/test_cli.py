@@ -96,6 +96,19 @@ def test_grid_output_matches_golden_bytes(capsys, name):
     assert out.encode() == (GOLDEN_GRID / name).read_bytes()
 
 
+def _without_version_line(svg: str) -> bytes:
+    return "".join(
+        line for line in svg.splitlines(keepends=True) if not line.startswith("<!-- qhelly ")
+    ).encode()
+
+
+def test_grid_svg_matches_golden_bytes_up_to_its_version_line(capsys):
+    # c has no value at k = 5, 6, so the plot stops at k = 4
+    code, out, err = run_cli(capsys, ["grid", "--dims", "2x2", "--kmax", "6", "--format", "svg"])
+    assert (code, err) == (0, "")
+    assert _without_version_line(out) == (GOLDEN_GRID / "2x2_k6.svg").read_bytes()
+
+
 def test_grid_over_the_state_budget_says_what_to_do(capsys, monkeypatch):
     monkeypatch.setattr(engine, "_STATE_BUDGET", 10)
     code, out, err = run_cli(capsys, ["grid", "--dims", "3x3", "--kmax", "4"])
@@ -266,6 +279,16 @@ def test_warm_z2_output_matches_golden_bytes(tmp_path, capsys, argv, name):
     code, out, err = run_cli(capsys, argv + ["--cache", str(cache)])
     assert (code, err) == (0, "")
     assert out.encode() == (GOLDEN / "z2" / name).read_bytes()
+
+
+def test_warm_z2_svg_matches_golden_bytes_up_to_its_version_line(tmp_path, capsys):
+    cache = tmp_path / "golden"
+    shutil.copytree(GOLDEN, cache)
+    code, out, err = run_cli(
+        capsys, ["census", "--k", "10", "--format", "svg", "--cache", str(cache)]
+    )
+    assert (code, err) == (0, "")
+    assert _without_version_line(out) == (GOLDEN / "z2" / "census_k10.svg").read_bytes()
 
 
 def test_audit_grid(capsys):

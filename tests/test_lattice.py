@@ -37,6 +37,7 @@ from scan_oracles import (
     contains,
     saturated_direction_basis,
     solve_rational,
+    twice_area,
 )
 
 
@@ -556,24 +557,27 @@ def unimodular_images(pts, rng, count):
 def test_canonical_form_invariance_sample():
     rng = random.Random(4)
     hexagon = [(0, 0), (1, 0), (2, 1), (2, 2), (1, 2), (0, 1)]
-    base = canonical_form_2d(convex_hull(hexagon).vertices)
+    cycle = convex_hull(hexagon).vertices
+    base = canonical_form_2d(cycle, twice_area(cycle))
     for img in unimodular_images(hexagon, rng, 60):
-        assert canonical_form_2d(convex_hull(img).vertices) == base
+        cycle = convex_hull(img).vertices
+        assert canonical_form_2d(cycle, twice_area(cycle)) == base
 
 
 def test_canonical_form_separates():
-    a = canonical_form_2d(convex_hull([(0, 0), (1, 0), (0, 1)]).vertices)
-    b = canonical_form_2d(convex_hull([(0, 0), (2, 0), (0, 2)]).vertices)
-    c = canonical_form_2d(convex_hull([(0, 0), (1, 0), (0, 1), (1, 1)]).vertices)
+    a = canonical_form_2d(convex_hull([(0, 0), (1, 0), (0, 1)]).vertices, 1)
+    b = canonical_form_2d(convex_hull([(0, 0), (2, 0), (0, 2)]).vertices, 4)
+    c = canonical_form_2d(convex_hull([(0, 0), (1, 0), (0, 1), (1, 1)]).vertices, 2)
     assert len({a, b, c}) == 3
 
 
 def test_canonical_form_needs_full_dimension():
     with pytest.raises(DegenerateInputError):
-        canonical_form_2d(convex_hull([(0, 0), (4, 0)]).vertices)
+        canonical_form_2d(convex_hull([(0, 0), (4, 0)]).vertices, 0)
 
 
 def test_canonical_form_is_a_fixed_point():
     P = convex_hull([(0, 0), (4, 1), (3, 3), (1, 2)])
-    cf = canonical_form_2d(P.vertices)
-    assert canonical_form_2d(convex_hull(cf).vertices) == cf
+    area = twice_area(P.vertices)
+    cf = canonical_form_2d(P.vertices, area)
+    assert canonical_form_2d(convex_hull(cf).vertices, area) == cf

@@ -19,7 +19,7 @@ from qhelly.lattice import (
     census,
     convex_hull,
 )
-from scan_oracles import closure
+from scan_oracles import closure, twice_area
 
 # ---------------------------------------------------------------------------
 # closure idempotence
@@ -101,26 +101,30 @@ BASE_POLYGONS = [
 
 def test_canonical_form_unimodular_invariance_thousand_transforms():
     rng = random.Random(313131)
-    canon = [canonical_form_2d(convex_hull(p).vertices) for p in BASE_POLYGONS]
+    cycles = [convex_hull(p).vertices for p in BASE_POLYGONS]
+    canon = [canonical_form_2d(c, twice_area(c)) for c in cycles]
     for trial in range(1000):
         idx = trial % len(BASE_POLYGONS)
         image = _random_unimodular_image(rng, BASE_POLYGONS[idx])
-        assert canonical_form_2d(convex_hull(image).vertices) == canon[idx]
+        cycle = convex_hull(image).vertices
+        assert canonical_form_2d(cycle, twice_area(cycle)) == canon[idx]
 
 
 def test_canonical_form_is_itself_canonical():
     rng = random.Random(616161)
     for base in BASE_POLYGONS:
-        fixed = canonical_form_2d(convex_hull(base).vertices)
-        assert canonical_form_2d(convex_hull(fixed).vertices) == fixed
+        cycle = convex_hull(base).vertices
+        fixed = canonical_form_2d(cycle, twice_area(cycle))
+        assert canonical_form_2d(convex_hull(fixed).vertices, twice_area(fixed)) == fixed
         image = _random_unimodular_image(rng, fixed)
-        assert canonical_form_2d(convex_hull(image).vertices) == fixed
+        cycle = convex_hull(image).vertices
+        assert canonical_form_2d(cycle, twice_area(cycle)) == fixed
 
 
 def test_canonical_form_separates_inequivalent_polygons():
     # unit triangle vs doubled triangle differ in lattice point count
-    small = canonical_form_2d(convex_hull([(0, 0), (1, 0), (0, 1)]).vertices)
-    doubled = canonical_form_2d(convex_hull([(0, 0), (2, 0), (0, 2)]).vertices)
+    small = canonical_form_2d(convex_hull([(0, 0), (1, 0), (0, 1)]).vertices, 1)
+    doubled = canonical_form_2d(convex_hull([(0, 0), (2, 0), (0, 2)]).vertices, 4)
     assert small != doubled
 
 
@@ -145,7 +149,8 @@ def test_cached_classes_recount_exactly(small_cache):
 def test_cached_classes_are_stored_in_canonical_form(small_cache):
     for i in range(4):
         for cls in small_cache.load(i).classes:
-            assert canonical_form_2d(convex_hull(cls.vertices).vertices) == cls.vertices
+            cycle = convex_hull(cls.vertices).vertices
+            assert canonical_form_2d(cycle, twice_area(cycle)) == cls.vertices
 
 
 def test_cached_classes_are_distinct_and_sorted(small_cache):
