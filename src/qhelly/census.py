@@ -743,7 +743,7 @@ def c_z2_profile(k_max: int, store: CensusStore) -> LatticeProfile:
         for k, cls in enumerate(best)
     )
     g_vals = tuple(w.vertex_count for w in witnesses)
-    c_vals = c_from_g(g_vals, k_max, k_max)
+    c_vals = c_from_g(g_vals, k_max)
     findings = []
     for k in range(1, k_max + 1):
         if c_vals[k] != g_vals[k]:

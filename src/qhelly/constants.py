@@ -80,18 +80,11 @@ class Enclosure(FrozenRecord):
         value = _as_fraction(value)
         return Enclosure(value, value)
 
-    def contains(self, value) -> bool:
-        value = _as_fraction(value)
-        return self.lo <= value <= self.hi
-
     def __add__(self, other: "Enclosure") -> "Enclosure":
         return Enclosure(self.lo + other.lo, self.hi + other.hi)
 
     def __sub__(self, other: "Enclosure") -> "Enclosure":
         return Enclosure(self.lo - other.hi, self.hi - other.lo)
-
-    def __neg__(self) -> "Enclosure":
-        return Enclosure(-self.hi, -self.lo)
 
     def __mul__(self, other: "Enclosure") -> "Enclosure":
         products = (

@@ -10,39 +10,32 @@ Two quantities are computed for a finite site S and each k:
            quantitative Helly-type constant of S at level k).
 
 Both come from one enumeration of the closed subsets C = S intersect
-conv C.  The site is indexed once and a subset is an int bitmask (bit i
-is site.points[i]); the enumeration writes a dict from each closed set to
-the mask of its hull's vertices, so totals and vertex counts are
-popcounts.  The closed sets form a tree: a closed set's parent is the set
-less its greatest point, so each is reached once, from its parent, and
-the dict is never read.  The work stack carries each closed set with its
-hull, as masks and facets, so no hull is built while enumerating.  A
-site is read on the coordinates _kept_coordinates keeps, on which it is
-full-dimensional.
+conv C, as bitmasks over the indexed site (bit i is site.points[i]).
+The closed sets form a tree, a set's parent being the set less its
+greatest point, so each is reached once.  Each of the two kernels is a
+generator whose work stack carries each closed set with its hull, as
+masks and facets, so no hull is built while enumerating; it yields each
+set with its vertex mask as it pops it.  One collector keeps the pairs
+in a dict, whose totals and vertex counts are popcounts, and holds them
+to the state budget.  A site is read on the coordinates
+_kept_coordinates keeps, on which it is full-dimensional.
 
-A site of affine dimension at most 2 is enumerated on indices alone.
-One table holds, for each ordered pair of points, the mask of the site
-on or left of the line through them.  A hull is a counterclockwise
-cycle of indices from its least point, with one edge for a point and two
-for a segment.  A point p outside a closed set's hull is spliced into
-its cycle in place of the chain of edges that see p (beneath-beyond),
-and the closed set of the new hull is the AND of its edges' line masks,
-cut to the indices from its least point to p when the old hull is a
-point or a segment.
+A site of affine dimension at most 2 is enumerated on indices alone,
+with one table of line masks for the ordered pairs of points.  A hull is
+a counterclockwise index cycle from its least point; a new point p is
+spliced in place of the chain of edges that see it (beneath-beyond),
+and the new closed set is the AND of the edges' line masks.
 
 A site of affine dimension 3 to 5 carries each closed set with the
 integer equalities of its affine hull and its facets relative to that
-hull (primitive normal, offset, vertex mask, halfspace mask); the
-closed set is the AND of both halfspace masks of every equality and the
-facets' masks.  A point p off the affine hull makes a pyramid over the
-hull, whose base lies in the hyperplane of an equality; a point p in it
-is added by beneath-beyond (Seidel 1981): the facets that see p go,
-each with an adjacent facet beneath p gives a new facet through their
-ridge and p by the double-description step (Fukuda & Prodon 1996), and
-a facet whose hyperplane holds p keeps p and the old vertices that lie
-on a facet beneath p.  g_profile folds over the dict as it stands and
-picks each witness as it goes; only the winning witnesses are hulled,
-in the site's own coordinates.
+hull (primitive normal, offset, vertex mask, halfspace mask), and the
+closed set is the AND of their masks.  A point off the affine hull makes
+a pyramid; a point in it is added by beneath-beyond (Seidel 1981), with
+new facets by the double-description step (Fukuda & Prodon 1996), and
+the old vertices that stay are those on a facet beneath it (_extend).
+g_profile folds over the collected dict and picks each witness as it
+goes; only the winning witnesses are hulled, in the site's own
+coordinates.
 
 c comes from the stepwise recursion over the g profile
 (extint.c_from_g).  g[k] is None where no closed set has k nonvertex
@@ -56,7 +49,7 @@ from __future__ import annotations
 from itertools import accumulate
 from math import gcd
 from operator import and_
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .errors import BudgetExceededError, FrozenRecord, UnsupportedDimensionError
 from .extint import c_from_g
@@ -81,12 +74,6 @@ def check_site_size(size: int) -> None:
             f"site has {size} points; closed subsets can approach "
             f"2^{size}, refuse beyond {_SITE_SIZE_LIMIT}"
         )
-
-
-def _budget_error() -> BudgetExceededError:
-    return BudgetExceededError(
-        f"more than {_STATE_BUDGET} closed subsets; use a smaller site, such as a smaller box"
-    )
 
 
 def _line_masks(xy: Sequence[tuple]) -> list:
@@ -130,21 +117,23 @@ def _seen_chain(back: Sequence[int], j: int) -> tuple[int, int]:
     return sees[0], sees[-1] + 1
 
 
-def _planar_closed_sets(xy: Sequence[tuple]) -> dict:
-    """Closed sets of a planar site, by index cycles on its line masks.
+def _planar_closed_sets(xy: Sequence[tuple]) -> Iterator[tuple[int, int]]:
+    """Closed sets of a planar site, by index cycles on its line masks;
+    yields each with its vertex mask once, as it is popped.
 
-    A stack entry is a closed set, its hull's vertex cycle, and the line
-    masks of the cycle's edges: edge e runs from cycle[e] to cycle[e + 1]
-    (cyclically), fwd[e] is the mask on or left of it and back[e] the mask
-    on or right of it.  A point i is the one-edge cycle (i,), with full masks.
+    A stack entry is a closed set, its vertex mask, its hull's vertex
+    cycle, and the line masks of the cycle's edges: edge e runs from
+    cycle[e] to cycle[e + 1] (cyclically), fwd[e] is the mask on or left
+    of it and back[e] the mask on or right of it.  A point i is the
+    one-edge cycle (i,), with full masks.
     """
     n = len(xy)
     full = (1 << n) - 1
     left = _line_masks(xy)
-    found = {1 << i: 1 << i for i in range(n)}
-    stack = [(1 << i, (i,), [full], [full]) for i in range(n)]
+    stack = [(1 << i, 1 << i, (i,), [full], [full]) for i in range(n)]
     while stack:
-        cur, hull, fwd, back = stack.pop()
+        cur, vmask, hull, fwd, back = stack.pop()
+        yield cur, vmask
         # head[s]: the AND over edges 0..s-1, tail[t]: over edges t..
         head = [full, *accumulate(fwd, and_)]
         tail = [*accumulate(reversed(fwd), and_)][::-1] + [full]
@@ -164,14 +153,10 @@ def _planar_closed_sets(xy: Sequence[tuple]) -> dict:
             cycle = hull[: s + 1] + (j,) + hull[t:]
             new_fwd = fwd[:s] + [into, out] + fwd[t:]
             new_back = back[:s] + [left[j * n + a], left[b * n + j]] + back[t:]
-            vmask = 0
+            new_vmask = 0
             for v in cycle:
-                vmask |= 1 << v
-            found[target] = vmask
-            if len(found) > _STATE_BUDGET:
-                raise _budget_error()
-            stack.append((target, cycle, new_fwd, new_back))
-    return found
+                new_vmask |= 1 << v
+            stack.append((target, new_vmask, cycle, new_fwd, new_back))
 
 
 def _hyperplane(normal: list, offset: int) -> tuple:
@@ -190,9 +175,9 @@ def _plane_mask(site: FiniteSite, normal: tuple, offset: int) -> int:
 def _extend(
     site: FiniteSite, eqs: tuple, facets: list, vmask: int, j: int, target: int
 ) -> Optional[tuple]:
-    """The equalities and facets of the hull of a closed set C plus point j
-    outside it, when the site points in that hull are target (C + j in the
-    enumeration); None when they are not.
+    """The equalities, facets and vertex mask of the hull of a closed set C
+    plus point j outside it, when the site points in that hull are target
+    (C + j in the enumeration); None when they are not.
 
     The affine hull of C is cut out by the integer equalities eqs, as
     (normal, offset) pairs; facets are C's facets relative to that hull,
@@ -209,12 +194,13 @@ def _extend(
     through their ridge and p.  F and G of an r-polytope are adjacent
     when their vertex masks share r - 1 bits, so that F & G is a face of
     dimension at least min(r - 2, 2), and, for r >= 5, no third facet's
-    vertex mask holds the shared ones.  A facet whose hyperplane holds p
-    keeps p and those of its old vertices that lie on a facet beneath p:
-    a vertex of C is a vertex of conv(C + p) exactly when some facet
-    through it has p beneath it (Grunbaum, Convex Polytopes, 5.2.1).  A
-    vertex v on no such facet lies between p and the point v - e (p - v)
-    of conv C, for a small e > 0.
+    vertex mask holds the shared ones.  The vertices of conv(C + p) are p
+    and, for a pyramid, all of C's; for beneath-beyond, those on a facet
+    beneath p, and a facet whose hyperplane holds p keeps p and those of
+    its old vertices: a vertex of C is a vertex of conv(C + p) exactly
+    when some facet through it has p beneath it (Grunbaum, Convex
+    Polytopes, 5.2.1).  A vertex v on no such facet lies between p and
+    the point v - e (p - v) of conv C, for a small e > 0.
     """
     p, d, bit = site.points[j], site.dim, 1 << j
     mask_of = site.halfspace_mask
@@ -239,7 +225,7 @@ def _extend(
                 new_facets.append((*h, bit, mask_of(*h)))
             for f in new_facets:
                 closed &= f[3]
-            return (tuple(new_eqs), new_facets) if closed == target else None
+            return (tuple(new_eqs), new_facets, vmask | bit) if closed == target else None
     for e, e0 in eqs:
         closed &= _plane_mask(site, e, e0)
     r = d - len(eqs)
@@ -267,42 +253,33 @@ def _extend(
             closed &= new_facets[-1][3]
     if closed != target:
         return None
-    if level:
-        # the vertices of C that stay vertices are those on a facet beneath p
-        keep = 0
-        for g, _ in beneath:
-            keep |= g[2]
-        new_facets += [(f, f0, fv & keep | bit, hmask) for f, f0, fv, hmask in level]
-    return eqs, new_facets
+    # the vertices of C that stay vertices are those on a facet beneath p
+    keep = 0
+    for g, _ in beneath:
+        keep |= g[2]
+    new_facets += [(f, f0, fv & keep | bit, hmask) for f, f0, fv, hmask in level]
+    return eqs, new_facets, keep | bit
 
 
-def _closed_sets(site: FiniteSite) -> dict:
-    """Closed sets of a full-dimensional site in Z^d, d = 3..5, by _extend.
+def _closed_sets(site: FiniteSite) -> Iterator[tuple[int, int]]:
+    """Closed sets of a full-dimensional site in Z^d, d = 3..5, by _extend;
+    yields each with its vertex mask once, as it is popped.
 
-    A stack entry is a closed set, its vertex mask, the equalities of its
-    affine hull and its facets relative to that hull; a singleton starts
+    A stack entry is a closed set, the equalities of its affine hull, its
+    facets relative to that hull and its vertex mask; a singleton starts
     with the d unit equalities and no facets.
     """
     points, d = site.points, site.dim
-    found = {1 << i: 1 << i for i in range(len(points))}
     units = [tuple(int(a == b) for b in range(d)) for a in range(d)]
-    stack = [(1 << i, 1 << i, tuple(zip(units, p)), []) for i, p in enumerate(points)]
+    stack = [(1 << i, tuple(zip(units, p)), [], 1 << i) for i, p in enumerate(points)]
     while stack:
-        cur, vmask, eqs, facets = stack.pop()
+        cur, eqs, facets, vmask = stack.pop()
+        yield cur, vmask
         for j in range(cur.bit_length(), len(points)):
             target = cur | 1 << j
             step = _extend(site, eqs, facets, vmask, j, target)
-            if step is None:
-                continue
-            new_eqs, new_facets = step
-            new_vmask = 0
-            for f in new_facets:
-                new_vmask |= f[2]
-            found[target] = new_vmask
-            if len(found) > _STATE_BUDGET:
-                raise _budget_error()
-            stack.append((target, new_vmask, new_eqs, new_facets))
-    return found
+            if step is not None:
+                stack.append((target, *step))
 
 
 def enumerate_convex_subsets(site: FiniteSite) -> dict:
@@ -320,15 +297,18 @@ def enumerate_convex_subsets(site: FiniteSite) -> dict:
     point p: p is a vertex of conv C', so conv(C' - p) holds no site point
     outside C' - p, which is therefore closed (orderly generation with a
     canonical parent; Read, Every one a winner, 1978).  So no step looks
-    up the sets found before it, and each set's hull and vertex mask
-    travel with it on the stack.
+    up the sets found before it: each set's hull and vertex mask travel
+    with it on a kernel's stack, and the kernel yields the set and its
+    vertex mask once, when it pops it.  This function only collects the
+    pairs, and refuses a site with more than _STATE_BUDGET closed sets.
 
     A site is read on the coordinates _kept_coordinates keeps, which map
     it one to one and in order.  A site of affine dimension at most 2 is
     enumerated on indices alone: V(C) is a counterclockwise index cycle
     from its lexicographic minimum, and a closed set is the AND of the
-    line masks of its edges (_line_masks, built once per site).  p is not in C, so it lies outside C's hull:
-    its hull cycle is C's with the chain of edges that see p spliced out.
+    line masks of its edges (_line_masks, built once per site).  p is not
+    in C, so it lies outside C's hull: its hull cycle is C's with the
+    chain of edges that see p spliced out.
     A point is a one-edge cycle and a segment a two-edge one, so the same
     splice makes a point plus p a segment, and a segment plus p a longer
     segment or a triangle.  Collinear site points are monotone in index
@@ -353,10 +333,19 @@ def enumerate_convex_subsets(site: FiniteSite) -> dict:
     if len(base) <= 3:
         # a point or a line gets a zero second coordinate: one collinear site
         pad = (0,) * (2 - len(kept))
-        return _planar_closed_sets([tuple(p[i] for i in kept) + pad for p in points])
-    if len(kept) < site.dim:
-        site = FiniteSite.of(tuple(p[i] for i in kept) for p in points)
-    return _closed_sets(site)
+        pairs = _planar_closed_sets([tuple(p[i] for i in kept) + pad for p in points])
+    else:
+        if len(kept) < site.dim:
+            site = FiniteSite.of(tuple(p[i] for i in kept) for p in points)
+        pairs = _closed_sets(site)
+    found: dict = {}
+    for closed, vmask in pairs:
+        found[closed] = vmask
+        if len(found) > _STATE_BUDGET:
+            raise BudgetExceededError(
+                f"more than {_STATE_BUDGET} closed subsets; use a smaller site, such as a smaller box"
+            )
+    return found
 
 
 class SiteProfile(FrozenRecord):
@@ -419,7 +408,7 @@ def g_profile(
         label=label or site.describe(),
         k_max=k_max,
         g=g_vals,
-        c=c_from_g(g_vals, len(site), k_max),
+        c=c_from_g(g_vals, len(site)),
         witnesses=tuple(wit),
     )
 

@@ -18,20 +18,19 @@ def to_csv(value: Optional[int]) -> str:
     return "-inf" if value is None else str(value)
 
 
-def c_from_g(g: Sequence[Optional[int]], site_size: int, k_max: int) -> tuple:
+def c_from_g(g: Sequence[Optional[int]], site_size: int) -> tuple:
     """Stepwise recursion: c[0] = g[0], c[k] = max(c[k-1] - 1, g[k]),
-    where None is below every int.
+    where None is below every int, for k = 0..len(g) - 1.
 
     Beyond the site size no configuration qualifies, so c is None there
     regardless of the recursion value.
     """
     out: list = []
     step = None
-    for k in range(k_max + 1):
+    for k, gk in enumerate(g):
         if k > site_size:
             out.append(None)
             continue
-        gk = g[k] if k < len(g) else None
         ck = max((v for v in (step, gk) if v is not None), default=None)
         out.append(ck)
         step = None if ck is None else ck - 1

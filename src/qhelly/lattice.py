@@ -1,6 +1,7 @@
 """Exact lattice geometry: hulls, site masks, point censuses, canonical forms.
 
-All arithmetic is exact integer arithmetic.  Convex hulls are supported for
+All arithmetic is exact integer arithmetic; a point whose coordinate is
+not an integer is refused, not truncated.  Convex hulls are supported for
 affine dimension up to 5: dimensions 0-2 directly, 3-5 by a fraction-free
 double description on the polar dual, started from the dual simplex of
 an affinely independent base.  convex_hull sorts the points and picks
@@ -145,6 +146,19 @@ def integer_kernel_basis(rows: Sequence[Sequence[int]], n: int) -> list[tuple[in
 # sites
 
 
+def _sorted_lattice_points(points: Iterable[Point]) -> list[Point]:
+    """The distinct points as sorted tuples of ints.  A coordinate whose
+    value is not an integer is refused, not truncated."""
+    out = set()
+    for p in points:
+        p = tuple(p)
+        q = tuple(int(x) for x in p)
+        if q != p:
+            raise ValueError(f"point {p} has a coordinate that is not an integer")
+        out.add(q)
+    return sorted(out)
+
+
 class FiniteSite(FrozenRecord):
     """A finite set of lattice points, stored sorted and deduplicated.
 
@@ -168,7 +182,7 @@ class FiniteSite(FrozenRecord):
 
     @classmethod
     def of(cls, points: Iterable[Point]) -> "FiniteSite":
-        pts = sorted(set(tuple(int(x) for x in p) for p in points))
+        pts = _sorted_lattice_points(points)
         if not pts:
             raise ValueError("a site must contain at least one point")
         dims = {len(p) for p in pts}
@@ -442,11 +456,17 @@ def _hull_full_dim(points: Sequence[Point], base: Sequence[Point]) -> tuple[tupl
     if d == 2:
         cycle = _hull_cycle_2d(points)
         return cycle, _facets_from_cycle_2d(cycle)
-    if d <= _HULL_DIM_LIMIT:
-        return _dd_hull(points, base)
-    raise UnsupportedDimensionError(
-        f"exact hulls support affine dimension <= {_HULL_DIM_LIMIT}, got {d}"
-    )
+    check_hull_dimension(d)
+    return _dd_hull(points, base)
+
+
+def check_hull_dimension(d: int) -> None:
+    """Refuse an affine dimension above _HULL_DIM_LIMIT, which exact hulls
+    do not reach."""
+    if d > _HULL_DIM_LIMIT:
+        raise UnsupportedDimensionError(
+            f"exact hulls support affine dimension <= {_HULL_DIM_LIMIT}, got {d}"
+        )
 
 
 def _kept_coordinates(base: Sequence[Point]) -> list[int]:
@@ -467,7 +487,7 @@ def _kept_coordinates(base: Sequence[Point]) -> list[int]:
 
 def convex_hull(points: Iterable[Point]) -> LatticePolytope:
     """Exact convex hull of lattice points (affine dimension up to 5)."""
-    pts = sorted(set(tuple(int(x) for x in p) for p in points))
+    pts = _sorted_lattice_points(points)
     if not pts:
         raise ValueError("hull of an empty point set")
     n = len(pts[0])

@@ -39,7 +39,7 @@ from typing import NamedTuple, Optional, Union
 
 from .errors import FrozenRecord, UnsupportedDimensionError
 from .extint import integer_root
-from .lattice import LatticePolytope, census, convex_hull
+from .lattice import LatticePolytope, census, check_hull_dimension, convex_hull
 
 __all__ = [
     "ConstructionRecipe",
@@ -172,8 +172,11 @@ def tight_witness(recipe: ConstructionRecipe) -> LatticePolytope:
     """The polytope of a recipe: the convex hull of its construction points.
 
     The hull is not counted here; verify_witness holds it to the
-    recipe's expected vertex and nonvertex counts.
+    recipe's expected vertex and nonvertex counts.  Every body of the
+    family holds [0,1]^n, so its affine dimension is n, and a dimension
+    beyond exact hulls is refused before any point is built.
     """
+    check_hull_dimension(recipe.n)
     if recipe.kind == "cube":
         points = _cube_points(recipe.n)
     elif recipe.kind == "fused_cubes":

@@ -80,7 +80,7 @@ def test_criterion_02_two_oracle_equivalence(capsys):
         size = len(site)
         g = g_profile(site, size).g
         direct = c_direct(site, size)
-        stepwise = c_from_g(g, size, size)
+        stepwise = c_from_g(g, size)
         ok = ok and direct == stepwise
         for route in (direct, stepwise):
             for k in range(size + 1):

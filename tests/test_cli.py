@@ -319,6 +319,20 @@ def test_witness_theorem4(capsys):
     assert lines[-1] == "double_spike(n=4): vertices 32 nonvertex 4 ok"
 
 
+@pytest.mark.parametrize("n", [6, 20])
+def test_witness_theorem4_beyond_exact_hulls_is_refused_before_any_build(capsys, monkeypatch, n):
+    # every body of the family holds [0,1]^n, so no point is built and no hull started
+    def unreachable(*args):
+        raise AssertionError("built a point set or a hull")
+
+    builders = ("_cube_points", "_fused_cube_points", "_prism_spike_points", "_double_spike_points")
+    for name in (*builders, "convex_hull"):
+        monkeypatch.setattr(witnesses, name, unreachable)
+    code, out, err = run_cli(capsys, ["witness", "--suite", "theorem4", "--n", str(n)])
+    assert (code, out) == (1, "")
+    assert err == f"error: exact hulls support affine dimension <= 5, got {n}\n"
+
+
 @pytest.mark.parametrize(
     "argv, name",
     [

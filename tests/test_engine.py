@@ -242,7 +242,7 @@ def test_six_dimensional_site_is_refused():
     ],
 )
 def test_each_solid_closed_set_is_reached_once(monkeypatch, points):
-    # every step that _extend accepts writes a new closed set
+    # every step that _extend accepts yields a new closed set
     site = FiniteSite.of(points)
     accepted = []
 
@@ -259,7 +259,7 @@ def test_each_solid_closed_set_is_reached_once(monkeypatch, points):
 
 class CountingBudget:
     """A state budget that is never exceeded and counts the checks against
-    it, one per closed set written past the singletons."""
+    it, one per closed set the collector keeps."""
 
     def __init__(self) -> None:
         self.checks = 0
@@ -270,14 +270,21 @@ class CountingBudget:
 
 
 @pytest.mark.parametrize(
-    "points", [FiniteSite.grid(5, 4).points, [(x, 1) for x in range(6)]]  # six points on a row
+    "points",
+    [
+        FiniteSite.grid(5, 4).points,
+        [(x, 1) for x in range(6)],  # six points on a row
+        FiniteSite.grid(2, 1, 2, 2).points,  # a 3-D site in Z^4
+        FiniteSite.grid(3, 2, 2).points,
+    ],
 )
-def test_each_planar_closed_set_is_written_once(monkeypatch, points):
+def test_collector_sees_each_closed_set_once(monkeypatch, points):
+    # each kernel yields a closed set once, singletons included
     site = FiniteSite.of(points)
     budget = CountingBudget()
     monkeypatch.setattr(engine, "_STATE_BUDGET", budget)
     found = enumerate_convex_subsets(site)
-    assert budget.checks + len(site) == len(found)
+    assert budget.checks == len(found)
 
 
 def test_grid_2x2x2x2_has_every_subset_closed_and_each_its_own_vertex_set():
@@ -319,7 +326,7 @@ def carried_facets(site: FiniteSite, poly) -> list:
 
 def one_step(site: FiniteSite, poly, p) -> tuple:
     """_extend from the carried data of a hull of site points, by point p:
-    the equalities and facets of the hull plus p.
+    the equalities, facets and vertex mask of the hull plus p.
 
     The hull's closed set C is the site in it.  _extend refuses the
     enumeration's target C + p exactly when the hull of C + p holds a
@@ -336,6 +343,7 @@ def one_step(site: FiniteSite, poly, p) -> tuple:
     assert refused == (closed != child)
     step = _extend(site, poly.equalities, facets, vmask, j, closed)
     assert step is not None
+    assert site.points_of(step[2]) == tuple(sorted(convex_hull(poly.vertices + (p,)).vertices))
     return step
 
 
@@ -358,7 +366,7 @@ def test_beneath_beyond_is_the_hull_of_facets_plus_point(points, p, extra):
     poly = convex_hull(points)
     assume(poly.affine_dim == 3 and not contains(poly, p))
     site = FiniteSite.of(points + [p] + extra)
-    eqs, facets = one_step(site, poly, p)
+    eqs, facets, _ = one_step(site, poly, p)
     expected = convex_hull(poly.vertices + (p,))
     assert eqs == ()
     assert sorted(facets) == carried_facets(site, expected)
@@ -381,7 +389,7 @@ def test_pyramid_is_the_hull_of_polygon_plus_apex(coords, slope, p, extra):
     (base,) = poly.equalities
     assume(sum(a * x for a, x in zip(base[0], p)) != base[1])
     site = FiniteSite.of(points + [p] + extra)
-    eqs, facets = one_step(site, poly, p)
+    eqs, facets, _ = one_step(site, poly, p)
     expected = convex_hull(poly.vertices + (p,))
     assert eqs == ()
     assert sorted(facets) == carried_facets(site, expected)
@@ -395,7 +403,7 @@ def check_one_step(points: list, p: tuple, extra: list) -> None:
     poly = convex_hull(points)
     assume(not contains(poly, p))
     site = FiniteSite.of(points + [p] + extra)
-    eqs, facets = one_step(site, poly, p)
+    eqs, facets, _ = one_step(site, poly, p)
     expected = convex_hull(poly.vertices + (p,))
     vmask = 0
     for f in facets:
@@ -638,7 +646,7 @@ def test_c_is_neg_inf_exactly_beyond_site_size():
 
 def test_c_from_g_handles_neg_inf_runs():
     g = (4, None, 5, None)
-    assert c_from_g(g, 10, 3) == (4, 3, 5, 4)
+    assert c_from_g(g, 10) == (4, 3, 5, 4)
 
 
 def test_audit_bounds_grid():

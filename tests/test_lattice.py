@@ -323,6 +323,25 @@ def test_hull_dimension_limit():
         convex_hull(simplex)
 
 
+def test_hull_refuses_a_coordinate_that_is_not_an_integer():
+    with pytest.raises(ValueError, match=r"point \(2\.7, 0\) has a coordinate that is not"):
+        convex_hull([(0, 0), (2.7, 0), (0, 1.9)])
+    with pytest.raises(ValueError, match="Fraction"):
+        convex_hull([(0, 0), (Fraction(5, 2), 0), (0, 1)])
+    # integral values of any type are accepted as their ints
+    assert convex_hull([(0.0, 0), (Fraction(4, 2), 0), (0, 1.0)]) == convex_hull(
+        [(0, 0), (2, 0), (0, 1)]
+    )
+
+
+def test_site_refuses_a_coordinate_that_is_not_an_integer():
+    with pytest.raises(ValueError, match=r"point \(1, 0\.5\) has a coordinate that is not"):
+        FiniteSite.of([(0, 0), (1, 0.5)])
+    with pytest.raises(ValueError, match="Fraction"):
+        FiniteSite.of([(0, 0), (Fraction(5, 2), 1)])
+    assert FiniteSite.of([(0.0, Fraction(3, 3)), (1, 0)]) == FiniteSite.of([(0, 1), (1, 0)])
+
+
 @st.composite
 def flat_lattice_points(draw):
     """Integer combinations of d < n random directions in Z^n, n <= 6."""
