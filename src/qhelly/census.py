@@ -76,13 +76,13 @@ from .errors import (
 from .extint import c_from_g
 from .lattice import (
     LatticePolytope,
+    _edge_facets,
     _hull_cycle_2d,
     _row_intervals,
     _xgcd,
     canonical_form_2d,
     is_canonical_cycle_2d,
     lattice_points_in,
-    primitive,
 )
 
 CACHE_ENV_VAR = "QHELLY_CACHE_DIR"
@@ -235,20 +235,14 @@ def _moved_out(q: tuple) -> Optional[tuple]:
     Every intersection of consecutive moved lines must be integral and
     satisfy every moved half-plane.
     """
-    lines = []
-    px, py = q[-1]
-    for x, y in q:
-        g = gcd(x - px, y - py)
-        nx, ny = (py - y) // g, (x - px) // g
-        lines.append((nx, ny, nx * px + ny * py - 1))
-        px, py = x, y
+    lines = [(nx, ny, c + 1) for (nx, ny), c in _edge_facets(q)]
     points = []
     (ax, ay, ac) = lines[-1]
     for bx, by, bc in lines:
         det = ax * by - ay * bx
         x, xr = divmod(ac * by - bc * ay, det)
         y, yr = divmod(ax * bc - bx * ac, det)
-        if xr or yr or any(nx * x + ny * y < c for nx, ny, c in lines):
+        if xr or yr or any(nx * x + ny * y > c for nx, ny, c in lines):
             return None
         points.append((x, y))
         ax, ay, ac = bx, by, bc
@@ -289,11 +283,8 @@ def _vertex_drop(cycle: tuple, j: int, twice_area: int, boundary: int) -> tuple:
     (ax, ay), (bx, by) = p1, p2
     inner = (p1, p2)
     if det // (g1 * g2) > gcd(bx - ax, by - ay):
-        # strictly left of each edge of the counterclockwise triangle t
-        facets = [
-            ((qy - py, px - qx), (qy - py) * px + (px - qx) * py)
-            for (px, py), (qx, qy) in ((p1, v), (v, p2), (p2, p1))
-        ]
+        # the edge facets of the counterclockwise triangle t
+        facets = _edge_facets((p1, v, p2))
         # t's interior points lie strictly inside its bounding box
         box = (
             (min(ax, vx, bx) + 1, max(ax, vx, bx) - 1),
@@ -813,13 +804,9 @@ def _strict_interior_lattice_points(cycle: Sequence[tuple], scale: int) -> tuple
         raise BudgetExceededError(
             f"lattice scan over {cells} cells exceeds the budget {_SCAN_BUDGET}"
         )
-    # strictly left of edge A -> B: dx (scale y - ay) > dy (scale x - ax),
-    # strictly inside the integral facet (scale dy, -scale dx) . (x, y) <=
-    # dy ax - dx ay
-    facets = [
-        ((scale * (by - ay), scale * (ax - bx)), (by - ay) * ax + (ax - bx) * ay)
-        for (ax, ay), (bx, by) in zip(cycle, [*cycle[1:], cycle[0]])
-    ]
+    # (x, y) strictly inside the edge facet n . X <= c of the integer
+    # cycle: n . (scale x, scale y) < c
+    facets = [((scale * nx, scale * ny), c) for (nx, ny), c in _edge_facets(cycle)]
     return tuple(
         (x, y)
         for (x,), _, _, slo, shi in _row_intervals(((x_lo, x_hi), (y_lo, y_hi)), facets)
@@ -913,14 +900,8 @@ def expand_to_maximal(polytope: LatticePolytope, k: int) -> ExpansionResult:
             f"polygon has {len(keep)} non-vertex points, expansion asked for {k}"
         )
     m = len(verts)
-    normals = []
-    offsets = []
-    for i in range(m):
-        ax, ay = verts[i]
-        bx, by = verts[(i + 1) % m]
-        n = primitive((by - ay, ax - bx))
-        normals.append(n)
-        offsets.append(n[0] * ax + n[1] * ay)
+    # edge i runs from vertex i to vertex i + 1
+    normals, offsets = zip(*_edge_facets(verts))
     mu = [1] * m
     rounds = 0
 

@@ -345,7 +345,6 @@ def andrews_constants(n: int, precision: int = DEFAULT_PRECISION) -> "AndrewsRep
     if kappa is not None and kappa.lo > 0:
         alpha_required = kappa.power(-(n - 1), n + 1, precision)
         alpha_bounded = certified_le(alpha_required, Enclosure.point((3 * n) ** (4 * n)))
-    phi = Enclosure.point(n).power(5, 2, precision)
 
     return AndrewsReport(
         n=n,
@@ -355,7 +354,6 @@ def andrews_constants(n: int, precision: int = DEFAULT_PRECISION) -> "AndrewsRep
         kappa_prime=kappa_prime,
         kappa=kappa,
         alpha_required=alpha_required,
-        phi=phi,
         xi_bounded=certified_le(xi, Enclosure.point(n ** (2 * n))),
         c1_bounded=certified_ge(c1, Enclosure.point(Fraction(1, n * n))),
         kappa_prime_bounded=certified_ge(
@@ -373,7 +371,6 @@ class _AndrewsFields(NamedTuple):
     kappa_prime: Enclosure
     kappa: Optional[Enclosure]
     alpha_required: Optional[Enclosure]
-    phi: Enclosure
     xi_bounded: Optional[bool]
     c1_bounded: Optional[bool]
     kappa_prime_bounded: Optional[bool]

@@ -17,8 +17,8 @@ generator whose work stack carries each closed set with its hull, as
 masks and facets, so no hull is built while enumerating; it yields each
 set with its vertex mask as it pops it.  One collector keeps the pairs
 in a dict, whose totals and vertex counts are popcounts, and holds them
-to the state budget.  A site is read on the coordinates
-_kept_coordinates keeps, on which it is full-dimensional.
+to the state budget.  A site is read on the coordinates that
+lattice._affine_base keeps, on which it is full-dimensional.
 
 A site of affine dimension at most 2 is enumerated on indices alone,
 with one table of line masks for the ordered pairs of points.  A hull is
@@ -56,9 +56,8 @@ from .extint import c_from_g
 from .lattice import (
     _HULL_DIM_LIMIT,
     FiniteSite,
-    _affinely_independent_subset,
+    _affine_base,
     _dot,
-    _kept_coordinates,
     convex_hull,
     site_mask,
 )
@@ -302,13 +301,13 @@ def enumerate_convex_subsets(site: FiniteSite) -> dict:
     vertex mask once, when it pops it.  This function only collects the
     pairs, and refuses a site with more than _STATE_BUDGET closed sets.
 
-    A site is read on the coordinates _kept_coordinates keeps, which map
-    it one to one and in order.  A site of affine dimension at most 2 is
-    enumerated on indices alone: V(C) is a counterclockwise index cycle
-    from its lexicographic minimum, and a closed set is the AND of the
-    line masks of its edges (_line_masks, built once per site).  p is not
-    in C, so it lies outside C's hull: its hull cycle is C's with the
-    chain of edges that see p spliced out.
+    A site is read on the coordinates _affine_base keeps with its affine
+    base, which map it one to one and in order.  A site of affine
+    dimension at most 2 is enumerated on indices alone: V(C) is a
+    counterclockwise index cycle from its lexicographic minimum, and a
+    closed set is the AND of the line masks of its edges (_line_masks,
+    built once per site).  p is not in C, so it lies outside C's hull:
+    its hull cycle is C's with the chain of edges that see p spliced out.
     A point is a one-edge cycle and a segment a two-edge one, so the same
     splice makes a point plus p a segment, and a segment plus p a longer
     segment or a triangle.  Collinear site points are monotone in index
@@ -323,13 +322,15 @@ def enumerate_convex_subsets(site: FiniteSite) -> dict:
     """
     check_site_size(len(site))
     points = site.points
-    base = _affinely_independent_subset(points, site.dim)
-    if len(base) > _HULL_DIM_LIMIT + 1:
+    base, kept = _affine_base(points)
+    d = len(base) - 1
+    if d > _HULL_DIM_LIMIT:
+        # the scan stopped at its cap; with points left, d only bounds below
+        least = "at least " if d < site.dim and base[-1] != points[-1] else ""
         raise UnsupportedDimensionError(
             f"closed sets are enumerated up to affine dimension {_HULL_DIM_LIMIT}, "
-            f"got {len(base) - 1}"
+            f"got {least}{d}"
         )
-    kept = _kept_coordinates(base)
     if len(base) <= 3:
         # a point or a line gets a zero second coordinate: one collinear site
         pad = (0,) * (2 - len(kept))

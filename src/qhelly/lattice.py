@@ -5,10 +5,11 @@ not an integer is refused, not truncated.  Convex hulls are supported for
 affine dimension up to 5: dimensions 0-2 directly, 3-5 by a fraction-free
 double description on the polar dual, started from the dual simplex of
 an affinely independent base.  convex_hull sorts the points and picks
-that base once, which also gives the affine dimension.  Full-dimensional
+that base, with the coordinates to keep, in one row-echelon pass
+(_affine_base), which also gives the affine dimension.  Full-dimensional
 inputs are hulled as they are; an input of lower affine dimension d is
-projected, with its base, onto d coordinates on which its affine hull is
-one to one and keeps its lexicographic order (_kept_coordinates), hulled
+projected, with its base, onto the d kept coordinates, on which its
+affine hull is one to one and keeps its lexicographic order, hulled
 there, and its facets are lifted by zeros in the dropped coordinates, so
 facet data is always integral.
 Membership in a finite site is one path: FiniteSite.cut_mask ANDs the
@@ -64,14 +65,6 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     if old_r < 0:
         old_r, old_s, old_t = -old_r, -old_s, -old_t
     return old_r, old_s, old_t
-
-
-def primitive(v: Sequence[int]) -> tuple[int, ...]:
-    """v divided by the gcd of its entries; v must be nonzero."""
-    g = gcd(*v)
-    if g == 0:
-        raise ValueError("zero vector has no primitive form")
-    return tuple(x // g for x in v)
 
 
 def _dot(u: Sequence, v: Sequence):
@@ -327,15 +320,16 @@ def _hull_cycle_2d(points: Sequence[Point]) -> tuple:
     return tuple(lower[:-1] + upper[:-1])
 
 
-def _facets_from_cycle_2d(cycle: Sequence[Point]) -> tuple:
+def _edge_facets(cycle: Sequence[Point]) -> list[tuple]:
+    """The facet (normal, offset) of each edge of a counterclockwise lattice
+    polygon cycle, edge i running from cycle[i] to cycle[i + 1]: the
+    primitive outward normal, with normal . x <= offset on the polygon."""
     facets = []
-    vx, vy = cycle[-1]
-    for wx, wy in cycle:
-        g = gcd(wx - vx, wy - vy)
-        nx, ny = (wy - vy) // g, (vx - wx) // g
-        facets.append(((nx, ny), nx * vx + ny * vy))
-        vx, vy = wx, wy
-    return tuple(sorted(facets))
+    for (ax, ay), (bx, by) in zip(cycle, cycle[1:] + cycle[:1]):
+        g = gcd(bx - ax, by - ay)
+        nx, ny = (by - ay) // g, (ax - bx) // g
+        facets.append(((nx, ny), nx * ax + ny * ay))
+    return facets
 
 
 def _hull_1d(points: Sequence[Point]) -> tuple[tuple, tuple]:
@@ -345,17 +339,37 @@ def _hull_1d(points: Sequence[Point]) -> tuple[tuple, tuple]:
     return ((lo,), (hi,)), (((-1,), -lo), ((1,), hi))
 
 
-def _affinely_independent_subset(points: Sequence[Point], d: int) -> list[Point]:
-    chosen = [points[0]]
-    diffs: list = []
-    for p in points[1:]:
-        cand = diffs + [_sub(p, chosen[0])]
-        if rational_rank(cand) > len(diffs):
-            diffs = cand
-            chosen.append(p)
-            if len(chosen) == d + 1:
+def _affine_base(points: Iterable[Point]) -> tuple[list[Point], list[int]]:
+    """An affinely independent base of the points, taken greedily in
+    order, and the coordinates on which its directions have full rank.
+
+    One fraction-free row-echelon pass: a point joins the base when its
+    difference from the first point stays nonzero after reduction by the
+    rows kept so far, in order of their leading coordinates, which are
+    the greedy full-rank coordinates (the pivot columns).  Each coordinate
+    left out is an affine function of kept ones before it on the base's
+    affine hull, so dropping it keeps that hull one to one and in
+    lexicographic order.  The pass stops at min(n, _HULL_DIM_LIMIT + 1) + 1
+    points in Z^n: past that, a base only bounds the dimension below.
+    """
+    it = iter(points)
+    o = next(it)
+    base = [o]
+    cap = min(len(o), _HULL_DIM_LIMIT + 1)
+    rows: dict[int, list] = {}  # leading coordinate -> row
+    for p in it:
+        v = [a - b for a, b in zip(p, o)]
+        for lead, row in sorted(rows.items()):
+            if f := v[lead]:
+                v = [row[lead] * a - f * b for a, b in zip(v, row)]
+        lead = next((i for i, a in enumerate(v) if a), None)
+        if lead is not None:
+            g = gcd(*v)
+            rows[lead] = [a // g for a in v]
+            base.append(p)
+            if len(base) > cap:
                 break
-    return chosen
+    return base, sorted(rows)
 
 
 def _dd_hull(pts: Sequence[Point], base: Sequence[Point]) -> tuple[tuple, tuple]:
@@ -455,8 +469,7 @@ def _hull_full_dim(points: Sequence[Point], base: Sequence[Point]) -> tuple[tupl
         return _hull_1d(points)
     if d == 2:
         cycle = _hull_cycle_2d(points)
-        return cycle, _facets_from_cycle_2d(cycle)
-    check_hull_dimension(d)
+        return cycle, tuple(sorted(_edge_facets(cycle)))
     return _dd_hull(points, base)
 
 
@@ -469,22 +482,6 @@ def check_hull_dimension(d: int) -> None:
         )
 
 
-def _kept_coordinates(base: Sequence[Point]) -> list[int]:
-    """The coordinates, taken greedily in order, on which the directions
-    of an affinely independent base have full rank.
-
-    Each coordinate left out is an affine function, on the affine hull of
-    base, of kept coordinates before it.  So dropping them maps the affine
-    hull one to one and keeps the lexicographic order of its points.
-    """
-    diffs = [_sub(p, base[0]) for p in base[1:]]
-    kept: list[int] = []
-    for i in range(len(base[0])):
-        if rational_rank([[row[j] for j in kept + [i]] for row in diffs]) > len(kept):
-            kept.append(i)
-    return kept
-
-
 def convex_hull(points: Iterable[Point]) -> LatticePolytope:
     """Exact convex hull of lattice points (affine dimension up to 5)."""
     pts = _sorted_lattice_points(points)
@@ -494,17 +491,22 @@ def convex_hull(points: Iterable[Point]) -> LatticePolytope:
     if any(len(p) != n for p in pts):
         raise ValueError("mixed point dimensions")
 
-    base = _affinely_independent_subset(pts, n)
+    base, kept = _affine_base(pts)
     d = len(base) - 1
+    if _HULL_DIM_LIMIT < d < n and base[-1] != pts[-1]:
+        # the scan stopped at its cap with points left
+        raise UnsupportedDimensionError(
+            f"exact hulls support affine dimension <= {_HULL_DIM_LIMIT}, got at least {d}"
+        )
+    check_hull_dimension(d)
     if d == n:
         return LatticePolytope(*_hull_full_dim(pts, base), n, n)
 
-    # Degenerate: dropping the coordinates that _kept_coordinates leaves
+    # Degenerate: dropping the coordinates that _affine_base leaves
     # out maps the affine hull one to one onto Q^d and its lattice points
     # into Z^d, so the base stays a base there, the hull there has the
     # same vertices, and a facet m . x_R <= c of it is the facet of the
     # input with normal m at the kept positions.
-    kept = _kept_coordinates(base)
     lift = {tuple(p[i] for i in kept): p for p in pts}
     sub_base = [tuple(p[i] for i in kept) for p in base]
     sub_vertices, sub_facets = _hull_full_dim(list(lift), sub_base)

@@ -17,7 +17,9 @@ extension, where the engine carries facets or line masks.  A polygon
 less one vertex is the whole hull of the box scan of the vertex's
 triangle and the other vertices, where the census descent splices in
 one chain.  The segment oracle works in Fractions, where the package
-scales to integers.
+scales to integers.  An affine base and the coordinates to keep are
+chosen greedily by the rank of every candidate, from scratch, where the
+package reduces each candidate once against an echelon form.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from qhelly.lattice import (
     _xgcd,
     convex_hull,
     integer_kernel_basis,
+    rational_rank,
     site_mask,
 )
 
@@ -337,3 +340,29 @@ def _drop_vertex(cycle: tuple, j: int) -> tuple:
             ):
                 points.append((x, y))
     return _hull_cycle_2d(points)
+
+
+def _affinely_independent_subset(points: Sequence[Point], d: int) -> list[Point]:
+    """The first point, then each point whose difference from it raises the
+    rational rank of the differences chosen so far, up to d + 1 points."""
+    chosen = [points[0]]
+    diffs: list = []
+    for p in points[1:]:
+        cand = diffs + [tuple(a - b for a, b in zip(p, chosen[0]))]
+        if rational_rank(cand) > len(diffs):
+            diffs = cand
+            chosen.append(p)
+            if len(chosen) == d + 1:
+                break
+    return chosen
+
+
+def _kept_coordinates(base: Sequence[Point]) -> list[int]:
+    """The coordinates, taken greedily in order, on which the directions
+    of an affinely independent base have full rank."""
+    diffs = [tuple(a - b for a, b in zip(p, base[0])) for p in base[1:]]
+    kept: list[int] = []
+    for i in range(len(base[0])):
+        if rational_rank([[row[j] for j in kept + [i]] for row in diffs]) > len(kept):
+            kept.append(i)
+    return kept

@@ -52,6 +52,7 @@ from qhelly.lattice import (
     FiniteSite,
     PointCensus,
     _anchored_leads,
+    _edge_facets,
     _hull_cycle_2d,
     canonical_form_2d,
     census,
@@ -204,6 +205,18 @@ def _moved_half_planes(q) -> list:
         n = ((py - y) // g, (x - px) // g)
         out.append((n, n[0] * px + n[1] * py - 1))
     return out
+
+
+def test_edge_facets_moved_out_are_the_moved_half_planes():
+    # n . x <= c outward is -n . x >= -c inward, moved out to -c - 1; the
+    # moved half-planes start at the edge into q[0], the facets at the one
+    # out of it
+    for i in range(5):
+        for cls in parse_census_file((DEVCACHE / f"interior_{i:02d}.census").read_text()).classes:
+            q = cls.vertices
+            moved = _moved_half_planes(q)
+            facets = _edge_facets(q)
+            assert [((-nx, -ny), -c - 1) for (nx, ny), c in facets] == moved[1:] + moved[:1]
 
 
 def test_moving_out_the_edges():

@@ -232,6 +232,13 @@ def test_six_dimensional_site_is_refused():
         enumerate_convex_subsets(FiniteSite.of(simplex))
 
 
+def test_site_beyond_the_base_scan_is_refused_with_a_lower_bound():
+    # a 7-simplex in Z^7: the base scan stops at 7 points, with one left
+    simplex = [tuple(int(i == j) for j in range(7)) for i in range(-1, 7)]
+    with pytest.raises(UnsupportedDimensionError, match="affine dimension 5, got at least 6$"):
+        enumerate_convex_subsets(FiniteSite.of(simplex))
+
+
 @pytest.mark.parametrize(
     "points",
     [

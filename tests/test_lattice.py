@@ -17,19 +17,23 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from qhelly import lattice
 from qhelly.errors import DegenerateInputError, UnsupportedDimensionError
 from qhelly.lattice import (
     FiniteSite,
     LatticePolytope,
+    _affine_base,
+    _edge_facets,
     canonical_form_2d,
     census,
     convex_hull,
     integer_kernel_basis,
     lattice_points_in,
-    primitive,
     rational_rank,
 )
 from scan_oracles import (
+    _affinely_independent_subset,
+    _kept_coordinates,
     box_census,
     box_points,
     census_tuple,
@@ -42,6 +46,11 @@ from scan_oracles import (
 
 
 # --- independent oracles ----------------------------------------------------
+
+
+def primitive(v):
+    """v divided by the gcd of its entries; v must be nonzero."""
+    return tuple(x // gcd(*v) for x in v)
 
 
 def caratheodory_member(p, points, dim):
@@ -228,6 +237,20 @@ def test_collinear_points_are_not_vertices():
     assert P.vertices == ((0, 0), (2, 0), (2, 2), (0, 2))
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)), min_size=3, max_size=9))
+@example([(0, 0), (4, 0), (0, 6)])  # edges of lattice length 4, 2 and 2
+def test_edge_facets_are_the_supporting_lines_in_cycle_order(points):
+    cycle = convex_hull(points).vertices
+    assume(len(cycle) >= 3)
+    facets = _edge_facets(cycle)
+    assert set(facets) == brute_facets(sorted(set(points)), 2)
+    assert len(facets) == len(cycle)
+    # facet i holds edge i, from vertex i to vertex i + 1
+    for ((nx, ny), c), a, b in zip(facets, cycle, cycle[1:] + cycle[:1]):
+        assert nx * a[0] + ny * a[1] == c == nx * b[0] + ny * b[1]
+
+
 # --- higher dimensions ------------------------------------------------------
 
 
@@ -385,6 +408,50 @@ def test_six_dimensional_hulls_raise_on_both_routes(n):
             route(simplex)
         messages.append(str(raised.value))
     assert messages[0] == messages[1] == "exact hulls support affine dimension <= 5, got 6"
+
+
+def test_hull_refuses_a_high_dimension_after_a_short_scan(monkeypatch):
+    # the sorted 0/1 cube in Z^16 holds e_16, e_15, e_14, ... at the indices
+    # 1, 2, 4, ..., so the base reaches 7 points at the 33rd point
+    read = []
+    scan = lattice._affine_base
+
+    def counted(points):
+        for p in points:
+            read.append(p)
+            yield p
+
+    monkeypatch.setattr(lattice, "_affine_base", lambda points: scan(counted(points)))
+    with pytest.raises(UnsupportedDimensionError) as raised:
+        convex_hull(itertools.product((0, 1), repeat=16))
+    assert str(raised.value) == "exact hulls support affine dimension <= 5, got at least 6"
+    assert len(read) == 33
+
+
+@st.composite
+def lattice_flats(draw):
+    """Sorted distinct points on a flat of dimension 0..6 in Z^1..Z^7."""
+    n = draw(st.integers(1, 7))
+    d = draw(st.integers(0, min(n, 6)))
+    base = draw(st.tuples(*[st.integers(-4, 4)] * n))
+    directions = [draw(st.tuples(*[st.integers(-3, 3)] * n)) for _ in range(d)]
+    weights = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * d), min_size=1, max_size=d + 6))
+    return sorted(
+        {
+            tuple(b + sum(w * v[i] for w, v in zip(ws, directions)) for i, b in enumerate(base))
+            for ws in weights
+        }
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(lattice_flats())
+@example([(0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 1, 1)])  # a full base, then more
+@example([(0, 0, 0, 0), (0, 0, 3, 6), (1, 2, 0, 0), (2, 4, 3, 6)])  # a plane on x_1, x_3
+@example([tuple(int(i == j) for j in range(7)) for i in range(8)])  # 8 points in Z^7
+def test_affine_base_is_the_greedy_rank_scan(points):
+    base = _affinely_independent_subset(points, min(len(points[0]), 6))
+    assert _affine_base(points) == (base, _kept_coordinates(base))
 
 
 def _assert_hull_matches_brute(pts, dim):

@@ -7,8 +7,10 @@ from itertools import product
 
 import pytest
 
+from qhelly import witnesses
+from qhelly.engine import enumerate_convex_subsets
 from qhelly.errors import UnsupportedDimensionError
-from qhelly.lattice import census
+from qhelly.lattice import FiniteSite, census
 from qhelly.witnesses import (
     ConstructionRecipe,
     _nonvertex_count,
@@ -139,6 +141,29 @@ def test_every_recipe_verifies_up_to_dimension_five():
             assert report.ok, (recipe.label, report.findings)
             assert report.actual_vertices == recipe.expected_vertices
             assert report.actual_nonvertex == recipe.expected_nonvertex
+
+
+@pytest.mark.parametrize("n, k", [(2, 0), (2, 1), (2, 2), (2, 3), (2, 4), (3, 0), (4, 0)])
+def test_theorem4_bodies_are_closed_sets_of_their_boxes(monkeypatch, n, k):
+    # the bodies whose bounding box holds at most 26 points: the least
+    # closed set of the box that holds the construction points is the
+    # body's, and the engine's vertex mask gives its counts, with no hull
+    # and no recount
+    recipe = tight_recipe(n, k)
+    # tight_witness hands its construction points to convex_hull; sorting
+    # them instead builds no hull
+    monkeypatch.setattr(witnesses, "convex_hull", sorted)
+    points = tight_witness(recipe)
+    box = FiniteSite.of(product(*(range(min(c), max(c) + 1) for c in zip(*points))))
+    assert len(box) <= 26
+    want = sum(1 << box.points.index(p) for p in points)
+    sets = enumerate_convex_subsets(box)
+    body = min((c for c in sets if c & want == want), key=int.bit_count)
+    vertices = sets[body].bit_count()
+    assert (vertices, body.bit_count() - vertices) == (
+        recipe.expected_vertices,
+        recipe.expected_nonvertex,
+    )
 
 
 def test_verify_rejects_a_corrupted_recipe():
