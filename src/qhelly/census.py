@@ -73,7 +73,7 @@ from .errors import (
     DegenerateInputError,
     GuardRadiusError,
 )
-from .extint import c_from_g
+from .extint import Profile, c_from_g
 from .lattice import (
     LatticePolytope,
     _edge_facets,
@@ -688,26 +688,15 @@ def _require_complete(store: CensusStore, k_max: int) -> None:
         )
 
 
-class LatticeProfile(NamedTuple):
-    """g and c over the planar lattice, with drop points and findings."""
-
-    label: str
-    k_max: int
-    g: tuple
-    c: tuple
-    drops: tuple
-    witnesses: tuple
-    findings: tuple
-
-
-def c_z2_profile(k_max: int, store: CensusStore) -> LatticeProfile:
+def c_z2_profile(k_max: int, store: CensusStore) -> Profile:
     """Counting profile of the planar lattice through k_max.
 
     g[k] is the largest vertex count among the classes with k non-vertex
-    points, and its witness the first class in key order that attains it;
-    the width-1 family stands in when no class reaches 4 vertices.  A polygon
-    with k non-vertex points has at most k interior points, so the files
-    0..k_max decide every value, and one pass over them fills the table.
+    points, and witnesses[k] the vertex tuple of the first class in key
+    order that attains it; the width-1 trapezoid's vertices stand in when
+    no class reaches 4 vertices.  A polygon with k non-vertex points has
+    at most k interior points, so the files 0..k_max decide every value,
+    and one pass over them fills the table.
     c follows the stepwise recursion of extint.c_from_g; no k exceeds the
     size of the infinite site Z^2, so k_max serves as the size bound.
 
@@ -730,10 +719,10 @@ def c_z2_profile(k_max: int, store: CensusStore) -> LatticeProfile:
             ):
                 best[k] = cls
     witnesses = tuple(
-        cls if cls is not None and cls.vertex_count >= 4 else width1_trapezoid(k)
+        (cls if cls is not None and cls.vertex_count >= 4 else width1_trapezoid(k)).vertices
         for k, cls in enumerate(best)
     )
-    g_vals = tuple(w.vertex_count for w in witnesses)
+    g_vals = tuple(map(len, witnesses))
     c_vals = c_from_g(g_vals, k_max)
     findings = []
     for k in range(1, k_max + 1):
@@ -748,15 +737,7 @@ def c_z2_profile(k_max: int, store: CensusStore) -> LatticeProfile:
                 f"{g_vals[k - 1]}; the census is likely incomplete"
             )
     drops = tuple(k for k in range(1, k_max + 1) if g_vals[k] == g_vals[k - 1] - 1)
-    return LatticeProfile(
-        label="Z^2",
-        k_max=k_max,
-        g=g_vals,
-        c=c_vals,
-        drops=drops,
-        witnesses=witnesses,
-        findings=tuple(findings),
-    )
+    return Profile("Z^2", k_max, g_vals, c_vals, witnesses, drops, tuple(findings))
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,7 @@ from typing import Optional, Sequence
 
 from . import __version__
 from .errors import OutputError, QhellyError
-from .extint import to_csv
+from .extint import Profile, to_csv
 
 
 def _lazy(name: str) -> types.ModuleType:
@@ -110,7 +110,7 @@ def _check(args: argparse.Namespace) -> None:
         raise UsageError("thread count must be positive")
 
 
-def _z2_profile(args: argparse.Namespace, k: int) -> census.LatticeProfile:
+def _z2_profile(args: argparse.Namespace, k: int) -> Profile:
     """The planar lattice profile up to k, building missing census counts."""
     if args.cache is None and not os.environ.get(census.CACHE_ENV_VAR):
         raise UsageError(
@@ -125,35 +125,27 @@ def _z2_profile(args: argparse.Namespace, k: int) -> census.LatticeProfile:
 # serialization
 
 
-def _witness_points(witness) -> Optional[list]:
-    if witness is None:
-        return None
-    vertices = getattr(witness, "vertices", witness)
-    return [list(p) for p in vertices]
-
-
-def render_csv(profile) -> str:
+def render_csv(profile: Profile) -> str:
     lines = ["k,g,c"]
     for k in range(profile.k_max + 1):
         lines.append(f"{k},{to_csv(profile.g[k])},{to_csv(profile.c[k])}")
     return "\n".join(lines) + "\n"
 
 
-def render_json(profile) -> str:
+def render_json(profile: Profile) -> str:
     payload = {
         "site": profile.label,
         "k_max": profile.k_max,
         "g": profile.g,
         "c": profile.c,
-        "witnesses": [_witness_points(w) for w in profile.witnesses],
+        "witnesses": profile.witnesses,
     }
-    drops = getattr(profile, "drops", None)
-    if drops is not None:
-        payload["drops"] = list(drops)
+    if profile.drops is not None:
+        payload["drops"] = profile.drops
     return json.dumps(payload, indent=2) + "\n"
 
 
-def render_svg(profile) -> str:
+def render_svg(profile: Profile) -> str:
     """Step plot of the c column: integer axes, one polyline, labeled ticks."""
     ks = [k for k in range(profile.k_max + 1) if profile.c[k] is not None]
     values = [profile.c[k] for k in ks]
@@ -312,8 +304,7 @@ def _run_maximal(args: argparse.Namespace) -> int:
     failures = 0
     lines = ["k,helly,facets,rounds,member"]
     for k in range(1, args.k + 1):
-        witness = profile.witnesses[k]
-        result = census.expand_to_maximal(lattice.convex_hull(witness.vertices), k)
+        result = census.expand_to_maximal(lattice.convex_hull(profile.witnesses[k]), k)
         report = result.report
         failures += not (report.is_member and report.facet_count == profile.c[k])
         lines.append(
@@ -365,7 +356,7 @@ def _run_audit(args: argparse.Namespace) -> int:
         site = _grid_site(_parse_dims(args.site))
         profile = engine.g_profile(site, args.kmax, label=args.site)
         dim = site.dim
-    report = engine.audit_bounds(profile.label, dim, profile.c)
+    report = engine.audit_bounds(dim, profile.c)
     lines = [f"audit {profile.label}: h={to_csv(report.h)}"]
     for check in report.checks:
         mark = "=" if check.equality else "<" if check.satisfied else "VIOLATED"

@@ -51,8 +51,8 @@ from math import gcd
 from operator import and_
 from typing import Iterator, NamedTuple, Optional, Sequence
 
-from .errors import BudgetExceededError, FrozenRecord, UnsupportedDimensionError
-from .extint import c_from_g
+from .errors import BudgetExceededError, UnsupportedDimensionError
+from .extint import Profile, c_from_g
 from .lattice import (
     _HULL_DIM_LIMIT,
     FiniteSite,
@@ -349,36 +349,20 @@ def enumerate_convex_subsets(site: FiniteSite) -> dict:
     return found
 
 
-class SiteProfile(FrozenRecord):
-    """g and c values of a finite site for k = 0..k_max, plus witnesses.
-
-    g[k] and c[k] are Optional[int]: None where no polytope with vertices
-    in the site has k nonvertex points (g) or where k exceeds the site's
-    size (c).  witnesses[k] is the vertex tuple of a polytope attaining
-    g[k] (None when g[k] is None).
-    """
-
-    __slots__ = ("label", "k_max", "g", "c", "witnesses")
-
-    def __init__(self, label: str, k_max: int, g: tuple, c: tuple, witnesses: tuple) -> None:
-        assert len(g) == len(c) == len(witnesses) == k_max + 1
-        for name, value in zip(self.__slots__, (label, k_max, g, c, witnesses)):
-            object.__setattr__(self, name, value)
-
-
 def g_profile(
     site: FiniteSite,
     k_max: Optional[int] = None,
     *,
     label: Optional[str] = None,
-) -> SiteProfile:
+) -> Profile:
     """Profile of g (and c via the stepwise route) for k = 0..k_max.
 
     One fold over the closed sets, in any order, keeps per k the largest
     vertex count and, among the sets that attain it, the least sorted
     point tuple: the witness of g[k] is the first such set in (size,
-    sorted point tuple) order.  Only the k_max + 1
-    witnesses are hulled again, to give their vertices in polytope order.
+    sorted point tuple) order.  Only the k_max + 1 winners are hulled
+    again, and witnesses[k] is the vertex tuple of that hull, in polytope
+    order (None where g[k] is None).
     """
     if k_max is None:
         k_max = len(site)
@@ -405,13 +389,8 @@ def g_profile(
             assert site_mask(poly, site) == closed and len(poly.vertices) == g[k]
             wit[k] = poly.vertices
     g_vals = tuple(v or None for v in g)
-    return SiteProfile(
-        label=label or site.describe(),
-        k_max=k_max,
-        g=g_vals,
-        c=c_from_g(g_vals, len(site)),
-        witnesses=tuple(wit),
-    )
+    c_vals = c_from_g(g_vals, len(site))
+    return Profile(label or site.describe(), k_max, g_vals, c_vals, tuple(wit))
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +407,6 @@ class BoundCheck(NamedTuple):
 
 
 class BoundReport(NamedTuple):
-    label: str
     h: Optional[int]
     checks: tuple
 
@@ -441,11 +419,7 @@ def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
-def audit_bounds(
-    label: str,
-    ambient_dim: int,
-    c_values: Sequence[Optional[int]],
-) -> BoundReport:
+def audit_bounds(ambient_dim: int, c_values: Sequence[Optional[int]]) -> BoundReport:
     """Check c against the known upper bounds.
 
     paired_step: floor((k+1)/2) * (h-2) + h, valid whenever h >= 2;
@@ -469,4 +443,4 @@ def audit_bounds(
             ok = val is None or val <= bound
             eq = val == bound
             checks.append(BoundCheck(k, name, bound, val, ok, eq))
-    return BoundReport(label=label, h=h, checks=tuple(checks))
+    return BoundReport(h=h, checks=tuple(checks))

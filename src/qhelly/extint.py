@@ -1,16 +1,37 @@
-"""The profile values and the integer helpers that two layers share.
+"""The profile record and values, and the integer helpers that two
+layers share.
 
 g(S, k) has no value at a k that no polytope with vertices in S reaches,
 and c(S, k) none beyond the size of S.  Such a value is None, which
 to_csv writes as -inf and json as null; None is below every int in the
-c recursion.  c_from_g (the stepwise c recursion of the site and planar
-profiles) and integer_root (the exact root of the witnesses and the
-constant chains) live here, so each command loads only its layers.
+c recursion.  Profile (the one record of the site and planar profiles),
+c_from_g (their stepwise c recursion) and integer_root (the exact root
+of the witnesses and the constant chains) live here, so each command
+loads only its layers.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
+
+
+class Profile(NamedTuple):
+    """g and c of a site S for k = 0..k_max, with a witness per k.
+
+    g[k] and c[k] are Optional[int], as above.  witnesses[k] is the
+    vertex tuple of a polytope with vertices in S that attains g[k], or
+    None where g[k] is None.  drops are the k at which g falls by one,
+    for Z^2 only (None for a finite site), and findings name the checks
+    of the profile that failed.
+    """
+
+    label: str
+    k_max: int
+    g: tuple
+    c: tuple
+    witnesses: tuple
+    drops: Optional[tuple] = None
+    findings: tuple = ()
 
 
 def to_csv(value: Optional[int]) -> str:

@@ -206,11 +206,11 @@ def test_criterion_07_bound_audit(capsys):
         profiles = [(site, c_direct(site, len(site))) for site in sites]
     ok = True
     for site, c_values in profiles:
-        report = audit_bounds(site.describe(), site.dim, c_values)
+        report = audit_bounds(site.dim, c_values)
         ok = ok and report.all_satisfied
     store = _census_store(10)
     z2 = c_z2_profile(10, store)
-    report = audit_bounds(z2.label, 2, z2.c)
+    report = audit_bounds(2, z2.c)
     ok = ok and report.all_satisfied
     equalities = {
         check.k
@@ -232,8 +232,7 @@ def test_criterion_08_maximal_expansion(capsys):
     profile = c_z2_profile(5, store)
     ok = True
     for k in range(1, 6):
-        witness = profile.witnesses[k]
-        result = expand_to_maximal(convex_hull(witness.vertices), k)
+        result = expand_to_maximal(convex_hull(profile.witnesses[k]), k)
         ok = ok and result.report.is_member
         ok = ok and result.report.facet_count == profile.c[k]
     square = maximal_membership([(1, 1), (1, -1), (-1, 1), (-1, -1)], 1)

@@ -48,6 +48,7 @@ from qhelly.errors import (
     CacheMissingError,
     DegenerateInputError,
 )
+from qhelly.extint import Profile
 from qhelly.lattice import (
     FiniteSite,
     PointCensus,
@@ -924,7 +925,7 @@ def test_g_witnesses_attain_their_counts(small_cache):
     for k in range(6):
         profile = c_z2_profile(k, small_cache)
         value, witness = profile.g[k], profile.witnesses[k]
-        counts = census(convex_hull(witness.vertices))
+        counts = census(convex_hull(witness))
         assert counts.vertex == value and counts.nonvertex == k
 
 
@@ -969,7 +970,7 @@ def test_golden_witnesses_match_a_brute_force_pick(golden_profile):
             expected = min((cls for cls in at_k if cls.vertex_count == most), key=lambda c: c.key())
         else:
             expected = width1_trapezoid(k)
-        assert witness == expected
+        assert witness == expected.vertices
         assert golden_profile.g[k] == max(most, 4)
 
 
@@ -1074,11 +1075,10 @@ def test_hexagon_expands_to_a_maximal_hexagon():
         assert nx * ax + ny * ay == offset
 
 
-def test_expansion_facets_support_the_vertex_cycle():
-    result = expand_to_maximal(convex_hull(HEXAGON), 1)
-    cycle = _facet_cycle(result.facets)
+def _assert_facets_support_their_cycle(facets):
+    cycle = _facet_cycle(facets)
     m = len(cycle)
-    for t, ((nx, ny), offset) in enumerate(result.facets):
+    for t, ((nx, ny), offset) in enumerate(facets):
         (ox, oy), (px, py), (qx, qy) = cycle[t - 1], cycle[t], cycle[(t + 1) % m]
         # facet t holds the points it shares with facets t - 1 and t + 1
         assert nx * ox + ny * oy == offset
@@ -1088,9 +1088,27 @@ def test_expansion_facets_support_the_vertex_cycle():
         assert (px - ox) * (qy - py) - (py - oy) * (qx - px) > 0
 
 
+def test_expansion_facets_support_the_vertex_cycle():
+    _assert_facets_support_their_cycle(expand_to_maximal(convex_hull(HEXAGON), 1).facets)
+
+
+def test_thin_triangle_restores_the_fan_by_doubling_every_weight():
+    # with every mu = 1, two consecutive seed normals do not turn left, so
+    # the fan loop doubles every weight before any stray point is cut
+    triangle = convex_hull([(0, 0), (3, 0), (0, 1)])
+    normals = [normal for normal, _ in _edge_facets(triangle.vertices)]
+    seed = [(a[0] + b[0], a[1] + b[1]) for a, b in zip(normals[-1:] + normals[:-1], normals)]
+    assert min(a[0] * b[1] - a[1] * b[0] for a, b in zip(seed, seed[1:] + seed[:1])) <= 0
+    result = expand_to_maximal(triangle, 2)
+    assert result.rounds > 0
+    assert len(result.facets) == 3 and result.report.is_member
+    assert result.report.facet_count == 3
+    _assert_facets_support_their_cycle(result.facets)
+
+
 def test_skewed_triangle_needs_weight_doubling():
-    # 4 interior + 3 boundary nonvertex points; the stretched edge
-    # normals force several doubling rounds before the fan closes
+    # 4 interior + 3 boundary nonvertex points; the seed fan already turns
+    # left, and each round doubles one weight to cut a stray lattice point
     triangle = convex_hull([(0, 0), (2, 0), (4, 6)])
     result = expand_to_maximal(triangle, 7)
     assert result.rounds > 0
@@ -1103,8 +1121,7 @@ def test_expansion_matches_profile_counts(small_cache):
     # the expanded census witness realises the Helly count as a facet count
     profile = c_z2_profile(5, small_cache)
     for k in range(1, 6):
-        witness = profile.witnesses[k]
-        result = expand_to_maximal(convex_hull(witness.vertices), k)
+        result = expand_to_maximal(convex_hull(profile.witnesses[k]), k)
         assert len(result.facets) == result.report.facet_count == profile.c[k], k
 
 
@@ -1190,10 +1207,9 @@ def test_records_refuse_assignment_check_their_counts_and_pickle():
         lambda: census(convex_hull([(0, 0), (2, 0), (0, 2)])),
         lambda: convex_hull([(0, 0), (2, 0), (0, 1)]),
         lambda: Enclosure(Fraction(1), Fraction(2)),
-        lambda: g_profile(FiniteSite.grid(2, 2), 2),
         lambda: tight_recipe(3, 1),
     ],
-    ids=["FiniteSite", "PointCensus", "LatticePolytope", "Enclosure", "SiteProfile", "ConstructionRecipe"],
+    ids=["FiniteSite", "PointCensus", "LatticePolytope", "Enclosure", "ConstructionRecipe"],
 )
 def test_frozen_records_survive_copy_and_pickle(make):
     record = make()
@@ -1205,3 +1221,12 @@ def test_frozen_records_survive_copy_and_pickle(make):
             assert twin == record
         with pytest.raises(AttributeError, match=f"^cannot assign to field '{slots[0]}'$"):
             setattr(twin, slots[0], getattr(record, slots[0]))
+
+
+def test_profiles_survive_copy_and_pickle_and_refuse_assignment(small_cache):
+    # the site and the planar profile are one NamedTuple, Z^2's with its drops
+    for profile in (g_profile(FiniteSite.grid(2, 2), 2), c_z2_profile(5, small_cache)):
+        for twin in (copy.copy(profile), copy.deepcopy(profile), pickle.loads(pickle.dumps(profile))):
+            assert type(twin) is Profile and twin == profile
+        with pytest.raises(AttributeError):
+            profile.label = "other"

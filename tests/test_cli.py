@@ -42,7 +42,7 @@ def test_grid_csv_exact_bytes(capsys):
     assert err == ""
 
 
-def test_grid_json_matches_schema(capsys):
+def test_grid_json_matches_schema(small_cache, capsys):
     code, out, _ = run_cli(
         capsys, ["grid", "--dims", "3x3", "--kmax", "5", "--format", "json"]
     )
@@ -62,6 +62,16 @@ def test_grid_json_matches_schema(capsys):
     # null witness exactly where g is minus infinity
     assert doc["witnesses"][4] is None
     assert all(w is not None for i, w in enumerate(doc["witnesses"]) if i != 4)
+    # the planar profile's json, drops included, follows the same schema
+    code, out, _ = run_cli(
+        capsys,
+        ["census", "--k", "5", "--cache", str(small_cache.directory), "--format", "json"],
+    )
+    assert code == 0
+    doc = json.loads(out)
+    jsonschema.validate(doc, schema)
+    assert doc["site"] == "Z^2" and doc["drops"] == [5]
+    assert all(len(w) == g for w, g in zip(doc["witnesses"], doc["g"]))
 
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -181,6 +191,21 @@ def test_census_json_has_drops(small_cache, capsys):
     doc = json.loads(out)
     assert doc["drops"] == [5]
     assert doc["c"] == [4, 6, 6, 6, 8, 7]
+
+
+def test_census_findings_exit_1_after_the_table(small_cache, capsys, monkeypatch):
+    real = census.c_z2_profile
+
+    def with_a_finding(k_max, store):
+        return real(k_max, store)._replace(findings=("g(3) = 6 is a planted finding",))
+
+    monkeypatch.setattr(census, "c_z2_profile", with_a_finding)
+    code, out, err = run_cli(
+        capsys, ["census", "--k", "3", "--cache", str(small_cache.directory)]
+    )
+    assert code == 1
+    assert out == "k,g,c\n0,4,4\n1,6,6\n2,6,6\n3,6,6\n"
+    assert err == "finding: g(3) = 6 is a planted finding\n"
 
 
 def test_census_emit_svg(small_cache, tmp_path, capsys):

@@ -124,22 +124,34 @@ def test_grid_6x4_closed_set_count():
 _SQUARE = [(0, 0), (2, 0), (2, 2), (0, 2)]
 
 
+@st.composite
+def _points_and_later_point(draw):
+    """Points in [0, 6]^2 and a point p whose x is at least theirs, so that
+    p is lexicographically above them all except, maybe, at a tie in x."""
+    points = draw(
+        st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), min_size=3, max_size=12)
+    )
+    return points, (draw(st.integers(max(points)[0], 9)), draw(st.integers(-3, 9)))
+
+
 @settings(max_examples=300, deadline=None)
 @given(
-    st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), min_size=3, max_size=12),
-    st.tuples(st.integers(-3, 9), st.integers(-3, 9)),
+    _points_and_later_point(),
     st.lists(st.tuples(st.integers(-3, 9), st.integers(-3, 9)), max_size=8),
 )
-@example(_SQUARE, (3, 0), [])  # on an edge's line, past its end
-@example(_SQUARE, (3, 2), [])  # on an edge's line, before its start
-@example([(0, 0), (2, 1), (1, 2), (0, 2)], (4, 2), [])  # on the lines of two edges
-@example(_SQUARE, (3, 1), [(1, 1), (4, 1), (3, 3)])  # sees one edge
-@example([(0, 3), (3, 0), (3, 2), (2, 4)], (6, 9), [])  # sees every edge but one
-def test_splice_is_the_hull_of_cycle_plus_point(points, p, extra):
+@example((_SQUARE, (3, 0)), [])  # on an edge's line, past its end
+@example((_SQUARE, (3, 2)), [])  # on an edge's line, before its start
+@example(([(0, 0), (2, 1), (1, 2), (0, 2)], (4, 2)), [])  # on the lines of two edges
+@example((_SQUARE, (3, 1)), [(1, 1), (4, 1), (3, 3)])  # sees one edge
+@example(([(0, 3), (3, 0), (3, 2), (2, 4)], (6, 9)), [])  # sees every edge but one
+def test_splice_is_the_hull_of_cycle_plus_point(points_and_p, extra):
     # in the enumeration p comes after every vertex of the closed set's
     # cycle, so cycle[0] stays first and the cycle is not rotated
+    points, p = points_and_p
     cycle = convex_hull(points).vertices
-    assume(len(cycle) >= 3 and p > max(cycle) and not contains(convex_hull(cycle), p))
+    assume(len(cycle) >= 3 and p > max(cycle))
+    # the lexicographic maximum of a polygon is a vertex, so p is outside it
+    assert not contains(convex_hull(cycle), p)
     site = FiniteSite.of(points + [p] + extra)
     index = {q: i for i, q in enumerate(site.points)}
     n, j = len(site), index[p]
@@ -658,7 +670,7 @@ def test_c_from_g_handles_neg_inf_runs():
 
 def test_audit_bounds_grid():
     prof = g_profile(FiniteSite.grid(3, 3), 5)
-    report = audit_bounds(prof.label, 2, prof.c)
+    report = audit_bounds(2, prof.c)
     assert report.all_satisfied
     assert report.h == 4
     # the paired_step bound is tight at k = 1: floor(2/2)*(4-2)+4 = 6
@@ -670,7 +682,7 @@ def test_audit_bounds_lattice_mode_values():
     # known planar lattice values: the two_thirds bound is met with
     # equality at k = 0, 1, 2 and is strict afterwards
     c_vals = (4, 6, 6, 6, 8)
-    report = audit_bounds("planar lattice", 2, c_vals)
+    report = audit_bounds(2, c_vals)
     assert report.all_satisfied
     for ch in report.checks:
         if ch.name == "two_thirds":
