@@ -568,7 +568,8 @@ class CensusStore:
 
     def __init__(self, directory: Optional[str | Path] = None):
         if directory is None:
-            directory = os.environ.get(CACHE_ENV_VAR)
+            # an empty value is unset, as in the cli: Path("") would be "."
+            directory = os.environ.get(CACHE_ENV_VAR) or None
         if directory is None:
             raise ValueError(
                 f"no cache directory given and {CACHE_ENV_VAR} is not set"

@@ -235,31 +235,16 @@ def gamma_half(n: int, precision: int = DEFAULT_PRECISION) -> Enclosure:
 # verdicts and certification
 
 
-class _Verdicts:
-    """Verdict views over the Optional[bool] fields a report names in _CHECKS."""
-
-    __slots__ = ()
-    _CHECKS = ()
-
-    def verdicts(self) -> tuple[tuple[str, Optional[bool]], ...]:
-        return tuple((name, getattr(self, name)) for name in self._CHECKS)
-
-    @property
-    def inconclusive(self) -> tuple[str, ...]:
-        return tuple(name for name, flag in self.verdicts() if flag is None)
-
-    @property
-    def failed(self) -> tuple[str, ...]:
-        return tuple(name for name, flag in self.verdicts() if flag is False)
-
-
 class Certificate(NamedTuple):
     """Aggregated verdicts of one chain over a range of dimensions."""
 
     reports: tuple
-    ok: bool
     failures: tuple[tuple[int, str], ...]
     undecided: tuple[tuple[int, str], ...]
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures and not self.undecided
 
 
 def _certify(evaluate, n_values: Iterable[int], precision: int) -> Certificate:
@@ -270,17 +255,15 @@ def _certify(evaluate, n_values: Iterable[int], precision: int) -> Certificate:
     for n in n_values:
         report = evaluate(n, precision)
         p = precision
-        while report.inconclusive and p < MAX_PRECISION:
+        while p < MAX_PRECISION and any(flag is None for _, flag in report.verdicts()):
             p = min(2 * p, MAX_PRECISION)
             report = evaluate(n, p)
         reports.append(report)
-    failures = tuple((r.n, name) for r in reports for name in r.failed)
-    undecided = tuple((r.n, name) for r in reports for name in r.inconclusive)
+    verdicts = [(r.n, name, flag) for r in reports for name, flag in r.verdicts()]
     return Certificate(
         reports=tuple(reports),
-        ok=not failures and not undecided,
-        failures=failures,
-        undecided=undecided,
+        failures=tuple((n, name) for n, name, flag in verdicts if flag is False),
+        undecided=tuple((n, name) for n, name, flag in verdicts if flag is None),
     )
 
 
@@ -363,7 +346,15 @@ def andrews_constants(n: int, precision: int = DEFAULT_PRECISION) -> "AndrewsRep
     )
 
 
-class _AndrewsFields(NamedTuple):
+class AndrewsReport(NamedTuple):
+    """Constant-chain enclosures for one dimension, with estimate verdicts.
+
+    A verdict of None means the precision used could not separate the
+    intervals; it is never silently promoted to a pass.  kappa and
+    alpha_required are None when the enclosures they are powers of reach
+    0, and alpha_bounded is None with them.
+    """
+
     n: int
     precision: int
     xi: Enclosure
@@ -376,18 +367,9 @@ class _AndrewsFields(NamedTuple):
     kappa_prime_bounded: Optional[bool]
     alpha_bounded: Optional[bool]
 
-
-class AndrewsReport(_AndrewsFields, _Verdicts):
-    """Constant-chain enclosures for one dimension, with estimate verdicts.
-
-    A verdict of None means the precision used could not separate the
-    intervals; it is never silently promoted to a pass.  kappa and
-    alpha_required are None when the enclosures they are powers of reach
-    0, and alpha_bounded is None with them.
-    """
-
-    __slots__ = ()
-    _CHECKS = ("xi_bounded", "c1_bounded", "kappa_prime_bounded", "alpha_bounded")
+    def verdicts(self) -> tuple[tuple[str, Optional[bool]], ...]:
+        """The four estimate flags, the last four fields, by name."""
+        return tuple(zip(self._fields[-4:], self[-4:]))
 
 
 def certify_constant_estimates(
@@ -412,7 +394,14 @@ def certify_constant_estimates(
 # the growth chain of the upper-bound recursion
 
 
-class _ChainLinkFields(NamedTuple):
+class ChainLinkReport(NamedTuple):
+    """Verdicts for the three links of the growth-budget chain at one n.
+
+    The chain bounds (2*phi(n)+1)*(beta(n-1)+2^(n-1)) through the
+    midpoint 6*phi(n)*beta(n-1) and the integer 6n^3*(3n)^(5n-5) by the
+    budget (3n)^(5n).
+    """
+
     n: int
     precision: int
     phi: Enclosure
@@ -423,17 +412,9 @@ class _ChainLinkFields(NamedTuple):
     second_ok: Optional[bool]
     third_ok: Optional[bool]
 
-
-class ChainLinkReport(_ChainLinkFields, _Verdicts):
-    """Verdicts for the three links of the growth-budget chain at one n.
-
-    The chain bounds (2*phi(n)+1)*(beta(n-1)+2^(n-1)) through the
-    midpoint 6*phi(n)*beta(n-1) and the integer 6n^3*(3n)^(5n-5) by the
-    budget (3n)^(5n).
-    """
-
-    __slots__ = ()
-    _CHECKS = ("first_ok", "second_ok", "third_ok")
+    def verdicts(self) -> tuple[tuple[str, Optional[bool]], ...]:
+        """The three link flags, the last three fields, by name."""
+        return tuple(zip(self._fields[-3:], self[-3:]))
 
 
 def _chain_links(n: int, precision: int) -> ChainLinkReport:

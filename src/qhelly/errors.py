@@ -44,8 +44,10 @@ class CacheCorruptError(CacheError):
 
 
 class FrozenRecord:
-    """Base of the immutable __slots__ records: a subclass sets its fields
-    once, through object.__setattr__, and refuses every later assignment.
+    """Base of the immutable __slots__ records that check their values or
+    hold a cache: lattice.FiniteSite, witnesses.ConstructionRecipe and
+    constants.Enclosure.  A subclass sets its fields once, through
+    object.__setattr__, and refuses every later assignment.
 
     copy and pickle rebuild a record from the (None, {slot: value}) state
     of the default reduce, which __setstate__ restores the same way.

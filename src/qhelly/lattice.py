@@ -12,14 +12,14 @@ projected, with its base, onto the d kept coordinates, on which its
 affine hull is one to one and keeps its lexicographic order, hulled
 there, and its facets are lifted by zeros in the dropped coordinates, so
 facet data is always integral.
-Membership in a finite site is one path: FiniteSite.cut_mask ANDs the
-site's memoized halfspace masks, over the facets and affine-hull
-equations of a polytope in site_mask.  Over the integer lattice, the
-points of a full-dimensional polytope are counted and listed by exact
-row intervals of the last coordinate, one per point of the box of the
-others.  census also counts a point, and a segment from a to b as its
-gcd(b - a) + 1 lattice points; it refuses every other degenerate
-polytope, and lattice_points_in refuses every degenerate one.
+Membership in a finite site is one path: site_mask ANDs the site's
+memoized halfspace masks over the facets and affine-hull equations of a
+polytope.  Over the integer lattice, the points of a full-dimensional
+polytope are counted and listed by exact row intervals of the last
+coordinate, one per point of the box of the others.  census also
+counts a point, and a segment from a to b as its gcd(b - a) + 1 lattice
+points; it refuses every other degenerate polytope, and
+lattice_points_in refuses every degenerate one.
 A planar canonical form is the least of the 2v anchored images of a
 vertex cycle; rotating calipers find each image's top vertex, and its
 least x is read off its left chain (_anchored_leads), so an image is
@@ -39,7 +39,7 @@ from __future__ import annotations
 import itertools
 from math import gcd
 from operator import mul
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import DegenerateInputError, FrozenRecord, UnsupportedDimensionError
 
@@ -208,13 +208,6 @@ class FiniteSite(FrozenRecord):
             self._halfspaces[(normal, offset)] = mask
         return mask
 
-    def cut_mask(self, halfspaces: Iterable[tuple]) -> int:
-        """Bitmask of the site points in every (normal, offset) halfspace."""
-        mask = (1 << len(self.points)) - 1
-        for normal, offset in halfspaces:
-            mask &= self.halfspace_mask(normal, offset)
-        return mask
-
     def describe(self) -> str:
         return f"finite site, {len(self.points)} points in Z^{self.dim}"
 
@@ -223,31 +216,25 @@ class FiniteSite(FrozenRecord):
 # census record
 
 
-class PointCensus(FrozenRecord):
+class PointCensus(NamedTuple):
     """Counts of the lattice points of a polytope.
 
     total = vertex + nonvertex and nonvertex = interior + boundary hold
     by construction; interior means ambient interior.
     """
 
-    __slots__ = ("total", "vertex", "nonvertex", "interior", "boundary")
-
-    def __init__(
-        self, total: int, vertex: int, nonvertex: int, interior: int, boundary: int
-    ) -> None:
-        if total != vertex + nonvertex:
-            raise ValueError("census mismatch: total != vertex + nonvertex")
-        if nonvertex != interior + boundary:
-            raise ValueError("census mismatch: nonvertex != interior + boundary")
-        for name, value in zip(self.__slots__, (total, vertex, nonvertex, interior, boundary)):
-            object.__setattr__(self, name, value)
+    total: int
+    vertex: int
+    nonvertex: int
+    interior: int
+    boundary: int
 
 
 # ---------------------------------------------------------------------------
 # polytope
 
 
-class LatticePolytope(FrozenRecord):
+class LatticePolytope(NamedTuple):
     """Convex hull of finitely many lattice points, with exact facet data.
 
     vertices: canonical order (counterclockwise from the lexicographic
@@ -260,26 +247,11 @@ class LatticePolytope(FrozenRecord):
     of the integer kernel of the vertex differences.
     """
 
-    __slots__ = ("vertices", "facets", "ambient_dim", "affine_dim", "equalities")
-
-    def __init__(self, vertices: tuple, facets: tuple, ambient_dim: int, affine_dim: int) -> None:
-        equalities = ()
-        if affine_dim < ambient_dim:
-            v0 = vertices[0]
-            basis = integer_kernel_basis([_sub(v, v0) for v in vertices[1:]], ambient_dim)
-            equalities = tuple((n, _dot(n, v0)) for n in basis)
-        values = (vertices, facets, ambient_dim, affine_dim, equalities)
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
-
-    def _key(self) -> tuple:
-        return (self.vertices, self.facets, self.ambient_dim, self.affine_dim)
-
-    def __eq__(self, other: object) -> bool:
-        return type(other) is LatticePolytope and self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
+    vertices: tuple
+    facets: tuple
+    ambient_dim: int
+    affine_dim: int
+    equalities: tuple
 
     @property
     def is_full_dimensional(self) -> bool:
@@ -500,7 +472,7 @@ def convex_hull(points: Iterable[Point]) -> LatticePolytope:
         )
     check_hull_dimension(d)
     if d == n:
-        return LatticePolytope(*_hull_full_dim(pts, base), n, n)
+        return LatticePolytope(*_hull_full_dim(pts, base), n, n, ())
 
     # Degenerate: dropping the coordinates that _affine_base leaves
     # out maps the affine hull one to one onto Q^d and its lattice points
@@ -517,7 +489,10 @@ def convex_hull(points: Iterable[Point]) -> LatticePolytope:
         for i, x in zip(kept, m):
             normal[i] = x
         facets.append((tuple(normal), c))
-    return LatticePolytope(vertices, tuple(sorted(facets)), n, d)
+    v0 = vertices[0]
+    basis = integer_kernel_basis([_sub(v, v0) for v in vertices[1:]], n)
+    equalities = tuple((m, _dot(m, v0)) for m in basis)
+    return LatticePolytope(vertices, tuple(sorted(facets)), n, d, equalities)
 
 
 # ---------------------------------------------------------------------------
@@ -568,7 +543,10 @@ def site_mask(polytope: LatticePolytope, site: FiniteSite) -> int:
     halfspaces = list(polytope.facets)
     for normal, offset in polytope.equalities:
         halfspaces += [(normal, offset), (tuple(-x for x in normal), -offset)]
-    return site.cut_mask(halfspaces)
+    mask = (1 << len(site.points)) - 1
+    for normal, offset in halfspaces:
+        mask &= site.halfspace_mask(normal, offset)
+    return mask
 
 
 def lattice_points_in(polytope: LatticePolytope) -> tuple:

@@ -51,7 +51,6 @@ from qhelly.errors import (
 from qhelly.extint import Profile
 from qhelly.lattice import (
     FiniteSite,
-    PointCensus,
     _anchored_leads,
     _edge_facets,
     _hull_cycle_2d,
@@ -445,6 +444,11 @@ def test_store_directory_resolution(tmp_path, monkeypatch):
     assert store.path(0).parent == tmp_path
     monkeypatch.delenv(CACHE_ENV_VAR)
     with pytest.raises(ValueError):
+        CensusStore()
+    # an empty value is unset too, not Path(""), the current directory
+    monkeypatch.setenv(CACHE_ENV_VAR, "")
+    message = f"^no cache directory given and {CACHE_ENV_VAR} is not set$"
+    with pytest.raises(ValueError, match=message):
         CensusStore()
 
 
@@ -1191,10 +1195,6 @@ def test_records_refuse_assignment_check_their_counts_and_pickle():
     ]:
         with pytest.raises(AttributeError):
             setattr(record, field, getattr(record, field))
-    with pytest.raises(ValueError, match=r"^census mismatch: total != vertex \+ nonvertex$"):
-        PointCensus(total=5, vertex=3, nonvertex=1, interior=1, boundary=0)
-    with pytest.raises(ValueError, match=r"^census mismatch: nonvertex != interior \+ boundary$"):
-        PointCensus(total=5, vertex=3, nonvertex=2, interior=1, boundary=0)
     # the worker processes of a threaded census build return classes by pickle
     copies = pickle.loads(pickle.dumps(classes))
     assert copies == classes and {type(cls) for cls in copies} == {type(classes[0])}
@@ -1204,12 +1204,10 @@ def test_records_refuse_assignment_check_their_counts_and_pickle():
     "make",
     [
         lambda: FiniteSite.grid(2, 2),
-        lambda: census(convex_hull([(0, 0), (2, 0), (0, 2)])),
-        lambda: convex_hull([(0, 0), (2, 0), (0, 1)]),
         lambda: Enclosure(Fraction(1), Fraction(2)),
         lambda: tight_recipe(3, 1),
     ],
-    ids=["FiniteSite", "PointCensus", "LatticePolytope", "Enclosure", "ConstructionRecipe"],
+    ids=["FiniteSite", "Enclosure", "ConstructionRecipe"],
 )
 def test_frozen_records_survive_copy_and_pickle(make):
     record = make()
@@ -1221,6 +1219,23 @@ def test_frozen_records_survive_copy_and_pickle(make):
             assert twin == record
         with pytest.raises(AttributeError, match=f"^cannot assign to field '{slots[0]}'$"):
             setattr(twin, slots[0], getattr(record, slots[0]))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: census(convex_hull([(0, 0), (2, 0), (0, 2)])),
+        lambda: convex_hull([(0, 0), (2, 0), (0, 1)]),
+        lambda: convex_hull([(0, 0, 0), (2, 0, 2), (0, 2, 2)]),
+    ],
+    ids=["PointCensus", "LatticePolytope", "LatticePolytope-flat"],
+)
+def test_named_records_survive_copy_and_pickle_and_refuse_assignment(make):
+    record = make()
+    for twin in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+        assert type(twin) is type(record) and twin == record
+    with pytest.raises(AttributeError):
+        setattr(record, record._fields[0], record[0])
 
 
 def test_profiles_survive_copy_and_pickle_and_refuse_assignment(small_cache):

@@ -21,7 +21,7 @@ import pytest
 jsonschema = pytest.importorskip("jsonschema")
 
 import qhelly
-from qhelly import census, engine, witnesses
+from qhelly import census, constants, engine, witnesses
 from qhelly.cli import main
 from qhelly.lattice import FiniteSite, PointCensus
 
@@ -457,6 +457,22 @@ def test_constants_estimates_only_range(capsys):
     code, out, _ = run_cli(capsys, ["constants", "--n-range", "9..12"])
     assert code == 0
     assert "growth chain" not in out  # chain is certified for n <= 8 only
+
+
+def test_constants_failed_verdict_exits_one_and_prints_fail(capsys, monkeypatch):
+    real = constants.andrews_constants
+
+    def xi_fails_at_three(n, precision):
+        report = real(n, precision)
+        return report._replace(xi_bounded=False) if n == 3 else report
+
+    monkeypatch.setattr(constants, "andrews_constants", xi_fails_at_three)
+    code, out, err = run_cli(capsys, ["constants", "--n-range", "2..3"])
+    assert (code, err) == (1, "")
+    assert out.splitlines()[:2] == [
+        "constants n=2: xi_bounded=pass c1_bounded=pass kappa_prime_bounded=pass alpha_bounded=pass",
+        "constants n=3: xi_bounded=FAIL c1_bounded=pass kappa_prime_bounded=pass alpha_bounded=pass",
+    ]
 
 
 def test_constants_low_precision_doubles_to_the_same_verdicts(capsys):

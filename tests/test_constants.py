@@ -14,7 +14,6 @@ from qhelly.constants import (
     MAX_PRECISION,
     Enclosure,
     _certify,
-    _Verdicts,
     andrews_constants,
     certify_constant_estimates,
     certify_growth_chain,
@@ -169,7 +168,7 @@ def test_planar_constants_match_closed_forms():
     )
     assert Fraction("0.797884560802") < report.kappa_prime.lo
     assert report.kappa_prime.hi < Fraction("0.797884560803")
-    assert not report.inconclusive and not report.failed
+    assert all(flag is True for _, flag in report.verdicts())
 
 
 def test_constant_estimates_certify_through_dimension_twelve():
@@ -192,18 +191,20 @@ def test_growth_chain_certifies_through_dimension_eight():
     assert Fraction("3016.858582251") < planar.lhs.lo
     assert planar.lhs.hi < Fraction("3016.858582252")
     assert planar.mid_integer == 373248 and planar.budget == 60466176
+    assert planar.verdicts() == (("first_ok", True), ("second_ok", True), ("third_ok", True))
     two_phi_plus_one = Enclosure.point(2) * planar.phi + Enclosure.point(1)
     assert Fraction("12.313708498984") < two_phi_plus_one.lo
     assert two_phi_plus_one.hi < Fraction("12.313708498985")
 
 
 @dataclass(frozen=True)
-class _StubReport(_Verdicts):
+class _StubReport:
     n: int
     precision: int
     flag: Optional[bool]
 
-    _CHECKS = ("flag",)
+    def verdicts(self):
+        return (("flag", self.flag),)
 
 
 def test_certify_doubles_precision_up_to_the_cap():
@@ -217,15 +218,30 @@ def test_certify_doubles_precision_up_to_the_cap():
     assert not certificate.ok and not certificate.failures
 
 
+def test_certify_records_a_failed_verdict_without_doubling_the_precision():
+    # n = 3 fails at once; a failure is decided, so its precision stays
+    def evaluate(n, precision):
+        return _StubReport(n, precision, n != 3)
+
+    certificate = _certify(evaluate, [2, 3], 192)
+    assert [r.precision for r in certificate.reports] == [192, 192]
+    assert certificate.failures == ((3, "flag"),)
+    assert not certificate.ok and not certificate.undecided
+
+
+def undecided(report) -> list[str]:
+    return [name for name, flag in report.verdicts() if flag is None]
+
+
 def test_low_precision_leaves_the_powers_of_a_zero_enclosure_undecided():
     # at 64 bits kappa' of n = 10 rounds down to 0, and kappa of n = 9
     report = andrews_constants(10, precision=64)
     assert report.kappa_prime.lo == 0
     assert report.kappa is None and report.alpha_required is None
-    assert report.inconclusive == ("kappa_prime_bounded", "alpha_bounded")
+    assert undecided(report) == ["kappa_prime_bounded", "alpha_bounded"]
     report = andrews_constants(9, precision=64)
     assert report.kappa.lo <= 0 and report.alpha_required is None
-    assert report.inconclusive == ("alpha_bounded",)
+    assert undecided(report) == ["alpha_bounded"]
     assert certify_constant_estimates([9, 10], precision=64).ok
 
 

@@ -160,7 +160,11 @@ def basis_route_hull(points):
         assert offset % g == 0, "a facet of a lattice polytope is a lattice hyperplane"
         facets.add((tuple(x // g for x in normal), offset // g))
     vertices = tuple(sorted(lift[u] for u in inner.vertices))
-    return LatticePolytope(vertices, tuple(sorted(facets)), n, len(basis))
+    # the affine-hull equations: an integer kernel basis of the vertex differences
+    v0 = vertices[0]
+    kernel = integer_kernel_basis([[a - b for a, b in zip(v, v0)] for v in vertices[1:]], n)
+    equalities = tuple((m, sum(a * b for a, b in zip(m, v0))) for m in kernel)
+    return LatticePolytope(vertices, tuple(sorted(facets)), n, len(basis), equalities)
 
 
 # --- linear algebra helpers -------------------------------------------------
