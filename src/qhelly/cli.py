@@ -24,6 +24,12 @@ these module objects, never through names bound at import time.  So
 three; `witness` runs `witnesses` and `lattice`; `constants` runs
 `constants` alone; `--version`, `--help` and usage errors run none.
 
+`python -m qhelly.cli` and the `qhelly` script enter through `run`,
+which calls `gc.freeze()` once before `main`, so the collections of the
+process, those at exit included, skip the objects made at start-up;
+`main` called in-process never freezes.  `json` is imported only where
+JSON is written: `render_json` and the JSON error report.
+
 Profile-emitting commands support csv, json and svg output.  Identical
 configurations give byte-identical csv/json, and svg identical up to
 the version comment.  A k with no value (None in the profile) prints
@@ -34,8 +40,8 @@ verification failure or finding, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import gc
 import importlib.util
-import json
 import math
 import os
 import sys
@@ -112,7 +118,7 @@ def _check(args: argparse.Namespace) -> None:
 
 def _z2_profile(args: argparse.Namespace, k: int) -> Profile:
     """The planar lattice profile up to k, building missing census counts."""
-    if args.cache is None and not os.environ.get(census.CACHE_ENV_VAR):
+    if not args.cache and not os.environ.get(census.CACHE_ENV_VAR):
         raise UsageError(
             f"census cache needed: pass --cache DIR or set {census.CACHE_ENV_VAR}"
         )
@@ -133,6 +139,8 @@ def render_csv(profile: Profile) -> str:
 
 
 def render_json(profile: Profile) -> str:
+    import json
+
     payload = {
         "site": profile.label,
         "k_max": profile.k_max,
@@ -449,10 +457,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 def _report_error(message: str, code: int, as_json: bool) -> None:
     if as_json:
+        import json
+
         print(json.dumps({"error": message, "exit": code}), file=sys.stderr)
     else:
         print(f"error: {message}", file=sys.stderr)
 
 
+def run() -> int:
+    """main after gc.freeze(): the process entry of `python -m qhelly.cli`
+    and of the `qhelly` script."""
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

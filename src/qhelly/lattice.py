@@ -4,7 +4,9 @@ All arithmetic is exact integer arithmetic; a point whose coordinate is
 not an integer is refused, not truncated.  Convex hulls are supported for
 affine dimension up to 5: dimensions 0-2 directly, 3-5 by a fraction-free
 double description on the polar dual, started from the dual simplex of
-an affinely independent base.  convex_hull sorts the points and picks
+an affinely independent base, whose incidences are int bitmasks: its
+edges and the primal vertices are found by ANDs of them, with no rank
+computed (_dd_hull).  convex_hull sorts the points and picks
 that base, with the coordinates to keep, in one row-echelon pass
 (_affine_base), which also gives the affine dimension.  Full-dimensional
 inputs are hulled as they are; an input of lower affine dimension d is
@@ -75,35 +77,12 @@ def _sub(u: Sequence, v: Sequence) -> tuple:
     return tuple(a - b for a, b in zip(u, v))
 
 
-def rational_rank(rows: Sequence[Sequence[int]]) -> int:
-    """Rank over Q of a small integer matrix given as rows.
-
-    Fraction-free (Bareiss) elimination: every entry stays an integer
-    minor of the input, and each division by the previous pivot is exact.
-    """
-    mat = [list(row) for row in rows]
-    ncols = len(mat[0]) if mat else 0
-    rank = 0
-    prev = 1
-    for col in range(ncols):
-        pivot = None
-        for r in range(rank, len(mat)):
-            if mat[r][col]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        top = mat[rank]
-        p = top[col]
-        for r in range(rank + 1, len(mat)):
-            f = mat[r][col]
-            mat[r] = [(p * x - f * y) // prev for x, y in zip(mat[r], top)]
-        prev = p
-        rank += 1
-        if rank == len(mat):
-            break
-    return rank
+def _bits(mask: int) -> Iterator[int]:
+    """The indices of the set bits of a nonnegative int, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def integer_kernel_basis(rows: Sequence[Sequence[int]], n: int) -> list[tuple[int, ...]]:
@@ -360,6 +339,23 @@ def _dd_hull(pts: Sequence[Point], base: Sequence[Point]) -> tuple[tuple, tuple]
     vals[i] (Y_o, w_o) over its gcd, and its tight set is
     (t_i & t_o) | {new}: a constraint tight strictly inside the edge is
     tight at both of its ends.
+
+    Incidences are int bitmasks.  Each dual vertex has a bit of its own,
+    never reused, and its tight set is a mask over input indices; at[i]
+    is the mask of the vertices ever tight at input i, and live that of
+    the current ones.  The dual polytope is bounded at every step, so
+    each of its faces is the hull of its vertices and is fixed by them:
+    - Edge test: the smallest face holding i and o is cut out by
+      t_i & t_o, and its vertices are live & AND of at[c] over c in it;
+      i and o span an edge iff those are the two alone.  Two vertices
+      on an edge share at least d - 1 constraints, so only such pairs
+      are tested, and only inner vertices that share a constraint with
+      o are paired with it.
+    - Vertex meet: each final dual vertex is a primal facet and its
+      tight set the inputs on it; the AND of the tight sets of the
+      facets through a point is the inputs on the smallest face that
+      holds it; a face that is not a point has two vertices, both
+      inputs, so the point is a vertex iff that AND is the point alone.
     """
     q = len(base)
     d = q - 1
@@ -371,63 +367,89 @@ def _dd_hull(pts: Sequence[Point], base: Sequence[Point]) -> tuple[tuple, tuple]
     # The vertex opposite base point j spans the kernel of the rows
     # (omega_i, -q), i != j; any d base omegas are independent, so w != 0.
     base_ids = [pts.index(p) for p in base]
-    verts: list[tuple[tuple, int, frozenset]] = []
+    at = [0] * len(pts)
+    verts: dict[int, tuple[tuple, int, int]] = {}  # bit -> (Y, w, tight)
     for j in base_ids:
         tight = [i for i in base_ids if i != j]
         (yw,) = integer_kernel_basis([omegas[i] + (-q,) for i in tight], q)
         if yw[-1] < 0:
             yw = tuple(-x for x in yw)
-        verts.append((yw[:-1], yw[-1], frozenset(tight)))
+        bit = 1 << len(verts)
+        verts[bit] = (yw[:-1], yw[-1], sum(1 << i for i in tight))
+        for i in tight:
+            at[i] |= bit
+    live = (1 << q) - 1
+    fresh = 1 << q
 
     for new_idx, omega in enumerate(omegas):
         if new_idx in base_ids:
             continue
-        vals = [sum(map(mul, omega, y)) - q * w for y, w, _ in verts]
-        ins = [i for i, v in enumerate(vals) if v < 0]
-        outs = [i for i, v in enumerate(vals) if v > 0]
-        ons = [i for i, v in enumerate(vals) if v == 0]
-        new_verts: dict[tuple, frozenset] = {}
-        for i in ins:
-            yi, wi, ti = verts[i]
-            vi = vals[i]
-            for o in outs:
-                yo, wo, to = verts[o]
+        new = 1 << new_idx
+        outs = []
+        for bit, (y, w, tight) in verts.items():
+            val = sum(map(mul, omega, y)) - q * w
+            if val > 0:
+                outs.append((bit, val))
+            elif val == 0:
+                verts[bit] = (y, w, tight | new)
+                at[new_idx] |= bit
+        if not outs:
+            continue
+        out_mask = sum(bit for bit, _ in outs)
+        ins = live & ~(out_mask | at[new_idx])
+        made = []
+        for obit, vo in outs:
+            yo, wo, to = verts[obit]
+            near = 0
+            for i in _bits(to):
+                near |= at[i]
+            near &= ins
+            while near:
+                ibit = near & -near
+                near ^= ibit
+                yi, wi, ti = verts[ibit]
                 common = ti & to
-                if len(common) < d - 1:
+                if common.bit_count() < d - 1:
                     continue
-                if rational_rank([omegas[c] for c in common]) != d - 1:
+                pair = ibit | obit
+                face = live
+                for i in _bits(common):
+                    face &= at[i]
+                    if face == pair:
+                        break
+                else:
                     continue
-                vo = vals[o]
+                vi = sum(map(mul, omega, yi)) - q * wi
                 y = [vo * a - vi * b for a, b in zip(yi, yo)]
                 w = vo * wi - vi * wo
                 g = gcd(w, *y)
-                new_verts[(tuple(x // g for x in y), w // g)] = common | {new_idx}
-        kept = [verts[i] for i in ins]
-        kept += [(y, w, tight | {new_idx}) for y, w, tight in (verts[i] for i in ons)]
-        kept += [(y, w, tight) for (y, w), tight in new_verts.items()]
-        verts = kept
+                made.append((tuple(x // g for x in y), w // g, common | new))
+        for bit, _ in outs:
+            del verts[bit]
+        live &= ~out_mask
+        for vertex in made:
+            verts[fresh] = vertex
+            for i in _bits(vertex[2]):
+                at[i] |= fresh
+            live |= fresh
+            fresh <<= 1
 
     # Each dual vertex is a primal facet: Y . (q x - q c) <= q w.
     facets = set()
-    for y, w, _ in verts:
+    meet = [-1] * len(pts)  # -1 has every bit set
+    for y, w, tight in verts.values():
         n_raw = tuple(q * coord for coord in y)
         off = _dot(y, centroid_q) + q * w
         g = gcd(*n_raw)
         assert g and off % g == 0, "facet hyperplane must be integral"
         facets.add((tuple(x // g for x in n_raw), off // g))
+        for i in _bits(tight):
+            meet[i] &= tight
     facet_list = sorted(facets)
-
-    vertices = []
-    for p in pts:
-        tightn = []
-        for n, c in facet_list:
-            value = _dot(n, p)
-            assert value <= c, "hull excludes an input"
-            if value == c:
-                tightn.append(n)
-        if len(tightn) >= d and rational_rank(tightn) == d:
-            vertices.append(p)
-    return tuple(vertices), tuple(facet_list)
+    for n, c in facet_list:
+        assert max([sum(map(mul, n, p)) for p in pts]) <= c, "hull excludes an input"
+    vertices = tuple(p for i, p in enumerate(pts) if meet[i] == 1 << i)
+    return vertices, tuple(facet_list)
 
 
 def _hull_full_dim(points: Sequence[Point], base: Sequence[Point]) -> tuple[tuple, tuple]:

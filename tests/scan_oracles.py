@@ -19,7 +19,12 @@ triangle and the other vertices, where the census descent splices in
 one chain.  The segment oracle works in Fractions, where the package
 scales to integers.  An affine base and the coordinates to keep are
 chosen greedily by the rank of every candidate, from scratch, where the
-package reduces each candidate once against an echelon form.
+package reduces each candidate once against an echelon form.  Ranks
+are Bareiss eliminations (rational_rank), and the double description
+oracle (rank_dd_hull) tests each pair of dual vertices for an edge by
+the rank of their common constraints and each point for a vertex by
+the rank of the facets through it, where the package compares
+incidence bitmasks.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import ceil, floor, gcd, lcm
+from operator import mul
 from typing import Iterator, Optional, Sequence
 
 from qhelly.lattice import (
@@ -35,9 +41,39 @@ from qhelly.lattice import (
     _xgcd,
     convex_hull,
     integer_kernel_basis,
-    rational_rank,
     site_mask,
 )
+
+
+def rational_rank(rows: Sequence[Sequence[int]]) -> int:
+    """Rank over Q of a small integer matrix given as rows.
+
+    Fraction-free (Bareiss) elimination: every entry stays an integer
+    minor of the input, and each division by the previous pivot is exact.
+    """
+    mat = [list(row) for row in rows]
+    ncols = len(mat[0]) if mat else 0
+    rank = 0
+    prev = 1
+    for col in range(ncols):
+        pivot = None
+        for r in range(rank, len(mat)):
+            if mat[r][col]:
+                pivot = r
+                break
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        top = mat[rank]
+        p = top[col]
+        for r in range(rank + 1, len(mat)):
+            f = mat[r][col]
+            mat[r] = [(p * x - f * y) // prev for x, y in zip(mat[r], top)]
+        prev = p
+        rank += 1
+        if rank == len(mat):
+            break
+    return rank
 
 
 def solve_rational(rows: Sequence[Sequence], rhs: Sequence) -> Optional[list[Fraction]]:
@@ -366,3 +402,72 @@ def _kept_coordinates(base: Sequence[Point]) -> list[int]:
         if rational_rank([[row[j] for j in kept + [i]] for row in diffs]) > len(kept):
             kept.append(i)
     return kept
+
+
+def rank_dd_hull(pts: Sequence[Point], base: Sequence[Point]) -> tuple[tuple, tuple]:
+    """Vertices and facets of distinct, sorted points of full affine
+    dimension d in Z^d, d in {3,4,5}, given an affinely independent base
+    of d + 1 of them, by the same polar double description as
+    lattice._dd_hull, with tight sets as frozensets and rank tests.
+
+    An inner and an outer dual vertex span an edge iff their common
+    constraints have rank d - 1; a point is a vertex iff the facets
+    through it have rank d.
+    """
+    q = len(base)
+    d = q - 1
+    centroid_q = tuple(sum(p[i] for p in base) for i in range(d))
+    omegas = [tuple(q * p[i] - centroid_q[i] for i in range(d)) for p in pts]
+    base_ids = [pts.index(p) for p in base]
+    verts: list[tuple[tuple, int, frozenset]] = []
+    for j in base_ids:
+        tight = [i for i in base_ids if i != j]
+        (yw,) = integer_kernel_basis([omegas[i] + (-q,) for i in tight], q)
+        if yw[-1] < 0:
+            yw = tuple(-x for x in yw)
+        verts.append((yw[:-1], yw[-1], frozenset(tight)))
+
+    for new_idx, omega in enumerate(omegas):
+        if new_idx in base_ids:
+            continue
+        vals = [sum(map(mul, omega, y)) - q * w for y, w, _ in verts]
+        ins = [i for i, v in enumerate(vals) if v < 0]
+        outs = [i for i, v in enumerate(vals) if v > 0]
+        ons = [i for i, v in enumerate(vals) if v == 0]
+        new_verts: dict[tuple, frozenset] = {}
+        for i in ins:
+            yi, wi, ti = verts[i]
+            for o in outs:
+                yo, wo, to = verts[o]
+                common = ti & to
+                if len(common) < d - 1 or rational_rank([omegas[c] for c in common]) != d - 1:
+                    continue
+                vi, vo = vals[i], vals[o]
+                y = [vo * a - vi * b for a, b in zip(yi, yo)]
+                w = vo * wi - vi * wo
+                g = gcd(w, *y)
+                new_verts[(tuple(x // g for x in y), w // g)] = common | {new_idx}
+        kept = [verts[i] for i in ins]
+        kept += [(y, w, tight | {new_idx}) for y, w, tight in (verts[i] for i in ons)]
+        kept += [(y, w, tight) for (y, w), tight in new_verts.items()]
+        verts = kept
+
+    facets = set()
+    for y, w, _ in verts:
+        n_raw = tuple(q * coord for coord in y)
+        off = sum(map(mul, y, centroid_q)) + q * w
+        g = gcd(*n_raw)
+        assert g and off % g == 0, "facet hyperplane must be integral"
+        facets.add((tuple(x // g for x in n_raw), off // g))
+    facet_list = sorted(facets)
+    vertices = []
+    for p in pts:
+        tightn = []
+        for n, c in facet_list:
+            value = sum(map(mul, n, p))
+            assert value <= c, "hull excludes an input"
+            if value == c:
+                tightn.append(n)
+        if len(tightn) >= d and rational_rank(tightn) == d:
+            vertices.append(p)
+    return tuple(vertices), tuple(facet_list)

@@ -450,6 +450,11 @@ def test_store_directory_resolution(tmp_path, monkeypatch):
     message = f"^no cache directory given and {CACHE_ENV_VAR} is not set$"
     with pytest.raises(ValueError, match=message):
         CensusStore()
+    # and so is an empty directory argument, which falls back to the variable
+    with pytest.raises(ValueError, match=message):
+        CensusStore("")
+    monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path))
+    assert CensusStore("").directory == tmp_path
 
 
 def test_is_complete_reads_only_the_header(tmp_path):

@@ -9,6 +9,7 @@ where no layer has been imported yet.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import shutil
@@ -373,6 +374,8 @@ def test_witness_theorem4_beyond_exact_hulls_is_refused_before_any_build(capsys,
             ["--suite", "lowerbound", "--n", "4", "--k", "100000000"],
             "lowerbound_n4_k100000000.txt",
         ),
+        # t = 12: 288 points, 246 facets
+        (["--suite", "lowerbound", "--n", "3", "--k", "124416"], "lowerbound_n3_k124416.txt"),
     ],
 )
 def test_witness_output_matches_golden_bytes(capsys, argv, name):
@@ -541,6 +544,23 @@ def test_census_without_cache_exits_two(capsys, monkeypatch):
     code, _, err = run_cli(capsys, ["census", "--k", "2"])
     assert code == 2
     assert "QHELLY_CACHE_DIR" in err
+
+
+@pytest.mark.parametrize("command", ["census --k 0", "maximal --k 1", "audit --site z2 --kmax 0"])
+def test_empty_cache_flag_is_not_given(tmp_path, capsys, monkeypatch, command):
+    # an empty --cache is no cache, not Path(""), the current directory
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("QHELLY_CACHE_DIR", raising=False)
+    code, out, err = run_cli(capsys, command.split() + ["--cache", ""])
+    assert (code, out) == (2, "")
+    assert err == "error: census cache needed: pass --cache DIR or set QHELLY_CACHE_DIR\n"
+    assert list(tmp_path.iterdir()) == []
+    # it falls back to the environment variable
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("QHELLY_CACHE_DIR", str(cache))
+    assert run_cli(capsys, command.split() + ["--cache", ""])[0] == 0
+    assert [path.name for path in tmp_path.iterdir()] == ["cache"]
+    assert (cache / "interior_00.census").read_bytes() == (GOLDEN / "interior_00.census").read_bytes()
 
 
 @pytest.mark.parametrize("command", ["grid --dims", "audit --site"])
@@ -715,6 +735,39 @@ print(qhelly.cli.census.CensusStore is census.CensusStore)
 print(type(census) is types.ModuleType)
 """
     assert run_fresh(script).split() == ["True"] * 3
+
+
+FREEZE_RUN = """
+import gc, runpy, sys
+sys.argv = ["qhelly", *sys.argv[1:]]
+try:
+    runpy.run_module("qhelly.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+print(code, gc.get_freeze_count() > 0)
+"""
+
+
+def test_the_process_entry_freezes_the_start_up_objects():
+    last = run_fresh(FREEZE_RUN, "grid", "--dims", "2x2", "--kmax", "2").splitlines()[-1]
+    assert last == "0 True"
+
+
+def test_main_in_process_does_not_freeze(capsys):
+    frozen = gc.get_freeze_count()
+    assert run_cli(capsys, ["grid", "--dims", "2x2", "--kmax", "2"])[0] == 0
+    assert gc.get_freeze_count() == frozen
+
+
+def test_a_csv_command_never_imports_json():
+    script = """
+import sys
+from qhelly import cli
+code = cli.main(sys.argv[1:])
+print(code, "json" in sys.modules)
+"""
+    last = run_fresh(script, "grid", "--dims", "2x2", "--kmax", "2").splitlines()[-1]
+    assert last == "0 False"
 
 
 def test_census_threads_build_golden_bytes_from_an_empty_cache(tmp_path):

@@ -29,7 +29,6 @@ from qhelly.lattice import (
     convex_hull,
     integer_kernel_basis,
     lattice_points_in,
-    rational_rank,
 )
 from scan_oracles import (
     _affinely_independent_subset,
@@ -39,6 +38,8 @@ from scan_oracles import (
     census_tuple,
     closure,
     contains,
+    rank_dd_hull,
+    rational_rank,
     saturated_direction_basis,
     solve_rational,
     twice_area,
@@ -495,6 +496,30 @@ def test_dd_hull_pairs_only_adjacent_dual_vertices(pts):
     # d - 1 points on a (d - 3)-flat are d - 1 dual constraints of rank
     # d - 2: two dual vertices tight at all of them need not share an edge
     _assert_hull_matches_brute(pts, len(pts[0]))
+
+
+@st.composite
+def dd_inputs(draw):
+    """Distinct sorted points in Z^3..Z^5: random ones, or a subset of the
+    box {0, 1, 2}^n, whose coplanar points make many dual constraints
+    meet at one dual vertex."""
+    n = draw(st.integers(3, 5))
+    lo, hi = draw(st.sampled_from([(-4, 4), (0, 2)]))
+    cells = st.tuples(*[st.integers(lo, hi)] * n)
+    return sorted(set(draw(st.lists(cells, min_size=n + 2, max_size=n + 9))))
+
+
+@settings(max_examples=250, deadline=None)
+@given(dd_inputs())
+@example([(0, 2, 1, 2), (0, 2, 2, 0), (1, 1, 1, 2), (1, 2, 0, 0),
+          (1, 2, 1, 0), (1, 2, 2, 0), (2, 0, 2, 1), (2, 1, 1, 2)])
+@example(sorted(itertools.product((0, 1, 2), repeat=3)))  # 27 points, 6 facets
+def test_dd_hull_matches_the_rank_oracle(pts):
+    # the incidence masks find the same edges and vertices as the ranks
+    base, _ = _affine_base(pts)
+    assume(len(base) == len(pts[0]) + 1)
+    P = convex_hull(pts)
+    assert (P.vertices, P.facets) == rank_dd_hull(pts, base)
 
 
 def test_degenerate_hull_in_ambient_3d():
