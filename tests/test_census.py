@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import gc
 import os
 import pickle
 import random
@@ -246,6 +247,26 @@ def test_enumeration_threads_agree():
     assert enumerate_polygon_classes(3, threads=1) == enumerate_polygon_classes(
         3, threads=2
     )
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_threaded_build_restores_the_collector_state(enabled):
+    # the collector is off while the pool lives, then as the caller left it
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert enumerate_polygon_classes(2, threads=2) == enumerate_polygon_classes(2)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def test_pool_workers_freeze_the_objects_they_inherit():
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=1, initializer=census_module._start_worker) as pool:
+        frozen = pool.submit(gc.get_freeze_count).result()
+    assert frozen > gc.get_freeze_count()
 
 
 def test_height_and_box_bounds_grow():
