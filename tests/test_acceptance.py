@@ -112,18 +112,13 @@ def test_criterion_03_census_table_and_speedup(capsys):
         and doc["drops"] == [5, 8]
         and elapsed < 1800.0
     )
-    # best of three alternating runs of each: one 0.3 s build on two
-    # shared cores has read from 0.31 s to 0.54 s
-    serial_times, parallel_times = [], []
-    for _ in range(3):
-        serial_start = time.monotonic()
-        serial = enumerate_polygon_classes(8, threads=1)
-        serial_times.append(time.monotonic() - serial_start)
-        parallel_start = time.monotonic()
-        parallel = enumerate_polygon_classes(8, threads=4)
-        parallel_times.append(time.monotonic() - parallel_start)
-        ok = ok and serial == parallel
-    serial_time, parallel_time = min(serial_times), min(parallel_times)
+    serial_start = time.monotonic()
+    serial = enumerate_polygon_classes(8, threads=1)
+    serial_time = time.monotonic() - serial_start
+    parallel_start = time.monotonic()
+    parallel = enumerate_polygon_classes(8, threads=4)
+    parallel_time = time.monotonic() - parallel_start
+    ok = ok and serial == parallel
     if os.cpu_count() and os.cpu_count() > 1:
         # wall-clock speedup is demonstrable only with more than one core
         ok = ok and parallel_time < 0.9 * serial_time

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import copy
-import gc
 import os
 import pickle
 import random
@@ -249,26 +248,6 @@ def test_enumeration_threads_agree():
     )
 
 
-@pytest.mark.parametrize("enabled", [True, False])
-def test_threaded_build_restores_the_collector_state(enabled):
-    # the collector is off while the pool lives, then as the caller left it
-    was = gc.isenabled()
-    (gc.enable if enabled else gc.disable)()
-    try:
-        assert enumerate_polygon_classes(2, threads=2) == enumerate_polygon_classes(2)
-        assert gc.isenabled() is enabled
-    finally:
-        (gc.enable if was else gc.disable)()
-
-
-def test_pool_workers_freeze_the_objects_they_inherit():
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=1, initializer=census_module._start_worker) as pool:
-        frozen = pool.submit(gc.get_freeze_count).result()
-    assert frozen > gc.get_freeze_count()
-
-
 def test_height_and_box_bounds_grow():
     heights = [max_height(i) for i in range(12)]
     assert heights == sorted(heights) and heights[0] >= 2
@@ -474,8 +453,13 @@ def test_store_directory_resolution(tmp_path, monkeypatch):
     # and so is an empty directory argument, which falls back to the variable
     with pytest.raises(ValueError, match=message):
         CensusStore("")
+    # Path("") is Path("."), so an empty Path is not given either
+    with pytest.raises(ValueError, match=message):
+        CensusStore(Path(""))
     monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path))
     assert CensusStore("").directory == tmp_path
+    assert CensusStore(Path("")).directory == tmp_path
+    assert CensusStore(".").directory == Path(".")
 
 
 def test_is_complete_reads_only_the_header(tmp_path):
