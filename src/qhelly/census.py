@@ -567,7 +567,8 @@ class CensusStore:
     """
 
     def __init__(self, directory: Optional[str | Path] = None):
-        # an empty value is unset, as in the cli.  pathlib makes Path("")
+        # the one rule for an unset directory, which the cli's usage
+        # error rests on: an empty value is unset.  pathlib makes Path("")
         # equal to Path("."), so neither Path counts as given; the string
         # "." still names the current directory
         if isinstance(directory, Path) and directory == Path(""):

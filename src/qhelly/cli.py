@@ -43,7 +43,6 @@ import argparse
 import gc
 import importlib.util
 import math
-import os
 import sys
 import types
 from typing import Optional, Sequence
@@ -118,11 +117,12 @@ def _check(args: argparse.Namespace) -> None:
 
 def _z2_profile(args: argparse.Namespace, k: int) -> Profile:
     """The planar lattice profile up to k, building missing census counts."""
-    if not args.cache and not os.environ.get(census.CACHE_ENV_VAR):
+    try:
+        store = census.CensusStore(args.cache)
+    except ValueError:  # neither --cache nor the variable names a directory
         raise UsageError(
             f"census cache needed: pass --cache DIR or set {census.CACHE_ENV_VAR}"
-        )
-    store = census.CensusStore(args.cache)
+        ) from None
     store.ensure(k, threads=args.threads)
     return census.c_z2_profile(k, store)
 

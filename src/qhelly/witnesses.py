@@ -24,12 +24,14 @@ certifies a lower bound of t^(n-1) for the quantitative Helly number
 at parameter k.
 
 Both families are records of parameters only: tight_recipe gives a
-recipe and lower_bound_witness the parabolic t, s and k'.  All
-arithmetic is exact integer arithmetic.  verify_witness is the one
-place where a witness is hulled and counted: it builds the polytope
-once (tight_witness, or the parabolic body within the box budget) and
-recounts every lattice point geometrically instead of trusting the
-sheet formulas or the recipe arithmetic.
+recipe (kind, n, spike) and lower_bound_witness the parabolic
+(n, k, t, s, k').  Every claim, the expected counts and the bound, is
+a property derived from them by one formula.  All arithmetic is exact
+integer arithmetic.  verify_witness is the one place where a witness
+is hulled and counted: it builds the polytope once (tight_witness, or
+the parabolic body within the box budget) and recounts every lattice
+point geometrically instead of trusting the sheet formulas or the
+recipe arithmetic.
 """
 
 from __future__ import annotations
@@ -59,7 +61,8 @@ __all__ = [
 # grid columns, not the box, so the budget only fixes which k realise.
 _REALIZE_BOX_BUDGET = 10**7
 
-_TIGHT_KINDS = ("cube", "fused_cubes", "prism_spike", "double_spike")
+# the kind of the family member with k nonvertex points, for k in 0..4
+_TIGHT_KINDS = ("cube", "fused_cubes", "prism_spike", "prism_spike", "double_spike")
 
 
 # ---------------------------------------------------------------------------
@@ -71,20 +74,13 @@ class ConstructionRecipe(FrozenRecord):
 
     kind is one of "cube", "fused_cubes", "prism_spike", "double_spike";
     spike is the interior run length of a prism spike (2 or 3) and None
-    for the other kinds.  The expected census counts are part of the
-    recipe so a verifier can hold the construction to them.
+    for the other kinds.  The expected census counts follow from these
+    three, so a verifier can hold the construction to them.
     """
 
-    __slots__ = ("kind", "n", "spike", "expected_vertices", "expected_nonvertex")
+    __slots__ = ("kind", "n", "spike")
 
-    def __init__(
-        self,
-        kind: str,
-        n: int,
-        spike: Optional[int],
-        expected_vertices: int,
-        expected_nonvertex: int,
-    ) -> None:
+    def __init__(self, kind: str, n: int, spike: Optional[int]) -> None:
         if kind not in _TIGHT_KINDS:
             raise ValueError(f"unknown construction kind {kind!r}")
         if kind == "prism_spike":
@@ -95,9 +91,20 @@ class ConstructionRecipe(FrozenRecord):
         min_n = 1 if kind == "cube" else 2
         if n < min_n:
             raise UnsupportedDimensionError(f"{kind} needs dimension >= {min_n}, got {n}")
-        values = (kind, n, spike, expected_vertices, expected_nonvertex)
-        for name, value in zip(self.__slots__, values):
+        for name, value in zip(self.__slots__, (kind, n, spike)):
             object.__setattr__(self, name, value)
+
+    @property
+    def expected_vertices(self) -> int:
+        """2^n for the cube, 2^(n+1) for the double spike, else 2^(n+1) - 2."""
+        if self.kind == "cube":
+            return 2**self.n
+        return 2 ** (self.n + 1) - (0 if self.kind == "double_spike" else 2)
+
+    @property
+    def expected_nonvertex(self) -> int:
+        """The spike length of a prism spike, else the kind's k in the family."""
+        return self.spike or _TIGHT_KINDS.index(self.kind)
 
     @property
     def label(self) -> str:
@@ -115,15 +122,10 @@ def tight_recipe(n: int, k: int) -> ConstructionRecipe:
     """
     if n < 2:
         raise UnsupportedDimensionError("the witness family needs dimension >= 2")
-    if k == 0:
-        return ConstructionRecipe("cube", n, None, 2**n, 0)
-    if k == 1:
-        return ConstructionRecipe("fused_cubes", n, None, 2 ** (n + 1) - 2, 1)
-    if k in (2, 3):
-        return ConstructionRecipe("prism_spike", n, k, 2 ** (n + 1) - 2, k)
-    if k == 4:
-        return ConstructionRecipe("double_spike", n, None, 2 ** (n + 1), 4)
-    raise ValueError("the small-k witness family covers k in 0..4 only")
+    if not 0 <= k < len(_TIGHT_KINDS):
+        raise ValueError("the small-k witness family covers k in 0..4 only")
+    kind = _TIGHT_KINDS[k]
+    return ConstructionRecipe(kind, n, k if kind == "prism_spike" else None)
 
 
 def tight_recipes(n: int) -> tuple[ConstructionRecipe, ...]:
@@ -206,10 +208,11 @@ class LowerBoundWitness(NamedTuple):
     """Certificate that 2*t^(n-1) vertices can pen in at most k nonvertex points.
 
     t is the largest integer with 2n * t^(n+1) <= k and s the largest
-    cap height whose nonvertex count k_prime stays within k.  The
-    recorded bound t^(n-1) follows from trading the k - k_prime unused
-    nonvertex slots against vertices one for one.  The record holds the
-    construction's parameters only; verify_witness builds the body and
+    cap height whose nonvertex count k_prime stays within k.  The bound
+    t^(n-1) follows from trading the k - k_prime unused nonvertex slots
+    against vertices one for one.  The record holds the construction's
+    parameters only, and the bound, the vertex count and the degenerate
+    flag are derived from them; verify_witness builds the body and
     recounts it.
     """
 
@@ -218,9 +221,19 @@ class LowerBoundWitness(NamedTuple):
     t: int
     s: int
     k_prime: int
-    predicted_vertices: int
-    bound: int
-    degenerate: bool
+
+    @property
+    def degenerate(self) -> bool:
+        """Below k = 2n no parabolic body fits; a unit segment stands in."""
+        return self.k < 2 * self.n
+
+    @property
+    def bound(self) -> int:
+        return 1 if self.degenerate else self.t ** (self.n - 1)
+
+    @property
+    def predicted_vertices(self) -> int:
+        return 2 * self.bound
 
 
 def _parabolic_endpoints(n: int, t: int, s: int) -> list[tuple[int, ...]]:
@@ -264,16 +277,7 @@ def lower_bound_witness(n: int, k: int) -> LowerBoundWitness:
         raise ValueError("nonvertex budget k must be nonnegative")
 
     if k < 2 * n:
-        return LowerBoundWitness(
-            n=n,
-            k=k,
-            t=0,
-            s=0,
-            k_prime=0,
-            predicted_vertices=2,
-            bound=1,
-            degenerate=True,
-        )
+        return LowerBoundWitness(n, k, t=0, s=0, k_prime=0)
 
     t = integer_root(k // (2 * n), n + 1)
     assert t >= 1 and 2 * n * t ** (n + 1) <= k < 2 * n * (t + 1) ** (n + 1)
@@ -285,16 +289,7 @@ def lower_bound_witness(n: int, k: int) -> LowerBoundWitness:
     k_prime = _nonvertex_count(n, t, s)
     # maximality: raising s by one must overshoot the budget
     assert k_prime <= k < _nonvertex_count(n, t, s + 1)
-    return LowerBoundWitness(
-        n=n,
-        k=k,
-        t=t,
-        s=s,
-        k_prime=k_prime,
-        predicted_vertices=2 * cells,
-        bound=cells,
-        degenerate=False,
-    )
+    return LowerBoundWitness(n, k, t, s, k_prime)
 
 
 # ---------------------------------------------------------------------------
@@ -315,8 +310,11 @@ class WitnessReport(NamedTuple):
     actual_vertices: Optional[int]
     actual_nonvertex: Optional[int]
     total_points: Optional[int]
-    realized: bool
     findings: tuple[str, ...]
+
+    @property
+    def realized(self) -> bool:
+        return self.total_points is not None
 
     @property
     def ok(self) -> bool:
@@ -325,49 +323,37 @@ class WitnessReport(NamedTuple):
 
 def _recount(
     label: str,
-    polytope: LatticePolytope,
+    polytope: Optional[LatticePolytope],
     expected_vertices: int,
     expected_nonvertex: int,
     findings: list[str],
 ) -> WitnessReport:
-    counts = census(polytope)
-    if counts.vertex != expected_vertices:
-        findings.append(
-            f"recounted {counts.vertex} vertices where {expected_vertices} were claimed"
-        )
-    if counts.nonvertex != expected_nonvertex:
-        findings.append(
-            f"recounted {counts.nonvertex} nonvertex points where "
-            f"{expected_nonvertex} were claimed"
-        )
-    return WitnessReport(
-        label=label,
-        expected_vertices=expected_vertices,
-        expected_nonvertex=expected_nonvertex,
-        actual_vertices=counts.vertex,
-        actual_nonvertex=counts.nonvertex,
-        total_points=counts.total,
-        realized=True,
-        findings=tuple(findings),
-    )
+    """The report on a witness: its polytope's counts, each held to its
+    claim, or no counts when there is no polytope."""
+    actual = (None, None, None)
+    if polytope is not None:
+        counts = census(polytope)
+        actual = (counts.vertex, counts.nonvertex, counts.total)
+        for what, got, claimed in (
+            ("vertices", counts.vertex, expected_vertices),
+            ("nonvertex points", counts.nonvertex, expected_nonvertex),
+        ):
+            if got != claimed:
+                findings.append(f"recounted {got} {what} where {claimed} were claimed")
+    return WitnessReport(label, expected_vertices, expected_nonvertex, *actual, tuple(findings))
 
 
 def _lower_bound_findings(witness: LowerBoundWitness) -> list[str]:
-    """Every claim of the witness that its sheet formulas contradict."""
+    """Every stored parameter of the witness that its sheet formulas contradict."""
     n, k, t, s = witness.n, witness.k, witness.t, witness.s
     findings: list[str] = []
     if witness.degenerate:
-        if k >= 2 * n:
-            findings.append(f"witness flagged degenerate although k = {k} >= 2n")
-        if witness.bound != 1 or witness.k_prime != 0:
-            findings.append("degenerate witness must carry bound 1 and k_prime 0")
+        if witness.k_prime != 0:
+            findings.append("degenerate witness must carry k_prime 0")
         return findings
 
-    if k < 2 * n:
-        findings.append(f"k = {k} < 2n admits no parabolic witness, yet none was flagged")
     if t < 1 or not (2 * n * t ** (n + 1) <= k < 2 * n * (t + 1) ** (n + 1)):
         findings.append(f"t = {t} is not the largest integer with 2n*t^(n+1) <= k")
-    cells = t ** (n - 1)
     formula_k_prime = _nonvertex_count(n, t, s)
     if witness.k_prime != formula_k_prime:
         findings.append(
@@ -378,13 +364,7 @@ def _lower_bound_findings(witness: LowerBoundWitness) -> list[str]:
         findings.append(f"cap height s = {s} overshoots the nonvertex budget")
     if _nonvertex_count(n, t, s + 1) <= k:
         findings.append(f"cap height s = {s} is not maximal; s + 1 still fits the budget")
-    if witness.predicted_vertices != 2 * cells:
-        findings.append(
-            f"predicted vertex count {witness.predicted_vertices} is not 2*t^(n-1) = {2 * cells}"
-        )
-    if witness.bound != cells:
-        findings.append(f"recorded bound {witness.bound} is not t^(n-1) = {cells}")
-    if not (0 <= k - formula_k_prime <= cells):
+    if not (0 <= k - formula_k_prime <= witness.bound):
         findings.append("budget slack k - k_prime escapes [0, t^(n-1)]")
     return findings
 
@@ -413,15 +393,4 @@ def verify_witness(witness: Union[LowerBoundWitness, ConstructionRecipe]) -> Wit
         polytope = _parabolic_body(witness)
     else:
         raise TypeError(f"cannot verify object of type {type(witness).__name__}")
-    if polytope is None:
-        return WitnessReport(
-            label=label,
-            expected_vertices=expected[0],
-            expected_nonvertex=expected[1],
-            actual_vertices=None,
-            actual_nonvertex=None,
-            total_points=None,
-            realized=False,
-            findings=tuple(findings),
-        )
     return _recount(label, polytope, *expected, findings)

@@ -47,6 +47,7 @@ from qhelly.errors import (
     CacheIncompleteError,
     CacheMissingError,
     DegenerateInputError,
+    GuardRadiusError,
 )
 from qhelly.extint import Profile
 from qhelly.lattice import (
@@ -1147,6 +1148,39 @@ def test_expansion_validates_input():
         expand_to_maximal(convex_hull(HEXAGON), 0)
     with pytest.raises(DegenerateInputError):
         expand_to_maximal(convex_hull([(0, 0), (4, 0)]), 1)
+
+
+# the two triangles above, each of which needs rounds of weight doubling
+THIN_TRIANGLE = ([(0, 0), (3, 0), (0, 1)], 2)
+SKEWED_TRIANGLE = ([(0, 0), (2, 0), (4, 6)], 7)
+
+
+@pytest.mark.parametrize(
+    "triangle, message",
+    [
+        (
+            THIN_TRIANGLE,
+            "^expansion weights grew past the guard while restoring the facet normal fan$",
+        ),
+        (SKEWED_TRIANGLE, r"^expansion still has stray lattice points after 1 rounds: \["),
+    ],
+)
+def test_expansion_past_the_round_guard_fails_loudly(monkeypatch, triangle, message):
+    points, k = triangle
+    monkeypatch.setattr(census_module, "_EXPAND_OP_GUARD", 0)
+    with pytest.raises(GuardRadiusError, match=message):
+        expand_to_maximal(convex_hull(points), k)
+
+
+def test_expansion_past_the_scan_budget_fails_loudly(monkeypatch):
+    monkeypatch.setattr(census_module, "_SCAN_BUDGET", 4)
+    points, k = SKEWED_TRIANGLE
+    message = "^expansion escaped the guard region after 0 rounds: lattice scan over "
+    with pytest.raises(GuardRadiusError, match=message):
+        expand_to_maximal(convex_hull(points), k)
+    message = "^lattice scan over 9 cells exceeds the budget 4$"
+    with pytest.raises(BudgetExceededError, match=message):
+        maximal_membership([(0, 0), (4, 0), (0, 4)], 3)
 
 
 def test_expansion_is_deterministic():

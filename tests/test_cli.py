@@ -376,6 +376,8 @@ def test_witness_theorem4_beyond_exact_hulls_is_refused_before_any_build(capsys,
         ),
         # t = 12: 288 points, 246 facets
         (["--suite", "lowerbound", "--n", "3", "--k", "124416"], "lowerbound_n3_k124416.txt"),
+        # k = 2n: the first parabolic body (t = 1), next to the segment at k = 7
+        (["--suite", "lowerbound", "--n", "4", "--k", "8"], "lowerbound_n4_k8.txt"),
     ],
 )
 def test_witness_output_matches_golden_bytes(capsys, argv, name):

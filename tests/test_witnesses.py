@@ -108,11 +108,11 @@ def test_recipe_validation():
     with pytest.raises(UnsupportedDimensionError):
         tight_recipe(1, 1)
     with pytest.raises(ValueError):
-        ConstructionRecipe("prism_spike", 3, 5, 14, 2)
+        ConstructionRecipe("prism_spike", 3, 5)
     with pytest.raises(ValueError):
-        ConstructionRecipe("cube", 3, 2, 8, 0)
+        ConstructionRecipe("cube", 3, 2)
     with pytest.raises(ValueError):
-        ConstructionRecipe("pyramid", 3, None, 8, 0)
+        ConstructionRecipe("pyramid", 3, None)
 
 
 def test_fused_cubes_in_the_plane_is_the_hexagon():
@@ -166,11 +166,10 @@ def test_theorem4_bodies_are_closed_sets_of_their_boxes(monkeypatch, n, k):
     )
 
 
-def test_verify_rejects_a_corrupted_recipe():
-    # the unit square claimed to have the fused hexagon's counts
-    square = tight_recipe(2, 0)
-    bad = ConstructionRecipe(square.kind, square.n, square.spike, 6, 1)
-    report = verify_witness(bad)
+def test_verify_rejects_a_corrupted_recipe(monkeypatch):
+    # the fused hexagon's recipe built as the unit square
+    monkeypatch.setattr(witnesses, "_fused_cube_points", witnesses._cube_points)
+    report = verify_witness(tight_recipe(2, 1))
     assert not report.ok and len(report.findings) == 2
     assert report.actual_vertices == 4 and report.expected_vertices == 6
     assert report.actual_nonvertex == 0 and report.expected_nonvertex == 1
@@ -268,9 +267,11 @@ def test_corrupted_cap_height_is_reported_not_raised():
 
 def test_corrupted_bound_is_reported():
     w = lower_bound_witness(3, 1000)
-    bad = w._replace(bound=w.bound + 1)
+    bad = w._replace(t=w.t + 1)
     report = verify_witness(bad)
-    assert not report.ok and any("bound" in f for f in report.findings)
+    assert not report.ok
+    assert any("not the largest integer" in f for f in report.findings)
+    assert any(f.startswith("recounted") for f in report.findings)
 
 
 def test_verify_rejects_unknown_objects():
