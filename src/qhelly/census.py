@@ -58,6 +58,7 @@ increasing order.
 
 from __future__ import annotations
 
+import gc
 import os
 import re
 from math import gcd, isqrt, lcm
@@ -397,20 +398,29 @@ def _build(i_max: int, mapper) -> dict[int, tuple]:
     return buckets
 
 
-def _spread_worker() -> None:
+def _start_worker(collect: bool) -> None:
     """Move a new pool worker onto one CPU of its allowed set (chosen by
-    its process id), then free it.
+    its process id), then free it; and freeze the objects it inherited.
 
     A forked worker starts on the CPU of the process that forked it.  On a
     2-vCPU virtual machine whose second CPU had idled, all four workers
     were seen to share one CPU for about 1.3 s, most of a build up to
     interior 8; one forced move spreads them from the start, and restoring
     the allowed set leaves them free to migrate.
+
+    A worker shares the parent's pages until it writes them, and a full
+    collection writes the header of every tracked object it walks.  The
+    worker is forked with the collector off; it freezes what it
+    inherited, so that its collections, back on if the caller had them
+    on, walk only what it made itself.
     """
     if hasattr(os, "sched_setaffinity"):
         allowed = sorted(os.sched_getaffinity(0))
         os.sched_setaffinity(0, {allowed[os.getpid() % len(allowed)]})
         os.sched_setaffinity(0, allowed)
+    gc.freeze()
+    if collect:
+        gc.enable()
 
 
 def enumerate_polygon_classes(i_max: int, *, threads: int = 1) -> dict[int, tuple]:
@@ -418,15 +428,25 @@ def enumerate_polygon_classes(i_max: int, *, threads: int = 1) -> dict[int, tupl
 
     Bucket i is built from the buckets below it; with threads > 1 the
     shards of all buckets run on one process pool kept for the whole
-    build.  The result is the same for any thread count.
+    build.  The result is the same for any thread count.  No collection
+    runs in this process while the pool lives: one would write every
+    tracked object's header, copying each page the workers still share.
     """
     if i_max < 0:
         raise ValueError("interior bound must be nonnegative")
     if threads > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=threads, initializer=_spread_worker) as pool:
-            return _build(i_max, pool.map)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            with ProcessPoolExecutor(
+                max_workers=threads, initializer=_start_worker, initargs=(enabled,)
+            ) as pool:
+                return _build(i_max, pool.map)
+        finally:
+            if enabled:
+                gc.enable()
     return _build(i_max, map)
 
 

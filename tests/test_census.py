@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import gc
 import os
 import pickle
 import random
@@ -247,6 +248,39 @@ def test_enumeration_threads_agree():
     assert enumerate_polygon_classes(3, threads=1) == enumerate_polygon_classes(
         3, threads=2
     )
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_threaded_build_restores_the_collector_state(enabled):
+    # the collector is off while the pool lives, then as the caller left it
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert enumerate_polygon_classes(2, threads=2) == enumerate_polygon_classes(2)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def _collector_state() -> tuple[bool, int]:
+    return gc.isenabled(), gc.get_freeze_count()
+
+
+@pytest.mark.parametrize("collect", [True, False])
+def test_pool_workers_freeze_what_they_inherit(collect):
+    # forked with the collector off, as enumerate_polygon_classes forks them
+    from concurrent.futures import ProcessPoolExecutor
+
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        with ProcessPoolExecutor(
+            max_workers=1, initializer=census_module._start_worker, initargs=(collect,)
+        ) as pool:
+            enabled, frozen = pool.submit(_collector_state).result()
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert enabled is collect and frozen > gc.get_freeze_count()
 
 
 def test_height_and_box_bounds_grow():
