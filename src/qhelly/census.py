@@ -61,6 +61,7 @@ from __future__ import annotations
 import gc
 import os
 import re
+from contextlib import suppress
 from math import gcd, isqrt, lcm
 from pathlib import Path
 from typing import Iterable, NamedTuple, Optional, Sequence
@@ -611,6 +612,9 @@ class CensusStore:
             tmp.write_text(file.render(), encoding="ascii")
             os.replace(tmp, target)
         except OSError as exc:
+            # only this process's own temporary file: another writer's may be live
+            with suppress(OSError):
+                tmp.unlink(missing_ok=True)
             raise _path_error(target, exc) from exc
         return target
 

@@ -109,7 +109,8 @@ def _check(args: argparse.Namespace) -> None:
         lo, hi = constants.MIN_PRECISION, constants.MAX_PRECISION
         if args.precision is not None and not lo <= args.precision <= hi:
             raise UsageError(f"precision must be between {lo} and {hi} bits")
-    if min(getattr(args, "k", 0), getattr(args, "kmax", 0)) < 0:
+    # witness --k is None when it is not given
+    if min(getattr(args, "k", None) or 0, getattr(args, "kmax", 0)) < 0:
         raise UsageError("k must be nonnegative")
     if getattr(args, "threads", 1) < 1:
         raise UsageError("thread count must be positive")
@@ -280,7 +281,7 @@ def _run_witness(args: argparse.Namespace) -> int:
             for finding in report.findings:
                 lines.append(f"  finding: {finding}")
     else:
-        if args.n is None:
+        if args.n is None or args.k is None:
             raise UsageError("--suite lowerbound needs --n N and --k K")
         witness = witnesses.lower_bound_witness(args.n, args.k)
         report = witnesses.verify_witness(witness)
@@ -408,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     witness.set_defaults(handler=_run_witness)
     witness.add_argument("--suite", required=True, choices=("theorem4", "lowerbound"))
     witness.add_argument("--n", type=int, default=None)
-    witness.add_argument("--k", type=int, default=0)
+    witness.add_argument("--k", type=int, default=None)
     witness.add_argument("--out", default=None)
 
     maximal = sub.add_parser("maximal", help="expand census witnesses to maximal polygons")

@@ -20,6 +20,24 @@ in a dict, whose totals and vertex counts are popcounts, and holds them
 to the state budget.  A site is read on the coordinates that
 lattice._affine_base keeps, on which it is full-dimensional.
 
+A box (a site that fills the product of its coordinate ranges) is
+enumerated once per orbit of its symmetry group G: the coordinate
+reflections times the permutations of equal sides; any other site has
+G = {identity}.  Order the sets of one size by their lowest differing
+bit: A < B when the lowest bit of A ^ B is in A, which is the order of
+sorted point tuples.  A kernel keeps a child only when it is the least
+member of its orbit (orderly generation; Read, Every one a winner,
+1978).  The tree parent P = C - m, m = max C, of such a C is the least
+of its own orbit: were g(P) < P, with b the lowest bit of P ^ g(P), then
+b < m (P and g(P) agree below b, P lies below m and the two have one
+size), and g(C) = g(P) + g(m) has the lowest differing bit g(m) when
+g(m) < b (it is in neither P nor g(P)) and b otherwise, so g(C) < C.
+So the least members form a subtree, every one of them is reached, and
+a child that is not least is dropped with its whole subtree.  g[k] and
+the vertex counts are orbit invariants, and g_profile's witness at k,
+the least set among those that attain g[k], is the least of its orbit,
+so the fold over representatives picks the same witnesses.
+
 A site of affine dimension at most 2 is enumerated on indices alone,
 with one table of line masks for the ordered pairs of points.  A hull is
 a counterclockwise index cycle from its least point; a new point p is
@@ -46,10 +64,10 @@ the enumerated closed sets.
 
 from __future__ import annotations
 
-from itertools import accumulate
-from math import gcd
-from operator import and_
-from typing import Iterator, NamedTuple, Optional, Sequence
+from itertools import accumulate, permutations, product
+from math import gcd, prod
+from operator import and_, or_
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import BudgetExceededError, UnsupportedDimensionError
 from .extint import Profile, c_from_g
@@ -73,6 +91,74 @@ def check_site_size(size: int) -> None:
             f"site has {size} points; closed subsets can approach "
             f"2^{size}, refuse beyond {_SITE_SIZE_LIMIT}"
         )
+
+
+def _box_symmetries(coords: Sequence[tuple]) -> list:
+    """The point permutations of the site's symmetry group, identity first:
+    perm[i] is the index of the image of coords[i].
+
+    When the points fill the box of their coordinate ranges, the group is
+    the coordinate reflections times the permutations of equal sides;
+    else it is the identity alone.  A side of one point reflects to
+    itself, so the permutations are kept once each.
+    """
+    lo = [min(c) for c in zip(*coords)]
+    offsets = [tuple(x - m for x, m in zip(p, lo)) for p in coords]
+    sides = [max(c) for c in zip(*offsets)]
+    if len(coords) != prod(s + 1 for s in sides):
+        return [tuple(range(len(coords)))]
+    index = {u: i for i, u in enumerate(offsets)}
+    found: dict = {}
+    for axes in permutations(range(len(sides))):
+        if [sides[a] for a in axes] != sides:
+            continue
+        for flips in product((False, True), repeat=len(sides)):
+            moves = list(zip(axes, flips, sides))
+            image = (tuple(s - u[a] if f else u[a] for a, f, s in moves) for u in offsets)
+            found[tuple(index[v] for v in image)] = None
+    return list(found)
+
+
+# points per lookup table in _orbit_sizer
+_CHUNK = 6
+
+
+def _orbit_sizer(coords: Sequence[tuple]) -> Callable[[int], int]:
+    """orbit(mask): the size of the mask's orbit under _box_symmetries when
+    the mask is the least member of it (no image has the lowest bit the
+    two differ in), else 0.
+
+    An image is built bit-reversed, point i of n going to bit n - 1 - i,
+    so that the least member of an orbit is the one whose reversed image
+    is the largest integer.  tables[c][v] holds, for each symmetry, the
+    reversed image of the points in chunk c that v selects, and a mask's
+    images are the OR of one entry per chunk.  The orbit has |G| /
+    |stabilizer| members, the stabilizer being the symmetries that fix
+    the mask.
+    """
+    n, low = len(coords), (1 << _CHUNK) - 1
+    perms = _box_symmetries(coords)
+    tables = []
+    for c in range(0, n, _CHUNK):
+        columns = []
+        for perm in perms:
+            column = [0]
+            for i in range(c, min(c + _CHUNK, n)):
+                bit = 1 << n - 1 - perm[i]
+                column += [v | bit for v in column]
+            columns.append(column)
+        tables.append((c, list(zip(*columns))))
+    (_, first), rest = tables[0], tables[1:]
+
+    def orbit(mask: int) -> int:
+        images = first[mask & low]
+        for c, table in rest:
+            images = map(or_, images, table[mask >> c & low])
+        images = tuple(images)
+        own = images[0]
+        return len(images) // images.count(own) if max(images) == own else 0
+
+    return orbit
 
 
 def _line_masks(xy: Sequence[tuple]) -> list:
@@ -116,23 +202,28 @@ def _seen_chain(back: Sequence[int], j: int) -> tuple[int, int]:
     return sees[0], sees[-1] + 1
 
 
-def _planar_closed_sets(xy: Sequence[tuple]) -> Iterator[tuple[int, int]]:
-    """Closed sets of a planar site, by index cycles on its line masks;
-    yields each with its vertex mask once, as it is popped.
+def _planar_closed_sets(xy: Sequence[tuple]) -> Iterator[tuple[int, int, int]]:
+    """Closed sets of a planar site, one per orbit, by index cycles on its
+    line masks; yields each with its vertex mask and orbit size once, as
+    it is popped.
 
     A stack entry is a closed set, its vertex mask, its hull's vertex
-    cycle, and the line masks of the cycle's edges: edge e runs from
-    cycle[e] to cycle[e + 1] (cyclically), fwd[e] is the mask on or left
-    of it and back[e] the mask on or right of it.  A point i is the
-    one-edge cycle (i,), with full masks.
+    cycle, the line masks of the cycle's edges and its orbit size: edge e
+    runs from cycle[e] to cycle[e + 1] (cyclically), fwd[e] is the mask
+    on or left of it and back[e] the mask on or right of it.  A point i
+    is the one-edge cycle (i,), with full masks.  A child is kept when it
+    is closed, and then when it is the least of its orbit.
     """
     n = len(xy)
     full = (1 << n) - 1
     left = _line_masks(xy)
-    stack = [(1 << i, 1 << i, (i,), [full], [full]) for i in range(n)]
+    orbit = _orbit_sizer(xy)
+    stack = [
+        (1 << i, 1 << i, (i,), [full], [full], size) for i in range(n) if (size := orbit(1 << i))
+    ]
     while stack:
-        cur, vmask, hull, fwd, back = stack.pop()
-        yield cur, vmask
+        cur, vmask, hull, fwd, back, size = stack.pop()
+        yield cur, vmask, size
         # head[s]: the AND over edges 0..s-1, tail[t]: over edges t..
         head = [full, *accumulate(fwd, and_)]
         tail = [*accumulate(reversed(fwd), and_)][::-1] + [full]
@@ -147,7 +238,7 @@ def _planar_closed_sets(xy: Sequence[tuple]) -> Iterator[tuple[int, int]]:
                 # a segment's line masks leave its whole line; the closed
                 # set lies between indices hull[0] and j
                 closed &= (2 << j) - (1 << hull[0])
-            if closed != target:
+            if closed != target or not (size := orbit(target)):
                 continue
             cycle = hull[: s + 1] + (j,) + hull[t:]
             new_fwd = fwd[:s] + [into, out] + fwd[t:]
@@ -155,7 +246,7 @@ def _planar_closed_sets(xy: Sequence[tuple]) -> Iterator[tuple[int, int]]:
             new_vmask = 0
             for v in cycle:
                 new_vmask |= 1 << v
-            stack.append((target, new_vmask, cycle, new_fwd, new_back))
+            stack.append((target, new_vmask, cycle, new_fwd, new_back, size))
 
 
 def _hyperplane(normal: list, offset: int) -> tuple:
@@ -260,33 +351,46 @@ def _extend(
     return eqs, new_facets, keep | bit
 
 
-def _closed_sets(site: FiniteSite) -> Iterator[tuple[int, int]]:
-    """Closed sets of a full-dimensional site in Z^d, d = 3..5, by _extend;
-    yields each with its vertex mask once, as it is popped.
+def _closed_sets(site: FiniteSite) -> Iterator[tuple[int, int, int]]:
+    """Closed sets of a full-dimensional site in Z^d, d = 3..5, one per
+    orbit, by _extend; yields each with its vertex mask and orbit size
+    once, as it is popped.
 
     A stack entry is a closed set, the equalities of its affine hull, its
-    facets relative to that hull and its vertex mask; a singleton starts
-    with the d unit equalities and no facets.
+    facets relative to that hull, its vertex mask and its orbit size; a
+    singleton starts with the d unit equalities and no facets.  A child
+    that is not the least of its orbit is dropped before _extend builds
+    its facets.
     """
     points, d = site.points, site.dim
     units = [tuple(int(a == b) for b in range(d)) for a in range(d)]
-    stack = [(1 << i, tuple(zip(units, p)), [], 1 << i) for i, p in enumerate(points)]
+    orbit = _orbit_sizer(points)
+    stack = [
+        (1 << i, tuple(zip(units, p)), [], 1 << i, size)
+        for i, p in enumerate(points)
+        if (size := orbit(1 << i))
+    ]
     while stack:
-        cur, eqs, facets, vmask = stack.pop()
-        yield cur, vmask
+        cur, eqs, facets, vmask, size = stack.pop()
+        yield cur, vmask, size
         for j in range(cur.bit_length(), len(points)):
             target = cur | 1 << j
-            step = _extend(site, eqs, facets, vmask, j, target)
-            if step is not None:
-                stack.append((target, *step))
+            if size := orbit(target):
+                step = _extend(site, eqs, facets, vmask, j, target)
+                if step is not None:
+                    stack.append((target, *step, size))
 
 
 def enumerate_convex_subsets(site: FiniteSite) -> dict:
-    """All nonempty closed subsets of the site (C = S intersect conv C).
+    """The nonempty closed subsets of the site (C = S intersect conv C),
+    one per orbit of the site's symmetry group.
 
     Subsets are bitmasks over the site (bit i is site.points[i]).  The
-    result maps each closed set to the mask of its hull's vertices, in
-    no promised order.
+    result maps the least closed set of each orbit (by sorted point
+    tuple) to the mask of its hull's vertices, in no promised order.  The
+    group is the box's (_box_symmetries) when the site fills the box of
+    its coordinate ranges, and the identity alone, which makes every
+    closed set its own orbit, otherwise.
 
     Tree rule: a closed set C is extended only by a point p
     lexicographically above its maximum, and the child C + p is kept
@@ -298,8 +402,19 @@ def enumerate_convex_subsets(site: FiniteSite) -> dict:
     canonical parent; Read, Every one a winner, 1978).  So no step looks
     up the sets found before it: each set's hull and vertex mask travel
     with it on a kernel's stack, and the kernel yields the set and its
-    vertex mask once, when it pops it.  This function only collects the
-    pairs, and refuses a site with more than _STATE_BUDGET closed sets.
+    vertex mask once, when it pops it.
+
+    Orbits: order the sets of one size by their lowest differing bit, A <
+    B when the lowest bit of A ^ B is in A.  A child is kept only when no
+    image of it under the group is less (_orbit_sizer).  If C is least in
+    its orbit, so is its parent P = C - m, m = max C: were g(P) < P, with
+    b the lowest bit of P ^ g(P), then b < m, as P and g(P) agree below b
+    and have one size while P lies below m; g(m) is in neither P nor
+    g(P), so g(C) = g(P) + g(m) differs from C lowest at g(m) when g(m) <
+    b and at b otherwise, both bits of g(C), and g(C) < C.  So a dropped
+    child has no kept descendant, and every least member is reached.
+    This function only collects the representatives, and refuses a site
+    whose orbit sizes sum to more than _STATE_BUDGET closed sets.
 
     A site is read on the coordinates _affine_base keeps with its affine
     base, which map it one to one and in order.  A site of affine
@@ -334,15 +449,17 @@ def enumerate_convex_subsets(site: FiniteSite) -> dict:
     if len(base) <= 3:
         # a point or a line gets a zero second coordinate: one collinear site
         pad = (0,) * (2 - len(kept))
-        pairs = _planar_closed_sets([tuple(p[i] for i in kept) + pad for p in points])
+        reps = _planar_closed_sets([tuple(p[i] for i in kept) + pad for p in points])
     else:
         if len(kept) < site.dim:
             site = FiniteSite.of(tuple(p[i] for i in kept) for p in points)
-        pairs = _closed_sets(site)
+        reps = _closed_sets(site)
     found: dict = {}
-    for closed, vmask in pairs:
+    total = 0
+    for closed, vmask, size in reps:
         found[closed] = vmask
-        if len(found) > _STATE_BUDGET:
+        total += size
+        if total > _STATE_BUDGET:
             raise BudgetExceededError(
                 f"more than {_STATE_BUDGET} closed subsets; use a smaller site, such as a smaller box"
             )
@@ -360,9 +477,11 @@ def g_profile(
     One fold over the closed sets, in any order, keeps per k the largest
     vertex count and, among the sets that attain it, the least sorted
     point tuple: the witness of g[k] is the first such set in (size,
-    sorted point tuple) order.  Only the k_max + 1 winners are hulled
-    again, and witnesses[k] is the vertex tuple of that hull, in polytope
-    order (None where g[k] is None).
+    sorted point tuple) order.  The fold sees the least set of each orbit;
+    a symmetry keeps k and the vertex count, so that first set is the
+    least of its orbit and is seen.  Only the k_max + 1 winners are
+    hulled again, and witnesses[k] is the vertex tuple of that hull, in
+    polytope order (None where g[k] is None).
     """
     if k_max is None:
         k_max = len(site)

@@ -348,8 +348,9 @@ def _lower_bound_findings(witness: LowerBoundWitness) -> list[str]:
     n, k, t, s = witness.n, witness.k, witness.t, witness.s
     findings: list[str] = []
     if witness.degenerate:
-        if witness.k_prime != 0:
-            findings.append("degenerate witness must carry k_prime 0")
+        for name in ("t", "s", "k_prime"):
+            if getattr(witness, name) != 0:
+                findings.append(f"degenerate witness must carry {name} 0")
         return findings
 
     if t < 1 or not (2 * n * t ** (n + 1) <= k < 2 * n * (t + 1) ** (n + 1)):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import errno
 import gc
 import os
 import pickle
@@ -573,6 +574,39 @@ def test_store_maps_os_errors_to_cache_errors(tmp_path):
             attempt()
         assert excinfo.type is CacheError
     assert plain.read_text() == "not a directory\n"
+
+
+def _disk_full(monkeypatch) -> None:
+    """Path.write_text writes half its text, then fails as on a full disk."""
+    write_text = Path.write_text
+
+    def half_then_enospc(self, data, *args, **kwargs):
+        write_text(self, data[: len(data) // 2], *args, **kwargs)
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(self))
+
+    monkeypatch.setattr(Path, "write_text", half_then_enospc)
+
+
+def _rename_fails(monkeypatch) -> None:
+    def refuse(src, dst):
+        raise OSError(errno.EACCES, os.strerror(errno.EACCES), str(dst))
+
+    monkeypatch.setattr(census_module.os, "replace", refuse)
+
+
+@pytest.mark.parametrize("failure", [_disk_full, _rename_fails])
+def test_failed_save_removes_its_own_temporary_file_only(tmp_path, monkeypatch, failure):
+    store = CensusStore(tmp_path)
+    file = parse_census_file(_golden_bytes(store, 0).decode("ascii"))
+    # another writer's temporary file, which may be live, stays
+    other = tmp_path / f"{store.path(0).name}.tmp{os.getpid() + 1}"
+    other.write_text("another writer\n")
+    failure(monkeypatch)
+    with pytest.raises(CacheError, match=re.escape(str(store.path(0)))) as excinfo:
+        store.save(file)
+    assert excinfo.type is CacheError
+    assert sorted(tmp_path.iterdir()) == [other]
+    assert other.read_text() == "another writer\n"
 
 
 # ---------------------------------------------------------------------------

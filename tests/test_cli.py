@@ -92,6 +92,8 @@ GOLDEN_GRID = GOLDEN / "grid"
         "2x2x2x2_k16.csv",
         "2x2x2x2_k16.json",
         "6x5_k10.json",
+        # 8 symmetries; written before the enumeration kept one set per orbit
+        "4x3x2_k24.csv",
         # g has no value past k = 0 and c none past the box's 4 points
         "2x2_k6.csv",
         "2x2_k6.json",
@@ -360,27 +362,29 @@ def test_witness_theorem4_beyond_exact_hulls_is_refused_before_any_build(capsys,
 
 
 @pytest.mark.parametrize(
-    "argv, name",
+    "name",
     [
-        *(
-            (["--suite", "theorem4", "--n", str(n)], f"theorem4_n{n}.txt")
-            for n in (2, 3, 4, 5)
-        ),
-        (["--suite", "lowerbound", "--n", "2", "--k", "2450"], "lowerbound_n2_k2450.txt"),
-        (["--suite", "lowerbound", "--n", "3", "--k", "19950"], "lowerbound_n3_k19950.txt"),
-        (["--suite", "lowerbound", "--n", "4", "--k", "7"], "lowerbound_n4_k7.txt"),
+        "theorem4_n2.txt",
+        "theorem4_n3.txt",
+        "theorem4_n4.txt",
+        "theorem4_n5.txt",
+        "lowerbound_n2_k2450.txt",
+        "lowerbound_n3_k19950.txt",
+        "lowerbound_n4_k7.txt",
         # beyond the box budget: the recount is skipped
-        (
-            ["--suite", "lowerbound", "--n", "4", "--k", "100000000"],
-            "lowerbound_n4_k100000000.txt",
-        ),
+        "lowerbound_n4_k100000000.txt",
         # t = 12: 288 points, 246 facets
-        (["--suite", "lowerbound", "--n", "3", "--k", "124416"], "lowerbound_n3_k124416.txt"),
+        "lowerbound_n3_k124416.txt",
         # k = 2n: the first parabolic body (t = 1), next to the segment at k = 7
-        (["--suite", "lowerbound", "--n", "4", "--k", "8"], "lowerbound_n4_k8.txt"),
+        "lowerbound_n4_k8.txt",
     ],
 )
-def test_witness_output_matches_golden_bytes(capsys, argv, name):
+def test_witness_output_matches_golden_bytes(capsys, name):
+    # suite_n<N>[_k<K>].txt runs witness --suite suite --n N [--k K]
+    suite, *values = name.removesuffix(".txt").split("_")
+    argv = ["--suite", suite]
+    for value in values:
+        argv += [f"--{value[0]}", value[1:]]
     code, out, err = run_cli(capsys, ["witness", *argv])
     assert (code, err) == (0, "")
     assert out.encode() == (GOLDEN / "witness" / name).read_bytes()
@@ -514,6 +518,12 @@ def test_usage_errors_exit_two(capsys):
         (["audit", "--site", "3x3", "--kmax", "-1"], "k must be nonnegative"),
         # the range is checked before the precision
         (["constants", "--n-range", "5..3", "--precision", "10"], "range must satisfy 2 <= A <= B"),
+        # --k has no default: a lowerbound run without it is refused, not run at k = 0
+        (
+            ["witness", "--suite", "lowerbound", "--n", "2"],
+            "--suite lowerbound needs --n N and --k K",
+        ),
+        (["witness", "--suite", "lowerbound", "--n", "2", "--k", "-1"], "k must be nonnegative"),
     ],
 )
 def test_usage_error_messages(capsys, monkeypatch, argv, message):

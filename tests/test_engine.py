@@ -25,9 +25,46 @@ from qhelly.engine import (
     g_profile,
 )
 from qhelly.errors import BudgetExceededError, UnsupportedDimensionError
-from qhelly.lattice import FiniteSite, convex_hull, site_mask
+from qhelly.lattice import FiniteSite, _affine_base, convex_hull, site_mask
 from profile_oracles import c_direct, consistency_findings, ext_max, unrolled_c
 from scan_oracles import closed_sets_by_hulls, closure, contains
+
+
+def signed_permutation_group(site: FiniteSite) -> list:
+    """Oracle: the point permutations of every signed coordinate permutation
+    that, followed by a translation, maps the site onto itself, by brute
+    force on the coordinates the enumeration reads (those _affine_base
+    keeps, which map the site one to one)."""
+    _, kept = _affine_base(site.points)
+    coords = [tuple(p[i] for i in kept) for p in site.points]
+    index = {p: i for i, p in enumerate(coords)}
+    group = []
+    for axes in itertools.permutations(range(len(kept))):
+        for signs in itertools.product((1, -1), repeat=len(kept)):
+            image = [tuple(s * p[a] for a, s in zip(axes, signs)) for p in coords]
+            # a translation keeps lexicographic order, so it takes least to least
+            shift = [a - b for a, b in zip(min(coords), min(image))]
+            moved = [tuple(a + b for a, b in zip(p, shift)) for p in image]
+            if all(p in index for p in moved):
+                group.append([index[p] for p in moved])
+    return group
+
+
+def mask_image(perm: list, mask: int) -> int:
+    """The image of a mask under a permutation of the point indices."""
+    return sum(1 << perm[i] for i in range(len(perm)) if mask >> i & 1)
+
+
+def expand_orbits(site: FiniteSite, found: dict) -> dict:
+    """The enumeration's closed sets, one per orbit, expanded to every image
+    of each under signed_permutation_group, each mapped to the image of
+    its vertex mask; the images of one set come out in the group's order."""
+    group = signed_permutation_group(site)
+    return {
+        mask_image(perm, closed): mask_image(perm, verts)
+        for closed, verts in found.items()
+        for perm in group
+    }
 
 
 def brute_closed_subsets(site: FiniteSite) -> set:
@@ -42,13 +79,13 @@ def brute_closed_subsets(site: FiniteSite) -> set:
 
 
 def closed_tuples(site: FiniteSite) -> list:
-    """The enumerated closed sets as point tuples, in the order the
-    enumeration found them.
+    """The enumerated closed sets, orbits expanded, as point tuples, in the
+    order the enumeration found them.
 
     Also checks each vertex mask against the hull of its closed set.
     """
     out = []
-    for closed, verts in enumerate_convex_subsets(site).items():
+    for closed, verts in expand_orbits(site, enumerate_convex_subsets(site)).items():
         sub = site.points_of(closed)
         assert site.points_of(verts) == tuple(sorted(convex_hull(sub).vertices))
         out.append(sub)
@@ -85,7 +122,7 @@ def test_enumeration_matches_power_set_oracle_on_random_sites_in_z2(coords, flat
     points = [(a, b, a + 2 * b - 1) for a, b in coords] if flat else coords
     site = FiniteSite.of(points)
     assert set(closed_tuples(site)) == brute_closed_subsets(site)
-    assert enumerate_convex_subsets(site) == closed_sets_by_hulls(site)
+    assert expand_orbits(site, enumerate_convex_subsets(site)) == closed_sets_by_hulls(site)
 
 
 @settings(max_examples=25, deadline=None)
@@ -118,7 +155,8 @@ def test_flat_grid_enumerates_as_its_plane_without_hulls(monkeypatch, dims):
 
 
 def test_grid_6x4_closed_set_count():
-    assert len(enumerate_convex_subsets(FiniteSite.grid(6, 4))) == 24777
+    site = FiniteSite.grid(6, 4)
+    assert len(expand_orbits(site, enumerate_convex_subsets(site))) == 24777
 
 
 _SQUARE = [(0, 0), (2, 0), (2, 2), (0, 2)]
@@ -172,7 +210,7 @@ def test_splice_is_the_hull_of_cycle_plus_point(points_and_p, extra):
 @pytest.mark.parametrize("dims", [(2, 2, 2), (3, 2, 2), (2, 2, 3)])
 def test_solid_grid_matches_the_hull_per_step_path(dims):
     site = FiniteSite.grid(*dims)
-    assert enumerate_convex_subsets(site) == closed_sets_by_hulls(site)
+    assert expand_orbits(site, enumerate_convex_subsets(site)) == closed_sets_by_hulls(site)
 
 
 _CORNER = [(0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0)]
@@ -189,7 +227,7 @@ _CORNER = [(0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0)]
 @example(_CORNER + [(2, 0, 0)])  # on the line of an edge, past (1, 0, 0)
 def test_solid_sites_match_the_hull_per_step_path(points):
     site = FiniteSite.of(points)
-    assert enumerate_convex_subsets(site) == closed_sets_by_hulls(site)
+    assert expand_orbits(site, enumerate_convex_subsets(site)) == closed_sets_by_hulls(site)
 
 
 def test_solid_site_in_z4_enumerates_as_its_projection():
@@ -197,7 +235,7 @@ def test_solid_site_in_z4_enumerates_as_its_projection():
     site = FiniteSite.grid(2, 1, 2, 2)
     found = enumerate_convex_subsets(site)
     assert list(found.items()) == list(enumerate_convex_subsets(FiniteSite.grid(2, 2, 2)).items())
-    assert found == closed_sets_by_hulls(site)
+    assert expand_orbits(site, found) == closed_sets_by_hulls(site)
 
 
 _SIMPLEX_4 = [(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
@@ -219,7 +257,7 @@ def test_four_dimensional_site_matches_power_set_oracle():
 @example(_SIMPLEX_4 + [(1, 1, 1, -1)])  # beyond one facet only
 def test_four_dimensional_sites_match_the_hull_per_step_path(points):
     site = FiniteSite.of(points)
-    assert enumerate_convex_subsets(site) == closed_sets_by_hulls(site)
+    assert expand_orbits(site, enumerate_convex_subsets(site)) == closed_sets_by_hulls(site)
 
 
 _SIMPLEX_5 = [tuple(int(i == j) for j in range(5)) for i in range(-1, 5)]
@@ -234,7 +272,7 @@ _SIMPLEX_5 = [tuple(int(i == j) for j in range(5)) for i in range(-1, 5)]
 @example(_SIMPLEX_5 + [(1, 1, 0, 0, -1), (2, 0, 0, 0, 0)])
 def test_five_dimensional_sites_match_the_hull_per_step_path(points):
     site = FiniteSite.of(points)
-    assert enumerate_convex_subsets(site) == closed_sets_by_hulls(site)
+    assert expand_orbits(site, enumerate_convex_subsets(site)) == closed_sets_by_hulls(site)
 
 
 def test_six_dimensional_site_is_refused():
@@ -273,7 +311,11 @@ def test_each_solid_closed_set_is_reached_once(monkeypatch, points):
 
     monkeypatch.setattr(engine, "_extend", counted)
     found = enumerate_convex_subsets(site)
-    assert len(accepted) + len(site) == len(found)
+    # each set but a singleton comes from one accepted step, and the orbits
+    # of the singletons kept hold every point
+    assert sorted(accepted) == sorted(closed for closed in found if closed.bit_count() > 1)
+    expanded = expand_orbits(site, found)
+    assert sum(closed.bit_count() == 1 for closed in expanded) == len(site)
 
 
 class CountingBudget:
@@ -307,9 +349,51 @@ def test_collector_sees_each_closed_set_once(monkeypatch, points):
 
 
 def test_grid_2x2x2x2_has_every_subset_closed_and_each_its_own_vertex_set():
-    found = enumerate_convex_subsets(FiniteSite.grid(2, 2, 2, 2))
+    site = FiniteSite.grid(2, 2, 2, 2)
+    found = expand_orbits(site, enumerate_convex_subsets(site))
     assert len(found) == 2**16 - 1
     assert all(closed == vertices for closed, vertices in found.items())
+
+
+@pytest.mark.parametrize(
+    "site",
+    [
+        FiniteSite.of([(0, 0), (1, 0), (2, 1), (2, 2), (1, 2), (0, 1), (1, 1)]),
+        FiniteSite.of(FiniteSite.grid(3, 3).points[1:]),  # a box less a corner
+        FiniteSite.of(_SITE_4),
+        FiniteSite.of([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]),
+    ],
+)
+def test_a_site_that_is_no_box_enumerates_every_closed_set(site):
+    assert enumerate_convex_subsets(site) == closed_sets_by_hulls(site)
+
+
+@pytest.mark.parametrize(
+    "dims, group",
+    [((6, 4), 4), ((5, 5), 8), ((6, 1), 2), ((3, 2, 2), 16), ((2, 2, 2), 48), ((2, 2, 2, 2), 384)],
+)
+def test_orbit_sizes_are_the_orbits_under_signed_permutations(dims, group):
+    # the kernels read a full-dimensional box on its own coordinates
+    site = FiniteSite.grid(*dims)
+    kernel = engine._planar_closed_sets if len(dims) == 2 else engine._closed_sets
+    reps = list(kernel(site.points if len(dims) == 2 else site))
+    perms = signed_permutation_group(site)
+    assert len({tuple(p) for p in perms}) == len(perms) == group
+    for closed, _, size in reps:
+        orbit = {mask_image(perm, closed) for perm in perms}
+        assert size == len(orbit) and closed == min(orbit, key=site.points_of)
+    expanded = expand_orbits(site, enumerate_convex_subsets(site))
+    assert sum(size for *_, size in reps) == len(expanded)
+
+
+def test_state_budget_counts_every_member_of_each_orbit(monkeypatch):
+    # 5x4 has 9,101 closed sets in 2,349 orbits
+    site = FiniteSite.grid(5, 4)
+    monkeypatch.setattr(engine, "_STATE_BUDGET", 9100)
+    with pytest.raises(BudgetExceededError, match="^more than 9100 closed subsets; use a"):
+        enumerate_convex_subsets(site)
+    monkeypatch.setattr(engine, "_STATE_BUDGET", 9101)
+    assert len(expand_orbits(site, enumerate_convex_subsets(site))) == 9101
 
 
 @pytest.mark.parametrize(
@@ -621,6 +705,19 @@ def test_fold_picks_the_first_witness_in_size_and_point_order(points):
             assert tuple(sorted(prof.witnesses[k])) == site.points_of(first[k])
         else:
             assert prof.g[k] is None and prof.witnesses[k] is None
+
+
+@pytest.mark.parametrize("dims", [(3, 3), (5, 4), (3, 2, 2)])
+def test_profile_ignores_the_order_of_the_closed_sets(monkeypatch, dims):
+    # the fold's tie rule, not the order of the mapping, picks each witness
+    site = FiniteSite.grid(*dims)
+    expected = g_profile(site)
+    items = list(enumerate_convex_subsets(site).items())
+    shuffled = items[:]
+    random.Random(len(items)).shuffle(shuffled)
+    for order in (items[::-1], shuffled):
+        monkeypatch.setattr(engine, "enumerate_convex_subsets", lambda _, order=order: dict(order))
+        assert g_profile(site) == expected
 
 
 def test_grid_4x3_profile_regression():

@@ -274,6 +274,27 @@ def test_corrupted_bound_is_reported():
     assert any(f.startswith("recounted") for f in report.findings)
 
 
+@pytest.mark.parametrize("name", ["t", "s", "k_prime"])
+def test_corrupted_degenerate_witness_is_reported(name):
+    # a degenerate witness is built with t = s = k_prime = 0; its segment
+    # is recounted against k_prime only, so t and s are the formulas' to check
+    bad = lower_bound_witness(4, 7)._replace(**{name: 5})
+    report = verify_witness(bad)
+    assert not report.ok
+    assert f"degenerate witness must carry {name} 0" in report.findings
+
+
+def test_cap_height_below_the_maximum_is_reported():
+    # one row fewer under the cap, with k_prime recomputed for it: the body
+    # recounts as claimed, and only the formulas see that s could be larger
+    w = lower_bound_witness(2, 2450)
+    bad = w._replace(s=w.s - 1, k_prime=witnesses._nonvertex_count(2, w.t, w.s - 1))
+    assert bad.s == 229
+    report = verify_witness(bad)
+    assert report.actual_nonvertex == bad.k_prime
+    assert "cap height s = 229 is not maximal; s + 1 still fits the budget" in report.findings
+
+
 def test_verify_rejects_unknown_objects():
     with pytest.raises(TypeError):
         verify_witness(object())
