@@ -270,6 +270,8 @@ def _run_witness(args: argparse.Namespace) -> int:
     if args.suite == "theorem4":
         if args.n is None:
             raise UsageError("--suite theorem4 needs --n N")
+        if args.k is not None:
+            raise UsageError("--suite theorem4 takes no --k")
         for recipe in witnesses.tight_recipes(args.n):
             report = witnesses.verify_witness(recipe)
             verdict = "ok" if report.ok else "FAIL"

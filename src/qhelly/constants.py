@@ -21,12 +21,12 @@ cap rather than a false certificate.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gcd
 from typing import Iterable, NamedTuple, Optional
 
-from .errors import FrozenRecord
 from .extint import integer_root
 
 __all__ = [
@@ -52,28 +52,21 @@ def _as_fraction(value) -> Fraction:
     return Fraction(value)
 
 
-class Enclosure(FrozenRecord):
+class Enclosure(namedtuple("Enclosure", "lo hi")):
     """A closed rational interval guaranteed to contain the true value.
 
     All operations round outward, so enclosures compose: any chain of
     arithmetic on enclosures yields an enclosure of the exact result.
     """
 
-    __slots__ = ("lo", "hi")
+    __slots__ = ()
 
-    def __init__(self, lo: Fraction, hi: Fraction) -> None:
+    def __new__(cls, lo: Fraction, hi: Fraction) -> "Enclosure":
         if not (isinstance(lo, Fraction) and isinstance(hi, Fraction)):
             lo, hi = _as_fraction(lo), _as_fraction(hi)
         if lo > hi:
             raise ValueError("enclosure bounds are inverted")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-
-    def __eq__(self, other: object) -> bool:
-        return type(other) is Enclosure and (self.lo, self.hi) == (other.lo, other.hi)
-
-    def __hash__(self) -> int:
-        return hash((self.lo, self.hi))
+        return super().__new__(cls, lo, hi)
 
     @staticmethod
     def point(value) -> "Enclosure":
@@ -156,9 +149,6 @@ class Enclosure(FrozenRecord):
         if self.lo <= 0:
             raise ValueError("fractional powers need a strictly positive enclosure")
         return self.pow_int(p).root(q, precision)
-
-    def __repr__(self) -> str:
-        return f"Enclosure({self.lo!r}, {self.hi!r})"
 
 
 # ---------------------------------------------------------------------------

@@ -47,8 +47,9 @@ and the new closed set is the AND of the edges' line masks.
 A site of affine dimension 3 to 5 carries each closed set with the
 integer equalities of its affine hull and its facets relative to that
 hull (primitive normal, offset, vertex mask, halfspace mask), and the
-closed set is the AND of their masks.  A point off the affine hull makes
-a pyramid; a point in it is added by beneath-beyond (Seidel 1981), with
+closed set is the AND of their masks, memoized by hyperplane, one memo
+per enumeration (_halfspace_memo).  A point off the affine hull makes a
+pyramid; a point in it is added by beneath-beyond (Seidel 1981), with
 new facets by the double-description step (Fukuda & Prodon 1996), and
 the old vertices that stay are those on a facet beneath it (_extend).
 g_profile folds over the collected dict and picks each witness as it
@@ -71,14 +72,7 @@ from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import BudgetExceededError, UnsupportedDimensionError
 from .extint import Profile, c_from_g
-from .lattice import (
-    _HULL_DIM_LIMIT,
-    FiniteSite,
-    _affine_base,
-    _dot,
-    convex_hull,
-    site_mask,
-)
+from .lattice import _HULL_DIM_LIMIT, FiniteSite, LatticePolytope, _affine_base, _dot, convex_hull
 
 _STATE_BUDGET = 2_000_000
 _SITE_SIZE_LIMIT = 30
@@ -256,18 +250,67 @@ def _hyperplane(normal: list, offset: int) -> tuple:
     return tuple(a // g for a in normal), offset // g
 
 
-def _plane_mask(site: FiniteSite, normal: tuple, offset: int) -> int:
-    """The mask of the site points on the hyperplane normal . x = offset."""
+def halfspace_mask(points: Sequence[tuple], normal: tuple, offset: int) -> int:
+    """The mask of the points with normal . x <= offset."""
+    mask = 0
+    for i, p in enumerate(points):
+        if _dot(normal, p) <= offset:
+            mask |= 1 << i
+    return mask
+
+
+def _halfspace_memo(points: Sequence[tuple]) -> Callable[[tuple, int], int]:
+    """halfspace_mask over the points, memoized by (normal, offset).  The
+    solid kernel makes one per enumeration, as its facets repeat a few
+    hyperplanes: 4x3x2 looks up 306,731 masks of 482 distinct ones."""
+    memo: dict = {}
+
+    def mask_of(normal: tuple, offset: int) -> int:
+        mask = memo.get((normal, offset))
+        if mask is None:
+            mask = memo[normal, offset] = halfspace_mask(points, normal, offset)
+        return mask
+
+    return mask_of
+
+
+def _plane_mask(mask_of: Callable[[tuple, int], int], normal: tuple, offset: int) -> int:
+    """The mask of the points on the hyperplane normal . x = offset."""
     flip = tuple(-a for a in normal)
-    return site.halfspace_mask(normal, offset) & site.halfspace_mask(flip, -offset)
+    return mask_of(normal, offset) & mask_of(flip, -offset)
+
+
+def site_mask(polytope: LatticePolytope, site: FiniteSite) -> int:
+    """Bitmask of the site points inside the polytope.
+
+    The AND of the halfspace mask of every facet and, for a degenerate
+    polytope, of the plane mask of every affine-hull equation.
+    """
+    if site.dim != polytope.ambient_dim:
+        raise ValueError("site and polytope dimensions differ")
+    mask_of = _halfspace_memo(site.points)
+    mask = (1 << len(site.points)) - 1
+    for normal, offset in polytope.facets:
+        mask &= mask_of(normal, offset)
+    for normal, offset in polytope.equalities:
+        mask &= _plane_mask(mask_of, normal, offset)
+    return mask
 
 
 def _extend(
-    site: FiniteSite, eqs: tuple, facets: list, vmask: int, j: int, target: int
+    site: FiniteSite,
+    mask_of: Callable[[tuple, int], int],
+    eqs: tuple,
+    facets: list,
+    vmask: int,
+    j: int,
+    target: int,
 ) -> Optional[tuple]:
     """The equalities, facets and vertex mask of the hull of a closed set C
     plus point j outside it, when the site points in that hull are target
-    (C + j in the enumeration); None when they are not.
+    (C + j in the enumeration); None when they are not.  mask_of(normal,
+    offset) is the halfspace mask of the site points with normal . x <=
+    offset.
 
     The affine hull of C is cut out by the integer equalities eqs, as
     (normal, offset) pairs; facets are C's facets relative to that hull,
@@ -293,7 +336,6 @@ def _extend(
     the point v - e (p - v) of conv C, for a small e > 0.
     """
     p, d, bit = site.points[j], site.dim, 1 << j
-    mask_of = site.halfspace_mask
     closed = (1 << len(site.points)) - 1
     for k, (e, e0) in enumerate(eqs):
         s = _dot(e, p) - e0
@@ -303,7 +345,7 @@ def _extend(
             for f, f0 in eqs[:k] + eqs[k + 1 :]:
                 t = _dot(f, p) - f0
                 new_eqs.append(_hyperplane([s * x - t * y for x, y in zip(f, e)], s * f0 - t * e0))
-                closed &= _plane_mask(site, *new_eqs[-1])
+                closed &= _plane_mask(mask_of, *new_eqs[-1])
             new_facets = [(b, b0, vmask, mask_of(b, b0))]
             s = abs(s)
             for f, f0, fv, _ in facets:
@@ -317,7 +359,7 @@ def _extend(
                 closed &= f[3]
             return (tuple(new_eqs), new_facets, vmask | bit) if closed == target else None
     for e, e0 in eqs:
-        closed &= _plane_mask(site, e, e0)
+        closed &= _plane_mask(mask_of, e, e0)
     r = d - len(eqs)
     seen, beneath, level = [], [], []
     for f in facets:
@@ -365,6 +407,7 @@ def _closed_sets(site: FiniteSite) -> Iterator[tuple[int, int, int]]:
     points, d = site.points, site.dim
     units = [tuple(int(a == b) for b in range(d)) for a in range(d)]
     orbit = _orbit_sizer(points)
+    mask_of = _halfspace_memo(points)
     stack = [
         (1 << i, tuple(zip(units, p)), [], 1 << i, size)
         for i, p in enumerate(points)
@@ -376,7 +419,7 @@ def _closed_sets(site: FiniteSite) -> Iterator[tuple[int, int, int]]:
         for j in range(cur.bit_length(), len(points)):
             target = cur | 1 << j
             if size := orbit(target):
-                step = _extend(site, eqs, facets, vmask, j, target)
+                step = _extend(site, mask_of, eqs, facets, vmask, j, target)
                 if step is not None:
                     stack.append((target, *step, size))
 
@@ -435,7 +478,7 @@ def enumerate_convex_subsets(site: FiniteSite) -> dict:
     added by beneath-beyond when it is in it (_extend).  Neither path
     builds a hull.
     """
-    check_site_size(len(site))
+    check_site_size(len(site.points))
     points = site.points
     base, kept = _affine_base(points)
     d = len(base) - 1
@@ -484,7 +527,7 @@ def g_profile(
     polytope order (None where g[k] is None).
     """
     if k_max is None:
-        k_max = len(site)
+        k_max = len(site.points)
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
     # 0 stands for "no closed set yet": every closed set has a vertex
@@ -508,7 +551,7 @@ def g_profile(
             assert site_mask(poly, site) == closed and len(poly.vertices) == g[k]
             wit[k] = poly.vertices
     g_vals = tuple(v or None for v in g)
-    c_vals = c_from_g(g_vals, len(site))
+    c_vals = c_from_g(g_vals, len(site.points))
     return Profile(label or site.describe(), k_max, g_vals, c_vals, tuple(wit))
 
 

@@ -1,4 +1,4 @@
-"""Exact lattice geometry: hulls, site masks, point censuses, canonical forms.
+"""Exact lattice geometry: hulls, finite sites, point censuses, canonical forms.
 
 All arithmetic is exact integer arithmetic; a point whose coordinate is
 not an integer is refused, not truncated.  Convex hulls are supported for
@@ -14,9 +14,7 @@ projected, with its base, onto the d kept coordinates, on which its
 affine hull is one to one and keeps its lexicographic order, hulled
 there, and its facets are lifted by zeros in the dropped coordinates, so
 facet data is always integral.
-Membership in a finite site is one path: site_mask ANDs the site's
-memoized halfspace masks over the facets and affine-hull equations of a
-polytope.  Over the integer lattice, the points of a full-dimensional
+Over the integer lattice, the points of a full-dimensional
 polytope are counted and listed by exact row intervals of the last
 coordinate, one per point of the box of the others.  census also
 counts a point, and a segment from a to b as its gcd(b - a) + 1 lattice
@@ -43,7 +41,7 @@ from math import gcd
 from operator import mul
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import DegenerateInputError, FrozenRecord, UnsupportedDimensionError
+from .errors import DegenerateInputError, UnsupportedDimensionError
 
 Point = tuple  # tuple[int, ...]
 
@@ -131,26 +129,16 @@ def _sorted_lattice_points(points: Iterable[Point]) -> list[Point]:
     return sorted(out)
 
 
-class FiniteSite(FrozenRecord):
+class FiniteSite(NamedTuple):
     """A finite set of lattice points, stored sorted and deduplicated.
 
     A subset of the site is also an int bitmask: bit i stands for
-    points[i].  The memo of halfspace masks is built once per site and
-    takes no part in comparison.  A site is immutable: its attributes
-    cannot be assigned.
+    points[i].  Its size is len(site.points): a site is a tuple of its
+    two fields, so len(site) is 2.
     """
 
-    __slots__ = ("points", "dim", "_halfspaces")
-
-    def __init__(self, points: tuple, dim: int) -> None:
-        for name, value in zip(self.__slots__, (points, dim, {})):
-            object.__setattr__(self, name, value)
-
-    def __eq__(self, other: object) -> bool:
-        return type(other) is FiniteSite and (self.points, self.dim) == (other.points, other.dim)
-
-    def __hash__(self) -> int:
-        return hash((self.points, self.dim))
+    points: tuple
+    dim: int
 
     @classmethod
     def of(cls, points: Iterable[Point]) -> "FiniteSite":
@@ -169,23 +157,9 @@ class FiniteSite(FrozenRecord):
             raise ValueError("grid sizes must be positive")
         return cls.of(itertools.product(*(range(s) for s in sizes)))
 
-    def __len__(self) -> int:
-        return len(self.points)
-
     def points_of(self, mask: int) -> tuple:
         """The site points of a bitmask, lexicographically sorted."""
         return tuple(self.points[i] for i in range(mask.bit_length()) if mask >> i & 1)
-
-    def halfspace_mask(self, normal: tuple, offset: int) -> int:
-        """Bitmask of the site points with normal . x <= offset, memoized."""
-        mask = self._halfspaces.get((normal, offset))
-        if mask is None:
-            mask = 0
-            for i, p in enumerate(self.points):
-                if sum(map(mul, normal, p)) <= offset:
-                    mask |= 1 << i
-            self._halfspaces[(normal, offset)] = mask
-        return mask
 
     def describe(self) -> str:
         return f"finite site, {len(self.points)} points in Z^{self.dim}"
@@ -518,7 +492,7 @@ def convex_hull(points: Iterable[Point]) -> LatticePolytope:
 
 
 # ---------------------------------------------------------------------------
-# point enumeration, site masks, census
+# point enumeration, census
 
 
 def _row_intervals(box: Sequence[tuple], facets: Iterable[tuple]) -> Iterator[tuple]:
@@ -552,23 +526,6 @@ def _row_intervals(box: Sequence[tuple], facets: Iterable[tuple]) -> Iterator[tu
         else:
             if lo <= hi:
                 yield prefix, lo, hi, slo, shi
-
-
-def site_mask(polytope: LatticePolytope, site: FiniteSite) -> int:
-    """Bitmask of the site points inside the polytope.
-
-    The AND of the site's halfspace mask of every facet and, for a
-    degenerate polytope, of both halfspaces of every affine-hull equation.
-    """
-    if site.dim != polytope.ambient_dim:
-        raise ValueError("site and polytope dimensions differ")
-    halfspaces = list(polytope.facets)
-    for normal, offset in polytope.equalities:
-        halfspaces += [(normal, offset), (tuple(-x for x in normal), -offset)]
-    mask = (1 << len(site.points)) - 1
-    for normal, offset in halfspaces:
-        mask &= site.halfspace_mask(normal, offset)
-    return mask
 
 
 def lattice_points_in(polytope: LatticePolytope) -> tuple:

@@ -36,10 +36,11 @@ recipe arithmetic.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from itertools import product
 from typing import NamedTuple, Optional, Union
 
-from .errors import FrozenRecord, UnsupportedDimensionError
+from .errors import UnsupportedDimensionError
 from .extint import integer_root
 from .lattice import LatticePolytope, census, check_hull_dimension, convex_hull
 
@@ -69,7 +70,7 @@ _TIGHT_KINDS = ("cube", "fused_cubes", "prism_spike", "prism_spike", "double_spi
 # small-k family
 
 
-class ConstructionRecipe(FrozenRecord):
+class ConstructionRecipe(namedtuple("ConstructionRecipe", "kind n spike")):
     """Blueprint for one member of the small-k witness family.
 
     kind is one of "cube", "fused_cubes", "prism_spike", "double_spike";
@@ -78,9 +79,9 @@ class ConstructionRecipe(FrozenRecord):
     three, so a verifier can hold the construction to them.
     """
 
-    __slots__ = ("kind", "n", "spike")
+    __slots__ = ()
 
-    def __init__(self, kind: str, n: int, spike: Optional[int]) -> None:
+    def __new__(cls, kind: str, n: int, spike: Optional[int]) -> "ConstructionRecipe":
         if kind not in _TIGHT_KINDS:
             raise ValueError(f"unknown construction kind {kind!r}")
         if kind == "prism_spike":
@@ -91,8 +92,7 @@ class ConstructionRecipe(FrozenRecord):
         min_n = 1 if kind == "cube" else 2
         if n < min_n:
             raise UnsupportedDimensionError(f"{kind} needs dimension >= {min_n}, got {n}")
-        for name, value in zip(self.__slots__, (kind, n, spike)):
-            object.__setattr__(self, name, value)
+        return super().__new__(cls, kind, n, spike)
 
     @property
     def expected_vertices(self) -> int:

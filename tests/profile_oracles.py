@@ -27,7 +27,7 @@ def c_direct(site: FiniteSite, k_max: Optional[int] = None) -> tuple:
     k in [t - v, t]; independent of the stepwise route.
     """
     if k_max is None:
-        k_max = len(site)
+        k_max = len(site.points)
     out: list = [None] * (k_max + 1)
     for closed, verts in enumerate_convex_subsets(site).items():
         total = closed.bit_count()

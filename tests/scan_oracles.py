@@ -35,13 +35,13 @@ from math import ceil, floor, gcd, lcm
 from operator import mul
 from typing import Iterator, Optional, Sequence
 
+from qhelly.engine import site_mask
 from qhelly.lattice import (
     Point,
     _hull_cycle_2d,
     _xgcd,
     convex_hull,
     integer_kernel_basis,
-    site_mask,
 )
 
 

@@ -77,7 +77,7 @@ def test_criterion_02_two_oracle_equivalence(capsys):
     ]
     ok = True
     for site in sites:
-        size = len(site)
+        size = len(site.points)
         g = g_profile(site, size).g
         direct = c_direct(site, size)
         stepwise = c_from_g(g, size)
@@ -90,7 +90,7 @@ def test_criterion_02_two_oracle_equivalence(capsys):
                 ok = ok and route[k] <= prefix_max
     elapsed = time.monotonic() - start
     _STATE["grid_profiles"] = [
-        (site, c_direct(site, len(site))) for site in sites
+        (site, c_direct(site, len(site.points))) for site in sites
     ]
     ok = ok and elapsed < 120.0
     with capsys.disabled():
@@ -203,7 +203,7 @@ def test_criterion_07_bound_audit(capsys):
             FiniteSite.grid(4, 3),
             FiniteSite.grid(2, 2, 2),
         ]
-        profiles = [(site, c_direct(site, len(site))) for site in sites]
+        profiles = [(site, c_direct(site, len(site.points))) for site in sites]
     ok = True
     for site, c_values in profiles:
         report = audit_bounds(site.dim, c_values)

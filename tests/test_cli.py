@@ -524,6 +524,8 @@ def test_usage_errors_exit_two(capsys):
             "--suite lowerbound needs --n N and --k K",
         ),
         (["witness", "--suite", "lowerbound", "--n", "2", "--k", "-1"], "k must be nonnegative"),
+        # the theorem4 suite has no k: a given one is refused, not ignored
+        (["witness", "--suite", "theorem4", "--n", "2", "--k", "5"], "--suite theorem4 takes no --k"),
     ],
 )
 def test_usage_error_messages(capsys, monkeypatch, argv, message):

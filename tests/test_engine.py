@@ -17,15 +17,18 @@ from hypothesis import strategies as st
 from qhelly import engine
 from qhelly.engine import (
     _extend,
+    _halfspace_memo,
     _line_masks,
     _seen_chain,
     audit_bounds,
     c_from_g,
     enumerate_convex_subsets,
     g_profile,
+    halfspace_mask,
+    site_mask,
 )
 from qhelly.errors import BudgetExceededError, UnsupportedDimensionError
-from qhelly.lattice import FiniteSite, _affine_base, convex_hull, site_mask
+from qhelly.lattice import FiniteSite, _affine_base, convex_hull
 from profile_oracles import c_direct, consistency_findings, ext_max, unrolled_c
 from scan_oracles import closed_sets_by_hulls, closure, contains
 
@@ -192,7 +195,7 @@ def test_splice_is_the_hull_of_cycle_plus_point(points_and_p, extra):
     assert not contains(convex_hull(cycle), p)
     site = FiniteSite.of(points + [p] + extra)
     index = {q: i for i, q in enumerate(site.points)}
-    n, j = len(site), index[p]
+    n, j = len(site.points), index[p]
     left = _line_masks(site.points)
     hull = tuple(index[v] for v in cycle)
     ring = hull[1:] + hull[:1]
@@ -315,7 +318,7 @@ def test_each_solid_closed_set_is_reached_once(monkeypatch, points):
     # of the singletons kept hold every point
     assert sorted(accepted) == sorted(closed for closed in found if closed.bit_count() > 1)
     expanded = expand_orbits(site, found)
-    assert sum(closed.bit_count() == 1 for closed in expanded) == len(site)
+    assert sum(closed.bit_count() == 1 for closed in expanded) == len(site.points)
 
 
 class CountingBudget:
@@ -423,7 +426,7 @@ def carried_facets(site: FiniteSite, poly) -> list:
         for v in poly.vertices:
             if sum(a * x for a, x in zip(normal, v)) == offset:
                 vmask |= 1 << index[v]
-        out.append((normal, offset, vmask, site.halfspace_mask(normal, offset)))
+        out.append((normal, offset, vmask, halfspace_mask(site.points, normal, offset)))
     return sorted(out)
 
 
@@ -442,9 +445,10 @@ def one_step(site: FiniteSite, poly, p) -> tuple:
     j = index[p]
     closed = site_mask(convex_hull(poly.vertices + (p,)), site)
     child = site_mask(poly, site) | 1 << j
-    refused = _extend(site, poly.equalities, facets, vmask, j, child) is None
+    mask_of = _halfspace_memo(site.points)
+    refused = _extend(site, mask_of, poly.equalities, facets, vmask, j, child) is None
     assert refused == (closed != child)
-    step = _extend(site, poly.equalities, facets, vmask, j, closed)
+    step = _extend(site, mask_of, poly.equalities, facets, vmask, j, closed)
     assert step is not None
     assert site.points_of(step[2]) == tuple(sorted(convex_hull(poly.vertices + (p,)).vertices))
     return step
@@ -738,7 +742,7 @@ def test_grid_4x3_profile_regression():
 def test_two_routes_agree_everywhere(site):
     prof = g_profile(site)
     assert c_direct(site) == prof.c
-    assert unrolled_c(prof.g, len(site), prof.k_max) == prof.c
+    assert unrolled_c(prof.g, len(site.points), prof.k_max) == prof.c
 
 
 def test_sandwich_invariant():

@@ -155,7 +155,7 @@ def test_theorem4_bodies_are_closed_sets_of_their_boxes(monkeypatch, n, k):
     monkeypatch.setattr(witnesses, "convex_hull", sorted)
     points = tight_witness(recipe)
     box = FiniteSite.of(product(*(range(min(c), max(c) + 1) for c in zip(*points))))
-    assert len(box) <= 26
+    assert len(box.points) <= 26
     want = sum(1 << box.points.index(p) for p in points)
     sets = enumerate_convex_subsets(box)
     body = min((c for c in sets if c & want == want), key=int.bit_count)
